@@ -9,6 +9,7 @@ and needs no third-party packages.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 from repro.crypto.hashes import (DIGEST_SIZE, constant_time_eq, hmac_sha256,
@@ -20,13 +21,24 @@ TAG_SIZE = DIGEST_SIZE
 
 
 def _keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    out = bytearray(len(data))
-    for block in range(0, len(data), DIGEST_SIZE):
-        pad = sha256(key, nonce, struct.pack("<Q", block // DIGEST_SIZE))
-        chunk = data[block:block + DIGEST_SIZE]
-        for i, byte in enumerate(chunk):
-            out[block + i] = byte ^ pad[i]
-    return bytes(out)
+    """XOR ``data`` with pad blocks ``SHA256(key || nonce || LE64(i))``.
+
+    The ``key || nonce`` prefix is hashed once and each block hashes only
+    its counter onto a copy of that state; the joined pad is XORed into
+    ``data`` as one big-integer operation.
+    """
+    n = len(data)
+    prefix = hashlib.sha256(key)
+    prefix.update(nonce)
+    copy = prefix.copy
+    pads = []
+    for i in range((n + DIGEST_SIZE - 1) // DIGEST_SIZE):
+        block = copy()
+        block.update(i.to_bytes(8, "little"))
+        pads.append(block.digest())
+    pad = b"".join(pads)[:n]
+    return (int.from_bytes(data, "little")
+            ^ int.from_bytes(pad, "little")).to_bytes(n, "little")
 
 
 def _split_keys(key: bytes) -> tuple[bytes, bytes]:
@@ -79,12 +91,13 @@ class Drbg:
 
     def read(self, n: int) -> bytes:
         """Return ``n`` pseudo-random bytes and advance the state."""
-        out = b""
-        while len(out) < n:
+        blocks = []
+        for _ in range((n + DIGEST_SIZE - 1) // DIGEST_SIZE):
             self._counter += 1
-            out += sha256(self._state, struct.pack("<Q", self._counter))
+            blocks.append(sha256(self._state,
+                                 struct.pack("<Q", self._counter)))
         self._state = sha256(b"drbg-ratchet", self._state)
-        return out[:n]
+        return b"".join(blocks)[:n]
 
     def position(self) -> str:
         """A fingerprint of the generator position (state + counter).

@@ -35,11 +35,9 @@ def hkdf(ikm: bytes, *, salt: bytes = b"", info: bytes = b"",
     if length <= 0 or length > 255 * DIGEST_SIZE:
         raise ValueError(f"invalid HKDF output length {length}")
     prk = hmac_sha256(salt or b"\x00" * DIGEST_SIZE, ikm)
-    out = b""
+    blocks = []
     block = b""
-    counter = 1
-    while len(out) < length:
+    for counter in range(1, (length + DIGEST_SIZE - 1) // DIGEST_SIZE + 1):
         block = hmac_sha256(prk, block, info, bytes([counter]))
-        out += block
-        counter += 1
-    return out[:length]
+        blocks.append(block)
+    return b"".join(blocks)[:length]

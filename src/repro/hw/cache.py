@@ -7,17 +7,22 @@ plus whatever the active encryption engine charges per missed line.
 
 :meth:`Llc.access_range` is the fast-path bulk kernel: it processes an
 ascending line range in one call, taking provably exact shortcuts for the
-all-hit and all-miss cases (including the cyclic-sweep all-miss case where
-residual entries are always evicted before being reached) and falling back
-to an inlined per-line loop otherwise.  Counters, dirty bits, and the LRU
-order come out bit-identical to per-line :meth:`Llc.access_ex` calls.
+all-hit and all-miss cases (including, for ranges large against the cache,
+the cyclic-sweep all-miss case where residual entries are always evicted
+before being reached) and falling back to an inlined per-line loop
+otherwise.  Counters, dirty bits, and the LRU order come out
+bit-identical to per-line :meth:`Llc.access_ex` calls.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.hw import costs, fastpath
+from repro.hw import costs
+
+# One step of the per-line loop costs at least this many steps of the
+# sweep proof's scan over the cached lines (a cost ratio, not a knob).
+SWEEP_PROOF_RATIO = 4
 
 
 class Llc:
@@ -78,13 +83,6 @@ class Llc:
         """
         lines = self._lines
         bound = first + self.capacity_lines - len(lines)
-        np = fastpath.np
-        if np is not None and len(lines) > 2048:
-            keys = np.fromiter(lines.keys(), dtype=np.int64,
-                               count=len(lines))
-            pos = np.arange(1, len(lines) + 1, dtype=np.int64)
-            in_range = (keys >= first) & (keys <= last)
-            return bool(np.all(~in_range | (keys - pos >= bound)))
         for i, k in enumerate(lines, 1):
             if first <= k <= last and k - i < bound:
                 return False
@@ -138,7 +136,12 @@ class Llc:
         # All-miss: exact when nothing in the range is cached (a line this
         # sweep inserts is never revisited), or when every cached in-range
         # line is provably evicted before being reached (cyclic sweep).
-        if not any(map(contains, rng)) or self._sweep_evicts_all(first, last):
+        # The proof scans every cached line, the per-line loop below only
+        # the range, so past SWEEP_PROOF_RATIO cached lines per range line
+        # the scan alone costs about as much as the exact loop it skips.
+        if not any(map(contains, rng)) or (
+                len(lines) <= SWEEP_PROOF_RATIO * n
+                and self._sweep_evicts_all(first, last)):
             self.misses += n
             size0 = len(lines)
             cap = self.capacity_lines

@@ -14,9 +14,7 @@ breakdowns, TLB/LLC/MEE counters, LRU orders, ``state_digest()``s — at
 every observation point; ``tests/fastpath`` pins the equivalence and the
 flight recorder replays journals across modes with zero divergence.
 
-``REPRO_FASTPATH=numpy`` additionally vectorizes the bulk scans with
-numpy when it is importable (pure-Python fallback otherwise — numpy is
-never required).  ``docs/PERFORMANCE.md`` describes the layers.
+``docs/PERFORMANCE.md`` describes the layers.
 """
 
 from __future__ import annotations
@@ -25,17 +23,8 @@ import os
 
 MODE_LEGACY = 0
 MODE_PYTHON = 1
-MODE_NUMPY = 2
 
 _ENV = "REPRO_FASTPATH"
-
-
-def _import_numpy():
-    try:
-        import numpy
-        return numpy
-    except ImportError:
-        return None
 
 
 def _parse(raw: str | None) -> int:
@@ -44,20 +33,14 @@ def _parse(raw: str | None) -> int:
     value = raw.strip().lower()
     if value in ("0", "off", "legacy", "false", "no"):
         return MODE_LEGACY
-    if value == "numpy":
-        return MODE_NUMPY
-    # Any other value (including "", "1", "on") means the default fast
-    # path — fail open to the pure-Python implementation.
+    # Any other value (including "", "1", "on", "numpy") means the default
+    # fast path — fail open to the pure-Python implementation.
     return MODE_PYTHON
 
 
-# The resolved mode and (for MODE_NUMPY) the numpy module.  Module-level
-# so the per-touch check is one attribute load; ``set_mode`` repoints
-# them for tests.
+# The resolved mode.  Module-level so the per-touch check is one
+# attribute load; ``set_mode`` repoints it for tests.
 MODE: int = _parse(os.environ.get(_ENV))
-np = _import_numpy() if MODE == MODE_NUMPY else None
-if MODE == MODE_NUMPY and np is None:
-    MODE = MODE_PYTHON
 
 
 def mode() -> int:
@@ -72,8 +55,7 @@ def enabled() -> bool:
 
 def mode_name() -> str:
     """The active mode as a provenance-friendly string."""
-    return {MODE_LEGACY: "legacy", MODE_PYTHON: "python",
-            MODE_NUMPY: "numpy"}[MODE]
+    return {MODE_LEGACY: "legacy", MODE_PYTHON: "python"}[MODE]
 
 
 def set_mode(value: int | str | None) -> int:
@@ -81,12 +63,11 @@ def set_mode(value: int | str | None) -> int:
 
     Accepts a mode constant or the same strings the environment variable
     takes; ``None`` re-reads the environment.  Returns the mode that
-    took effect (numpy falls back to the pure-Python path when numpy is
-    unavailable).  Existing ``MemorySubsystem`` instances pick the new
+    took effect.  Existing ``MemorySubsystem`` instances pick the new
     mode up on their next touch; their cached engine-eligibility flags
     survive because eligibility is mode-independent.
     """
-    global MODE, np
+    global MODE
     if value is None:
         # repro-lint: disable=SC001 -- mode knob only: every mode charges
         # identical cycles (CI fastpath-equivalence gate + SC004 parity)
@@ -94,10 +75,7 @@ def set_mode(value: int | str | None) -> int:
     elif isinstance(value, str):
         MODE = _parse(value)
     else:
-        if value not in (MODE_LEGACY, MODE_PYTHON, MODE_NUMPY):
+        if value not in (MODE_LEGACY, MODE_PYTHON):
             raise ValueError(f"unknown fast-path mode {value!r}")
         MODE = value
-    np = _import_numpy() if MODE == MODE_NUMPY else None
-    if MODE == MODE_NUMPY and np is None:
-        MODE = MODE_PYTHON
     return MODE

@@ -16,7 +16,7 @@ charges on every path counts as charging.
 SC004 checks the PR-6 fastpath equivalence contract statically: inside
 any function that branches on :mod:`repro.hw.fastpath` state
 (``fastpath.MODE``, ``fastpath.enabled()``, a local bound to
-``fastpath.np``), the guarded fast branch and the surrounding legacy
+``fastpath.MODE``), the guarded fast branch and the surrounding legacy
 code must charge the *same set* of category expressions, transitively
 through their callees.  A drifted category set means the A/B paths
 could no longer be bit-identical — caught here without running either.

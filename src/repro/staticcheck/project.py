@@ -114,7 +114,7 @@ def _resolve_relative(module: str, package: str, level: int) -> str:
 
 def _collect_aliases(tree: ast.Module, package: str) -> dict[str, str]:
     """name -> canonical dotted target, from this module's imports and
-    simple module-level assignments (``np = fastpath.np``)."""
+    simple module-level assignments (``mode = fastpath.MODE``)."""
     aliases: dict[str, str] = {}
     for node in tree.body:
         if isinstance(node, ast.Import):

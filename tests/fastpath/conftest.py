@@ -11,11 +11,8 @@ import pytest
 
 from repro.hw import fastpath
 
-# The modes every equivalence test sweeps.  MODE_NUMPY silently falls
-# back to MODE_PYTHON when numpy is absent — set_mode reports what took
-# effect, so the sweep stays meaningful either way.
-ALL_MODES = (fastpath.MODE_LEGACY, fastpath.MODE_PYTHON,
-             fastpath.MODE_NUMPY)
+# The modes every equivalence test sweeps.
+ALL_MODES = (fastpath.MODE_LEGACY, fastpath.MODE_PYTHON)
 
 
 @pytest.fixture(autouse=True)

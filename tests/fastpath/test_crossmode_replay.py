@@ -34,8 +34,7 @@ def _record_in_mode(scenario, mode):
 @pytest.mark.parametrize("record_mode,replay_mode", [
     (fastpath.MODE_LEGACY, fastpath.MODE_PYTHON),
     (fastpath.MODE_PYTHON, fastpath.MODE_LEGACY),
-    (fastpath.MODE_LEGACY, fastpath.MODE_NUMPY),
-], ids=["legacy->fast", "fast->legacy", "legacy->numpy"])
+], ids=["legacy->fast", "fast->legacy"])
 def test_replay_across_modes_zero_divergence(lifecycle_scenario,
                                              record_mode, replay_mode):
     journal, figures = _record_in_mode(lifecycle_scenario, record_mode)

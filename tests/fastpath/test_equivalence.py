@@ -1,7 +1,7 @@
-"""A/B equivalence: legacy vs fast vs numpy paths are bit-identical.
+"""A/B equivalence: the legacy and fast paths are bit-identical.
 
 The fast paths (translation memoization, batched cycle charging,
-vectorized memory-cost kernels) are pure optimizations: every observable
+bulk memory-cost kernels) are pure optimizations: every observable
 — cycle totals, per-category breakdowns, TLB/LLC/MEE counters, machine
 state fingerprints, benchmark figures — must match the legacy reference
 loops exactly, not approximately.

@@ -5,8 +5,8 @@ touches :class:`~repro.hw.phys.PhysicalMemory` directly — every access
 goes through one of these helpers with a *translate* callback supplied
 by the caller.  The callback owns policy: page-table walks, demand
 paging, monitor policing, enclave access control.  Keeping the raw
-``phys.read``/``phys.write`` calls here (hardware layer) is what the
-repro-lint rule R002 enforces.
+``phys.read``/``phys.write`` calls here (hardware layer) is what
+staticcheck rule SC006 enforces.
 """
 
 from __future__ import annotations

@@ -1,14 +1,10 @@
-"""MONSAN: the monitor-invariant sanitizer and repro-lint suite.
+"""MONSAN: the monitor-invariant runtime sanitizer (docs/SANITIZER.md).
 
-Two prongs (see docs/SANITIZER.md):
-
-* a *runtime sanitizer* — a shadow ownership model of simulated physical
-  memory kept in lockstep with the real state via hooks in ``phys`` /
-  ``paging`` / ``tlb`` / ``swap``, plus invariant checkers that run after
-  every monitor operation when ``REPRO_SANITIZE=1``;
-* a *static repro-lint* — AST rules (R001..R005) for the determinism and
-  isolation conventions this codebase depends on, run as
-  ``python -m repro.sanitizer.lint src/``.
+A shadow ownership model of simulated physical memory kept in lockstep
+with the real state via hooks in ``phys`` / ``paging`` / ``tlb`` /
+``swap``, plus invariant checkers that run after every monitor
+operation when ``REPRO_SANITIZE=1``.  The static rules for the
+determinism and isolation conventions live in :mod:`repro.staticcheck`.
 
 The sanitizer observes — it never charges cycles — so enabling it leaves
 every calibrated benchmark number bit-identical.

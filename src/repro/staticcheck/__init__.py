@@ -1,10 +1,10 @@
-"""Whole-program static verifier for the reproduction's core contracts.
+"""The static verifier for the reproduction's core contracts.
 
-``repro-lint`` (:mod:`repro.sanitizer.rules`) checks one line at a time;
-the runtime sanitizer checks one *run* at a time.  This package closes
-the gap between them: a conservative whole-program analysis over
-``src/repro`` — real symbol table, import/alias resolution, class
-method dispatch — running three interprocedural passes:
+The runtime sanitizer checks one *run* at a time; this package checks
+the source, and is the repository's only static checker: a
+conservative whole-program analysis over ``src/repro`` — real symbol
+table, import/alias resolution, class method dispatch — running three
+interprocedural passes plus file-local checks:
 
 determinism (SC001/SC002)
     No function reachable from cycle-charged code (the hw/monitor/osim
@@ -12,15 +12,17 @@ determinism (SC001/SC002)
     ``os.environ`` or an ``id()``-keyed value, except the sanctioned
     ``repro.profiler.wall.host_clock_ns``.  Unordered-``set`` iteration
     feeding charges or digests is flagged too.  Violations print the
-    full call chain from the charged root to the forbidden source.
+    full call chain from the charged root to the forbidden source.  A
+    file-local arm flags any direct wall-clock or unseeded-``random``
+    reference in every analyzed file.
 
 charge coverage (SC003/SC004/SC005)
     Every configured public ``RustMonitor`` / hw entry point must reach
     a ``_charge_hypercall`` / ``CycleCounter.charge`` /
-    ``Cpu.charge_steps`` site (the interprocedural form of repro-lint
-    R003), with uncharged exit paths reported separately; and the
-    legacy/fast branches behind :mod:`repro.hw.fastpath` dispatch must
-    statically charge identical category sets — the PR-6 equivalence
+    ``Cpu.charge_steps`` site over precisely resolved calls, with
+    uncharged exit paths reported separately; and the legacy/fast
+    branches behind :mod:`repro.hw.fastpath` dispatch must statically
+    charge identical category sets — the fastpath equivalence
     contract, checked without running an A/B sweep.
 
 boundary taint (SC006)
@@ -28,13 +30,18 @@ boundary taint (SC006)
     ``osim``) must flow through the marshalling/validation layers
     (``edger8r``/EDL/uRTS/tRTS, ``repro.hw.memaccess``, or a public
     ``RustMonitor`` hypercall) before reaching trusted monitor/hw
-    sinks such as raw physical memory, frame pools or page tables.
+    sinks such as raw physical memory, frame pools or page tables.  A
+    file-local arm flags direct ``PhysicalMemory`` primitive calls in
+    every untrusted file, barriers included.
+
+hygiene (SC007/SC008)
+    Telemetry spans are context-managed or returned; no bare
+    ``except:`` in the trusted monitor/hw layers.
 
 Run it with ``python -m repro.staticcheck src/repro`` (text, JSON or
 SARIF output).  Findings are gated against a committed baseline so CI
-fails only on *new* violations, and suppression pragmas share the
-``# repro-lint: disable=SCnnn -- why`` syntax with repro-lint.  See
-``docs/STATIC_ANALYSIS.md``.
+fails only on *new* violations; suppression pragmas read
+``# repro-lint: disable=SCnnn -- why``.  See ``docs/STATIC_ANALYSIS.md``.
 """
 
 from __future__ import annotations

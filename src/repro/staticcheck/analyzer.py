@@ -2,17 +2,17 @@
 
 :func:`analyze` is the single programmatic entry point — the CLI, the
 test suite and the mutation corpus all go through it.  Suppression
-pragmas use the repro-lint comment syntax (``# repro-lint:
-disable=SC001 -- why``) and are honored at either the finding's line
-or the enclosing function's ``def`` line; suppressed findings stay in
-the result, flagged, so reports can show what was waived and why.
+pragmas (``# repro-lint: disable=SC001 -- why``) are honored at either
+the finding's line or the enclosing function's ``def`` line;
+suppressed findings stay in the result, flagged, so reports can show
+what was waived and why.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.staticcheck import charges, determinism, taint
+from repro.staticcheck import charges, determinism, filelocal, taint
 from repro.staticcheck.callgraph import build_facts
 from repro.staticcheck.config import StaticcheckConfig
 from repro.staticcheck.findings import StaticFinding
@@ -39,6 +39,9 @@ def analyze(paths: list[Path],
         raw.extend(charges.run(project, facts, config))
     if config.rule_enabled("SC006"):
         raw.extend(taint.run(project, facts, config))
+    reported = {(f.rule, f.path, f.line, f.sink) for f in raw}
+    raw.extend(f for f in filelocal.run(project, config)
+               if (f.rule, f.path, f.line, f.sink) not in reported)
 
     findings: list[StaticFinding] = []
     for finding in raw:

@@ -18,7 +18,7 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.staticcheck.project import (ClassInfo, FunctionInfo, ModuleInfo,
-                                       Project, dotted_of)
+                                       Project, bind_import, dotted_of)
 
 #: Attribute names that charge simulated cycles when called.
 CHARGE_ATTRS = frozenset({"charge", "charge_steps", "_charge_hypercall"})
@@ -43,7 +43,6 @@ class CallSite:
     external: str | None = None      # canonical dotted external target
     receiver: str = ""               # unparsed receiver expression
     precise: bool = True             # False for name-based dispatch
-    arg_count: int = 0
     has_args: bool = False           # any positional/keyword arguments
 
 
@@ -76,17 +75,7 @@ def _local_aliases(fn: ast.AST, module: ModuleInfo) -> dict[str, str]:
                 local[node.targets[0].id] = dotted
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             # Function-level imports: fold into the local alias map.
-            if isinstance(node, ast.Import):
-                for item in node.names:
-                    bound = item.asname or item.name.split(".")[0]
-                    local[bound] = item.name if item.asname else bound
-            else:
-                base = node.module or ""
-                for item in node.names:
-                    if item.name == "*":
-                        continue
-                    local[item.asname or item.name] = \
-                        f"{base}.{item.name}" if base else item.name
+            bind_import(node, module.package, local)
     return local
 
 
@@ -137,9 +126,6 @@ class _BodyVisitor(ast.NodeVisitor):
         if dotted.split(".")[0] in _EXTERNAL_ROOTS:
             self.facts.external_refs.append((dotted, line))
 
-    def _add_call(self, site: CallSite) -> None:
-        self.facts.calls.append(site)
-
     # -- visitors -------------------------------------------------------------
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -166,11 +152,8 @@ class _BodyVisitor(ast.NodeVisitor):
 
     def _handle_call(self, node: ast.Call) -> None:
         func = node.func
-        has_args = bool(node.args or node.keywords)
-        nargs = len(node.args)
-
         if isinstance(func, ast.Name):
-            self._handle_name_call(node, func, has_args, nargs)
+            self._handle_name_call(node, func)
             return
         if not isinstance(func, ast.Attribute):
             return                    # call of a computed expression
@@ -185,6 +168,22 @@ class _BodyVisitor(ast.NodeVisitor):
             if resolved is not None:
                 self._emit(node, attr, callee=resolved, receiver="self")
                 return
+
+        # super().<attr>(...): resolve through the enclosing class's
+        # bases only; a non-project base (``Exception``) gets no edge.
+        if isinstance(func.value, ast.Call) \
+                and isinstance(func.value.func, ast.Name) \
+                and func.value.func.id == "super" \
+                and self.info.class_name is not None:
+            for base in self.module.classes[self.info.class_name].bases:
+                resolved = self.project.resolve_method(
+                    self.module, base, attr)
+                if resolved is not None:
+                    self._emit(node, attr, callee=resolved,
+                               receiver="super()")
+                    return
+            self._emit(node, attr, receiver="super()")
+            return
 
         dotted = dotted_of(func, self.module.aliases, self.local)
         if dotted is not None:
@@ -209,8 +208,7 @@ class _BodyVisitor(ast.NodeVisitor):
         else:
             self._emit(node, attr, receiver=receiver, precise=False)
 
-    def _handle_name_call(self, node: ast.Call, func: ast.Name,
-                          has_args: bool, nargs: int) -> None:
+    def _handle_name_call(self, node: ast.Call, func: ast.Name) -> None:
         name = func.id
         dotted = self.local.get(name) or self.module.aliases.get(name)
         if dotted is None and name in self.module.functions:
@@ -249,9 +247,8 @@ class _BodyVisitor(ast.NodeVisitor):
             line=node.lineno, attr=attr,
             callee=callee.qualname if callee is not None else None,
             external=external, receiver=receiver, precise=precise,
-            arg_count=len(node.args),
             has_args=bool(node.args or node.keywords))
-        self._add_call(site)
+        self.facts.calls.append(site)
         if attr in CHARGE_ATTRS:
             self.facts.charges.append(ChargeSite(
                 line=node.lineno, attr=attr,
@@ -269,8 +266,3 @@ def build_facts(project: Project) -> dict[str, FunctionFacts]:
             visitor.visit(stmt)
         facts[qualname] = visitor.facts
     return facts
-
-
-def callees_of(facts: FunctionFacts) -> list[str]:
-    """Project qualnames this function may call."""
-    return [site.callee for site in facts.calls if site.callee is not None]

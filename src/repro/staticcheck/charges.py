@@ -1,10 +1,12 @@
 """SC003/SC004/SC005: interprocedural charge-coverage passes.
 
-SC003 is repro-lint R003 made whole-program: every configured public
-entry point (``RustMonitor`` hypercalls, the world-switch engine, the
-memory-subsystem hot methods) must *reach* a cycle-charge site —
-``_charge_hypercall``, ``CycleCounter.charge`` or ``Cpu.charge_steps``
-— through any chain of calls, not just in its own body.
+SC003: every configured public entry point (``RustMonitor`` hypercalls,
+the world-switch engine, the memory-subsystem hot methods) must *reach*
+a cycle-charge site — ``_charge_hypercall``, ``CycleCounter.charge`` or
+``Cpu.charge_steps`` — through a chain of precisely resolved calls
+(its own body, ``self.``/``super()`` helpers, module functions).
+Name-based dispatch edges do not count: a fan-out guess that happens to
+hit a charging method proves nothing about the entry point.
 
 SC005 is the all-paths refinement: an entry point that does charge
 somewhere may still have an exit path that returns a real value without
@@ -27,8 +29,8 @@ from __future__ import annotations
 import ast
 from fnmatch import fnmatch
 
-from repro.staticcheck.callgraph import (CHARGE_ATTRS, CallSite,
-                                         FunctionFacts)
+from repro.staticcheck.callgraph import (CHARGE_ATTRS, FunctionFacts,
+                                         _local_aliases)
 from repro.staticcheck.config import StaticcheckConfig
 from repro.staticcheck.findings import StaticFinding
 from repro.staticcheck.project import FunctionInfo, Project, dotted_of
@@ -36,17 +38,12 @@ from repro.staticcheck.reach import bfs_reachable, chain_to
 
 _FASTPATH_MODULE = "repro.hw.fastpath"
 
-_SKIP_METHODS = frozenset({
-    "__init__", "__repr__", "__len__", "__str__", "__post_init__"})
-
 
 def _entry_points(project: Project,
                   config: StaticcheckConfig) -> list[FunctionInfo]:
     entries = []
     for qualname, info in project.functions.items():
         if not info.is_public or info.is_property:
-            continue
-        if info.name in _SKIP_METHODS:
             continue
         if config.path_excluded(info.path):
             continue
@@ -75,7 +72,7 @@ def run(project: Project, facts: dict[str, FunctionFacts],
     for info in _entry_points(project, config):
         if _exemption_for(info, config) is not None:
             continue
-        parents = bfs_reachable([info.qualname], facts)
+        parents = bfs_reachable([info.qualname], facts, precise_only=True)
         charge_holder = next(
             (q for q in parents
              if any(s.attr in CHARGE_ATTRS for s in facts[q].calls)),
@@ -166,9 +163,6 @@ class _MustChargeIndex:
                 return True
         return False
 
-    def _charging_stmt(self, stmt: ast.stmt, qualname: str) -> bool:
-        return self._charging_span(stmt, qualname)
-
     def _walk(self, stmts: list[ast.stmt], charged: bool,
               qualname: str) -> tuple[list[tuple[int, str]], bool, bool]:
         """Walk a statement list.
@@ -237,7 +231,7 @@ class _MustChargeIndex:
                 exits.extend(final_exits)
                 charged = final_charged if stmt.finalbody else body_charged
             else:
-                if self._charging_stmt(stmt, qualname):
+                if self._charging_span(stmt, qualname):
                     charged = True
         return exits, charged, False
 
@@ -309,7 +303,6 @@ def _fastpath_parity(project: Project, facts: dict[str, FunctionFacts],
     """SC004: guarded fast branches must charge identical category sets."""
     findings: list[StaticFinding] = []
     index = _CategoryIndex(facts)
-    from repro.staticcheck.callgraph import _local_aliases
 
     for qualname, info in project.functions.items():
         if config.path_excluded(info.path):

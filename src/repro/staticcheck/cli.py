@@ -1,8 +1,8 @@
 """Command-line driver: ``python -m repro.staticcheck [paths...]``.
 
-Exit codes follow repro-lint: ``0`` when the analysis exactly matches
-the committed baseline (or is clean), ``1`` when there are new
-findings *or* stale baseline entries, ``2`` for usage errors.  The
+Exit codes: ``0`` when the analysis exactly matches the committed
+baseline (or is clean), ``1`` when there are new findings *or* stale
+baseline entries, ``2`` for usage errors and unparsable sources.  The
 baseline is resolved from ``--baseline``, then ``[tool.repro-
 staticcheck] baseline`` relative to the nearest ``pyproject.toml``,
 then an empty baseline (every finding is new).
@@ -20,7 +20,7 @@ from pathlib import Path
 
 from repro.staticcheck.analyzer import analyze
 from repro.staticcheck.baseline import Baseline
-from repro.staticcheck.config import (StaticcheckConfig, find_config)
+from repro.staticcheck.config import find_config
 from repro.staticcheck.findings import ALL_SC_RULES
 from repro.staticcheck.report import (render_json, render_sarif,
                                       render_text)
@@ -56,13 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_baseline(args: argparse.Namespace,
-                      config: StaticcheckConfig) -> Path | None:
-    if args.baseline is not None:
-        return args.baseline
-    return config.baseline_path()
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -82,12 +75,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.disable:
         config.disable = tuple(config.disable) + tuple(args.disable)
 
-    findings = analyze(paths, config)
+    try:
+        findings = analyze(paths, config)
+    except SyntaxError as exc:
+        print(f"error: cannot parse {exc.filename}:{exc.lineno}: "
+              f"{exc.msg}", file=sys.stderr)
+        return 2
 
     if args.no_baseline:
         delta = Baseline().delta(findings)
     else:
-        baseline_path = _resolve_baseline(args, config)
+        baseline_path = args.baseline or config.baseline_path()
         if args.write_baseline:
             if baseline_path is None:
                 print("error: no baseline path (pass --baseline or add "

@@ -3,7 +3,7 @@
 All keys are optional; the defaults encode the repository's actual
 trust and charging structure so a bare ``python -m repro.staticcheck
 src/repro`` is meaningful.  Path values are substring fragments matched
-against POSIX-style file paths, exactly like ``[tool.repro-lint]``.
+against POSIX-style file paths.
 
 Recognized keys::
 
@@ -27,8 +27,6 @@ import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.sanitizer.lintconfig import find_pyproject
-
 DEFAULT_BASELINE = "staticcheck-baseline.json"
 
 DEFAULT_DETERMINISM_ROOTS = (
@@ -36,8 +34,8 @@ DEFAULT_DETERMINISM_ROOTS = (
 
 # Observer layers the determinism traversal does not descend into:
 # telemetry/profiler/flight-recorder code legitimately reads host state
-# (and is barred from feeding the simulated clock by repro-lint R001 +
-# the runtime zero-perturbation pins instead).
+# (each such read carries a justified SC001 pragma for the file-local
+# arm, and the runtime zero-perturbation pins keep it off the clock).
 DEFAULT_DETERMINISM_EXCLUDE = (
     "repro/telemetry/", "repro/profiler/", "repro/flightrec/",
     "repro/bench/", "repro/analysis/", "repro/sanitizer/",
@@ -140,5 +138,9 @@ def load_staticcheck_config(pyproject: Path | None) -> StaticcheckConfig:
 
 
 def find_config(start: Path) -> StaticcheckConfig:
-    """Locate the nearest pyproject.toml above ``start`` and load it."""
-    return load_staticcheck_config(find_pyproject(start.resolve()))
+    """Load the nearest pyproject.toml at or above ``start``."""
+    start = start.resolve()
+    for directory in [start, *start.parents]:
+        if (directory / "pyproject.toml").is_file():
+            return load_staticcheck_config(directory / "pyproject.toml")
+    return StaticcheckConfig()

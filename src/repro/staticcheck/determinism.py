@@ -19,6 +19,9 @@ simulated clock) and at the sanctioned ``sanctioned-clocks`` symbols.
 Each finding carries the full call chain from a charged root to the
 forbidden source.
 
+SC001's file-local arm (any direct wall-clock or unseeded-``random``
+reference, in every file) lives in :mod:`repro.staticcheck.filelocal`.
+
 SC002 flags ``for`` loops over raw ``set`` values whose bodies feed a
 cycle charge or a digest: Python set iteration order depends on
 insertion history and hashing, so such loops can reorder charges or
@@ -67,8 +70,8 @@ ENTROPY_SOURCES = frozenset({
 _DIGEST_ATTRS = frozenset({"state_digest", "hexdigest", "digest"})
 
 
-def _classify(dotted: str, has_args: bool,
-              sanctioned: frozenset[str]) -> str | None:
+def classify(dotted: str, has_args: bool,
+             sanctioned: frozenset[str]) -> str | None:
     """Human label for a forbidden external reference, or ``None``."""
     if dotted in sanctioned:
         return None
@@ -169,7 +172,7 @@ def run(project: Project, facts: dict[str, FunctionFacts],
                         if site.external is not None}
         for dotted, line in refs:
             has_args = arg_presence.get((dotted, line), False)
-            label = _classify(dotted, has_args, sanctioned)
+            label = classify(dotted, has_args, sanctioned)
             if label is None:
                 continue
             key = (info.path, qualname, dotted)

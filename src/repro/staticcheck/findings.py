@@ -1,10 +1,11 @@
-"""Finding records for the whole-program static verifier.
+"""Finding records for the static verifier.
 
-A :class:`StaticFinding` extends the repro-lint notion of a finding
-with the *call chain* that witnesses the violation — the path through
-the conservative call graph from a charged root (or untrusted origin)
-to the forbidden sink.  Fingerprints deliberately exclude line numbers
-so the committed baseline survives unrelated edits to the same file.
+A :class:`StaticFinding` is one rule hit at a file and line, with the
+*call chain* that witnesses the violation — the path through the
+conservative call graph from a charged root (or untrusted origin) to
+the forbidden sink; file-local hits carry a one-hop chain.
+Fingerprints deliberately exclude line numbers so the committed
+baseline survives unrelated edits to the same file.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ ALL_SC_RULES: dict[str, str] = {
     "SC004": "fastpath branches charge different category sets",
     "SC005": "entry point has an uncharged exit path",
     "SC006": "untrusted value reaches a trusted sink unmarshalled",
+    "SC007": "telemetry span neither context-managed nor returned",
+    "SC008": "bare except in a trusted layer",
 }
 
 

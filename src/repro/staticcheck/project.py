@@ -14,10 +14,58 @@ without copying it.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.sanitizer.rules import Suppressions, parse_suppressions
+# ``# repro-lint: disable=SC001, SC006 -- why``: the one pragma syntax.
+_DIRECTIVE = re.compile(
+    r"#\s*repro-lint:\s*disable="
+    r"(?P<rules>SC\d{3}(?:\s*,\s*SC\d{3})*)"
+    r"(?:\s*--\s*(?P<why>\S.*))?")
+
+
+@dataclass
+class Suppressions:
+    """Per-line suppression directives parsed from source comments."""
+
+    by_line: dict[int, dict[str, str]] = field(default_factory=dict)
+
+    def lookup(self, line: int, rule: str) -> str | None:
+        """The justification if ``rule`` is suppressed on ``line``."""
+        return self.by_line.get(line, {}).get(rule)
+
+
+def parse_suppressions(source: str) -> Suppressions:
+    """Extract directives; each covers its own line, any directly
+    following comment lines, and the first code line after them."""
+    sup = Suppressions()
+    lines = source.splitlines()
+    for lineno, text in enumerate(lines, start=1):
+        match = _DIRECTIVE.search(text)
+        if match is None:
+            continue
+        why = (match.group("why") or "").strip()
+        if not why:
+            continue                    # justification is mandatory
+        rules = {r.strip() for r in match.group("rules").split(",")}
+        covered = [lineno]
+        # A standalone comment directive propagates through the rest of
+        # its comment block and onto the first code line below; an
+        # end-of-line directive covers only the line it sits on.
+        if text.strip().startswith("#"):
+            cursor = lineno
+            while cursor < len(lines):
+                nxt = lines[cursor].strip()
+                cursor += 1
+                covered.append(cursor)
+                if nxt and not nxt.startswith("#"):
+                    break               # first code line reached
+        for line in covered:
+            entry = sup.by_line.setdefault(line, {})
+            for rule in rules:
+                entry[rule] = why
+    return sup
 
 
 @dataclass
@@ -35,7 +83,7 @@ class FunctionInfo:
 
     @property
     def is_public(self) -> bool:
-        """Public per the repro-lint convention (no leading underscore)."""
+        """Public by convention: no leading underscore."""
         return not self.name.startswith("_")
 
     @property
@@ -43,10 +91,6 @@ class FunctionInfo:
         """True for ``@property``/``@cached_property`` accessors."""
         return any(d in ("property", "cached_property")
                    for d in self.decorators)
-
-    def display(self) -> str:
-        """Short chain-segment form (module:Class.method)."""
-        return self.qualname
 
 
 @dataclass
@@ -67,7 +111,6 @@ class ModuleInfo:
     name: str                        # dotted, e.g. "repro.hw.memmodel"
     path: str                        # POSIX-style
     tree: ast.Module
-    source: str
     aliases: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
@@ -112,32 +155,49 @@ def _resolve_relative(module: str, package: str, level: int) -> str:
     return ".".join(parts)
 
 
+def bind_import(node: ast.Import | ast.ImportFrom, package: str,
+                 aliases: dict[str, str]) -> None:
+    """Record the names one import statement binds."""
+    if isinstance(node, ast.Import):
+        for item in node.names:
+            if item.asname is not None:
+                aliases[item.asname] = item.name
+            else:
+                # ``import a.b`` binds the *top* name to package a.
+                top = item.name.split(".")[0]
+                aliases[top] = top
+        return
+    base = (node.module or "") if node.level == 0 else \
+        _resolve_relative(node.module or "", package, node.level)
+    for item in node.names:
+        if item.name != "*":
+            aliases[item.asname or item.name] = \
+                f"{base}.{item.name}" if base else item.name
+
+
 def _collect_aliases(tree: ast.Module, package: str) -> dict[str, str]:
     """name -> canonical dotted target, from this module's imports and
     simple module-level assignments (``mode = fastpath.MODE``)."""
     aliases: dict[str, str] = {}
     for node in tree.body:
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                if item.asname is not None:
-                    aliases[item.asname] = item.name
-                else:
-                    # ``import a.b`` binds the *top* name to package a.
-                    aliases[item.name.split(".")[0]] = \
-                        item.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            base = (node.module or "") if node.level == 0 else \
-                _resolve_relative(node.module or "", package, node.level)
-            for item in node.names:
-                if item.name == "*":
-                    continue
-                bound = item.asname or item.name
-                aliases[bound] = f"{base}.{item.name}" if base else item.name
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bind_import(node, package, aliases)
         elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
             dotted = dotted_of(node.value, aliases)
             if dotted is not None:
                 aliases[node.targets[0].id] = dotted
+    return aliases
+
+
+def import_aliases(module: ModuleInfo) -> dict[str, str]:
+    """Every import binding anywhere in the file, function-level ones
+    included, and no assignment aliases: the file-local checks flag a
+    reference where it is written, so they never follow assignments."""
+    aliases: dict[str, str] = {}
+    for node in ast.walk(module.tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bind_import(node, module.package, aliases)
     return aliases
 
 
@@ -219,7 +279,7 @@ class Project:
 
     def _add_module(self, name: str, posix: str, source: str) -> None:
         tree = ast.parse(source, filename=posix)
-        module = ModuleInfo(name=name, path=posix, tree=tree, source=source)
+        module = ModuleInfo(name=name, path=posix, tree=tree)
         module.aliases = _collect_aliases(tree, module.package)
         self.modules[name] = module
         self.suppressions[posix] = parse_suppressions(source)
@@ -329,9 +389,19 @@ class Project:
         module = self.modules[cls.module_name]
         return self.resolve_method(module, cls.name, "__init__")
 
+    def symbol_at(self, module: ModuleInfo, line: int) -> str:
+        """Qualname of the function or method holding ``line`` in
+        ``module``, else the module name: the symbol a file-local
+        finding carries (and whose ``def`` line its pragma may sit on)."""
+        for info in self.functions.values():
+            if info.path == module.path and \
+                    info.lineno <= line <= info.node.end_lineno:
+                return info.qualname
+        return module.name
+
     def suppression_for(self, path: str, line: int,
                         rule: str) -> str | None:
-        """Shared repro-lint pragma lookup for SC rules."""
+        """Pragma lookup: the justification waiving ``rule`` there."""
         sup = self.suppressions.get(path)
         if sup is None:
             return None

@@ -15,14 +15,15 @@ from repro.staticcheck.callgraph import CHARGE_ATTRS, FunctionFacts
 
 def bfs_reachable(roots: Iterable[str],
                   facts: dict[str, FunctionFacts],
-                  descend: Callable[[str], bool] | None = None
-                  ) -> dict[str, str | None]:
+                  descend: Callable[[str], bool] | None = None,
+                  precise_only: bool = False) -> dict[str, str | None]:
     """Breadth-first reachability from ``roots``.
 
     Returns ``{qualname: parent_qualname_or_None}`` for every function
     reached.  ``descend(qualname)`` gates whether edges *out of* a
     function are followed (the function itself is still recorded, so a
     sanctioned module boundary is visible in chains but not traversed).
+    ``precise_only`` skips name-based dispatch fan-out edges.
     """
     parents: dict[str, str | None] = {}
     queue: deque[str] = deque()
@@ -40,6 +41,8 @@ def bfs_reachable(roots: Iterable[str],
         for site in current_facts.calls:
             callee = site.callee
             if callee is None or callee in parents:
+                continue
+            if precise_only and not site.precise:
                 continue
             parents[callee] = current
             queue.append(callee)

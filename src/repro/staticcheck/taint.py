@@ -22,6 +22,10 @@ real escapes in noise.  At the final hop a fuzzy edge is still
 reported when the receiver text names the sink object (``phys``,
 ``pool``, ``page_table``) — that catches direct attribute reaches
 without the fan-out explosion.
+
+SC006's file-local arm (a direct ``PhysicalMemory`` primitive call in
+any ``taint-sources`` file, barriers included) lives in
+:mod:`repro.staticcheck.filelocal`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from repro.staticcheck.callgraph import FunctionFacts
 from repro.staticcheck.config import StaticcheckConfig
 from repro.staticcheck.findings import StaticFinding
 from repro.staticcheck.project import FunctionInfo, Project
-from repro.staticcheck.reach import chain_to
+from repro.staticcheck.reach import bfs_reachable, chain_to
 
 #: Monitor classes whose public methods are sanctioned crossings.
 _BARRIER_CLASSES = frozenset({"RustMonitor", "WorldSwitchEngine"})
@@ -66,14 +70,14 @@ _SINK_SPECS = (
              (), "EPC swap engine"),
 )
 
-_TRUSTED_FRAGMENTS = ("repro/hw/", "repro/monitor/")
+TRUSTED_FRAGMENTS = ("repro/hw/", "repro/monitor/")
 
 
 def _build_sinks(project: Project) -> dict[str, str]:
     """qualname -> human label for every trusted-sink function."""
     sinks: dict[str, str] = {}
     for qualname, info in project.functions.items():
-        if not any(f in info.path for f in _TRUSTED_FRAGMENTS):
+        if not any(f in info.path for f in TRUSTED_FRAGMENTS):
             continue
         for spec in _SINK_SPECS:
             if spec.class_name is None:
@@ -117,28 +121,21 @@ def run(project: Project, facts: dict[str, FunctionFacts],
             continue
         roots.append(qualname)
 
-    # Precise-edge BFS with barrier cuts, parent pointers for chains.
-    parents: dict[str, str | None] = {q: None for q in roots}
-    queue = list(roots)
-    while queue:
-        current = queue.pop(0)
-        info = project.functions.get(current)
-        if info is None or _is_barrier(info, config):
-            continue
-        for site in facts[current].calls:
-            if not site.precise or site.callee is None:
-                continue
-            if site.callee in sinks or site.callee in parents:
-                continue              # sinks are reported, not traversed
-            parents[site.callee] = current
-            queue.append(site.callee)
+    # Precise-edge BFS with barrier cuts; sinks are reported, not
+    # traversed.
+    def descend(qualname: str) -> bool:
+        info = project.functions.get(qualname)
+        return qualname not in sinks and info is not None \
+            and not _is_barrier(info, config)
+
+    parents = bfs_reachable(roots, facts, descend, precise_only=True)
 
     findings: list[StaticFinding] = []
     seen: set[tuple[str, int, str]] = set()
     for qualname in parents:
-        info = project.functions.get(qualname)
-        if info is None or _is_barrier(info, config):
+        if not descend(qualname):
             continue
+        info = project.functions[qualname]
         for site in facts[qualname].calls:
             if site.callee is None or site.callee not in sinks:
                 continue

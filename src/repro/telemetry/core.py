@@ -82,7 +82,7 @@ class UnclosedSpanError(RuntimeError):
     An open span has not yet folded its cycles into its parent's
     self-cycle accounting, so any profile or snapshot taken now would
     silently misattribute cycles.  This is the runtime counterpart of
-    lint rule R004 (spans must be context-managed).
+    staticcheck rule SC007 (spans must be context-managed).
     """
 
 
@@ -172,6 +172,8 @@ class Span:
         self._path = ((stack[-1]._path + (self.name,)) if stack
                       else (self.name,))
         stack.append(self)
+        # repro-lint: disable=SC001 -- host wall time is reported next to
+        # the span's cycles and never feeds the simulated clock
         self._start_wall = time.perf_counter_ns()
         self.start_cycle = int(tel.cycles.total)
         return self
@@ -179,6 +181,8 @@ class Span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         tel = self._telemetry
         dur = int(tel.cycles.total) - self.start_cycle
+        # repro-lint: disable=SC001 -- host wall time is reported next to
+        # the span's cycles and never feeds the simulated clock
         dur_wall = time.perf_counter_ns() - self._start_wall
         stack = tel._stack
         # Unwind robustly: an exception may have skipped child exits.

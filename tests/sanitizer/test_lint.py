@@ -1,68 +1,70 @@
-"""repro-lint: rule checks, suppression semantics, CLI exit codes."""
+"""The static rules the runtime sanitizer relies on, as file-local
+checks of repro.staticcheck: rule hits, suppression semantics, CLI.
+
+The classes keep the old rule numbers: R001 is SC001's file-local arm,
+R002 SC006's, R003 is SC003 for ``RustMonitor``, R004 is SC007 and
+R005 is SC008.
+"""
 
 from __future__ import annotations
 
 import json
-import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.sanitizer.lint import lint_paths, main
-from repro.sanitizer.lintconfig import LintConfig, load_config
-from repro.sanitizer.rules import lint_source
+from repro.staticcheck.analyzer import analyze
+from repro.staticcheck.baseline import Baseline
+from repro.staticcheck.cli import main
+from repro.staticcheck.config import StaticcheckConfig, load_staticcheck_config
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
-def findings_for(source: str, path: str, config: LintConfig | None = None):
-    """Lint a source snippet as if it lived at ``path``."""
-    return lint_source(textwrap.dedent(source), Path(path),
-                       config or LintConfig())
+def rules(findings):
+    """Rule ids of the findings, in report order."""
+    return [f.rule for f in findings]
 
 
 class TestR001:
-    def test_wall_clock_flagged(self):
-        found = findings_for("""
+    def test_wall_clock_flagged(self, run_passes):
+        found = run_passes({"hw/fake.py": """
             import time
             def charge():
                 return time.perf_counter()
-            """, "src/repro/hw/fake.py")
-        assert [f.rule for f in found] == ["R001"]
-        assert "wall-clock" in found[0].message
+            """})
+        assert rules(found) == ["SC001"]
+        assert "wall clock" in found[0].message
 
-    def test_global_random_flagged(self):
-        found = findings_for("""
+    def test_global_random_flagged(self, run_passes):
+        found = run_passes({"apps/fake.py": """
             import random
             def pick():
                 return random.randrange(10)
-            """, "src/repro/apps/fake.py")
-        assert [f.rule for f in found] == ["R001"]
+            """})
+        assert rules(found) == ["SC001"]
 
-    def test_seeded_rng_allowed(self):
-        found = findings_for("""
+    def test_seeded_rng_allowed(self, run_passes):
+        found = run_passes({"apps/fake.py": """
             import random
             def pick(seed):
                 return random.Random(seed).randrange(10)
-            """, "src/repro/apps/fake.py")
+            """})
         assert found == []
 
-    def test_unseeded_rng_flagged(self):
-        found = findings_for("""
+    def test_unseeded_rng_flagged(self, run_passes):
+        found = run_passes({"apps/fake.py": """
             import random
             def pick():
                 return random.Random()
-            """, "src/repro/apps/fake.py")
-        assert [f.rule for f in found] == ["R001"]
+            """})
+        assert rules(found) == ["SC001"]
 
-    def test_config_exclude(self):
-        config = LintConfig(rule_excludes={
-            "R001": ("repro/telemetry/",)})
-        found = findings_for("""
+    def test_config_exclude(self, run_passes):
+        config = StaticcheckConfig(exclude=("repro/telemetry/",))
+        found = run_passes({"telemetry/fake.py": """
             import time
             def now():
                 return time.time()
-            """, "src/repro/telemetry/fake.py", config)
+            """}, config)
         assert found == []
 
 
@@ -72,18 +74,18 @@ class TestR002:
             return self.machine.phys.read(pa, 8)
         """
 
-    def test_untrusted_layer_flagged(self):
-        found = findings_for(self.SOURCE, "src/repro/osim/fake.py")
-        assert [f.rule for f in found] == ["R002"]
+    def test_untrusted_layer_flagged(self, run_passes):
+        found = run_passes({"osim/fake.py": self.SOURCE})
+        assert rules(found) == ["SC006"]
         assert "memaccess" in found[0].message
 
-    def test_hw_layer_exempt(self):
-        assert findings_for(self.SOURCE, "src/repro/hw/fake.py") == []
+    def test_hw_layer_exempt(self, run_passes):
+        assert run_passes({"hw/fake.py": self.SOURCE}) == []
 
 
 class TestR003:
-    def test_uncharged_entry_point_flagged(self):
-        found = findings_for("""
+    def test_uncharged_entry_point_flagged(self, run_passes):
+        found = run_passes({"monitor/rustmonitor.py": """
             class RustMonitor:
                 def uncharged(self):
                     return 1
@@ -94,41 +96,41 @@ class TestR003:
                 @property
                 def attribute(self):
                     return 3
-            """, "src/repro/monitor/rustmonitor.py")
-        assert [(f.rule, f.line) for f in found] == [("R003", 3)]
+            """})
+        assert [(f.rule, f.line) for f in found] == [("SC003", 3)]
         assert "uncharged" in found[0].message
 
-    def test_other_files_exempt(self):
-        found = findings_for("""
+    def test_other_files_exempt(self, run_passes):
+        found = run_passes({"monitor/other.py": """
             class RustMonitor:
                 def uncharged(self):
                     return 1
-            """, "src/repro/monitor/other.py")
+            """})
         assert found == []
 
 
 class TestR004:
-    def test_unclosed_span_flagged(self):
-        found = findings_for("""
+    def test_unclosed_span_flagged(self, run_passes):
+        found = run_passes({"hw/fake.py": """
             def leak(tel):
                 span = tel.span("oops")
                 span.annotate(1)
-            """, "src/repro/hw/fake.py")
-        assert [f.rule for f in found] == ["R004"]
+            """})
+        assert rules(found) == ["SC007"]
 
-    def test_with_statement_allowed(self):
-        found = findings_for("""
+    def test_with_statement_allowed(self, run_passes):
+        found = run_passes({"hw/fake.py": """
             def fine(tel):
                 with tel.span("ok"):
                     pass
-            """, "src/repro/hw/fake.py")
+            """})
         assert found == []
 
-    def test_returned_span_allowed(self):
-        found = findings_for("""
+    def test_returned_span_allowed(self, run_passes):
+        found = run_passes({"hw/fake.py": """
             def handoff(tel):
                 return tel.span("callers-problem")
-            """, "src/repro/hw/fake.py")
+            """})
         assert found == []
 
 
@@ -141,59 +143,84 @@ class TestR005:
                 pass
         """
 
-    def test_bare_except_in_monitor_flagged(self):
-        found = findings_for(self.SOURCE, "src/repro/monitor/fake.py")
-        assert [f.rule for f in found] == ["R005"]
+    def test_bare_except_in_monitor_flagged(self, run_passes):
+        found = run_passes({"monitor/fake.py": self.SOURCE})
+        assert rules(found) == ["SC008"]
 
-    def test_untrusted_layer_exempt(self):
-        assert findings_for(self.SOURCE, "src/repro/apps/fake.py") == []
+    def test_untrusted_layer_exempt(self, run_passes):
+        assert run_passes({"apps/fake.py": self.SOURCE}) == []
 
 
 class TestSuppression:
-    def test_justified_suppression(self):
-        found = findings_for("""
+    def test_justified_suppression(self, run_passes):
+        found = run_passes({"hw/fake.py": """
             import time
             def now():
-                return time.time()  # repro-lint: disable=R001 -- host-side only
-            """, "src/repro/hw/fake.py")
+                return time.time()  # repro-lint: disable=SC001 -- host-side only
+            """})
         assert len(found) == 1
         assert found[0].suppressed
         assert found[0].justification == "host-side only"
 
-    def test_directive_without_justification_does_not_suppress(self):
-        found = findings_for("""
+    def test_directive_without_justification_does_not_suppress(
+            self, run_passes):
+        found = run_passes({"hw/fake.py": """
             import time
             def now():
-                return time.time()  # repro-lint: disable=R001
-            """, "src/repro/hw/fake.py")
+                return time.time()  # repro-lint: disable=SC001
+            """})
         assert len(found) == 1
         assert not found[0].suppressed
 
-    def test_comment_block_above_covers_next_code_line(self):
-        found = findings_for("""
+    def test_comment_block_above_covers_next_code_line(self, run_passes):
+        found = run_passes({"hw/fake.py": """
             import time
-            # repro-lint: disable=R001 -- profiling shim, never cycle-charged
+            # repro-lint: disable=SC001 -- profiling shim, never cycle-charged
             # (continued rationale on a second comment line)
             def now():
                 return 1
 
             def charged():
                 return time.time()
-            """, "src/repro/hw/fake.py")
+            """})
         # The directive covers only its block and first code line, so the
         # later time.time() call is still reported.
         assert [f.suppressed for f in found] == [False]
 
-    def test_inline_directive_covers_only_its_own_line(self):
-        found = findings_for("""
+    def test_inline_directive_covers_only_its_own_line(self, run_passes):
+        found = run_passes({"hw/fake.py": """
             import time
             def pair():
-                a = time.time()  # repro-lint: disable=R001 -- host-side only
+                a = time.time()  # repro-lint: disable=SC001 -- host-side only
                 b = time.time()
                 return a, b
-            """, "src/repro/hw/fake.py")
+            """})
         # An end-of-line directive must not bleed onto the next line.
         assert [f.suppressed for f in found] == [True, False]
+
+
+class TestRepoIsClean:
+    def test_src_tree_has_zero_unsuppressed_findings(self, monkeypatch):
+        """The acceptance gate CI enforces, as a unit test: every
+        unsuppressed finding over src/repro is accepted baseline debt."""
+        monkeypatch.chdir(REPO_ROOT)
+        config = load_staticcheck_config(REPO_ROOT / "pyproject.toml")
+        findings = analyze([Path("src/repro")], config)
+        baseline = Baseline.load(REPO_ROOT / "staticcheck-baseline.json")
+        new = baseline.delta(findings).new
+        assert new == [], "\n".join(f.render() for f in new)
+
+    def test_every_suppression_is_justified(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        config = load_staticcheck_config(REPO_ROOT / "pyproject.toml")
+        findings = analyze([Path("src/repro")], config)
+        suppressed = [f for f in findings if f.suppressed]
+        # The span timers in telemetry/core.py were an R001 rule-exclude;
+        # they now carry pragmas, which must come with their why-text.
+        assert {f.path for f in suppressed} >= {
+            "src/repro/telemetry/core.py"}
+        for finding in suppressed:
+            assert finding.justification
 
 
 class TestCli:
@@ -206,31 +233,24 @@ class TestCli:
         bad = tmp_path / "repro" / "bad.py"
         bad.write_text("import time\ny = time.time()\n")
         assert main([str(bad)]) == 1
-        assert "R001" in capsys.readouterr().out
+        assert "SC001" in capsys.readouterr().out
 
     def test_exit_two_on_missing_path(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2
 
-    def test_exit_two_on_no_args(self, capsys):
-        assert main([]) == 2
-
-    def test_exit_two_on_bad_config(self, tmp_path, capsys):
-        (tmp_path / "x.py").write_text("x = 1\n")
-        assert main([str(tmp_path), "--config",
-                     str(tmp_path / "missing.toml")]) == 2
-
     def test_exit_two_on_syntax_error(self, tmp_path, capsys):
         (tmp_path / "broken.py").write_text("def (:\n")
         assert main([str(tmp_path)]) == 2
+        assert "cannot parse" in capsys.readouterr().err
 
     def test_json_report_shape(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import time\ny = time.time()\n")
         main([str(bad), "--format", "json"])
         report = json.loads(capsys.readouterr().out)
-        assert report["counts"]["findings"] == 1
-        finding = report["findings"][0]
-        assert finding["rule"] == "R001"
+        assert report["gate"]["new"] and not report["gate"]["clean"]
+        finding, = report["findings"]
+        assert finding["rule"] == "SC001"
         assert finding["line"] == 2
         assert not finding["suppressed"]
 
@@ -238,21 +258,6 @@ class TestCli:
         bad = tmp_path / "bad.py"
         bad.write_text("import time\ny = time.time()\n")
         pyproject = tmp_path / "pyproject.toml"
-        pyproject.write_text('[tool.repro-lint]\ndisable = ["R001"]\n')
-        assert main([str(bad), "--config", str(pyproject)]) == 0
-
-
-class TestRepoIsClean:
-    def test_src_tree_has_zero_unsuppressed_findings(self):
-        """The acceptance gate CI enforces, as a unit test."""
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        findings = lint_paths([REPO_ROOT / "src"], config)
-        unsuppressed = [f for f in findings if not f.suppressed]
-        assert unsuppressed == [], "\n".join(f.render() for f in unsuppressed)
-
-    def test_every_suppression_is_justified(self):
-        config = load_config(REPO_ROOT / "pyproject.toml")
-        findings = lint_paths([REPO_ROOT / "src"], config)
-        for finding in findings:
-            if finding.suppressed:
-                assert finding.justification
+        pyproject.write_text(
+            '[tool.repro-staticcheck]\ndisable = ["SC001"]\n')
+        assert main([str(bad)]) == 0

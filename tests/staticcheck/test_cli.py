@@ -3,9 +3,6 @@
 from __future__ import annotations
 
 import json
-import textwrap
-
-import pytest
 
 from repro.staticcheck.cli import main
 
@@ -31,25 +28,12 @@ CLEAN_HW = {
 }
 
 
-@pytest.fixture
-def tree(tmp_path):
-    """Write fixture files and return the fake repro root as a string."""
-    def build(files):
-        root = tmp_path / "repro"
-        for rel, source in files.items():
-            target = root / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(textwrap.dedent(source))
-        return str(root)
-    return build
-
-
 class TestExitCodes:
-    def test_clean_tree_exits_zero(self, tree, capsys):
-        assert main([tree(CLEAN_HW), "--no-baseline"]) == 0
+    def test_clean_tree_exits_zero(self, fake_tree, capsys):
+        assert main([str(fake_tree(CLEAN_HW)), "--no-baseline"]) == 0
 
-    def test_finding_exits_one(self, tree, capsys):
-        assert main([tree(BAD_HW), "--no-baseline"]) == 1
+    def test_finding_exits_one(self, fake_tree, capsys):
+        assert main([str(fake_tree(BAD_HW)), "--no-baseline"]) == 1
         out = capsys.readouterr().out
         assert "SC001" in out
         assert "call chain:" in out
@@ -58,22 +42,22 @@ class TestExitCodes:
     def test_missing_path_exits_two(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope")]) == 2
 
-    def test_disable_flag(self, tree, capsys):
-        assert main([tree(BAD_HW), "--no-baseline",
+    def test_disable_flag(self, fake_tree, capsys):
+        assert main([str(fake_tree(BAD_HW)), "--no-baseline",
                      "--disable", "SC001"]) == 0
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in ("SC001", "SC002", "SC003", "SC004", "SC005",
-                     "SC006"):
+                     "SC006", "SC007", "SC008"):
             assert rule in out
 
 
 class TestBaselineWorkflow:
-    def test_write_then_gate_clean_then_regress(self, tree, tmp_path,
+    def test_write_then_gate_clean_then_regress(self, fake_tree, tmp_path,
                                                 capsys):
-        root = tree(BAD_HW)
+        root = str(fake_tree(BAD_HW))
         baseline = tmp_path / "bl.json"
         assert main([root, "--baseline", str(baseline),
                      "--write-baseline"]) == 0
@@ -93,15 +77,15 @@ class TestBaselineWorkflow:
 
 
 class TestFormats:
-    def test_json_report(self, tree, capsys):
-        main([tree(BAD_HW), "--no-baseline", "--format", "json"])
+    def test_json_report(self, fake_tree, capsys):
+        main([str(fake_tree(BAD_HW)), "--no-baseline", "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["findings"][0]["rule"] == "SC001"
         assert doc["findings"][0]["chain"][-1] == "time.time"
         assert doc["gate"]["clean"] is False
 
-    def test_sarif_report(self, tree, capsys):
-        main([tree(BAD_HW), "--no-baseline", "--format", "sarif"])
+    def test_sarif_report(self, fake_tree, capsys):
+        main([str(fake_tree(BAD_HW)), "--no-baseline", "--format", "sarif"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
         run = doc["runs"][0]
@@ -115,9 +99,9 @@ class TestFormats:
             "startLine"] > 0
         assert "partialFingerprints" in result
 
-    def test_sarif_baselined_findings_are_notes(self, tree, tmp_path,
+    def test_sarif_baselined_findings_are_notes(self, fake_tree, tmp_path,
                                                 capsys):
-        root = tree(BAD_HW)
+        root = str(fake_tree(BAD_HW))
         baseline = tmp_path / "bl.json"
         main([root, "--baseline", str(baseline), "--write-baseline"])
         capsys.readouterr()

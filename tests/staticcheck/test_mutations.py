@@ -11,6 +11,8 @@ from __future__ import annotations
 import shutil
 from pathlib import Path
 
+import pytest
+
 from repro.staticcheck.analyzer import analyze
 from repro.staticcheck.cli import main
 from repro.staticcheck.config import load_staticcheck_config
@@ -117,6 +119,90 @@ class TestInjectedViolations:
     def test_unmutated_tree_has_no_such_findings(self):
         found = analyze([SRC_REPRO], repo_config())
         assert not any("mutated" in f.symbol for f in found)
+
+
+#: One violation per retired repro-lint rule (R001-R005), plus a wall
+#: clock in the SDK's marshalling charge: (file under src/repro, anchor,
+#: replacement, the SC rule that must catch it).
+PROBES = {
+    "R001-unseeded-random-in-app": (
+        "apps/kvserver.py",
+        "    def accept(self) -> int:\n",
+        "    def accept(self) -> int:\n"
+        "        import random\n"
+        "        random.random()\n",
+        "SC001"),
+    "R002-direct-phys-read-in-urts": (
+        "sdk/urts.py",
+        "        return self.kernel.user_read(self.process, va, size)\n",
+        "        return self.machine.phys.read(va, size)\n",
+        "SC006"),
+    "R003-eremove-without-charge": (
+        "monitor/rustmonitor.py",
+        '        self._charge_hypercall("eremove")\n',
+        "",
+        "SC003"),
+    "R004-span-outside-with-in-swap": (
+        "monitor/swap.py",
+        '    with tel.span("monitor.swap_out", '
+        'enclave=enclave.enclave_id):\n',
+        '    span = tel.span("monitor.swap_out", '
+        'enclave=enclave.enclave_id)\n'
+        "    with span:\n",
+        "SC007"),
+    "R005-bare-except-in-tlb": (
+        "hw/tlb.py",
+        "        self._entries.move_to_end(key)\n",
+        "        try:\n"
+        "            self._entries.move_to_end(key)\n"
+        "        except:\n"
+        "            pass\n",
+        "SC008"),
+    "wall-clock-in-charge-memcpy": (
+        "sdk/urts.py",
+        "def _charge_memcpy(machine, nbytes: int) -> None:\n",
+        "def _charge_memcpy(machine, nbytes: int) -> None:\n"
+        "    import time\n"
+        "    started = time.time()\n",
+        "SC001"),
+}
+
+
+@pytest.fixture(scope="module")
+def clean_fingerprints():
+    """Fingerprints the unmutated tree already produces."""
+    return {f.fingerprint() for f in run_with_overlay({})}
+
+
+def probe_findings(name):
+    """All findings for the tree with probe ``name`` injected."""
+    rel, anchor, replacement, _ = PROBES[name]
+    target = SRC_REPRO / rel
+    source = target.read_text()
+    assert source.count(anchor) == 1, f"{name}: anchor drifted"
+    return run_with_overlay(
+        {target.as_posix(): source.replace(anchor, replacement)})
+
+
+class TestRetiredLintProbes:
+    """Each probe yields exactly one new finding, of its mapped rule."""
+
+    @pytest.mark.parametrize("name", sorted(PROBES))
+    def test_probe_is_caught_once(self, name, clean_fingerprints):
+        new = [f for f in probe_findings(name) if not f.suppressed
+               and f.fingerprint() not in clean_fingerprints]
+        assert [f.rule for f in new] == [PROBES[name][3]], \
+            [f.render() for f in new]
+        assert new[0].path.endswith(PROBES[name][0])
+
+    def test_no_chain_fans_out_of_a_super_call(self):
+        """``super().__init__`` in PageFault resolves to its project
+        base only; it must not link to every project ``__init__``."""
+        for finding in probe_findings("wall-clock-in-charge-memcpy"):
+            for caller, callee in zip(finding.chain, finding.chain[1:]):
+                if caller == "repro.errors:PageFault.__init__":
+                    assert callee.startswith("repro.errors:"), \
+                        finding.render()
 
 
 class TestEndToEndExitCodes:

@@ -75,10 +75,11 @@ class TestSC006:
             "hw/phys.py": PHYS,
             "sdk/urts.py": '''
                 """Fixture barrier."""
+                from repro.hw.phys import PhysicalMemory
 
                 def copy_in(machine, data):
-                    """Validating bridge; may touch phys itself."""
-                    machine.phys.write(0, data)
+                    """Validating bridge; reaches the sink precisely."""
+                    PhysicalMemory.write(machine.phys, 0, data)
                 ''',
             "apps/good.py": '''
                 """Fixture."""
@@ -90,6 +91,24 @@ class TestSC006:
                 ''',
         })
         assert by_rule(found, "SC006") == []
+
+    def test_direct_phys_call_in_barrier_file_is_flagged(self, run_passes):
+        # The flow pass skips barriers, but the file-local arm does not:
+        # a barrier marshals through memaccess, never around it.
+        found = run_passes({
+            "hw/phys.py": PHYS,
+            "sdk/urts.py": '''
+                """Fixture barrier."""
+
+                def app_read(machine, pa):
+                    """Reads phys directly instead of via memaccess."""
+                    return machine.phys.read(pa, 8)
+                ''',
+        })
+        hits = by_rule(found, "SC006")
+        assert [(f.symbol, f.sink) for f in hits] == \
+            [("repro.sdk.urts:app_read", "repro.hw.phys:PhysicalMemory.read")]
+        assert "memaccess" in hits[0].message
 
     def test_public_monitor_entry_is_a_barrier(self, run_passes):
         found = run_passes({

@@ -1,7 +1,7 @@
 """Runtime detection of unclosed spans at export time.
 
-The static side of this contract is repro-lint R004 (spans must be
-context-managed); this is the runtime counterpart: a span left open when
+The static side of this contract is staticcheck rule SC007 (spans must
+be context-managed); this is the runtime counterpart: a span left open when
 a snapshot/profile is taken means unattributed cycles, so strict exports
 raise :class:`~repro.telemetry.UnclosedSpanError` naming the open spans,
 and lenient exports warn and report the open count.

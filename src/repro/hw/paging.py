@@ -7,6 +7,11 @@ the MMU can charge cycles, and the :class:`NestedTranslator` performs the
 full two-dimensional walk (every guest-page-table access is itself
 translated through the NPT), which is where the GU-Enclave / HU-Enclave
 cost difference physically comes from.
+
+Walks charge no simulated cycles, so the host-side shortcuts here are
+free to skip work as long as every result, fault, counter and PTE byte
+is the one a full walk would give: the walk uses plain int masks, and
+each table keeps an exact translation cache (see :meth:`PageTable.translate`).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.errors import NestedPageFault, PageFault
-from repro.hw.phys import PAGE_SIZE, PhysicalMemory
+from repro.hw.phys import PAGE_SHIFT, PAGE_SIZE, PhysicalMemory
 
 ENTRY_SIZE = 8
 ENTRIES_PER_TABLE = PAGE_SIZE // ENTRY_SIZE
@@ -40,6 +45,34 @@ class PageTableFlags(enum.IntFlag):
     URW = PRESENT | WRITABLE | USER
     URX = PRESENT | USER
     UR = PRESENT | USER | NX
+
+
+# The same bits as plain ints: ``IntFlag`` arithmetic costs more than the
+# PTE reads themselves, so the walk never builds an enum until it returns.
+_P, _W, _U = 1 << 0, 1 << 1, 1 << 2
+_A, _D = 1 << 5, 1 << 6
+_NX = 1 << 63
+_FLAG_BITS = ~_ADDR_MASK & (2 ** 64 - 1)
+_OFFSET = PAGE_SIZE - 1
+_VA_LIMIT = 1 << VA_BITS
+# ``(va >> _SHIFTn) & _SLOT`` is the byte offset of va's entry in its
+# level-n table (level 3 = root): its 9-bit index times ENTRY_SIZE.
+_SLOT = (ENTRIES_PER_TABLE - 1) * ENTRY_SIZE
+_SHIFT3, _SHIFT2, _SHIFT1, _SHIFT0 = 36, 27, 18, 9
+_UPPER_SHIFTS = (_SHIFT3, _SHIFT2, _SHIFT1)
+
+# Flag bits -> PageTableFlags, filled on first use (building an IntFlag
+# member costs about a microsecond; the enum keeps every value it has
+# built anyway, so this adds no growth of its own).
+_FLAGS: dict[int, PageTableFlags] = {}
+
+
+def _flags_of(pte: int) -> PageTableFlags:
+    bits = pte & _FLAG_BITS
+    flags = _FLAGS.get(bits)
+    if flags is None:
+        flags = _FLAGS[bits] = PageTableFlags(bits)
+    return flags
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,14 +105,23 @@ class PagingStats:
                 "nested_refs": self.nested_refs}
 
 
-def _index(va: int, level: int) -> int:
-    """Index into the ``level``-th table (level 3 = root) for ``va``."""
-    return (va >> (12 + 9 * level)) & (ENTRIES_PER_TABLE - 1)
-
-
 def page_of(va: int) -> int:
     """The page-aligned base of ``va``."""
     return va & ~(PAGE_SIZE - 1)
+
+
+def _not_present(va: int, write: bool, user: bool, fetch: bool) -> PageFault:
+    return PageFault(va, write=write, user=user, fetch=fetch, present=False)
+
+
+def _check_permissions(va: int, bits: int, write: bool, user: bool,
+                       fetch: bool) -> None:
+    if write and not bits & _W:
+        raise PageFault(va, write=True, user=user, present=True)
+    if user and not bits & _U:
+        raise PageFault(va, write=write, user=True, present=True)
+    if fetch and bits & _NX:
+        raise PageFault(va, fetch=True, user=user, present=True)
 
 
 class PageTable:
@@ -105,8 +147,15 @@ class PageTable:
         # monitor/enclave-frame reachability.
         self.asid = asid
         self.untrusted = False
+        # Page VA -> leaf PTE as it stands in memory, for pages a walk
+        # with set_accessed=True has translated.  Every frame of this
+        # table is registered in phys.table_caches, and phys clears this
+        # dict on any write to one of them, so an entry is always the
+        # PTE a walk would read now.
+        self._tcache: dict[int, int] = {}
         self.root_pa = frame_alloc()
         self._table_frames: set[int] = {self.root_pa}
+        self._register(self.root_pa)
 
     # -- mapping management --------------------------------------------------
 
@@ -119,8 +168,7 @@ class PageTable:
         if sanitizer is not None:
             sanitizer.on_pt_map(self, va, pa)
         entry_pa = self._ensure_entry(va)
-        self.phys.write_u64(entry_pa,
-                            pa | int(flags | PageTableFlags.PRESENT))
+        self.phys.write_u64(entry_pa, pa | int(flags) | _P)
 
     def unmap(self, va: int) -> int:
         """Remove the mapping for ``va``; returns the old PA."""
@@ -128,7 +176,7 @@ class PageTable:
         if entry_pa is None:
             raise PageFault(va, present=False)
         entry = self.phys.read_u64(entry_pa)
-        if not entry & PageTableFlags.PRESENT:
+        if not entry & _P:
             raise PageFault(va, present=False)
         self.phys.write_u64(entry_pa, 0)
         old_pa = entry & _ADDR_MASK
@@ -143,17 +191,17 @@ class PageTable:
         if entry_pa is None:
             raise PageFault(va, present=False)
         entry = self.phys.read_u64(entry_pa)
-        if not entry & PageTableFlags.PRESENT:
+        if not entry & _P:
             raise PageFault(va, present=False)
-        pa = entry & _ADDR_MASK
-        self.phys.write_u64(entry_pa, pa | int(flags | PageTableFlags.PRESENT))
+        self.phys.write_u64(entry_pa, (entry & _ADDR_MASK) | int(flags) | _P)
         sanitizer = self.phys.sanitizer
         if sanitizer is not None:
             sanitizer.on_pt_protect(self, va)
 
     def is_mapped(self, va: int) -> bool:
+        """Whether a user read of ``va`` would translate; sets no A bit."""
         try:
-            self.translate(va)
+            self.translate(va, set_accessed=False)
             return True
         except PageFault:
             return False
@@ -166,12 +214,11 @@ class PageTable:
                      va_prefix: int) -> Iterator[tuple[int, int, PageTableFlags]]:
         for i in range(ENTRIES_PER_TABLE):
             entry = self.phys.read_u64(table_pa + i * ENTRY_SIZE)
-            if not entry & PageTableFlags.PRESENT:
+            if not entry & _P:
                 continue
             va = va_prefix | (i << (12 + 9 * level))
             if level == 0:
-                yield va, entry & _ADDR_MASK, PageTableFlags(
-                    entry & ~_ADDR_MASK)
+                yield va, entry & _ADDR_MASK, _flags_of(entry)
             else:
                 yield from self._walk_tables(entry & _ADDR_MASK, level - 1, va)
 
@@ -179,7 +226,26 @@ class PageTable:
 
     def translate(self, va: int, *, write: bool = False, user: bool = True,
                   fetch: bool = False, set_accessed: bool = True) -> Translation:
-        """Walk the table; raise :class:`PageFault` on failure."""
+        """Walk the table; raise :class:`PageFault` on failure.
+
+        A page in the translation cache is served without a walk when the
+        walk could neither fault nor write: its cached PTE already has
+        ACCESSED (and DIRTY, for a write) set and passes the permission
+        checks.  Everything else walks.  A hit advances the stats exactly
+        as the walk it stands in for would.
+        """
+        pte = self._tcache.get(va & ~_OFFSET)
+        if pte is not None:
+            need = (_A | _D | _W) if write else _A
+            if user:
+                need |= _U
+            if pte & need == need and not (fetch and pte & _NX):
+                stats = self.stats
+                if stats is not None:
+                    stats.walks += 1
+                    stats.refs += LEVELS
+                return Translation((pte & _ADDR_MASK) | (va & _OFFSET),
+                                   _FLAGS[pte & _FLAG_BITS], LEVELS)
         stats = self.stats
         if stats is None:
             return self._walk(va, write=write, user=user, fetch=fetch,
@@ -196,83 +262,100 @@ class PageTable:
 
     def _walk(self, va: int, *, write: bool, user: bool,
               fetch: bool, set_accessed: bool) -> Translation:
-        self._check_canonical(va)
-        table_pa = self.root_pa
-        refs = 0
-        for level in range(LEVELS - 1, -1, -1):
-            entry_pa = table_pa + _index(va, level) * ENTRY_SIZE
-            entry = self.phys.read_u64(entry_pa)
-            refs += 1
-            if not entry & PageTableFlags.PRESENT:
-                raise PageFault(va, write=write, user=user, fetch=fetch,
-                                present=False)
-            if level == 0:
-                flags = PageTableFlags(entry & ~_ADDR_MASK)
-                self._check_permissions(va, flags, write, user, fetch)
-                if set_accessed:
-                    new = entry | PageTableFlags.ACCESSED
-                    if write:
-                        new |= PageTableFlags.DIRTY
-                    if new != entry:
-                        self.phys.write_u64(entry_pa, new)
-                return Translation(pa=(entry & _ADDR_MASK) | (va & (PAGE_SIZE - 1)),
-                                   flags=flags, refs=refs)
-            table_pa = entry & _ADDR_MASK
-        raise AssertionError("unreachable")
-
-    @staticmethod
-    def _check_permissions(va: int, flags: PageTableFlags, write: bool,
-                           user: bool, fetch: bool) -> None:
-        if write and not flags & PageTableFlags.WRITABLE:
-            raise PageFault(va, write=True, user=user, present=True)
-        if user and not flags & PageTableFlags.USER:
-            raise PageFault(va, write=write, user=True, present=True)
-        if fetch and flags & PageTableFlags.NX:
-            raise PageFault(va, fetch=True, user=user, present=True)
+        if not 0 <= va < _VA_LIMIT:
+            raise PageFault(va, present=False)
+        read = self.phys.read_u64
+        t3 = self.root_pa
+        entry = read(t3 + ((va >> _SHIFT3) & _SLOT))
+        if not entry & _P:
+            raise _not_present(va, write, user, fetch)
+        t2 = entry & _ADDR_MASK
+        entry = read(t2 + ((va >> _SHIFT2) & _SLOT))
+        if not entry & _P:
+            raise _not_present(va, write, user, fetch)
+        t1 = entry & _ADDR_MASK
+        entry = read(t1 + ((va >> _SHIFT1) & _SLOT))
+        if not entry & _P:
+            raise _not_present(va, write, user, fetch)
+        t0 = entry & _ADDR_MASK
+        pte_pa = t0 + ((va >> _SHIFT0) & _SLOT)
+        pte = read(pte_pa)
+        if not pte & _P:
+            raise _not_present(va, write, user, fetch)
+        _check_permissions(va, pte, write, user, fetch)
+        result = Translation((pte & _ADDR_MASK) | (va & _OFFSET),
+                             _flags_of(pte), LEVELS)
+        if set_accessed:
+            new = pte | (_A | _D if write else _A)
+            if new != pte:
+                self.phys.write_u64(pte_pa, new)
+            # Cache only a walk whose four tables all clear this cache
+            # when written; a PTE an attacker pointed elsewhere does not.
+            mine = self._tcache
+            owner = self.phys.table_caches.get
+            if (owner(t3 >> PAGE_SHIFT) is mine
+                    and owner(t2 >> PAGE_SHIFT) is mine
+                    and owner(t1 >> PAGE_SHIFT) is mine
+                    and owner(t0 >> PAGE_SHIFT) is mine):
+                _flags_of(new)          # a hit looks its flags up directly
+                mine[va & ~_OFFSET] = new
+        return result
 
     # -- internals -------------------------------------------------------------
+
+    def _register(self, frame_pa: int) -> None:
+        """Route writes to table frame ``frame_pa`` to this table's cache."""
+        caches = self.phys.table_caches
+        frame = frame_pa >> PAGE_SHIFT
+        previous = caches.get(frame)
+        if previous is not None:
+            previous.clear()
+        caches[frame] = self._tcache
 
     def _ensure_entry(self, va: int) -> int:
         """Walk down, allocating intermediate tables; return the leaf PTE PA."""
         table_pa = self.root_pa
-        for level in range(LEVELS - 1, 0, -1):
-            entry_pa = table_pa + _index(va, level) * ENTRY_SIZE
+        for shift in _UPPER_SHIFTS:
+            entry_pa = table_pa + ((va >> shift) & _SLOT)
             entry = self.phys.read_u64(entry_pa)
-            if not entry & PageTableFlags.PRESENT:
+            if not entry & _P:
                 new_table = self._alloc()
                 self._table_frames.add(new_table)
+                self._register(new_table)
                 # Intermediate entries: present+writable+user; leaf flags rule.
-                self.phys.write_u64(entry_pa, new_table | int(
-                    PageTableFlags.PRESENT | PageTableFlags.WRITABLE |
-                    PageTableFlags.USER))
+                self.phys.write_u64(entry_pa, new_table | _P | _W | _U)
                 table_pa = new_table
             else:
                 table_pa = entry & _ADDR_MASK
-        return table_pa + _index(va, 0) * ENTRY_SIZE
+        return table_pa + ((va >> _SHIFT0) & _SLOT)
 
     def _find_entry(self, va: int) -> int | None:
         """Return the leaf PTE PA for ``va`` or None if tables are missing."""
         self._check_canonical(va)
         table_pa = self.root_pa
-        for level in range(LEVELS - 1, 0, -1):
-            entry_pa = table_pa + _index(va, level) * ENTRY_SIZE
-            entry = self.phys.read_u64(entry_pa)
-            if not entry & PageTableFlags.PRESENT:
+        for shift in _UPPER_SHIFTS:
+            entry = self.phys.read_u64(table_pa + ((va >> shift) & _SLOT))
+            if not entry & _P:
                 return None
             table_pa = entry & _ADDR_MASK
-        return table_pa + _index(va, 0) * ENTRY_SIZE
+        return table_pa + ((va >> _SHIFT0) & _SLOT)
 
     def destroy(self) -> None:
         """Free all table frames back to the allocator."""
         if self._free is None:
             return
+        caches = self.phys.table_caches
+        for frame in self._table_frames:
+            if caches.get(frame >> PAGE_SHIFT) is self._tcache:
+                del caches[frame >> PAGE_SHIFT]
+        self._tcache.clear()
         for frame in sorted(self._table_frames, reverse=True):
             self._free(frame)
         self._table_frames.clear()
 
     @staticmethod
     def _check_canonical(va: int) -> None:
-        if not 0 <= va < (1 << VA_BITS):
+        if not 0 <= va < _VA_LIMIT:
             raise PageFault(va, present=False)
 
 
@@ -292,34 +375,34 @@ class NestedTranslator:
 
     def translate(self, gva: int, *, write: bool = False, user: bool = True,
                   fetch: bool = False) -> Translation:
-        if self.stats is not None:
-            self.stats.nested_walks += 1
+        stats = self.stats
+        if stats is not None:
+            stats.nested_walks += 1
+        read = self.gpt.phys.read_u64
+        npt_translate = self._npt_translate
         refs = 0
         table_gpa = self.gpt.root_pa
-        for level in range(LEVELS - 1, -1, -1):
+        for shift in _UPPER_SHIFTS:
             # The GPT table page itself lives at a guest-physical address:
             # translate it through the NPT first.
-            table_hpa, npt_refs = self._npt_translate(table_gpa, write=False)
-            refs += npt_refs
-            entry_pa = table_hpa + _index(gva, level) * ENTRY_SIZE
-            entry = self.gpt.phys.read_u64(entry_pa)
-            refs += 1
-            if not entry & PageTableFlags.PRESENT:
-                raise PageFault(gva, write=write, user=user, fetch=fetch,
-                                present=False)
-            if level == 0:
-                flags = PageTableFlags(entry & ~_ADDR_MASK)
-                PageTable._check_permissions(gva, flags, write, user, fetch)
-                leaf_gpa = (entry & _ADDR_MASK) | (gva & (PAGE_SIZE - 1))
-                leaf_hpa, npt_refs = self._npt_translate(leaf_gpa,
-                                                         write=write)
-                refs += npt_refs
-                if self.stats is not None:
-                    self.stats.nested_refs += refs
-                return Translation(pa=leaf_hpa, flags=flags, refs=refs)
+            table_hpa, npt_refs = npt_translate(table_gpa, write=False)
+            entry = read(table_hpa + ((gva >> shift) & _SLOT))
+            refs += npt_refs + 1
+            if not entry & _P:
+                raise _not_present(gva, write, user, fetch)
             table_gpa = entry & _ADDR_MASK
-
-        raise AssertionError("unreachable")
+        table_hpa, npt_refs = npt_translate(table_gpa, write=False)
+        entry = read(table_hpa + ((gva >> _SHIFT0) & _SLOT))
+        refs += npt_refs + 1
+        if not entry & _P:
+            raise _not_present(gva, write, user, fetch)
+        _check_permissions(gva, entry, write, user, fetch)
+        leaf_gpa = (entry & _ADDR_MASK) | (gva & _OFFSET)
+        leaf_hpa, npt_refs = npt_translate(leaf_gpa, write=write)
+        refs += npt_refs
+        if stats is not None:
+            stats.nested_refs += refs
+        return Translation(pa=leaf_hpa, flags=_flags_of(entry), refs=refs)
 
     def _npt_translate(self, gpa: int, *, write: bool) -> tuple[int, int]:
         try:

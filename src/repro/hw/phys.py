@@ -78,6 +78,11 @@ class PhysicalMemory:
         # Set by repro.sanitizer when REPRO_SANITIZE=1; every ownership
         # transition is mirrored into its shadow model.
         self.sanitizer = None
+        # Frame number -> translation cache of the page table whose
+        # entries live in that frame (see repro.hw.paging.PageTable).
+        # write, write_u64 and zero_frame clear it whenever they touch the
+        # frame, so no cached translation outlives the PTE it copies.
+        self.table_caches: dict[int, dict] = {}
 
     # -- ownership ---------------------------------------------------------
 
@@ -205,6 +210,9 @@ class PhysicalMemory:
         while view:
             frame, offset = divmod(pa, PAGE_SIZE)
             chunk = min(len(view), PAGE_SIZE - offset)
+            cache = self.table_caches.get(frame)
+            if cache:
+                cache.clear()
             page = self._frames.get(frame)
             if page is None:
                 page = bytearray(PAGE_SIZE)
@@ -234,6 +242,9 @@ class PhysicalMemory:
                 raise PhysicalMemoryError(
                     f"physical range [{pa:#x}, {pa + 8:#x}) out of bounds")
             frame = pa >> PAGE_SHIFT
+            cache = self.table_caches.get(frame)
+            if cache:
+                cache.clear()
             page = self._frames.get(frame)
             if page is None:
                 page = self._frames[frame] = bytearray(PAGE_SIZE)
@@ -247,6 +258,9 @@ class PhysicalMemory:
         if pa % PAGE_SIZE:
             raise PhysicalMemoryError(f"unaligned frame base {pa:#x}")
         self._check_range(pa, PAGE_SIZE)
+        cache = self.table_caches.get(pa // PAGE_SIZE)
+        if cache:
+            cache.clear()
         self._frames.pop(pa // PAGE_SIZE, None)
 
     # -- state hashing -----------------------------------------------------

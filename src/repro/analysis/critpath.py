@@ -11,7 +11,7 @@ interference report (which tenant's EPC steals stalled whose requests).
 
 Everything here is a pure function of the input document — no host
 time, no randomness, no I/O — so reports are bit-reproducible across
-runs, ``REPRO_FASTPATH`` modes and flight-recorder replay, and the
+runs, hot-path implementations and flight-recorder replay, and the
 module holds the staticcheck SC001 determinism bar alongside the
 tracer that feeds it.
 

@@ -22,7 +22,6 @@ from repro.hw.cycles import CycleCounter
 from repro.hw.memenc import AmdSme, IntelMee, NoEncryption
 from repro.hw.memmodel import EpcModel, MemorySubsystem
 from repro.hw.tlb import Tlb
-from repro.telemetry import sink as telemetry_sink
 
 SCALE = 8
 BUFFER_SIZES = [16 * 1024 * (4 ** i) for i in range(8)]   # 16 KB .. 256 MB
@@ -55,13 +54,6 @@ def measure_latency(engine_name: str, pattern: str, buffer_size: int, *,
     """Latency of one (engine, pattern, size) point on the scaled hierarchy."""
     scaled = max(buffer_size // SCALE, 4096)
     cycles = CycleCounter()
-    # No Machine is involved here, so the telemetry sink would otherwise
-    # see zero simulated cycles for this benchmark; register the bare
-    # counter so the throughput gate can attribute the sweep's work.
-    active_sink = telemetry_sink.current()
-    if active_sink is not None:
-        active_sink.register_cycles(
-            f"membench/{engine_name}/{pattern}/{buffer_size}", cycles)
     mem = MemorySubsystem(
         cycles, _make_engine(engine_name),
         llc=Llc(costs.LLC_SIZE // SCALE),

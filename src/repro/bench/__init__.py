@@ -10,29 +10,25 @@ See docs/OBSERVABILITY.md ("The bench gate") for the workflow.
 """
 
 from repro.bench.artifact import (ARTIFACT_KIND, ARTIFACT_VERSION,
-                                  SUPPORTED_ARTIFACT_VERSIONS,
-                                  artifact_path, artifact_version,
-                                  build_artifact, costs_fingerprint,
-                                  flatten_metrics, load_artifact,
-                                  validate_artifact, write_artifact)
-from repro.bench.compare import (DEFAULT_THROUGHPUT_TOLERANCE,
-                                 CompareResult, MetricDelta,
+                                  artifact_path, build_artifact,
+                                  costs_fingerprint, flatten_metrics,
+                                  load_artifact, validate_artifact,
+                                  write_artifact)
+from repro.bench.compare import (CompareResult, MetricDelta,
                                  compare_artifacts, compare_report)
 from repro.bench.registry import REGISTRY, BenchSpec, gate_specs, resolve
 from repro.bench.report import artifact_report, report_all
-from repro.bench.runner import (DEFAULT_BASELINE_DIR, SLOWDOWN_ENV,
-                                RunOutput, check_benches, run_benches,
-                                run_one, update_results_json)
+from repro.bench.runner import (DEFAULT_BASELINE_DIR, RunOutput,
+                                check_benches, run_benches, run_one,
+                                update_results_json)
 
 __all__ = [
-    "ARTIFACT_KIND", "ARTIFACT_VERSION", "SUPPORTED_ARTIFACT_VERSIONS",
-    "artifact_path", "artifact_version", "build_artifact",
+    "ARTIFACT_KIND", "ARTIFACT_VERSION", "artifact_path", "build_artifact",
     "costs_fingerprint", "flatten_metrics", "load_artifact",
     "validate_artifact", "write_artifact",
-    "DEFAULT_THROUGHPUT_TOLERANCE", "CompareResult", "MetricDelta",
-    "compare_artifacts", "compare_report",
+    "CompareResult", "MetricDelta", "compare_artifacts", "compare_report",
     "REGISTRY", "BenchSpec", "gate_specs", "resolve",
     "artifact_report", "report_all",
-    "DEFAULT_BASELINE_DIR", "SLOWDOWN_ENV", "RunOutput", "check_benches",
+    "DEFAULT_BASELINE_DIR", "RunOutput", "check_benches",
     "run_benches", "run_one", "update_results_json",
 ]

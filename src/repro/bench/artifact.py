@@ -25,19 +25,10 @@ import json
 import pathlib
 import subprocess
 
-# Version 2 added the explicit ``artifact_version`` forward-compat
-# field, the ``throughput`` block (host wall-clock speed, gated with a
-# direction-aware band) and the ``latency`` block (per-enclave
-# p50/p95/p99 cycle summaries).  Version-1 baselines still load; the
-# gate warns about — rather than fails on — the blocks they lack (see
-# repro.bench.compare).
+# Version 2 added the explicit ``artifact_version`` field and the
+# ``latency`` block (per-enclave p50/p95/p99 cycle summaries).
 ARTIFACT_VERSION = 2
-SUPPORTED_ARTIFACT_VERSIONS = (1, 2)
 ARTIFACT_KIND = "hyperenclave-bench"
-
-# Provenance fields that may legitimately differ between a committed
-# baseline and a fresh run; the gate never compares them.
-INFORMATIONAL_PROVENANCE = ("git_commit", "python")
 
 
 def artifact_name(bench_name: str) -> str:
@@ -128,63 +119,15 @@ def _git_commit() -> str | None:
 def provenance() -> dict:
     """The artifact provenance block (fingerprint, python, commit)."""
     import sys
-    from repro.hw import fastpath
     return {
         "costs_fingerprint": costs_fingerprint(),
         "python": ".".join(map(str, sys.version_info[:3])),
         "git_commit": _git_commit(),
         "determinism": "seeded simulation (staticcheck SC001)",
-        # Simulated figures are fastpath-invariant (pinned by
-        # tests/fastpath); wall-clock throughput is not, so the gate
-        # skips throughput.* when baseline and current modes differ.
-        "fastpath": fastpath.mode_name(),
     }
 
 
 # -- artifact assembly -------------------------------------------------------
-
-def throughput_block(spec, telemetry_doc: dict | None, wall_seconds: float,
-                     *, bare_cycles: float | None = None) -> dict:
-    """The wall-clock speed digest: cycles per wall-second plus shares.
-
-    ``sim_cycles_per_wall_second`` is the headline metric ROADMAP item 1
-    locks in; the per-subsystem wall shares (from the ``.self_wall_ns``
-    span counters, so nesting never double-counts) say *where* the host
-    seconds went.  ``harness`` is wall time outside any span — figure
-    shaping, artifact assembly, interpreter overhead.
-
-    Benchmarks that drive hardware models with bare cycle counters (no
-    Machine/Telemetry — the sink's ``register_cycles`` path) pass
-    ``bare_cycles`` and no ``telemetry_doc``: all wall time is charged to
-    ``harness`` since no span observed it.
-    """
-    from repro.telemetry.export import wall_ns_by_subsystem
-
-    if telemetry_doc is not None:
-        total_cycles = telemetry_doc["combined"]["total_cycles"]
-        wall_ns = wall_ns_by_subsystem(telemetry_doc)
-    else:
-        total_cycles = bare_cycles or 0
-        wall_ns = {}
-    span_wall = sum(wall_ns.values())
-    total_ns = wall_seconds * 1e9
-    wall_ns = dict(sorted(wall_ns.items()))
-    wall_ns["harness"] = max(total_ns - span_wall, 0.0)
-    shares = {sub: ns / total_ns if total_ns else 0.0
-              for sub, ns in wall_ns.items()}
-    return {
-        "wall_seconds": wall_seconds,
-        "sim_cycles": total_cycles,
-        "sim_cycles_per_wall_second":
-            total_cycles / wall_seconds if wall_seconds else 0.0,
-        # The gate's direction-aware band travels with the baseline so
-        # `check` uses the band in force when it was recorded.
-        "tolerance": spec.throughput_tolerance,
-        "direction": "higher_is_better",
-        "wall_ns_by_subsystem": wall_ns,
-        "wall_share_by_subsystem": shares,
-    }
-
 
 def latency_block(telemetry_doc: dict) -> dict | None:
     """Per-enclave p50/p95/p99 cycle latencies for the edge-call spans.
@@ -201,8 +144,6 @@ def latency_block(telemetry_doc: dict) -> dict | None:
 def build_artifact(spec, figures, telemetry_doc: dict | None,
                    profile_doc: dict | None,
                    fingerprints: dict[str, str] | None = None, *,
-                   wall_seconds: float | None = None,
-                   bare_cycles: float | None = None,
                    timeline_doc: dict | None = None,
                    requests_doc: dict | None = None) -> dict:
     """Assemble one ``BENCH_<name>.json`` document.
@@ -210,9 +151,6 @@ def build_artifact(spec, figures, telemetry_doc: dict | None,
     ``fingerprints`` maps machine labels to ``Machine.state_hash()``
     values; the gate compares them with *exact equality* (no tolerance
     band), turning the bench gate into a cross-run determinism gate.
-    ``wall_seconds`` is the host wall-clock duration of the benchmark's
-    ``run()``; when given (and telemetry captured cycles), the artifact
-    gains the ``throughput`` block and its direction-aware gated metric.
     ``timeline_doc`` (``--timeline``) and ``requests_doc``
     (``--requests``) ride along informationally: the gate compares only
     ``metrics`` and ``fingerprints``, so neither block ever gates and
@@ -224,7 +162,6 @@ def build_artifact(spec, figures, telemetry_doc: dict | None,
     metrics = flatten_metrics(figures)
 
     telemetry_digest = None
-    throughput = None
     latency = None
     if telemetry_doc is not None and telemetry_doc["machines"]:
         combined = telemetry_doc["combined"]
@@ -236,21 +173,9 @@ def build_artifact(spec, figures, telemetry_doc: dict | None,
         metrics["telemetry.total_cycles"] = float(combined["total_cycles"])
         for sub, cycles in combined["by_subsystem"].items():
             metrics[f"telemetry.by_subsystem.{sub}"] = float(cycles)
-        if wall_seconds is not None and wall_seconds > 0:
-            throughput = throughput_block(spec, telemetry_doc, wall_seconds)
-            metrics["throughput.sim_cycles_per_wall_second"] = \
-                float(throughput["sim_cycles_per_wall_second"])
         latency = latency_block(telemetry_doc)
         if latency is not None:
             metrics.update(flatten_metrics(latency, "latency"))
-    elif (bare_cycles and wall_seconds is not None and wall_seconds > 0):
-        # No machines, but the run registered bare cycle counters with
-        # the sink (e.g. fig11's memory-latency sweep): the throughput
-        # gate still applies, with all wall time attributed to harness.
-        throughput = throughput_block(spec, None, wall_seconds,
-                                      bare_cycles=bare_cycles)
-        metrics["throughput.sim_cycles_per_wall_second"] = \
-            float(throughput["sim_cycles_per_wall_second"])
 
     profile_digest = None
     if profile_doc is not None and profile_doc["machines"]:
@@ -271,7 +196,6 @@ def build_artifact(spec, figures, telemetry_doc: dict | None,
         "metrics": metrics,
         "fingerprints": dict(fingerprints) if fingerprints else {},
         "telemetry": telemetry_digest,
-        "throughput": throughput,
         "latency": latency,
         "profile": profile_digest,
         "timeline": timeline_doc,
@@ -279,24 +203,14 @@ def build_artifact(spec, figures, telemetry_doc: dict | None,
     }
 
 
-def artifact_version(document: dict) -> int:
-    """The schema version of a loaded artifact (1 when pre-versioning).
-
-    Version-2 artifacts carry the explicit ``artifact_version`` field;
-    version-1 baselines only have ``version``.
-    """
-    return int(document.get("artifact_version",
-                            document.get("version", 1)))
-
-
 def validate_artifact(document) -> None:
     """Raise ``ValueError`` unless ``document`` is a bench artifact."""
     if not isinstance(document, dict):
         raise ValueError("artifact: expected an object")
-    if document.get("version") not in SUPPORTED_ARTIFACT_VERSIONS:
+    if document.get("version") != ARTIFACT_VERSION:
         raise ValueError(
             f"artifact: unsupported version {document.get('version')!r} "
-            f"(supported: {SUPPORTED_ARTIFACT_VERSIONS})")
+            f"(supported: {ARTIFACT_VERSION})")
     if document.get("kind") != ARTIFACT_KIND:
         raise ValueError(
             f"artifact: unexpected kind {document.get('kind')!r}")
@@ -316,16 +230,6 @@ def validate_artifact(document) -> None:
         if not isinstance(value, str):
             raise ValueError(
                 f"artifact: non-string fingerprint {key!r}")
-    throughput = document.get("throughput")
-    if throughput is not None:
-        if not isinstance(throughput, dict):
-            raise ValueError("artifact: throughput must be an object")
-        rate = throughput.get("sim_cycles_per_wall_second")
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) \
-                or rate <= 0:
-            raise ValueError(
-                f"artifact: throughput.sim_cycles_per_wall_second must "
-                f"be a positive number, got {rate!r}")
 
 
 def write_artifact(path: str | pathlib.Path, document: dict

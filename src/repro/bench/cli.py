@@ -7,8 +7,8 @@ run|check|diff|report|list``.
   any regression (this is CI's ``bench-gate`` job);
 * ``diff``   — compare two artifacts: per-metric deltas plus the top
   profile frame movements;
-* ``report`` — render committed artifacts (throughput, per-enclave
-  latency percentiles, cycle digest) without running anything;
+* ``report`` — render committed artifacts (cycle digest, per-enclave
+  latency percentiles) without running anything;
 * ``list``   — show the registry.
 """
 
@@ -178,8 +178,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("report",
-                       help="render artifact digests: throughput, "
-                            "per-enclave latency percentiles, cycles")
+                       help="render artifact digests: cycles, "
+                            "per-enclave latency percentiles")
     p.add_argument("artifacts", nargs="*", metavar="NAME-or-PATH",
                    help="bench names or artifact paths (default: the "
                         "committed gate-set baselines)")

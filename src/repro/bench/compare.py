@@ -1,34 +1,17 @@
 """The regression gate: compare a run against a committed baseline.
 
 Every metric in the baseline must exist in the current run and agree
-within the benchmark's tolerance band (relative for values away from
-zero, absolute near it); metrics that appear or disappear are failures
+within the benchmark's tolerance band: ``tolerance`` times the
+baseline's magnitude, with an absolute floor of 1e-9 so a zero baseline
+still compares exactly.  Metrics that appear or disappear are failures
 too — a figure that changed shape needs its baseline regenerated, not
 silently ignored.  Exact benchmarks (Table 1/2) run with a zero band, so
 a single cycle of drift trips the gate.
-
-Two refinements for host-time observability:
-
-* ``throughput.*`` metrics are *direction-aware*: wall-clock speed is
-  host-dependent and only a *slowdown* beyond the (wide) throughput band
-  is a regression — a speedup of any size passes.  The exact cycle
-  tables keep their zero band untouched, because throughput carries its
-  own tolerance, recorded in the baseline's ``throughput`` block.
-* Version-1 baselines (no ``throughput``/``latency`` blocks) are
-  accepted with a warning note, not failed: the new metric families are
-  simply skipped until the baseline is regenerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-# Band for throughput.* metrics when the baseline predates per-spec
-# bands; matches BenchSpec.throughput_tolerance's default.  Tightened
-# from 0.75 after the fast-path work: the regenerated baselines encode
-# the ≥5x speedup, and 0.6 keeps the floor well above the legacy path
-# so a silent fast-path regression trips the gate.
-DEFAULT_THROUGHPUT_TOLERANCE = 0.6
 
 
 @dataclass
@@ -39,10 +22,6 @@ class MetricDelta:
     baseline: float | None      # None: metric only in the current run
     current: float | None       # None: metric missing from current run
     tolerance: float
-    # "both": any drift beyond the band fails.  "higher_is_better":
-    # only current < baseline - band fails (throughput metrics — a
-    # speedup is never a regression).
-    direction: str = "both"
 
     @property
     def status(self) -> str:
@@ -50,10 +29,6 @@ class MetricDelta:
             return "new"
         if self.current is None:
             return "missing"
-        if self.direction == "higher_is_better":
-            if self.current >= self.baseline - self.band:
-                return "ok"
-            return "regressed"
         if abs(self.current - self.baseline) <= self.band:
             return "ok"
         return "regressed"
@@ -148,60 +123,7 @@ def compare_artifacts(baseline: dict, current: dict,
     base_metrics: dict = baseline["metrics"]
     cur_metrics: dict = current["metrics"]
 
-    # Version-1 baselines predate the derived throughput/latency metric
-    # families: skip those families with a warning instead of failing
-    # every current-run metric as "new".  Only metrics *absent from the
-    # baseline* are skipped, so a figure that happens to share the
-    # prefix (e.g. a figure dict literally named "latency") still gates
-    # normally.
-    from repro.bench.artifact import artifact_version
-    base_version = artifact_version(baseline)
-    skip_prefixes: list[str] = []
-    if base_version < 2:
-        for block, prefix in (("throughput", "throughput."),
-                              ("latency", "latency.")):
-            if baseline.get(block) is None and \
-                    any(m.startswith(prefix) and m not in base_metrics
-                        for m in cur_metrics):
-                skip_prefixes.append(prefix)
-                result.notes.append(
-                    f"baseline (artifact_version {base_version}) has no "
-                    f"{block} block; skipping {prefix}* metrics — "
-                    f"regenerate with `python -m repro.bench run {name}` "
-                    f"to gate them")
-
-    throughput_tolerance = (baseline.get("throughput") or {}).get(
-        "tolerance", DEFAULT_THROUGHPUT_TOLERANCE)
-
-    # Wall-clock throughput is only comparable when both runs used the
-    # same fast-path mode (REPRO_FASTPATH): the legacy reference path is
-    # several times slower by design, not by regression.  Simulated
-    # metrics still gate exactly — they are fastpath-invariant.
-    base_mode = baseline.get("provenance", {}).get("fastpath")
-    cur_mode = current.get("provenance", {}).get("fastpath")
-    skip_throughput_family = False
-    if base_mode is not None and cur_mode is not None \
-            and base_mode != cur_mode:
-        skip_throughput_family = True
-        result.notes.append(
-            f"fastpath mode differs (baseline {base_mode!r}, current "
-            f"{cur_mode!r}); skipping throughput.* metrics — wall-clock "
-            f"speed is only gated within one mode")
-
     for metric in sorted(set(base_metrics) | set(cur_metrics)):
-        if metric not in base_metrics and \
-                any(metric.startswith(prefix) for prefix in skip_prefixes):
-            continue
-        if skip_throughput_family and metric.startswith("throughput."):
-            continue
-        if metric == "throughput.sim_cycles_per_wall_second":
-            result.deltas.append(MetricDelta(
-                metric=metric,
-                baseline=base_metrics.get(metric),
-                current=cur_metrics.get(metric),
-                tolerance=throughput_tolerance,
-                direction="higher_is_better"))
-            continue
         result.deltas.append(MetricDelta(
             metric=metric,
             baseline=base_metrics.get(metric),

@@ -66,22 +66,9 @@ class BenchSpec:
     title: str
     kind: str                  # "exact" | "shape" | "ablation"
     gate: bool = False         # in the default run/check set
-    # Per-metric tolerance band for the regression gate: relative for
-    # values away from zero, absolute below ``abs_floor``.
+    # Per-metric relative tolerance band for the regression gate (see
+    # repro.bench.compare for the absolute floor near zero).
     tolerance: float = 0.01
-    abs_floor: float = 1e-9
-    # Direction-aware band for throughput.* metrics: the gate fails only
-    # when sim_cycles_per_wall_second drops below (1 - band) x baseline,
-    # never on speedups.  Wall time is host-dependent, so this band is
-    # deliberately wide — it must absorb a committed baseline recorded
-    # on a faster machine than a noisy CI runner (docs/OBSERVABILITY.md
-    # explains the choice); it is independent of ``tolerance``, so the
-    # exact tables keep their zero cycle band.  Tightened 0.75 -> 0.6
-    # with the fast-path baselines: the committed floors now encode the
-    # memoized/batched hot loops, and a band any wider would let the
-    # fast path silently regress most of the way back to the legacy
-    # reference implementation without tripping the gate.
-    throughput_tolerance: float = 0.6
     figures: FigureFn = field(default=_identity)
 
     @property

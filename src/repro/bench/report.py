@@ -1,11 +1,11 @@
 """Human-readable digests of ``BENCH_<name>.json`` artifacts.
 
-``python -m repro.bench report`` renders, per artifact: the headline
-throughput (simulated cycles per host wall-second and where the wall
-time went), the per-enclave latency percentile table (p50/p95/p99 in
-simulated cycles, Stress-SGX-style), and the cycle digest.  It reads
-committed baselines by default, so "how fast is the simulator on the
-gate set" is one command with no benchmark run.
+``python -m repro.bench report`` renders, per artifact: the cycle
+digest and the per-enclave latency percentile table (p50/p95/p99 in
+simulated cycles, Stress-SGX-style), plus the timeline and request
+digests when the artifact carries them.  It reads committed baselines
+by default, so it is one command with no benchmark run.  Host speed is
+``perfbench``'s job, not this report's.
 
 ``--format markdown`` renders the same digests as GitHub-flavored
 markdown tables, ready to paste into a PR description or job summary.
@@ -18,30 +18,6 @@ def _fmt_cycles(value: float | None) -> str:
     if value is None:
         return "-"
     return f"{value:,.0f}"
-
-
-def throughput_section(artifact: dict) -> list[str]:
-    """Render the throughput block, or a pointer when absent."""
-    throughput = artifact.get("throughput")
-    if not throughput:
-        return ["  throughput: not recorded (artifact predates the "
-                "throughput gate; regenerate with `python -m repro.bench "
-                "run`)"]
-    rate = throughput["sim_cycles_per_wall_second"]
-    out = [f"  throughput: {rate:,.0f} simulated cycles / wall-second "
-           f"({throughput['sim_cycles']:,.0f} cycles in "
-           f"{throughput['wall_seconds']:.3f} s)",
-           f"  gate band: fail below "
-           f"{(1 - throughput['tolerance']):.0%} of baseline "
-           f"(slowdowns only; speedups always pass)"]
-    shares = throughput.get("wall_share_by_subsystem") or {}
-    if shares:
-        out.append("  wall time by subsystem:")
-        for sub, share in sorted(shares.items(), key=lambda kv: -kv[1]):
-            ns = throughput["wall_ns_by_subsystem"].get(sub, 0)
-            out.append(f"    {sub:<12} {ns / 1e6:>10,.2f} ms  "
-                       f"({share:6.1%})")
-    return out
 
 
 def latency_section(artifact: dict) -> list[str]:
@@ -123,14 +99,13 @@ def artifact_report(artifact: dict) -> str:
     """The full plain-text digest of one artifact."""
     out = [f"{artifact['name']} — {artifact['title']} "
            f"[{artifact['bench_kind']}]",
-           f"  artifact_version {artifact.get('artifact_version', 1)}, "
+           f"  artifact_version {artifact['artifact_version']}, "
            f"{len(artifact['metrics'])} gated metric(s), "
            f"tolerance {artifact['tolerance']:.1%}"]
     telemetry = artifact.get("telemetry")
     if telemetry:
         out.append(f"  simulated cycles: {telemetry['total_cycles']:,.0f} "
                    f"across {telemetry['machines']} machine(s)")
-    out.extend(throughput_section(artifact))
     out.extend(latency_section(artifact))
     out.extend(timeline_section(artifact))
     out.extend(requests_section(artifact))
@@ -146,30 +121,6 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
     out = ["| " + " | ".join(header) + " |",
            "| " + " | ".join("---" for _ in header) + " |"]
     out.extend("| " + " | ".join(row) + " |" for row in rows)
-    return out
-
-
-def throughput_section_markdown(artifact: dict) -> list[str]:
-    """Markdown twin of :func:`throughput_section`."""
-    throughput = artifact.get("throughput")
-    if not throughput:
-        return ["_throughput: not recorded (artifact predates the "
-                "throughput gate; regenerate with `python -m repro.bench "
-                "run`)_"]
-    rate = throughput["sim_cycles_per_wall_second"]
-    out = [f"**Throughput:** {rate:,.0f} simulated cycles / wall-second "
-           f"({throughput['sim_cycles']:,.0f} cycles in "
-           f"{throughput['wall_seconds']:.3f} s); gate fails below "
-           f"{(1 - throughput['tolerance']):.0%} of baseline "
-           f"(slowdowns only).", ""]
-    shares = throughput.get("wall_share_by_subsystem") or {}
-    if shares:
-        rows = [[sub,
-                 f"{throughput['wall_ns_by_subsystem'].get(sub, 0) / 1e6:,.2f}",
-                 f"{share:.1%}"]
-                for sub, share in sorted(shares.items(),
-                                         key=lambda kv: -kv[1])]
-        out.extend(_md_table(["subsystem", "wall ms", "share"], rows))
     return out
 
 
@@ -241,15 +192,13 @@ def artifact_report_markdown(artifact: dict) -> str:
     out = [f"### {artifact['name']} — {artifact['title']} "
            f"[{artifact['bench_kind']}]",
            "",
-           f"artifact_version {artifact.get('artifact_version', 1)}, "
+           f"artifact_version {artifact['artifact_version']}, "
            f"{len(artifact['metrics'])} gated metric(s), "
            f"tolerance {artifact['tolerance']:.1%}"]
     telemetry = artifact.get("telemetry")
     if telemetry:
         out.append(f"simulated cycles: {telemetry['total_cycles']:,.0f} "
                    f"across {telemetry['machines']} machine(s)")
-    out.append("")
-    out.extend(throughput_section_markdown(artifact))
     out.append("")
     out.extend(latency_section_markdown(artifact))
     for section in (timeline_section_markdown(artifact),

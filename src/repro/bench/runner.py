@@ -14,10 +14,8 @@ bare run — the gate compares like with like.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import sys
-import time
 from dataclasses import dataclass
 
 from repro.bench.artifact import (artifact_path, build_artifact,
@@ -28,20 +26,6 @@ from repro.bench.registry import BenchSpec
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 DEFAULT_BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
 DEFAULT_RESULTS_PATH = REPO_ROOT / "benchmarks" / "results.json"
-
-# The throughput gate's self-test hook: a float number of seconds slept
-# inside the timed window of every run.  CI's throughput-smoke job sets
-# it to prove an artificial slowdown trips the direction-aware band;
-# it exists ONLY for that — simulated figures are unaffected.
-SLOWDOWN_ENV = "REPRO_BENCH_SLOWDOWN_S"
-
-
-def _injected_slowdown() -> float:
-    try:
-        return float(os.environ.get(SLOWDOWN_ENV, "") or 0.0)
-    except ValueError:
-        return 0.0
-
 
 def _ensure_benchmarks_importable() -> None:
     """Put the repo root on sys.path so ``benchmarks.*`` imports."""
@@ -98,33 +82,20 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
     """
     from repro.flightrec import forensics
     from repro.flightrec import recorder as flightrec_recorder
-    from repro.profiler import (host_clock_ns, profile_document,
-                                write_collapsed, write_wall_collapsed)
+    from repro.profiler import (profile_document, write_collapsed,
+                                write_wall_collapsed)
     from repro.telemetry import sink as telemetry_sink
 
     _ensure_benchmarks_importable()
     rec = None
     journal_path = None
-    slowdown = _injected_slowdown()
     with telemetry_sink.capture(timeline_interval,
                                 trace_requests=trace_requests) as sink:
         if record_dir is not None:
             rec = flightrec_recorder.FlightRecorder(f"bench:{spec.name}")
             flightrec_recorder.activate(rec)
-        # Pull in the benchmark module (and the support modules a first
-        # run would otherwise import lazily) before starting the clock:
-        # module loading is host-process setup, not simulator work.
-        spec.load()
-        import repro.analysis.tables    # noqa: F401
-        import repro.hw.statehash       # noqa: F401
-        # The throughput clock wraps exactly the benchmark's run() — the
-        # same window the spans observe — so sim_cycles_per_wall_second
-        # measures the simulator, not artifact I/O.
-        wall_start_ns = host_clock_ns()
         try:
             figures = spec.run()
-            if slowdown > 0:
-                time.sleep(slowdown)
         except Exception as exc:
             # A crashed benchmark still leaves evidence: one forensic
             # bundle per machine (when enabled) before propagating.
@@ -134,9 +105,7 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
         finally:
             if rec is not None:
                 flightrec_recorder.deactivate()
-        wall_seconds = (host_clock_ns() - wall_start_ns) / 1e9
         fingerprints = sink.state_fingerprints()
-        bare_cycles = sink.bare_cycles_total()
     if rec is not None:
         journal_path = rec.finish(figures).write(
             pathlib.Path(record_dir) / f"{spec.name}.journal.json")
@@ -148,9 +117,7 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
         if timeline_interval is not None else None
     requests_doc = sink.requests_document() if trace_requests else None
     artifact = build_artifact(spec, figures, telemetry_doc, profile_doc,
-                              fingerprints, wall_seconds=wall_seconds,
-                              bare_cycles=bare_cycles,
-                              timeline_doc=timeline_doc,
+                              fingerprints, timeline_doc=timeline_doc,
                               requests_doc=requests_doc)
 
     written: list[pathlib.Path] = []

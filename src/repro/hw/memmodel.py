@@ -14,23 +14,25 @@ ELDU + driver); sustained thrashing switches to the driver's cheaper
 batched-eviction path — this produces the Figure 8b cliff and the
 beyond-EPC regime of Figure 11.
 
-Two implementations drive the pipeline (see :mod:`repro.hw.fastpath`):
-the per-page/per-line *legacy* reference loops (``REPRO_FASTPATH=0``)
-and the default *fast* path, which memoizes translations above the TLB
-(:meth:`~repro.hw.tlb.Tlb.fast_hit`), processes the line range through
-the bulk :meth:`~repro.hw.cache.Llc.access_range` kernel, and charges
-engine costs per missed *run* instead of per line.  Every cost constant
-on this path is integer-valued (guarded at eligibility time), so the
+Two implementations drive the pipeline.  The per-page/per-line
+reference loop (:meth:`MemorySubsystem._touch_lines`) runs every
+configuration the fast path cannot reproduce exactly, and is what the
+fast path is tested against.  The default *fast* path memoizes
+translations above the TLB (:meth:`~repro.hw.tlb.Tlb.fast_hit`),
+processes the line range through the bulk
+:meth:`~repro.hw.cache.Llc.access_range` kernel, and charges engine
+costs per missed *run* instead of per line.  Every cost constant on
+this path is integer-valued (guarded at eligibility time), so the
 re-associated sums are exact and the charge — a single
 :meth:`~repro.hw.cycles.CycleCounter.charge` per touch, as before — is
-bit-identical to the legacy path.
+bit-identical to the reference loop.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
 
-from repro.hw import costs, fastpath
+from repro.hw import costs
 from repro.hw.cache import Llc
 from repro.hw.cycles import CycleCounter
 from repro.hw.memenc import (AmdSme, EncryptionEngine, IntelMee,
@@ -42,7 +44,7 @@ from repro.hw.tlb import Tlb
 # re-associate must be integer-valued, so that summing them in a
 # different order (n * cost instead of cost + cost + ...) is exact in
 # floating point.  Evaluated once at import; a calibrated cost model
-# with fractional per-line constants simply keeps the legacy loops.
+# with fractional per-line constants simply keeps the reference loop.
 _INTEGRAL_COSTS = all(float(value).is_integer() for value in (
     costs.LLC_HIT_CYCLES, costs.DRAM_CYCLES, costs.SEQ_STREAM_CYCLES,
     costs.PAGE_WALK_GUEST_CYCLES, costs.PAGE_WALK_NESTED_CYCLES,
@@ -52,7 +54,7 @@ _INTEGRAL_COSTS = all(float(value).is_integer() for value in (
 
 # Fast-path eligibility, part 2: engine dispatch.  Exact-type checks on
 # purpose — a subclass overriding miss_cycles must fall back to the
-# legacy per-line loop that actually calls it.
+# per-line reference loop that actually calls it.
 _KIND_NONE, _KIND_FLAT, _KIND_MEE, _KIND_INELIGIBLE = 0, 1, 2, -1
 
 
@@ -160,40 +162,12 @@ class MemorySubsystem:
         """
         if size <= 0:
             return 0.0
-        if fastpath.MODE:
-            kind = self._fp_kind
-            if kind is None:
-                kind = self._resolve_fp_kind()
-            if kind >= 0:
-                return self._touch_fast(addr, size, write, False, kind)
-        charged = 0.0
-        first_line = addr // costs.CACHE_LINE
-        last_line = (addr + size - 1) // costs.CACHE_LINE
-        first_page = addr // PAGE_SIZE
-        last_page = (addr + size - 1) // PAGE_SIZE
-
-        for page in range(first_page, last_page + 1):
-            if self.tlb.lookup(self.asid, page * PAGE_SIZE) is None:
-                walk = (costs.PAGE_WALK_NESTED_CYCLES if self.nested_paging
-                        else costs.PAGE_WALK_GUEST_CYCLES)
-                charged += walk
-                self.tlb.insert(self.asid, page * PAGE_SIZE, page * PAGE_SIZE,
-                                flags=0)
-            if self.epc is not None:
-                charged += self.epc.access(page)
-
-        for line in range(first_line, last_line + 1):
-            hit, evicted_dirty = self.llc.access_ex(line, write=write)
-            if hit:
-                charged += costs.LLC_HIT_CYCLES
-            else:
-                charged += costs.DRAM_CYCLES
-                charged += self.engine.miss_cycles(line, write=write)
-            if evicted_dirty:
-                charged += self.engine.writeback_cycles()
-
-        self.cycles.charge(charged, self.category)
-        return charged
+        kind = self._fp_kind
+        if kind is None:
+            kind = self._resolve_fp_kind()
+        if kind >= 0:
+            return self._touch_fast(addr, size, write, False, kind)
+        return self._touch_lines(addr, size, write, False)
 
     def touch_sequential(self, addr: int, size: int, *,
                          write: bool = False) -> float:
@@ -206,16 +180,29 @@ class MemorySubsystem:
         """
         if size <= 0:
             return 0.0
-        if fastpath.MODE:
-            kind = self._fp_kind
-            if kind is None:
-                kind = self._resolve_fp_kind()
-            if kind >= 0:
-                return self._touch_fast(addr, size, write, True, kind)
+        kind = self._fp_kind
+        if kind is None:
+            kind = self._resolve_fp_kind()
+        if kind >= 0:
+            return self._touch_fast(addr, size, write, True, kind)
+        return self._touch_lines(addr, size, write, True)
+
+    def _touch_lines(self, addr: int, size: int, write: bool,
+                     streaming: bool) -> float:
+        """The per-page/per-line reference loop.
+
+        Runs every configuration :meth:`_resolve_fp_kind` marks
+        ineligible (fractional cost constants; engine, ``Llc`` or ``Tlb``
+        subclasses), and is the ground truth the fast path is tested
+        against.  A missed line's DRAM and engine charges are added in
+        two separate steps: with fractional engine costs, summing them
+        first would round differently.
+        """
         charged = 0.0
-        first_line = addr // costs.CACHE_LINE
-        last_line = (addr + size - 1) // costs.CACHE_LINE
-        words_per_line = costs.CACHE_LINE // 8
+        if streaming:
+            miss_base = costs.SEQ_STREAM_CYCLES * (costs.CACHE_LINE // 8)
+        else:
+            miss_base = costs.DRAM_CYCLES
 
         for page in range(addr // PAGE_SIZE, (addr + size - 1) // PAGE_SIZE + 1):
             if self.tlb.lookup(self.asid, page * PAGE_SIZE) is None:
@@ -227,14 +214,15 @@ class MemorySubsystem:
             if self.epc is not None:
                 charged += self.epc.access(page)
 
-        for line in range(first_line, last_line + 1):
+        for line in range(addr // costs.CACHE_LINE,
+                          (addr + size - 1) // costs.CACHE_LINE + 1):
             hit, evicted_dirty = self.llc.access_ex(line, write=write)
             if hit:
                 charged += costs.LLC_HIT_CYCLES
             else:
-                charged += costs.SEQ_STREAM_CYCLES * words_per_line
+                charged += miss_base
                 charged += self.engine.miss_cycles(line, write=write,
-                                                   streaming=True)
+                                                   streaming=streaming)
             if evicted_dirty:
                 charged += self.engine.writeback_cycles()
 
@@ -243,7 +231,7 @@ class MemorySubsystem:
 
     def _touch_fast(self, addr: int, size: int, write: bool,
                     streaming: bool, kind: int) -> float:
-        """The layered fast path; charges identically to the legacy loops.
+        """The layered fast path; charges identically to :meth:`_touch_lines`.
 
         Page stage: the TLB's resident-key memo confirms hot hits without
         LRU bookkeeping; misses fall into the reference lookup/walk/insert

@@ -6,7 +6,7 @@ behind the mode cost differences in Table 1.  The security analysis also
 relies on flushes: "TLBs are cleared upon world switches to prevent
 illegal memory accesses using stale TLB entries" (Sec 6).
 
-Fast path (``REPRO_FASTPATH``, see :mod:`repro.hw.fastpath`): a plain
+Fast path (see :mod:`repro.hw.memmodel`): a plain
 resident-key *set* mirrors the OrderedDict's membership so the memory
 model can confirm a hit without touching the LRU structure; the hit's
 ``move_to_end`` is deferred into a pending list and replayed — deduped
@@ -16,7 +16,8 @@ inserts, flushes, dumps, digests).  The set is invalidated on exactly
 the events the sanitizer already hooks: ``invlpg``, ``flush``,
 ``flush_asid``, plus capacity evictions; ASID switches need nothing
 because keys carry the ASID.  Counters are maintained eagerly, so
-``stats()`` and ``state_digest()`` are bit-identical to the legacy path.
+``stats()`` and ``state_digest()`` are bit-identical to the reference
+per-line loop.
 """
 
 from __future__ import annotations

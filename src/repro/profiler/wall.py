@@ -15,14 +15,12 @@ an exact dual-domain accounting, not a sample:
   memenc inner loops) worth attacking, because a frame that is cheap in
   cycles but expensive in wall time is simulator overhead, not modeled
   hardware;
-* per-subsystem wall shares — the ``throughput`` block in bench
-  artifacts is built from these.
+* per-subsystem wall shares.
 
 Unlike cycle data, wall times are *not* deterministic: they vary with
 the host machine and load.  Nothing here feeds the simulated clock — the
-profiler stays a pure observer, and the only gated wall metric
-(``throughput.sim_cycles_per_wall_second``) uses a direction-aware band
-(see :mod:`repro.bench.compare`).
+profiler stays a pure observer — and the bench gate compares no wall
+metric; host speed is measured by ``perfbench``.
 
 ``host_clock_ns()`` is the single sanctioned host-time source for the
 bench harness: the ``sanctioned-clocks`` entry of

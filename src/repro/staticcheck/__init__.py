@@ -16,14 +16,12 @@ determinism (SC001/SC002)
     file-local arm flags any direct wall-clock or unseeded-``random``
     reference in every analyzed file.
 
-charge coverage (SC003/SC004/SC005)
+charge coverage (SC003/SC005)
     Every configured public ``RustMonitor`` / hw entry point must reach
     a ``_charge_hypercall`` / ``CycleCounter.charge`` /
     ``Cpu.charge_steps`` site over precisely resolved calls, with
-    uncharged exit paths reported separately; and the legacy/fast
-    branches behind :mod:`repro.hw.fastpath` dispatch must statically
-    charge identical category sets — the fastpath equivalence
-    contract, checked without running an A/B sweep.
+    uncharged exit paths reported separately.  (SC004, a fast-path
+    branch-parity rule, is retired; its number is not reused.)
 
 boundary taint (SC006)
     Values originating in the untrusted layers (``sdk``, ``apps``,

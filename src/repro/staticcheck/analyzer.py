@@ -35,7 +35,7 @@ def analyze(paths: list[Path],
     raw: list[StaticFinding] = []
     if config.rule_enabled("SC001") or config.rule_enabled("SC002"):
         raw.extend(determinism.run(project, facts, config))
-    if any(config.rule_enabled(r) for r in ("SC003", "SC004", "SC005")):
+    if config.rule_enabled("SC003") or config.rule_enabled("SC005"):
         raw.extend(charges.run(project, facts, config))
     if config.rule_enabled("SC006"):
         raw.extend(taint.run(project, facts, config))

@@ -1,4 +1,4 @@
-"""SC003/SC004/SC005: interprocedural charge-coverage passes.
+"""SC003/SC005: interprocedural charge-coverage passes.
 
 SC003: every configured public entry point (``RustMonitor`` hypercalls,
 the world-switch engine, the memory-subsystem hot methods) must *reach*
@@ -14,14 +14,6 @@ ever charging.  A lightweight path walk over the statement tree finds
 such exits; ``return <constant>`` guards (the zero-work early-outs) and
 ``raise`` terminations are exempt, and a call to a function that itself
 charges on every path counts as charging.
-
-SC004 checks the PR-6 fastpath equivalence contract statically: inside
-any function that branches on :mod:`repro.hw.fastpath` state
-(``fastpath.MODE``, ``fastpath.enabled()``, a local bound to
-``fastpath.MODE``), the guarded fast branch and the surrounding legacy
-code must charge the *same set* of category expressions, transitively
-through their callees.  A drifted category set means the A/B paths
-could no longer be bit-identical — caught here without running either.
 """
 
 from __future__ import annotations
@@ -29,14 +21,11 @@ from __future__ import annotations
 import ast
 from fnmatch import fnmatch
 
-from repro.staticcheck.callgraph import (CHARGE_ATTRS, FunctionFacts,
-                                         _local_aliases)
+from repro.staticcheck.callgraph import CHARGE_ATTRS, FunctionFacts
 from repro.staticcheck.config import StaticcheckConfig
 from repro.staticcheck.findings import StaticFinding
-from repro.staticcheck.project import FunctionInfo, Project, dotted_of
+from repro.staticcheck.project import FunctionInfo, Project
 from repro.staticcheck.reach import bfs_reachable, chain_to
-
-_FASTPATH_MODULE = "repro.hw.fastpath"
 
 
 def _entry_points(project: Project,
@@ -97,7 +86,6 @@ def run(project: Project, facts: dict[str, FunctionFacts],
                          f"{expr!r} without charging"),
                 chain=[info.qualname]))
 
-    findings.extend(_fastpath_parity(project, facts, config))
     return findings
 
 
@@ -234,114 +222,3 @@ class _MustChargeIndex:
                 if self._charging_span(stmt, qualname):
                     charged = True
         return exits, charged, False
-
-
-# ------------------------------------------------------- fastpath parity ----
-
-
-def _fastpath_test(expr: ast.AST, aliases: dict[str, str],
-                   local: dict[str, str]) -> bool:
-    """Does this ``if`` test read :mod:`repro.hw.fastpath` state?"""
-    for node in ast.walk(expr):
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            dotted = dotted_of(node, aliases, local)
-            if dotted is not None and dotted.startswith(
-                    _FASTPATH_MODULE + "."):
-                return True
-    return False
-
-
-class _CategoryIndex:
-    """Memoized transitive charge-category sets per function."""
-
-    def __init__(self, facts: dict[str, FunctionFacts]) -> None:
-        self.facts = facts
-        self._memo: dict[str, frozenset[str]] = {}
-        self._stack: set[str] = set()
-
-    def categories(self, qualname: str) -> frozenset[str]:
-        """Every category expression ``qualname`` may charge under."""
-        if qualname in self._memo:
-            return self._memo[qualname]
-        if qualname in self._stack or qualname not in self.facts:
-            return frozenset()
-        self._stack.add(qualname)
-        try:
-            out = {c.category for c in self.facts[qualname].charges}
-            for site in self.facts[qualname].calls:
-                if site.callee is not None:
-                    out |= self.categories(site.callee)
-            result = frozenset(out)
-            self._memo[qualname] = result
-        finally:
-            self._stack.discard(qualname)
-        return result
-
-    def span_categories(self, qualname: str, start: int,
-                        end: int) -> frozenset[str]:
-        """Categories charged by the calls inside a line span."""
-        out: set[str] = set()
-        fn_facts = self.facts[qualname]
-        for charge in fn_facts.charges:
-            if start <= charge.line <= end:
-                out.add(charge.category)
-        for site in fn_facts.calls:
-            if start <= site.line <= end and site.callee is not None:
-                out |= self.categories(site.callee)
-        return frozenset(out)
-
-
-def _span(nodes: list[ast.stmt]) -> tuple[int, int]:
-    start = min(n.lineno for n in nodes)
-    end = max(getattr(n, "end_lineno", n.lineno) or n.lineno
-              for n in nodes)
-    return start, end
-
-
-def _fastpath_parity(project: Project, facts: dict[str, FunctionFacts],
-                     config: StaticcheckConfig) -> list[StaticFinding]:
-    """SC004: guarded fast branches must charge identical category sets."""
-    findings: list[StaticFinding] = []
-    index = _CategoryIndex(facts)
-
-    for qualname, info in project.functions.items():
-        if config.path_excluded(info.path):
-            continue
-        if _FASTPATH_MODULE.replace(".", "/") + ".py" in info.path:
-            continue                  # the switch itself is exempt
-        module = project.modules[info.module_name]
-        local = _local_aliases(info.node, module)
-        fn_span = (info.node.body[0].lineno,
-                   getattr(info.node, "end_lineno", info.lineno)
-                   or info.lineno)
-        for node in ast.walk(info.node):
-            if not isinstance(node, ast.If) or not _fastpath_test(
-                    node.test, module.aliases, local):
-                continue
-            fast_start, fast_end = _span(node.body)
-            fast = index.span_categories(qualname, fast_start, fast_end)
-            if node.orelse:
-                legacy_start, legacy_end = _span(node.orelse)
-                legacy = index.span_categories(qualname, legacy_start,
-                                               legacy_end)
-            else:
-                # Early-return idiom: legacy is the rest of the function.
-                whole = index.span_categories(qualname, *fn_span)
-                outside = index.span_categories(
-                    qualname, fn_span[0], node.lineno - 1) \
-                    | index.span_categories(qualname, fast_end + 1,
-                                            fn_span[1])
-                legacy = frozenset(outside) or whole - fast
-            if fast == legacy:
-                continue
-            findings.append(StaticFinding(
-                rule="SC004", path=info.path, line=node.lineno,
-                symbol=qualname,
-                sink="|".join(sorted(fast ^ legacy)),
-                message=(f"fastpath branch at line {node.lineno} charges "
-                         f"categories {sorted(fast) or '[]'} but the "
-                         f"legacy path charges {sorted(legacy) or '[]'}; "
-                         f"the A/B equivalence contract requires "
-                         f"identical category sets"),
-                chain=[qualname]))
-    return findings

@@ -18,7 +18,6 @@ ALL_SC_RULES: dict[str, str] = {
     "SC001": "nondeterministic source reachable from cycle-charged code",
     "SC002": "unordered set iteration feeding charges or digests",
     "SC003": "entry point reaches no cycle-charge site",
-    "SC004": "fastpath branches charge different category sets",
     "SC005": "entry point has an uncharged exit path",
     "SC006": "untrusted value reaches a trusted sink unmarshalled",
     "SC007": "telemetry span neither context-managed nor returned",

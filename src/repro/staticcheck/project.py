@@ -177,7 +177,7 @@ def bind_import(node: ast.Import | ast.ImportFrom, package: str,
 
 def _collect_aliases(tree: ast.Module, package: str) -> dict[str, str]:
     """name -> canonical dotted target, from this module's imports and
-    simple module-level assignments (``mode = fastpath.MODE``)."""
+    simple module-level assignments (``page_size = phys.PAGE_SIZE``)."""
     aliases: dict[str, str] = {}
     for node in tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):

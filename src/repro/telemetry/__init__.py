@@ -13,8 +13,7 @@ from repro.telemetry.metrics import (SUMMARY_QUANTILES, Counter, Gauge,
 from repro.telemetry.export import (chrome_trace_document,
                                     latency_summaries, machine_snapshot,
                                     snapshot_document, top_report,
-                                    trace_path_for, wall_ns_by_subsystem,
-                                    write_telemetry)
+                                    trace_path_for, write_telemetry)
 from repro.telemetry.schema import (SchemaError, validate_requests,
                                     validate_snapshot, validate_timeline)
 from repro.telemetry.timeline import (TimelineSampler, attach_machine,
@@ -33,7 +32,7 @@ __all__ = [
     "MetricsRegistry", "percentile_from_buckets",
     "chrome_trace_document", "latency_summaries", "machine_snapshot",
     "snapshot_document", "top_report", "trace_path_for",
-    "wall_ns_by_subsystem", "write_telemetry",
+    "write_telemetry",
     "SchemaError", "validate_requests", "validate_snapshot",
     "validate_timeline",
     "TimelineSampler", "attach_machine", "detach_machine",

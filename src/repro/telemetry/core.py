@@ -214,8 +214,7 @@ class Span:
                 # Wall-domain metrics ride the same enabled-only path as
                 # the cycle metrics: the single branch in
                 # Telemetry.span() is the only disabled-path cost.
-                # self_wall_ns counters sum exactly to root-span wall
-                # time, so throughput wall shares need no profile.
+                # self_wall_ns counters sum exactly to root-span wall time.
                 reg.counter(subsystem, short + ".wall_ns", **labels),
                 reg.counter(subsystem, short + ".self_wall_ns", **labels),
                 reg.histogram(subsystem, short + ".cycles_hist", **labels),

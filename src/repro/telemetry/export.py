@@ -154,23 +154,6 @@ def latency_summaries(document: dict,
     return out
 
 
-def wall_ns_by_subsystem(document: dict) -> dict[str, int | float]:
-    """Span-attributed host wall-time per subsystem, from a snapshot.
-
-    Sums the ``.self_wall_ns`` span counters, so nested spans are not
-    double-counted: the total equals root-span wall time.  Snapshots
-    that predate the wall-domain counters return ``{}``.
-    """
-    out: dict[str, int | float] = {}
-    for snap in document["machines"]:
-        for entry in snap["metrics"]:
-            if entry["type"] == "counter" \
-                    and entry["name"].endswith(".self_wall_ns"):
-                sub = entry["subsystem"]
-                out[sub] = out.get(sub, 0) + entry["value"]
-    return out
-
-
 # -- Chrome trace_event ------------------------------------------------------
 
 def chrome_trace_events(telemetry: Telemetry, *, pid: int = 1,

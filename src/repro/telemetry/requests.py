@@ -13,12 +13,12 @@ Determinism contract (same bar as the timeline sampler):
 
 * Trace ids derive from ``(machine label, vcpu, monotonic per-vCPU
   counter)`` — never host time, so ids are bit-identical across runs,
-  ``REPRO_FASTPATH`` modes, and flight-recorder replay.
+  the fast path and the reference loop, and flight-recorder replay.
 * Hooks only *read* simulated state (``cycles.total`` and the category
   breakdown at op boundaries, which are batch-invariant: every touch
-  issues exactly one charge in every fast-path mode).  The tracer never
-  charges a cycle — tracing on/off cannot move a figure, fingerprint or
-  journal event.
+  issues exactly one charge on either hot-path implementation).  The
+  tracer never charges a cycle — tracing on/off cannot move a figure,
+  fingerprint or journal event.
 * The disabled path at every hook site is a single attribute load and
   ``is not None`` branch; with a tracer attached but no open request
   (e.g. enclave build-time hypercalls) the hook is one list check.

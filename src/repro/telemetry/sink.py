@@ -31,7 +31,6 @@ class TelemetrySink:
         self._labels: set[str] = set()
         self._index: dict[int, int] = {}    # id(telemetry) -> items index
         self._machines: dict[int, object] = {}  # id(telemetry) -> Machine
-        self._cycles: list[tuple[str, object]] = []  # bare CycleCounters
         # When set, every machine registered here gets a cycle-domain
         # timeline sampler at this cadence (repro.telemetry.timeline).
         self._timeline_interval = timeline_interval
@@ -114,24 +113,6 @@ class TelemetrySink:
         self._index = {id(tel): i for i, (_, tel) in enumerate(self._items)}
         telemetry.disable()
         return True
-
-    def register_cycles(self, label: str, counter) -> str:
-        """Track a bare :class:`~repro.hw.cycles.CycleCounter`.
-
-        Kernels that drive hardware models directly (no Machine, no
-        Telemetry hub — e.g. the Figure 11 memory-latency sweep) register
-        their counters here so the throughput gate can still attribute
-        simulated cycles to the run.  Counters are read lazily at
-        document/throughput time, so registration itself observes
-        nothing.  Returns the de-duplicated label used.
-        """
-        label = self._dedupe(label)
-        self._cycles.append((label, counter))
-        return label
-
-    def bare_cycles_total(self) -> int:
-        """The summed total of every registered bare counter."""
-        return sum(counter.total for _, counter in self._cycles)
 
     def machines(self) -> list[tuple[str, object]]:
         """The registered ``(label, Machine)`` pairs, in creation order.

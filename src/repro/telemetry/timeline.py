@@ -5,8 +5,8 @@ fixed *simulated-cycle* interval.  It is driven by the machine's
 :class:`~repro.hw.cycles.CycleCounter` — ``charge()`` notifies the
 sampler when the running total crosses the next sample boundary — so
 samples are a pure function of the op sequence: never host time, hence
-bit-reproducible across runs, across ``REPRO_FASTPATH`` modes, and
-through flight-recorder replay.
+bit-reproducible across runs, across the fast path and the reference
+per-line loop, and through flight-recorder replay.
 
 Probe discipline (what keeps the A/B fast-path equivalence exact):
 
@@ -14,13 +14,13 @@ Probe discipline (what keeps the A/B fast-path equivalence exact):
   lists, resident-page maps, swap versions, world-switch counters).
   Values mutated by ``charge()`` itself — ``total``, ``by_category`` —
   are off limits: a batched fast-path charge crosses a boundary in one
-  jump where the legacy loop crosses it mid-batch, so sampling them
-  would read different intermediate values per mode.
+  jump where the reference loop crosses it mid-batch, so sampling them
+  would read different intermediate values per implementation.
 * Cycle-domain series instead receive the *boundary* cycle (the row's
-  own timestamp), which is identical in every mode by construction.
+  own timestamp), which is identical in both by construction.
 * When one charge jumps several boundaries at once, the sampler emits
   one row **per crossed boundary**, all carrying the same probe values:
-  the legacy path crossing those boundaries one small charge at a time
+  the reference loop crossing those boundaries one small charge at a time
   observes the same (batch-invariant) state, so row counts and contents
   match bit-for-bit.
 
@@ -168,7 +168,8 @@ class TimelineSampler:
 def register_machine_probes(sampler: TimelineSampler, machine) -> None:
     """The hardware-level series every timeline carries."""
     # The clock-domain series report the boundary cycle: identical in
-    # every fast-path mode by construction (see the module docstring).
+    # both hot-path implementations by construction (see the module
+    # docstring).
     sampler.add_cycle_probe("cycles.total", lambda boundary: boundary)
     # The cost model executes all simulated work on cpu0; extra CPUs
     # exist only as TLB-shootdown IPI targets.

@@ -11,6 +11,9 @@ from repro.bench import (ARTIFACT_KIND, ARTIFACT_VERSION, REGISTRY,
                          gate_specs, load_artifact, resolve,
                          validate_artifact, write_artifact)
 from repro.bench.compare import FingerprintDelta, MetricDelta
+from repro.hw.cycles import CycleCounter
+from repro.telemetry import Telemetry
+from repro.telemetry.export import snapshot_document
 
 FAKE = BenchSpec("fake", "a fake benchmark", "shape", tolerance=0.05)
 
@@ -56,6 +59,12 @@ class TestArtifact:
         with pytest.raises(ValueError, match="non-numeric"):
             validate_artifact(artifact)
 
+    def test_validate_rejects_other_versions(self):
+        artifact = fake_artifact()
+        artifact["version"] = 1
+        with pytest.raises(ValueError, match="unsupported version"):
+            validate_artifact(artifact)
+
     def test_validate_rejects_empty_metrics(self):
         artifact = fake_artifact()
         artifact["metrics"] = {}
@@ -77,6 +86,44 @@ class TestArtifact:
         assert before == costs_fingerprint()          # stable
         monkeypatch.setattr(costs, "VMEXIT_CYCLES", costs.VMEXIT_CYCLES + 1)
         assert costs_fingerprint() != before          # any constant counts
+
+
+def sim_telemetry() -> dict:
+    """A deterministic snapshot: two enclaves, sdk + world spans."""
+    tel = Telemetry(CycleCounter())
+    tel.enable()
+    for enclave, cost in ((1, 8000), (2, 9000)):
+        for _ in range(20):
+            with tel.span("sdk.ecall", enclave=enclave):
+                tel.cycles.charge(cost, "sdk-ecall")
+                with tel.span("world.eenter", enclave=enclave):
+                    tel.cycles.charge(1200, "eenter:hu")
+    return snapshot_document([("m", tel)])
+
+
+class TestLatencyBlock:
+    def test_per_enclave_percentiles(self):
+        art = build_artifact(FAKE, {"score": 1.0}, sim_telemetry(), None)
+        table = art["latency"]["m"]
+        assert set(table) == {"1", "2"}
+        row = table["1"]["sdk.ecall"]
+        assert row["count"] == 20
+        # Every observation for enclave 1 is 8000 + 1200 = 9200 cycles
+        # (inclusive), a single-bucket histogram: clamping makes all
+        # three percentiles exact.
+        assert row["p50"] == row["p95"] == row["p99"] == 9200
+        assert table["2"]["sdk.ecall"]["p99"] == 10200
+        assert table["1"]["world.eenter"]["p50"] == 1200
+        assert art["metrics"]["latency.m.1.sdk.ecall.p99"] == 9200
+
+    def test_latency_metrics_are_deterministic(self):
+        a, b = (build_artifact(FAKE, {"score": 1.0}, sim_telemetry(), None)
+                for _ in range(2))
+        lat_a = {k: v for k, v in a["metrics"].items()
+                 if k.startswith("latency.")}
+        lat_b = {k: v for k, v in b["metrics"].items()
+                 if k.startswith("latency.")}
+        assert lat_a and lat_a == lat_b
 
 
 class TestCompare:

@@ -166,8 +166,6 @@ class TestFingerprints:
         for metric, value in bare.artifact["metrics"].items():
             if metric.startswith("profile."):
                 continue            # profiling disabled on the rerun
-            if metric.startswith("throughput."):
-                continue            # wall-derived: varies run to run
             assert recorded.artifact["metrics"][metric] == value, metric
         assert recorded.artifact["fingerprints"] == \
             bare.artifact["fingerprints"]

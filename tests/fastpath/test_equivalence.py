@@ -1,10 +1,10 @@
-"""A/B equivalence: the legacy and fast paths are bit-identical.
+"""A/B equivalence: the reference loop and the fast path are bit-identical.
 
 The fast paths (translation memoization, batched cycle charging,
 bulk memory-cost kernels) are pure optimizations: every observable
 — cycle totals, per-category breakdowns, TLB/LLC/MEE counters, machine
-state fingerprints, benchmark figures — must match the legacy reference
-loops exactly, not approximately.
+state fingerprints, benchmark figures — must match the per-line
+reference loop exactly, not approximately.
 """
 
 from __future__ import annotations
@@ -13,13 +13,12 @@ import random
 
 import pytest
 
-from repro.hw import costs, fastpath
+from repro.hw import costs, memmodel
 from repro.hw.cache import Llc
 from repro.hw.cycles import CycleCounter
 from repro.hw.memenc import AmdSme, IntelMee
 from repro.hw.memmodel import EpcModel, MemorySubsystem
 from repro.hw.tlb import Tlb
-from tests.fastpath.conftest import ALL_MODES
 
 
 def _mem_state(mem: MemorySubsystem) -> dict:
@@ -53,33 +52,21 @@ def _drive_workload(engine, *, epc_bytes: int | None = None,
     return _mem_state(mem)
 
 
-def _sweep_modes(run):
-    """Run ``run()`` under every mode; return {effective_mode: result}."""
-    results = {}
-    for requested in ALL_MODES:
-        effective = fastpath.set_mode(requested)
-        results.setdefault(effective, run())
-    fastpath.set_mode(None)
-    return results
-
-
 class TestMemorySubsystemEquivalence:
     @pytest.mark.parametrize("engine_factory,epc_bytes", [
         (AmdSme, None),
         (lambda: IntelMee(cache_lines=costs.MEE_METADATA_CACHE_LINES // 8),
          8 << 20),
     ], ids=["amd-sme", "intel-mee+epc"])
-    def test_all_modes_bit_identical(self, engine_factory, epc_bytes):
-        results = _sweep_modes(
+    def test_all_modes_bit_identical(self, ab_run, engine_factory,
+                                     epc_bytes):
+        reference, default = ab_run(
             lambda: _drive_workload(engine_factory(), epc_bytes=epc_bytes))
-        legacy = results.pop(fastpath.MODE_LEGACY)
-        assert results, "no fast mode available to compare"
-        for mode, state in results.items():
-            assert state == legacy, f"mode {mode} diverged from legacy"
+        assert default == reference
 
-    def test_membench_points_bit_identical(self):
+    def test_membench_points_bit_identical(self, ab_run):
         # The exact Figure 11 kernel, on a subset of its grid (the full
-        # legacy sweep is minutes; the per-point kernel is identical).
+        # reference sweep is minutes; the per-point kernel is identical).
         from repro.apps import membench
         configs = [
             ("none", "seq", 64 * 1024, None),
@@ -93,18 +80,22 @@ class TestMemorySubsystemEquivalence:
                 engine, pattern, size, epc_bytes=epc).cycles_per_access
                 for engine, pattern, size, epc in configs]
 
-        results = _sweep_modes(run)
-        legacy = results.pop(fastpath.MODE_LEGACY)
-        for mode, latencies in results.items():
-            assert latencies == legacy, f"mode {mode} diverged from legacy"
+        reference, default = ab_run(run)
+        assert default == reference
 
 
 class TestBenchmarkEquivalence:
-    def test_table1_figures_and_fingerprints_bit_identical(self):
+    # Table 1 times edge calls alone and never reaches
+    # MemorySubsystem.touch; Table 2's #PF handling does.
+    @pytest.mark.parametrize("name,touches", [
+        ("table1_edge_calls", False), ("table2_exceptions", True),
+    ], ids=["table1_edge_calls", "table2_exceptions"])
+    def test_figures_and_fingerprints_bit_identical(self, ab_run, name,
+                                                    touches):
         from repro.bench.registry import resolve
         from repro.telemetry import sink as telemetry_sink
 
-        spec = resolve(["table1_edge_calls"])[0]
+        spec = resolve([name])[0]
         spec.load()
 
         def run():
@@ -119,11 +110,30 @@ class TestBenchmarkEquivalence:
                 "by_subsystem": doc["combined"]["by_subsystem"],
             }
 
-        results = _sweep_modes(run)
-        legacy = results.pop(fastpath.MODE_LEGACY)
-        assert legacy["fingerprints"], "table1 must fingerprint machines"
-        for mode, state in results.items():
-            assert state == legacy, f"mode {mode} diverged from legacy"
+        reference, default = ab_run(run, touches=touches)
+        assert reference["fingerprints"], f"{name} must fingerprint machines"
+        assert default == reference
+
+
+class TestIneligibleFallback:
+    """Configurations the fast path cannot reproduce take the loop."""
+
+    def test_fractional_and_subclassed_engines_are_ineligible(self):
+        class PlainMeeSubclass(IntelMee):
+            pass
+
+        for engine in (AmdSme(per_miss=1.5), PlainMeeSubclass()):
+            mem = MemorySubsystem(CycleCounter(), engine)
+            mem.touch(0)
+            assert mem._fp_kind == memmodel._KIND_INELIGIBLE
+
+    def test_cold_one_line_touch_charges_walk_dram_and_miss(self):
+        cycles = CycleCounter()
+        mem = MemorySubsystem(cycles, AmdSme(per_miss=1.5))
+        charged = mem.touch(0)
+        expected = costs.PAGE_WALK_GUEST_CYCLES + costs.DRAM_CYCLES + 1.5
+        assert charged == expected
+        assert cycles.total == expected
 
 
 class TestMeeReset:

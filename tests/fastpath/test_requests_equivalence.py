@@ -1,20 +1,18 @@
-"""A/B equivalence of request tracing across REPRO_FASTPATH modes.
+"""A/B equivalence of request tracing: reference loop vs fast path.
 
 Trace ids come from (label, vcpu, per-vCPU counter) and segment stamps
 from op-boundary reads of the cycle counter, which are batch-invariant:
-every touch issues exactly one charge in every fast-path mode.  So the
+every touch issues exactly one charge on either path.  So the
 serialized requests document — ids, trees, category deltas, steal
-attributions — must be bit-identical across the legacy loop and both
-fast paths.
+attributions — must be bit-identical across the reference loop and the
+fast path.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.hw import fastpath
 from repro.telemetry import sink as telemetry_sink
-from tests.fastpath.conftest import ALL_MODES
 
 
 def _run_traced() -> str:
@@ -31,13 +29,6 @@ def _run_traced() -> str:
                       sort_keys=True)
 
 
-def test_requests_json_bit_identical_across_modes():
-    results = {}
-    for requested in ALL_MODES:
-        effective = fastpath.set_mode(requested)
-        results.setdefault(effective, _run_traced())
-    fastpath.set_mode(None)
-    legacy = results.pop(fastpath.MODE_LEGACY)
-    assert results, "no fast mode available to compare"
-    for mode, serialized in results.items():
-        assert serialized == legacy, f"mode {mode} requests diverged"
+def test_requests_json_bit_identical_across_modes(ab_run):
+    reference, default = ab_run(_run_traced)
+    assert default == reference

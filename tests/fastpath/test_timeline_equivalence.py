@@ -1,9 +1,9 @@
-"""A/B equivalence of timeline sampling across REPRO_FASTPATH modes.
+"""A/B equivalence of timeline sampling: reference loop vs fast path.
 
 The sampler's probe discipline (op-granularity state only, boundary
 cycles for clock-domain series, one row per crossed boundary) exists so
-that a batched fast-path charge and the legacy per-op loop produce the
-*same rows*.  This sweeps a swap-heavy workload under every mode and
+that a batched fast-path charge and the per-line reference loop produce
+the *same rows*.  This runs a swap-heavy workload on each path and
 asserts the serialized timeline documents are bit-identical.
 """
 
@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import json
 
-from repro.hw import fastpath
 from repro.telemetry import sink as telemetry_sink
-from tests.fastpath.conftest import ALL_MODES
 
 
 def _run_with_timeline() -> str:
@@ -30,13 +28,6 @@ def _run_with_timeline() -> str:
                       sort_keys=True)
 
 
-def test_timeline_json_bit_identical_across_modes():
-    results = {}
-    for requested in ALL_MODES:
-        effective = fastpath.set_mode(requested)
-        results.setdefault(effective, _run_with_timeline())
-    fastpath.set_mode(None)
-    legacy = results.pop(fastpath.MODE_LEGACY)
-    assert results, "no fast mode available to compare"
-    for mode, serialized in results.items():
-        assert serialized == legacy, f"mode {mode} timeline diverged"
+def test_timeline_json_bit_identical_across_modes(ab_run):
+    reference, default = ab_run(_run_with_timeline)
+    assert default == reference

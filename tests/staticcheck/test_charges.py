@@ -1,4 +1,4 @@
-"""SC003/SC004/SC005: the charge-coverage passes over fixtures."""
+"""SC003/SC005: the charge-coverage passes over fixtures."""
 
 from __future__ import annotations
 
@@ -124,106 +124,3 @@ class TestSC005:
             return x
         '''))
         assert by_rule(found, "SC005") == []
-
-
-class TestSC004:
-    FASTPATH = '''
-        """Fixture mode switch."""
-
-        MODE = 0
-    '''
-
-    def test_matching_categories_pass(self, run_passes):
-        found = run_passes({
-            "hw/fastpath.py": self.FASTPATH,
-            "hw/mem.py": '''
-                """Fixture."""
-                from repro.hw import fastpath
-
-                class Mem:
-                    """M."""
-
-                    def touch(self, n):
-                        """Touch."""
-                        if fastpath.MODE:
-                            self.cycles.charge(n, 'mem')
-                            return n
-                        self.cycles.charge(n, 'mem')
-                        return n
-                ''',
-        })
-        assert by_rule(found, "SC004") == []
-
-    def test_category_drift_flagged(self, run_passes):
-        found = run_passes({
-            "hw/fastpath.py": self.FASTPATH,
-            "hw/mem.py": '''
-                """Fixture."""
-                from repro.hw import fastpath
-
-                class Mem:
-                    """M."""
-
-                    def touch(self, n):
-                        """Touch."""
-                        if fastpath.MODE:
-                            self.cycles.charge(n, 'mem_fast')
-                            return n
-                        self.cycles.charge(n, 'mem')
-                        return n
-                ''',
-        })
-        hits = by_rule(found, "SC004")
-        assert len(hits) == 1
-        assert "'mem_fast'" in hits[0].message
-        assert "'mem'" in hits[0].message
-
-    def test_transitive_categories_compared(self, run_passes):
-        # The fast branch charges through a helper; same category, pass.
-        found = run_passes({
-            "hw/fastpath.py": self.FASTPATH,
-            "hw/mem.py": '''
-                """Fixture."""
-                from repro.hw import fastpath
-
-                class Mem:
-                    """M."""
-
-                    def touch(self, n):
-                        """Touch."""
-                        if fastpath.MODE:
-                            return self._fast(n)
-                        self.cycles.charge(n, 'mem')
-                        return n
-
-                    def _fast(self, n):
-                        """Helper."""
-                        self.cycles.charge(n, 'mem')
-                        return n
-                ''',
-        })
-        assert by_rule(found, "SC004") == []
-
-    def test_local_np_alias_guard_detected(self, run_passes):
-        found = run_passes({
-            "hw/fastpath.py": self.FASTPATH + '''
-        np = None
-            ''',
-            "hw/cachemod.py": '''
-                """Fixture."""
-                from repro.hw import fastpath
-
-                class Cache:
-                    """C."""
-
-                    def sweep(self, lines):
-                        """Sweep."""
-                        np = fastpath.np
-                        if np is not None:
-                            self.cycles.charge(1, 'evict_fast')
-                            return 1
-                        self.cycles.charge(1, 'evict')
-                        return 1
-                ''',
-        })
-        assert len(by_rule(found, "SC004")) == 1

@@ -49,9 +49,10 @@ class TestExitCodes:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule in ("SC001", "SC002", "SC003", "SC004", "SC005",
-                     "SC006", "SC007", "SC008"):
+        for rule in ("SC001", "SC002", "SC003", "SC005", "SC006",
+                     "SC007", "SC008"):
             assert rule in out
+        assert "SC004" not in out           # retired, number not reused
 
 
 class TestBaselineWorkflow:

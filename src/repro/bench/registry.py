@@ -8,7 +8,8 @@ to turn the raw experiment output into the JSON-ready *figures* dict
 recorded in ``BENCH_<name>.json`` — the same shape the pytest wrappers
 append to ``benchmarks/results.json``.
 
-The *gate set* (Table 1, Table 2, Fig 7, Fig 11) is what
+The *gate set* (Table 1, Table 2, Fig 7, Fig 11 and the page-swap
+ablation, whose state fingerprints pin the EPC swap path) is what
 ``python -m repro.bench run|check`` operates on by default and what CI's
 ``bench-gate`` job regresses every push against.
 """
@@ -114,7 +115,8 @@ _SPECS = [
     BenchSpec("ablation_epc", "Ablation: EPC capacity", "ablation"),
     BenchSpec("ablation_ycsb_mix", "Ablation: YCSB mixes A-F",
               "ablation"),
-    BenchSpec("ablation_swap", "Ablation: page swapping", "ablation"),
+    BenchSpec("ablation_swap", "Ablation: page swapping", "ablation",
+              gate=True),
     BenchSpec("ablation_smp_gc", "Ablation: SMP GC shootdowns",
               "ablation", figures=_smp_gc_figures),
     BenchSpec("epc_pressure",

@@ -1,9 +1,10 @@
 """A SHA-256-CTR stream cipher with encrypt-then-MAC AEAD, plus a DRBG.
 
-Used by the TPM's seal operation and by the enclave sealing API.  The
-construction is textbook: ``keystream[i] = SHA256(key || nonce || i)``,
-ciphertext is XOR, and an HMAC-SHA-256 tag covers nonce, associated data
-and ciphertext.  It is real (decryption fails on any tampering), small,
+Used by the TPM's seal operation, the enclave sealing API and the EPC
+swap path (which passes an :class:`AeadSession`).  The construction is
+textbook: ``keystream[i] = SHA256(key || nonce || i)``, ciphertext is
+XOR, and an HMAC-SHA-256 tag covers nonce, associated data and
+ciphertext.  It is real (decryption fails on any tampering), small,
 and needs no third-party packages.
 """
 
@@ -20,25 +21,40 @@ NONCE_SIZE = 16
 TAG_SIZE = DIGEST_SIZE
 
 
-def _keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    """XOR ``data`` with pad blocks ``SHA256(key || nonce || LE64(i))``.
+# The 8-byte block counters of one 4 KB page's pad, built once.
+_COUNTERS = tuple(i.to_bytes(8, "little") for i in range(4096 // DIGEST_SIZE))
+
+
+def _pad(key: bytes, nonce: bytes, n: int) -> int:
+    """The first ``n`` bytes of the pad ``SHA256(key || nonce || LE64(i))``.
 
     The ``key || nonce`` prefix is hashed once and each block hashes only
-    its counter onto a copy of that state; the joined pad is XORed into
-    ``data`` as one big-integer operation.
+    its counter onto a copy of that state.  The pad comes back as one
+    little-endian integer, ready for :func:`_xor`.
     """
-    n = len(data)
     prefix = hashlib.sha256(key)
     prefix.update(nonce)
     copy = prefix.copy
+    blocks = (n + DIGEST_SIZE - 1) // DIGEST_SIZE
+    counters = (_COUNTERS[:blocks] if blocks <= len(_COUNTERS) else
+                [i.to_bytes(8, "little") for i in range(blocks)])
     pads = []
-    for i in range((n + DIGEST_SIZE - 1) // DIGEST_SIZE):
+    for counter in counters:
         block = copy()
-        block.update(i.to_bytes(8, "little"))
+        block.update(counter)
         pads.append(block.digest())
-    pad = b"".join(pads)[:n]
-    return (int.from_bytes(data, "little")
-            ^ int.from_bytes(pad, "little")).to_bytes(n, "little")
+    return int.from_bytes(b"".join(pads)[:n], "little")
+
+
+def _xor(data: bytes, pad: int) -> bytes:
+    """XOR ``data`` with a pad from :func:`_pad` of the same length."""
+    n = len(data)
+    return (int.from_bytes(data, "little") ^ pad).to_bytes(n, "little")
+
+
+def _keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """XOR ``data`` with pad blocks ``SHA256(key || nonce || LE64(i))``."""
+    return _xor(data, _pad(key, nonce, len(data)))
 
 
 def _split_keys(key: bytes) -> tuple[bytes, bytes]:
@@ -47,29 +63,83 @@ def _split_keys(key: bytes) -> tuple[bytes, bytes]:
     return enc, mac
 
 
+class AeadSession:
+    """One AEAD key split once, plus the pads of blobs not yet opened.
+
+    A caller that seals and later opens many blobs under one key (the
+    EPC swap path) passes a session to :func:`aead_encrypt` and
+    :func:`aead_decrypt` instead of re-deriving the encryption and MAC
+    keys on every call.  Encrypting also holds the blob's pad under its
+    nonce; decrypting takes it back, but only after the tag verified, so
+    a blob that opens is exactly the one that was sealed and its pad is
+    the one that was held.  Every other case computes the pad from
+    scratch.
+
+    A pad is key-equivalent secret material: it stays inside the
+    session, which has no serialization and whose ``repr`` shows only
+    how many pads it holds.
+    """
+
+    def __init__(self, key: bytes) -> None:
+        self.keys = _split_keys(key)                   # (enc_key, mac_key)
+        self._pads: dict[bytes, tuple[int, int]] = {}  # nonce -> (len, pad)
+
+    def __repr__(self) -> str:
+        return f"AeadSession(held_pads={self.held_pads})"
+
+    @property
+    def held_pads(self) -> int:
+        return len(self._pads)
+
+    def _hold(self, nonce: bytes, n: int, pad: int) -> None:
+        self._pads[nonce] = (n, pad)
+
+    def _take(self, nonce: bytes, n: int) -> int | None:
+        held = self._pads.pop(nonce, None)
+        return held[1] if held is not None and held[0] == n else None
+
+
 def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes,
-                 aad: bytes = b"") -> bytes:
-    """Encrypt-then-MAC.  Returns ``nonce || ciphertext || tag``."""
+                 aad: bytes = b"", *,
+                 session: AeadSession | None = None) -> bytes:
+    """Encrypt-then-MAC.  Returns ``nonce || ciphertext || tag``.
+
+    ``session``, if given, must be ``AeadSession(key)``; it supplies the
+    split keys and holds the pad until the blob is opened.
+    """
     if len(nonce) != NONCE_SIZE:
         raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
-    enc_key, mac_key = _split_keys(key)
-    ciphertext = _keystream_xor(enc_key, nonce, plaintext)
+    enc_key, mac_key = _split_keys(key) if session is None else session.keys
+    n = len(plaintext)
+    pad = _pad(enc_key, nonce, n)
+    ciphertext = _xor(plaintext, pad)
     tag = hmac_sha256(mac_key, nonce, aad, ciphertext)
+    if session is not None:
+        session._hold(nonce, n, pad)
     return nonce + ciphertext + tag
 
 
-def aead_decrypt(key: bytes, blob: bytes, aad: bytes = b"") -> bytes:
-    """Verify the tag and decrypt; raises :class:`SealError` on tamper."""
+def aead_decrypt(key: bytes, blob: bytes, aad: bytes = b"", *,
+                 session: AeadSession | None = None) -> bytes:
+    """Verify the tag and decrypt; raises :class:`SealError` on tamper.
+
+    With a ``session`` (``AeadSession(key)``), a verified blob reuses
+    and releases the pad held since it was sealed.
+    """
     if len(blob) < NONCE_SIZE + TAG_SIZE:
         raise SealError("sealed blob too short")
     nonce = blob[:NONCE_SIZE]
     ciphertext = blob[NONCE_SIZE:-TAG_SIZE]
     tag = blob[-TAG_SIZE:]
-    enc_key, mac_key = _split_keys(key)
+    enc_key, mac_key = _split_keys(key) if session is None else session.keys
     expected = hmac_sha256(mac_key, nonce, aad, ciphertext)
     if not constant_time_eq(tag, expected):
         raise SealError("authentication tag mismatch")
-    return _keystream_xor(enc_key, nonce, ciphertext)
+    n = len(ciphertext)
+    pad = session._take(nonce, n) if session is not None else None
+    if pad is None:
+        pad = _pad(enc_key, nonce, n)
+    return _xor(ciphertext, pad)
 
 
 class Drbg:

@@ -23,14 +23,22 @@ from repro.monitor.structs import (EnclaveConfig, EnclaveMode, PagePerm,
 ENCLAVE_BASE_VA = 0x2000_0000_0000
 
 
-def perms_to_flags(perms: PagePerm) -> PageTableFlags:
-    """Translate RWX page permissions into PTE flags."""
+def _flags_for(perms: PagePerm) -> PageTableFlags:
     flags = PageTableFlags.PRESENT | PageTableFlags.USER
     if perms & PagePerm.W:
         flags |= PageTableFlags.WRITABLE
     if not perms & PagePerm.X:
         flags |= PageTableFlags.NX
     return flags
+
+
+# Every R/W/X combination, so the hot commit path does no enum arithmetic.
+_PERM_FLAGS = {PagePerm(bits): _flags_for(PagePerm(bits)) for bits in range(8)}
+
+
+def perms_to_flags(perms: PagePerm) -> PageTableFlags:
+    """Translate RWX page permissions into PTE flags."""
+    return _PERM_FLAGS[perms]
 
 
 class EnclaveState(enum.Enum):

@@ -645,21 +645,25 @@ class RustMonitor:
                       if e.state is EnclaveState.INITIALIZED]
         for enclave in sorted(candidates, key=lambda e: -len(e.pages)):
             state = self._swap_state(enclave)
-            for page in list(enclave.pages.values()):
-                page_va = enclave.secs.base + page.offset
+            base, records = enclave.secs.base, state.records
+            # The victim is the first REG page in commit order.
+            for page in enclave.pages.values():
+                page_va = base + page.offset
                 if page.page_type is PageType.REG and \
-                        page_va not in state.records:
-                    swap_out_page(self, enclave, state, self.swap_store,
-                                  page_va)
-                    pair = (enclave.enclave_id, for_enclave)
-                    self.epc_steals[pair] = self.epc_steals.get(pair, 0) + 1
-                    self.machine.telemetry.count(
-                        "monitor", "epc.frames_stolen",
-                        victim=enclave.enclave_id, aggressor=for_enclave)
-                    tracer = self.machine.telemetry.requests
-                    if tracer is not None:
-                        tracer.note_steal(enclave.enclave_id, for_enclave)
-                    return True
+                        page_va not in records:
+                    break
+            else:
+                continue
+            swap_out_page(self, enclave, state, self.swap_store, page_va)
+            pair = (enclave.enclave_id, for_enclave)
+            self.epc_steals[pair] = self.epc_steals.get(pair, 0) + 1
+            self.machine.telemetry.count(
+                "monitor", "epc.frames_stolen",
+                victim=enclave.enclave_id, aggressor=for_enclave)
+            tracer = self.machine.telemetry.requests
+            if tracer is not None:
+                tracer.note_steal(enclave.enclave_id, for_enclave)
+            return True
         return False
 
     def _alloc_epc_frame(self, enclave_id: int) -> int:

@@ -12,14 +12,18 @@ neither tamper with, substitute, nor replay a blob:
 * substitute -> the AAD binds the virtual address;
 * replay     -> the AAD binds the version recorded in monitor memory.
 
-Swap-in happens transparently on the enclave's next page fault.
+Swap-in happens transparently on the enclave's next page fault.  The
+swap key is split into its encryption and MAC keys once per enclave, and
+each swapped-out page's keystream pad stays in the enclave's
+:class:`~repro.crypto.cipher.AeadSession` until the page's swap-in opens
+the blob (after the tag verified) or EREMOVE drops the swap state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.cipher import aead_encrypt, aead_decrypt
+from repro.crypto.cipher import AeadSession, aead_encrypt, aead_decrypt
 from repro.crypto.hashes import hkdf
 from repro.errors import MonitorError, SecurityViolation, SealError
 from repro.hw.phys import PAGE_SIZE
@@ -75,6 +79,9 @@ class EnclaveSwapState:
 
     def __init__(self, swap_key: bytes) -> None:
         self.key = swap_key
+        # Split keys, and the pad of each page in ``records`` until its
+        # swap-in: no pad outlives its record.
+        self.session = AeadSession(swap_key)
         self.records: dict[int, SwappedPageRecord] = {}   # page VA -> rec
         self._version = 0
 
@@ -120,7 +127,8 @@ def swap_out_page(monitor, enclave, state: EnclaveSwapState,
         version = state.next_version()
         nonce = monitor.machine.tpm.random(16)
         blob = aead_encrypt(state.key, nonce, content,
-                            aad=_aad(page_va, version))
+                            aad=_aad(page_va, version),
+                            session=state.session)
         token = store.put(blob)
         state.records[page_va] = SwappedPageRecord(
             token=token, version=version, perms=page.perms)
@@ -156,7 +164,8 @@ def swap_in_page(monitor, enclave, state: EnclaveSwapState,
         blob = store.get(record.token)
         try:
             content = aead_decrypt(state.key, blob,
-                                   aad=_aad(page_va, record.version))
+                                   aad=_aad(page_va, record.version),
+                                   session=state.session)
         except SealError as exc:
             raise SecurityViolation(
                 f"swap-in integrity failure for enclave "

@@ -233,7 +233,7 @@ class TestRegistry:
     def test_gate_set_is_the_acceptance_list(self):
         assert [spec.name for spec in gate_specs()] == \
             ["table1_edge_calls", "table2_exceptions", "fig7_marshalling",
-             "fig11_memenc"]
+             "fig11_memenc", "ablation_swap"]
 
     def test_exact_benches_have_zero_tolerance(self):
         for name in ("table1_edge_calls", "table2_exceptions"):

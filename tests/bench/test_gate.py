@@ -22,7 +22,7 @@ from repro.profiler import parse_collapsed
 TABLE1 = REGISTRY["table1_edge_calls"]
 TABLE2 = REGISTRY["table2_exceptions"]
 GATE_SET = ("table1_edge_calls", "table2_exceptions", "fig7_marshalling",
-            "fig11_memenc")
+            "fig11_memenc", "ablation_swap")
 
 
 @pytest.fixture(scope="module")

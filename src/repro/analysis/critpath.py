@@ -3,9 +3,8 @@
 Consumes the requests JSON documents produced by
 :mod:`repro.telemetry.requests` and derives the *why was this slow*
 answers: per-request critical paths through the causal segment tree,
-per-request cycle breakdowns into five coarse classes
-(``enclave-compute`` / ``world-switch`` / ``marshalling`` /
-``swap-stall`` / ``kernel``), per-tenant and per-call-name p50/p95/p99
+per-request cycle breakdowns into the coarse
+:data:`~repro.hw.cycles.CLASSES`, per-tenant and per-call-name p50/p95/p99
 latency tables with an attributed tail cause, and the cross-tenant
 interference report (which tenant's EPC steals stalled whose requests).
 
@@ -15,64 +14,19 @@ runs, hot-path implementations and flight-recorder replay, and the
 module holds the staticcheck SC001 determinism bar alongside the
 tracer that feeds it.
 
-The victim/aggressor attribution rules intentionally mirror the
-timeline pressure-episode detector (`repro.telemetry.timeline._episode`):
-cross-tenant steal pairs are preferred over self-steals, and ties break
-deterministically via ``max(sorted(...))``.
+Categories fold into classes through the one registry,
+:data:`repro.hw.cycles.CATEGORIES`.  The victim/aggressor choice is the
+timeline pressure-episode detector's own
+(:func:`repro.telemetry.timeline.pick_steal_pair`), so the two reports
+always agree.
 """
 
 from __future__ import annotations
 
 import math
 
-#: The five breakdown classes (plus the total-preserving catch-all).
-CLASSES = ("enclave-compute", "world-switch", "marshalling",
-           "swap-stall", "kernel", "other")
-
-_EXACT_CLASS = {
-    # world switch
-    "tlb-warmup": "world-switch",
-    # edge-call marshalling
-    "memcpy": "marshalling", "sdk-ecall": "marshalling",
-    "sdk-ocall": "marshalling", "switchless": "marshalling",
-    # EPC pressure stalls
-    "swap-in": "swap-stall", "swap-out": "swap-stall",
-    "demand-paging": "swap-stall", "edmm-sgx2": "swap-stall",
-    # monitor / OS kernel work
-    "hypercall": "kernel", "tlb-shootdown": "kernel",
-    "pte-update": "kernel", "interrupt": "kernel",
-    "measure": "kernel", "seal": "kernel", "seal-key": "kernel",
-    "syscall": "kernel", "kernel-work": "kernel", "ctxsw": "kernel",
-    "pte-fill": "kernel", "os-fault": "kernel", "signal": "kernel",
-    "npt-fill": "kernel", "vfs": "kernel", "link": "kernel",
-    # in-enclave (and native) execution
-    "enclave-memory": "enclave-compute", "native-memory": "enclave-compute",
-    "memory": "enclave-compute", "compute": "enclave-compute",
-    "own-pt-update": "enclave-compute", "invlpg": "enclave-compute",
-    "resident-touch": "enclave-compute",
-}
-_PREFIX_CLASS = {
-    "eenter": "world-switch", "eexit": "world-switch",
-    "aex": "world-switch", "eresume": "world-switch",
-    # Exception-handler and page-fault trampoline work executes inside
-    # the enclave on the request's behalf.
-    "exception": "enclave-compute", "pf": "enclave-compute",
-}
-
-
-def critpath_class(category: str) -> str:
-    """Fold a cycle-charge category into a critical-path class.
-
-    Total like :func:`repro.telemetry.core.subsystem_for_category`:
-    unknown categories land in ``other``, so class totals always sum
-    exactly to the request total.
-    """
-    cls = _EXACT_CLASS.get(category)
-    if cls is not None:
-        return cls
-    head = category.split(":", 1)[0]
-    return _PREFIX_CLASS.get(head, _EXACT_CLASS.get(head, "other"))
-
+from repro.hw.cycles import CLASSES, critpath_class
+from repro.telemetry.timeline import pick_steal_pair, steal_pair
 
 # -- per-request analysis ----------------------------------------------------
 
@@ -187,18 +141,13 @@ def latency_tables(document: dict) -> list[dict]:
 # -- cross-tenant interference -----------------------------------------------
 
 
-def _pair(key: str) -> tuple[str, str]:
-    victim, sep, aggressor = key.partition("->")
-    return (victim, aggressor if sep else victim)
-
-
 def interference_report(document: dict) -> list[dict]:
     """Which tenant's EPC steals stalled whose requests.
 
     One entry per trace: the folded steal pairs, the overall
-    victim/aggressor (same preference and tie-break rules as the
-    timeline episode detector, so the two reports always agree), and
-    per-pair rows counting the victim's stalled requests and swap-stall
+    victim/aggressor (chosen by the timeline episode detector's
+    :func:`~repro.telemetry.timeline.pick_steal_pair`), and per-pair
+    rows counting the victim's stalled requests and swap-stall
     cycles.
     """
     out: list[dict] = []
@@ -207,18 +156,7 @@ def interference_report(document: dict) -> list[dict]:
         for request in trace["requests"]:
             for key, count in request["steals"].items():
                 pairs[key] = pairs.get(key, 0) + count
-        cross = {k: v for k, v in pairs.items() if _pair(k)[0] != _pair(k)[1]}
-        chosen = cross or pairs
-        victim = aggressor = None
-        if chosen:
-            stolen_from: dict[str, float] = {}
-            stolen_by: dict[str, float] = {}
-            for key, count in chosen.items():
-                v, a = _pair(key)
-                stolen_from[v] = stolen_from.get(v, 0) + count
-                stolen_by[a] = stolen_by.get(a, 0) + count
-            victim = max(sorted(stolen_from), key=lambda k: stolen_from[k])
-            aggressor = max(sorted(stolen_by), key=lambda k: stolen_by[k])
+        chosen, victim, aggressor = pick_steal_pair(pairs)
 
         # Swap-stall exposure per tenant: how many of its requests
         # actually stalled, and for how many cycles.
@@ -233,7 +171,7 @@ def interference_report(document: dict) -> list[dict]:
 
         rows = []
         for key in sorted(chosen):
-            v, a = _pair(key)
+            v, a = steal_pair(key)
             rows.append({
                 "victim": _display(trace, v),
                 "aggressor": _display(trace, a),

@@ -116,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="events of context around the divergence")
     p.add_argument("--perturb-category", default=None, metavar="CAT",
                    help="inject extra cycles into charges of this "
-                        "category (testing the bisection)")
+                        "declared category (testing the bisection)")
     p.add_argument("--perturb-cycles", type=float, default=1.0,
                    metavar="N")
     p.add_argument("--perturb-at", type=int, default=1, metavar="K",

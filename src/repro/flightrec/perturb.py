@@ -9,14 +9,15 @@ the context — the simulation itself is untouched.
 
 from __future__ import annotations
 
-from repro.hw.cycles import CycleCounter
+from repro.hw.cycles import CycleCounter, category_entry
 
 
 class perturb_cycles:
     """Add ``extra`` cycles to the ``at``-th charge matching ``category``.
 
     ``category`` matches exactly, or as a prefix when it ends with
-    ``:`` (so ``"eenter:"`` matches ``"eenter:gu"`` and friends).
+    ``:`` (so ``"eenter:"`` matches ``"eenter:gu"`` and friends); an
+    undeclared category (a typo would never fire) is a ValueError.
     Counting is global across every CycleCounter in the process, which
     is what makes the injection deterministic for a single-scenario
     replay.
@@ -26,6 +27,8 @@ class perturb_cycles:
                  at: int = 1) -> None:
         if at < 1:
             raise ValueError("at is 1-based")
+        if category_entry(category) is None:
+            raise ValueError(f"undeclared charge category {category!r}")
         self.category = category
         self.extra = extra
         self.at = at
@@ -42,7 +45,7 @@ class perturb_cycles:
         self._original = CycleCounter.charge
         injector = self
 
-        def charge(counter, cycles, category="misc"):
+        def charge(counter, cycles, category):
             if not injector.fired and injector._matches(category):
                 injector._seen += 1
                 if injector._seen == injector.at:

@@ -12,6 +12,81 @@ from collections import defaultdict
 from contextlib import contextmanager
 from typing import Iterator
 
+#: The critical-path classes (plus the total-preserving catch-all).
+CLASSES = ("enclave-compute", "world-switch", "marshalling",
+           "swap-stall", "kernel", "other")
+
+#: Every charge category, declared once: name -> (telemetry subsystem,
+#: critical-path class, meaning).  A family whose members carry a
+#: suffix (``eenter:gu``, ``pf:p``) is keyed by its head before ``:``.
+CATEGORIES: dict[str, tuple[str, str, str]] = {
+    "hypercall": ("monitor", "kernel", "RustMonitor hypercall handling"),
+    "tlb-shootdown": ("monitor", "kernel", "cross-vCPU TLB shootdown"),
+    "pte-update": ("monitor", "kernel", "monitor edit of an enclave PTE"),
+    "interrupt": ("monitor", "kernel", "interrupt handling, native run"),
+    "measure": ("monitor", "kernel", "measuring pages into MRENCLAVE"),
+    "seal": ("monitor", "kernel", "sealing or unsealing data"),
+    "seal-key": ("monitor", "kernel", "sealing-key derivation"),
+    "edmm-sgx2": ("monitor", "swap-stall", "SGX2 dynamic EPC change"),
+    "demand-paging": ("monitor", "swap-stall", "EPC demand-fault service"),
+    "swap-in": ("monitor", "swap-stall", "decrypt and restore an EPC page"),
+    "swap-out": ("monitor", "swap-stall", "encrypt and evict an EPC page"),
+    "eenter": ("world", "world-switch", "EENTER into an enclave"),
+    "eexit": ("world", "world-switch", "EEXIT back to the host"),
+    "aex": ("world", "world-switch", "asynchronous enclave exit"),
+    "aex-interrupt": ("world", "world-switch", "AEX forced by an interrupt"),
+    "eresume": ("world", "world-switch", "ERESUME after an AEX"),
+    "tlb-warmup": ("world", "world-switch", "TLB refill after a switch"),
+    "exception": ("world", "enclave-compute", "in-enclave exception handler"),
+    "pf": ("world", "enclave-compute", "in-enclave page-fault handler"),
+    "sdk-ecall": ("sdk", "marshalling", "ECALL bridge and trampoline"),
+    "sdk-ocall": ("sdk", "marshalling", "OCALL bridge and trampoline"),
+    "memcpy": ("sdk", "marshalling", "[in]/[out] buffer copy"),
+    "switchless": ("sdk", "marshalling", "switchless-call queue work"),
+    "enclave-memory": ("memory", "enclave-compute", "enclave memory access"),
+    "native-memory": ("memory", "enclave-compute", "native memory access"),
+    "memory": ("memory", "enclave-compute", "memory access, untagged"),
+    "compute": ("memory", "enclave-compute", "ALU work"),
+    "own-pt-update": ("memory", "enclave-compute", "P-mode own PT edit"),
+    "invlpg": ("memory", "enclave-compute", "P-mode INVLPG"),
+    "parse": ("memory", "enclave-compute", "kbuild source parsing"),
+    "codegen": ("memory", "enclave-compute", "kbuild code generation"),
+    "victim-compute": ("memory", "enclave-compute", "side-channel victim"),
+    # Subsystem "other": BENCH_ablation_swap.json pins these 327,850
+    # cycles as telemetry.by_subsystem.other; moving them is a baseline
+    # change.
+    "resident-touch": ("other", "enclave-compute", "ablation page touch"),
+    "syscall": ("os", "kernel", "system-call entry and exit"),
+    "kernel-work": ("os", "kernel", "in-kernel syscall work"),
+    "ctxsw": ("os", "kernel", "process context switch"),
+    "pte-fill": ("os", "kernel", "OS page-table fill on a fault"),
+    "os-fault": ("os", "kernel", "OS page-fault handling"),
+    "signal": ("os", "kernel", "signal delivery"),
+    "npt-fill": ("os", "kernel", "nested page-table fill"),
+    "vfs": ("os", "kernel", "VFS lookup and file I/O"),
+    "link": ("os", "kernel", "kbuild link step"),
+    "netstack": ("os", "kernel", "loopback network stack, per message"),
+}
+_UNDECLARED = ("other", "other", "undeclared")
+
+
+def category_entry(category: str) -> tuple[str, str, str] | None:
+    """The registry entry for ``category`` (its full name first, then
+    its family head), or None when it is undeclared."""
+    return CATEGORIES.get(category,
+                          CATEGORIES.get(category.split(":", 1)[0]))
+
+
+def subsystem_for_category(category: str) -> str:
+    """Fold a category into its subsystem; an undeclared one into
+    ``other``, so subsystem totals always sum to the run total."""
+    return (category_entry(category) or _UNDECLARED)[0]
+
+
+def critpath_class(category: str) -> str:
+    """Fold a category into its critical-path class (or ``other``)."""
+    return (category_entry(category) or _UNDECLARED)[1]
+
 
 class CycleCounter:
     """A monotonically increasing cycle counter with per-category totals."""
@@ -25,7 +100,7 @@ class CycleCounter:
         # timeline); None keeps the disabled path to one load + branch.
         self._timeline = None
 
-    def charge(self, cycles: float, category: str = "misc") -> None:
+    def charge(self, cycles: float, category: str) -> None:
         """Add ``cycles`` to the running total under ``category``."""
         if cycles < 0:
             raise ValueError(f"negative cycle charge: {cycles}")

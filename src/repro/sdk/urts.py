@@ -38,15 +38,6 @@ _OCALL_URTS = costs.OCALL_SDK_STEPS[2:3]
 _OCALL_TRTS_POST = costs.OCALL_SDK_STEPS[3:]
 
 
-def _charge_steps(machine, steps, category) -> None:
-    # One summed charge per step list: costs are integers, so the total
-    # and per-category breakdown match per-step charging exactly.
-    total = 0
-    for _, cyc in steps:
-        total += cyc
-    machine.cycles.charge(total, category)
-
-
 def _charge_memcpy(machine, nbytes: int) -> None:
     lines = max(1, (nbytes + costs.CACHE_LINE - 1) // costs.CACHE_LINE)
     machine.cycles.charge(
@@ -231,7 +222,7 @@ class EnclaveHandle:
                 tracer.end_request(token, error=error)
 
     def _do_ecall(self, spec: FuncSpec, func, kwargs):
-        _charge_steps(self.machine, _URTS_PRE, "sdk-ecall")
+        self.machine.cpu.charge_steps(_URTS_PRE, "sdk-ecall")
         tcs = self.enclave.acquire_tcs()
         frame_save = self._ecall_cursor
         try:
@@ -241,15 +232,15 @@ class EnclaveHandle:
             prev_tcs = self.ctx.current_tcs
             self.ctx.current_tcs = tcs
             try:
-                _charge_steps(self.machine, _TRTS_PRE, "sdk-ecall")
+                self.machine.cpu.charge_steps(_TRTS_PRE, "sdk-ecall")
                 args, out_bufs = self._unmarshal_trusted(spec, staged)
                 retval = func(self.ctx, **args)
                 self._marshal_out_trusted(spec, staged, out_bufs)
-                _charge_steps(self.machine, _TRTS_POST, "sdk-ecall")
+                self.machine.cpu.charge_steps(_TRTS_POST, "sdk-ecall")
             finally:
                 self.ctx.current_tcs = prev_tcs
             self.world.eexit(self.enclave, self.AEP)
-            _charge_steps(self.machine, _URTS_POST, "sdk-ecall")
+            self.machine.cpu.charge_steps(_URTS_POST, "sdk-ecall")
             outs = self._copy_out_to_app(spec, staged)
         finally:
             self._ecall_cursor = frame_save
@@ -424,7 +415,7 @@ class EnclaveHandle:
     def _do_ocall(self, ctx: EnclaveContext, spec: FuncSpec, impl, tcs,
                   switchless: bool, name: str, kwargs):
         if not switchless:
-            _charge_steps(self.machine, _OCALL_TRTS_PRE, "sdk-ocall")
+            self.machine.cpu.charge_steps(_OCALL_TRTS_PRE, "sdk-ocall")
         frame_save = self._ocall_cursor
         try:
             app_args: dict[str, object] = {}
@@ -461,7 +452,7 @@ class EnclaveHandle:
                 self.switchless_calls += 1
             else:
                 self.world.eexit(self.enclave, self.AEP)
-                _charge_steps(self.machine, _OCALL_URTS, "sdk-ocall")
+                self.machine.cpu.charge_steps(_OCALL_URTS, "sdk-ocall")
                 result = impl(**app_args)
             retval, impl_outs = _split_ocall_result(result, out_entries)
             for pname, data in impl_outs.items():
@@ -476,7 +467,7 @@ class EnclaveHandle:
             else:
                 self.world.eenter(self.enclave, tcs, self.AEP)
                 self.world.charge_ocall_warmup(self.enclave)
-                _charge_steps(self.machine, _OCALL_TRTS_POST, "sdk-ocall")
+                self.machine.cpu.charge_steps(_OCALL_TRTS_POST, "sdk-ocall")
 
             outs = {pname: ctx.read_stream(va, size)
                     for pname, (va, size) in out_entries.items()}

@@ -16,12 +16,14 @@ determinism (SC001/SC002)
     file-local arm flags any direct wall-clock or unseeded-``random``
     reference in every analyzed file.
 
-charge coverage (SC003/SC005)
+charge coverage (SC003/SC005/SC009)
     Every configured public ``RustMonitor`` / hw entry point must reach
     a ``_charge_hypercall`` / ``CycleCounter.charge`` /
     ``Cpu.charge_steps`` site over precisely resolved calls, with
-    uncharged exit paths reported separately.  (SC004, a fast-path
-    branch-parity rule, is retired; its number is not reused.)
+    uncharged exit paths reported separately.  Every literal charge
+    category (or f-string head) must be declared in
+    ``repro.hw.cycles.CATEGORIES``.  (SC004, a fast-path branch-parity
+    rule, is retired; its number is not reused.)
 
 boundary taint (SC006)
     Values originating in the untrusted layers (``sdk``, ``apps``,

@@ -35,7 +35,8 @@ def analyze(paths: list[Path],
     raw: list[StaticFinding] = []
     if config.rule_enabled("SC001") or config.rule_enabled("SC002"):
         raw.extend(determinism.run(project, facts, config))
-    if config.rule_enabled("SC003") or config.rule_enabled("SC005"):
+    if any(config.rule_enabled(rule)
+           for rule in ("SC003", "SC005", "SC009")):
         raw.extend(charges.run(project, facts, config))
     if config.rule_enabled("SC006"):
         raw.extend(taint.run(project, facts, config))

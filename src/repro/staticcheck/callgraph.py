@@ -5,7 +5,7 @@ call sites (resolved precisely through imports, ``self`` dispatch and
 class bases where possible, falling back to name-based method dispatch
 otherwise), every *external* dotted reference the body makes
 (``time.time``, ``os.environ`` — calls or bare attribute access), and
-the cycle-charge sites with their category expressions.
+the cycle-charge sites with their literal categories.
 
 Nested functions and lambdas are folded into their enclosing top-level
 function: a closure's effects are attributed to the function that
@@ -47,21 +47,13 @@ class CallSite:
 
 
 @dataclass
-class ChargeSite:
-    """One cycle-charge call with its normalized category expression."""
-
-    line: int
-    attr: str
-    category: str
-
-
-@dataclass
 class FunctionFacts:
     """Per-function analysis facts."""
 
     calls: list[CallSite] = field(default_factory=list)
     external_refs: list[tuple[str, int]] = field(default_factory=list)
-    charges: list[ChargeSite] = field(default_factory=list)
+    # (line, literal category) of each charge call that names one.
+    charges: list[tuple[int, str]] = field(default_factory=list)
 
 
 def _local_aliases(fn: ast.AST, module: ModuleInfo) -> dict[str, str]:
@@ -79,10 +71,11 @@ def _local_aliases(fn: ast.AST, module: ModuleInfo) -> dict[str, str]:
     return local
 
 
-def _category_of(call: ast.Call, attr: str) -> str:
-    """Normalized charge-category expression for a charge call."""
+def _category_of(call: ast.Call, attr: str) -> str | None:
+    """A charge call's category literal, or an f-string's literal head
+    (``"eenter:"`` for ``f"eenter:{mode}"``); None for other forms."""
     if attr == "_charge_hypercall":
-        return "'hypercall'"
+        return "hypercall"
     expr: ast.AST | None = None
     if len(call.args) >= 2:
         expr = call.args[1]
@@ -90,11 +83,11 @@ def _category_of(call: ast.Call, attr: str) -> str:
         for kw in call.keywords:
             if kw.arg == "category":
                 expr = kw.value
-    if expr is None:
-        return "'misc'"
+    if isinstance(expr, ast.JoinedStr) and expr.values:
+        expr = expr.values[0]
     if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-        return repr(expr.value)
-    return ast.unparse(expr)
+        return expr.value
+    return None
 
 
 class _BodyVisitor(ast.NodeVisitor):
@@ -250,9 +243,9 @@ class _BodyVisitor(ast.NodeVisitor):
             has_args=bool(node.args or node.keywords))
         self.facts.calls.append(site)
         if attr in CHARGE_ATTRS:
-            self.facts.charges.append(ChargeSite(
-                line=node.lineno, attr=attr,
-                category=_category_of(node, attr)))
+            category = _category_of(node, attr)
+            if category is not None:
+                self.facts.charges.append((node.lineno, category))
 
 
 def build_facts(project: Project) -> dict[str, FunctionFacts]:

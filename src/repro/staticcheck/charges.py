@@ -1,4 +1,4 @@
-"""SC003/SC005: interprocedural charge-coverage passes.
+"""SC003/SC005/SC009: charge-coverage and charge-category passes.
 
 SC003: every configured public entry point (``RustMonitor`` hypercalls,
 the world-switch engine, the memory-subsystem hot methods) must *reach*
@@ -14,6 +14,10 @@ ever charging.  A lightweight path walk over the statement tree finds
 such exits; ``return <constant>`` guards (the zero-work early-outs) and
 ``raise`` terminations are exempt, and a call to a function that itself
 charges on every path counts as charging.
+
+SC009: a literal charge category (or f-string head) must be declared in
+:data:`repro.hw.cycles.CATEGORIES`, or its cycles fold into ``other``.
+Categories passed in through a parameter are out of its reach.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import ast
 from fnmatch import fnmatch
 
+from repro.hw.cycles import category_entry
 from repro.staticcheck.callgraph import CHARGE_ATTRS, FunctionFacts
 from repro.staticcheck.config import StaticcheckConfig
 from repro.staticcheck.findings import StaticFinding
@@ -86,6 +91,15 @@ def run(project: Project, facts: dict[str, FunctionFacts],
                          f"{expr!r} without charging"),
                 chain=[info.qualname]))
 
+    for qualname, fn_facts in facts.items():
+        for line, category in fn_facts.charges:
+            if category_entry(category) is None:
+                findings.append(StaticFinding(
+                    rule="SC009", path=project.functions[qualname].path,
+                    line=line, symbol=qualname, sink=f"category {category!r}",
+                    message=(f"charge category {category!r} is undeclared "
+                             f"in repro.hw.cycles.CATEGORIES"),
+                    chain=[qualname]))
     return findings
 
 

@@ -22,6 +22,7 @@ ALL_SC_RULES: dict[str, str] = {
     "SC006": "untrusted value reaches a trusted sink unmarshalled",
     "SC007": "telemetry span neither context-managed nor returned",
     "SC008": "bare except in a trusted layer",
+    "SC009": "charge category not declared in the registry",
 }
 
 

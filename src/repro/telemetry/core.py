@@ -24,46 +24,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.hw.cycles import subsystem_for_category
 from repro.hw.trace import TraceBuffer
 from repro.telemetry.metrics import MetricsRegistry, _label_key
-
-# -- cycle-category -> subsystem attribution ---------------------------------
-#
-# Every cycle charged anywhere in the simulator carries a category string
-# (see repro.hw.cycles.CycleCounter.charge).  This table folds those
-# categories into the coarse subsystems the paper's evaluation talks
-# about; because the mapping is total (unknown categories fall into
-# "other"), per-subsystem totals always sum exactly to the run total.
-
-_EXACT_SUBSYSTEM = {
-    "hypercall": "monitor", "tlb-shootdown": "monitor",
-    "pte-update": "monitor", "edmm-sgx2": "monitor",
-    "demand-paging": "monitor", "swap-in": "monitor",
-    "swap-out": "monitor", "interrupt": "monitor",
-    "measure": "monitor", "seal": "monitor", "seal-key": "monitor",
-    "tlb-warmup": "world",
-    "sdk-ecall": "sdk", "sdk-ocall": "sdk", "memcpy": "sdk",
-    "switchless": "sdk",
-    "enclave-memory": "memory", "native-memory": "memory",
-    "memory": "memory", "compute": "memory",
-    "own-pt-update": "memory", "invlpg": "memory",
-    "syscall": "os", "kernel-work": "os", "ctxsw": "os",
-    "pte-fill": "os", "os-fault": "os", "signal": "os",
-    "npt-fill": "os", "vfs": "os", "link": "os",
-}
-_PREFIX_SUBSYSTEM = {
-    "eenter": "world", "eexit": "world", "aex": "world",
-    "eresume": "world", "exception": "world", "pf": "world",
-}
-
-
-def subsystem_for_category(category: str) -> str:
-    """Fold a cycle-charge category into a subsystem name."""
-    sub = _EXACT_SUBSYSTEM.get(category)
-    if sub is not None:
-        return sub
-    head = category.split(":", 1)[0]
-    return _PREFIX_SUBSYSTEM.get(head, _EXACT_SUBSYSTEM.get(head, "other"))
 
 
 def cycles_by_subsystem(breakdown: dict[str, int | float]

@@ -329,9 +329,35 @@ def _delta_map(start: dict, end: dict, name: str) -> dict[str, float]:
     return {k: last.get(k, 0) - first.get(k, 0) for k in keys}
 
 
-def _pair(key: str) -> tuple[str, str]:
+def steal_pair(key: str) -> tuple[str, str]:
+    """``(victim, aggressor)`` of a ``victim->aggressor`` steal key."""
     victim, sep, aggressor = key.partition("->")
     return (victim, aggressor if sep else victim)
+
+
+def pick_steal_pair(steals: dict[str, float]
+                    ) -> tuple[dict[str, float], str | None, str | None]:
+    """``(chosen, victim, aggressor)`` for a map of steal counts.
+
+    Cross-tenant steals name the contention pair; self-steals (an
+    enclave thrashing its own working set) only decide when no other
+    tenant was involved.  In the ``chosen`` steals the victim lost the
+    most frames and the aggressor took the most; ties break via
+    ``max(sorted(...))``.
+    """
+    chosen = {k: v for k, v in steals.items()
+              if steal_pair(k)[0] != steal_pair(k)[1]} or steals
+    if not chosen:
+        return chosen, None, None
+    stolen_from: dict[str, float] = {}
+    stolen_by: dict[str, float] = {}
+    for key, count in chosen.items():
+        v, a = steal_pair(key)
+        stolen_from[v] = stolen_from.get(v, 0) + count
+        stolen_by[a] = stolen_by.get(a, 0) + count
+    return (chosen,
+            max(sorted(stolen_from), key=lambda k: stolen_from[k]),
+            max(sorted(stolen_by), key=lambda k: stolen_by[k]))
 
 
 # -- pressure episodes -------------------------------------------------------
@@ -381,23 +407,8 @@ def _episode(timeline: dict, samples: list, i0: int, i1: int,
     steal_delta = {k: v for k, v in
                    _delta_map(start, end, "epc.stolen_frames").items()
                    if v > 0}
-    # Cross-tenant steals name the contention pair; self-steals (an
-    # enclave thrashing its own working set) only decide when no other
-    # tenant was involved.
-    cross = {k: v for k, v in steal_delta.items()
-             if _pair(k)[0] != _pair(k)[1]}
-    chosen = cross or steal_delta
-    victim = aggressor = None
-    if chosen:
-        stolen_from: dict[str, float] = {}
-        stolen_by: dict[str, float] = {}
-        for key, count in chosen.items():
-            v, a = _pair(key)
-            stolen_from[v] = stolen_from.get(v, 0) + count
-            stolen_by[a] = stolen_by.get(a, 0) + count
-        victim = max(sorted(stolen_from), key=lambda k: stolen_from[k])
-        aggressor = max(sorted(stolen_by), key=lambda k: stolen_by[k])
-    else:
+    chosen, victim, aggressor = pick_steal_pair(steal_delta)
+    if not chosen:
         swapped = {k: v for k, v in _delta_map(start, end, series).items()
                    if v > 0}
         if swapped:
@@ -438,7 +449,7 @@ def tenant_rollups(timeline: dict) -> dict[str, dict]:
     if samples:
         for key, count in sorted(
                 _tenant_values(samples[-1], "epc.stolen_frames").items()):
-            victim, aggressor = _pair(key)
+            victim, aggressor = steal_pair(key)
             keys.add(victim)
             keys.add(aggressor)
             stolen_from.setdefault(victim, {})[aggressor] = count

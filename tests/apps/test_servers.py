@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.critpath import critpath_class
 from repro.apps.kvserver import (KV_PORT, RespServer, decode_reply,
                                  encode_command, make_kv_enclave_image)
 from repro.apps.webserver import (HTTP_PORT, HttpServer, http_request,
@@ -10,6 +11,7 @@ from repro.libos.native import NativeLibos
 from repro.libos.occlum import register_libos_ocalls
 from repro.monitor.structs import EnclaveMode
 from repro.platform import TeePlatform
+from repro.telemetry import subsystem_for_category
 
 
 # ------------------------------------------------------------------ native --
@@ -128,6 +130,14 @@ class TestRespNative:
 
 # ------------------------------------------------------------------ enclave --
 
+def assert_every_category_declared(platform):
+    """No cycle charged in the flow folds into the "other" catch-all."""
+    undeclared = [category for category in platform.machine.cycles.by_category
+                  if subsystem_for_category(category) == "other"
+                  or critpath_class(category) == "other"]
+    assert undeclared == []
+
+
 class TestHttpInEnclave:
     @pytest.mark.parametrize("mode", [EnclaveMode.GU, EnclaveMode.HU])
     def test_full_flow(self, mode):
@@ -149,6 +159,7 @@ class TestHttpInEnclave:
             platform.loopback.recv(client, from_client=False))
         assert status == 200
         assert body == b"enclave doc"
+        assert_every_category_declared(platform)
         handle.destroy()
 
 
@@ -178,4 +189,5 @@ class TestRespInEnclave:
             handle.proxies.kv_serve(conn=conn)
             assert decode_reply(platform.loopback.recv(
                 client, from_client=False)) == b"value"
+            assert_every_category_declared(platform)
             handle.destroy()

@@ -59,6 +59,12 @@ class TestReplay:
         assert "DIVERGENCE" in out
         assert "first divergent event is seq #" in out
 
+    def test_mistyped_perturb_category_exits_two(self, journal_path,
+                                                 capsys):
+        assert main(["replay", str(journal_path),
+                     "--perturb-category", "sdk-ecal"]) == 2
+        assert "undeclared charge category" in capsys.readouterr().err
+
     def test_missing_journal_exits_two(self, tmp_path):
         assert main(["replay", str(tmp_path / "nope.json")]) == 2
 

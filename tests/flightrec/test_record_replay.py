@@ -114,7 +114,12 @@ class TestReplay:
 
     def test_unfired_perturbation_still_replays_clean(self, recorded):
         journal, _ = recorded
-        perturb = perturb_cycles("no-such-category", extra=1.0, at=1)
+        perturb = perturb_cycles("sdk-ecall", extra=1.0, at=10**9)
         result = replay_journal(journal, perturb=perturb)
         assert result.ok
         assert not perturb.fired
+
+    def test_undeclared_perturbation_category_is_rejected(self):
+        with pytest.raises(ValueError, match="sdk-ecal"):
+            perturb_cycles("sdk-ecal")
+        perturb_cycles("eenter:")            # a declared family prefix

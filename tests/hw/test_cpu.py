@@ -45,5 +45,5 @@ def test_vcpu_snapshot_is_a_copy():
 
 def test_rdtsc_reads_cycles():
     cpu = Cpu()
-    cpu.cycles.charge(7)
+    cpu.cycles.charge(7, "compute")
     assert cpu.rdtsc() == 7

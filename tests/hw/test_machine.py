@@ -42,7 +42,7 @@ def test_reboot_resets_volatile_state():
 def test_rdtsc_monotonic():
     m = Machine()
     t0 = m.cpu.rdtsc()
-    m.cycles.charge(100)
+    m.cycles.charge(100, "compute")
     assert m.cpu.rdtsc() == t0 + 100
 
 

@@ -20,7 +20,7 @@ class TestTraceBuffer:
         trace = TraceBuffer()
         trace.attach(cycles)
         trace.enable()
-        cycles.charge(100)
+        cycles.charge(100, "compute")
         trace.record("ev", "detail")
         (event,) = trace.events()
         assert event.cycle == 100

@@ -80,7 +80,7 @@ class TestR003Interprocedural:
         found = run_passes({"monitor/rustmonitor.py": """
             class RustMonitor:
                 def fault(self, va):
-                    self.cpu.charge_steps([1, 2], 'fault')
+                    self.cpu.charge_steps([1, 2], 'pf:p')
             """})
         assert found == []
 

@@ -116,6 +116,18 @@ class TestInjectedViolations:
         assert len(hits) == 1
         assert hits[0].sink == "random.choice"
 
+    def test_undeclared_charge_category_is_caught(self):
+        target = SRC_REPRO / "monitor" / "swap.py"
+        mutated = target.read_text() + (
+            '\n\ndef _mutated_typo(counter):\n'
+            '    """Mutation fixture: a mistyped charge category."""\n'
+            '    counter.charge(1, "swap-inn")\n')
+        found = run_with_overlay({target.as_posix(): mutated})
+        hits = [f for f in found if f.rule == "SC009"]
+        assert len(hits) == 1
+        assert hits[0].symbol == "repro.monitor.swap:_mutated_typo"
+        assert hits[0].sink == "category 'swap-inn'"
+
     def test_unmutated_tree_has_no_such_findings(self):
         found = analyze([SRC_REPRO], repo_config())
         assert not any("mutated" in f.symbol for f in found)

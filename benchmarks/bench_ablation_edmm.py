@@ -81,7 +81,7 @@ def run_experiment():
             "SGX2 EDMM": measure(EnclaveMode.SGX)}
 
 
-def test_ablation_edmm(benchmark, record_result):
+def test_ablation_edmm(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = TextTable(
@@ -93,7 +93,6 @@ def test_ablation_edmm(benchmark, record_result):
         table.add_row(op, fmt_cycles(he), fmt_cycles(sgx),
                       f"{sgx / he:.1f}x")
     table.show()
-    record_result("ablation_edmm", results)
     benchmark.extra_info.update(
         {f"{k}/{op}": v for k, r in results.items() for op, v in r.items()})
 

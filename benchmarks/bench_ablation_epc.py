@@ -27,7 +27,7 @@ def run_experiment():
     return latencies, unconstrained
 
 
-def test_ablation_epc_capacity(benchmark, record_result):
+def test_ablation_epc_capacity(benchmark):
     latencies, unconstrained = benchmark.pedantic(run_experiment, rounds=1,
                                                   iterations=1)
 
@@ -40,9 +40,6 @@ def test_ablation_epc_capacity(benchmark, record_result):
              [unconstrained] * len(CAPACITIES_MB)},
         x_label="capacity")
     table.show()
-    record_result("ablation_epc", {
-        "capacities_mb": CAPACITIES_MB, "latencies": latencies,
-        "hyperenclave_flat": unconstrained})
     benchmark.extra_info["cliff_ratio"] = latencies[0] / latencies[-1]
 
     # Latency falls monotonically as capacity covers more of the set...

@@ -47,7 +47,7 @@ def run_experiment():
     return grid
 
 
-def test_ablation_mode_crossover(benchmark, record_result):
+def test_ablation_mode_crossover(benchmark):
     grid = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = TextTable(
@@ -58,8 +58,6 @@ def test_ablation_mode_crossover(benchmark, record_result):
         table.add_row(ocalls, *[grid[(ocalls, f)]["winner"].upper()
                                 for f in FAULT_RATES])
     table.show()
-    record_result("ablation_modes", {
-        f"{o}/{f}": grid[(o, f)] for o in OCALL_RATES for f in FAULT_RATES})
     benchmark.extra_info["pure_compute_winner"] = grid[(0, 0)]["winner"]
 
     # Pure compute: HU wins on ties broken by cheapest switches — every

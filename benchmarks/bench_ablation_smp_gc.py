@@ -80,14 +80,13 @@ def run_experiment():
     }
 
 
-def test_ablation_smp_gc(benchmark, record_result):
+def test_ablation_smp_gc(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = series(
         "Ablation: GC write-barrier cost per page (cycles) vs CPU count",
         CPU_COUNTS, results, x_label="cpus")
     table.show()
-    record_result("ablation_smp_gc", {"cpus": CPU_COUNTS, **results})
     ratios = [g / p for g, p in zip(results["GU-Enclave"],
                                     results["P-Enclave"])]
     benchmark.extra_info.update(

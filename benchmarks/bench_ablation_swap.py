@@ -89,7 +89,7 @@ def run_experiment():
             "per_touch_pressured": pressured, "per_touch_ample": ample}
 
 
-def test_ablation_swap(benchmark, record_result):
+def test_ablation_swap(benchmark):
     r = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = TextTable(
@@ -102,7 +102,6 @@ def test_ablation_swap(benchmark, record_result):
     table.add_row("per fault, same set on ample pool",
                   fmt_cycles(r["per_touch_ample"]))
     table.show()
-    record_result("ablation_swap", r)
     benchmark.extra_info.update(r)
 
     # Swap-in must pay decrypt+verify on top of a demand-paging commit.

@@ -53,7 +53,7 @@ def run_experiment():
     return {label: measure_mode(mode) for label, mode in MODES}
 
 
-def test_ablation_switchless(benchmark, record_result):
+def test_ablation_switchless(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = TextTable(
@@ -66,7 +66,6 @@ def test_ablation_switchless(benchmark, record_result):
                       fmt_cycles(r["switchless"]),
                       f"{r['regular'] / r['switchless']:.1f}x")
     table.show()
-    record_result("ablation_switchless", results)
     benchmark.extra_info.update(
         {f"{label}/{k}": v for label, r in results.items()
          for k, v in r.items()})

@@ -84,7 +84,7 @@ def run_experiment():
     return results
 
 
-def test_ablation_ycsb_mix(benchmark, record_result):
+def test_ablation_ycsb_mix(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = TextTable(
@@ -95,8 +95,6 @@ def test_ablation_ycsb_mix(benchmark, record_result):
         table.add_row(letter, fmt_ratio(results["GU-Enclave"][i]),
                       fmt_ratio(results["SGX"][i]))
     table.show()
-    record_result("ablation_ycsb_mix",
-                  {"workloads": WORKLOADS, **results})
     benchmark.extra_info.update(
         {f"{k}@{w}": v for k, vs in results.items()
          for w, v in zip(WORKLOADS, vs)})

@@ -105,7 +105,7 @@ def run_experiment():
     return figures
 
 
-def test_epc_pressure(benchmark, record_result):
+def test_epc_pressure(benchmark):
     r = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = TextTable(
@@ -114,7 +114,6 @@ def test_epc_pressure(benchmark, record_result):
     for key in sorted(r):
         table.add_row(key, f"{r[key]:,}")
     table.show()
-    record_result("epc_pressure", r)
     benchmark.extra_info.update(r)
 
     # Round 1 commits each set once; rounds 2+ re-fault pages the other

@@ -35,7 +35,7 @@ def run_experiment():
     return curves
 
 
-def test_fig11_memory_encryption(benchmark, record_result):
+def test_fig11_memory_encryption(benchmark):
     curves = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     normalized = {name: normalized_overhead(points)
@@ -46,12 +46,6 @@ def test_fig11_memory_encryption(benchmark, record_result):
          for s in BUFFER_SIZES],
         normalized, x_label="buffer")
     table.show()
-    record_result("fig11_memenc", {
-        "buffer_sizes": BUFFER_SIZES,
-        "normalized": normalized,
-        "raw_cycles_per_access": {
-            name: [p.cycles_per_access for p in points]
-            for name, points in curves.items()}})
     benchmark.extra_info.update(
         {f"{name}@max": values[-1] for name, values in normalized.items()})
 

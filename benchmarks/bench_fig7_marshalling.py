@@ -86,7 +86,7 @@ def run_experiment():
     return overheads
 
 
-def test_fig7_marshalling_overhead(benchmark, record_result):
+def test_fig7_marshalling_overhead(benchmark):
     overheads = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     for kind in ("ecall", "ocall"):
@@ -98,7 +98,6 @@ def test_fig7_marshalling_overhead(benchmark, record_result):
              for direction in ("in", "out", "in&out")},
             x_label="bytes")
         table.show()
-    record_result("fig7_marshalling", overheads)
     benchmark.extra_info.update({
         f"{kind}/{direction}@16K": overheads[kind][direction][-1]
         for kind in overheads for direction in overheads[kind]})

@@ -87,7 +87,7 @@ def run_experiment():
     }
 
 
-def test_fig8a_nbench(benchmark, record_result):
+def test_fig8a_nbench(benchmark):
     scores = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = TextTable(
@@ -101,7 +101,6 @@ def test_fig8a_nbench(benchmark, record_result):
     sgx_mean = sum(scores["sgx"].values()) / len(KERNEL_NAMES)
     table.add_row("geomean-ish", fmt_ratio(he_mean), fmt_ratio(sgx_mean))
     table.show()
-    record_result("fig8a_nbench", scores)
     benchmark.extra_info["hyperenclave_mean"] = he_mean
     benchmark.extra_info["sgx_mean"] = sgx_mean
 

@@ -124,7 +124,7 @@ def run_experiment():
     return throughput
 
 
-def test_fig8b_sqlite_ycsb(benchmark, record_result):
+def test_fig8b_sqlite_ycsb(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     db_sizes_mb = [n * (VALUE_SIZE + 64) / 1e6 for n in RECORD_COUNTS]
@@ -134,7 +134,6 @@ def test_fig8b_sqlite_ycsb(benchmark, record_result):
          for n, mb in zip(RECORD_COUNTS, db_sizes_mb)],
         results, x_label="records")
     table.show()
-    record_result("fig8b_sqlite", {"records": RECORD_COUNTS, **results})
     benchmark.extra_info.update(
         {f"{k}@{n}": v for k, vs in results.items()
          for n, v in zip(RECORD_COUNTS, vs)})

@@ -107,7 +107,7 @@ def run_experiment():
     return results
 
 
-def test_fig8c_lighttpd(benchmark, record_result):
+def test_fig8c_lighttpd(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = series(
@@ -115,7 +115,6 @@ def test_fig8c_lighttpd(benchmark, record_result):
         [f"{s // 1024}KB" for s in PAGE_SIZES], results,
         x_label="page size")
     table.show()
-    record_result("fig8c_lighttpd", {"page_sizes": PAGE_SIZES, **results})
     benchmark.extra_info.update(
         {f"{k}@{s}": v for k, vs in results.items()
          for s, v in zip(PAGE_SIZES, vs)})

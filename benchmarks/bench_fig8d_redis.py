@@ -122,7 +122,7 @@ def run_experiment():
     return service, curves
 
 
-def test_fig8d_redis(benchmark, record_result):
+def test_fig8d_redis(benchmark):
     service, curves = benchmark.pedantic(run_experiment, rounds=1,
                                          iterations=1)
 
@@ -146,8 +146,6 @@ def test_fig8d_redis(benchmark, record_result):
         summary.add_row(name, f"{service[name]:,.0f}", fmt_ratio(rel[name]))
     summary.show()
 
-    record_result("fig8d_redis", {"service_cycles": service,
-                                  "relative_max_throughput": rel})
     benchmark.extra_info.update(
         {f"relmax/{k}": v for k, v in rel.items()})
 

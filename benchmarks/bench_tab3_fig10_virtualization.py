@@ -73,7 +73,7 @@ def run_experiment():
     }
 
 
-def test_tab3_fig10_virtualization(benchmark, record_result):
+def test_tab3_fig10_virtualization(benchmark):
     r = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = TextTable(
@@ -103,9 +103,6 @@ def test_tab3_fig10_virtualization(benchmark, record_result):
           f"normal VM {r['kbuild_vm']:,.0f} cycles "
           f"(overhead {kbuild_overhead * 100:.2f}%)")
 
-    record_result("tab3_fig10_virtualization",
-                  {"lmbench": lm_overheads, "spec": spec_overheads,
-                   "kbuild": kbuild_overhead})
     benchmark.extra_info.update(
         {f"lmbench/{k}": v for k, v in lm_overheads.items()})
     benchmark.extra_info.update(

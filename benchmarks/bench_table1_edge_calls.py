@@ -20,24 +20,11 @@ measured at the world-switch engine, which the paper could not do on SGX
 
 from __future__ import annotations
 
-if __package__ in (None, ""):
-    # Direct execution (python benchmarks/bench_table1_edge_calls.py):
-    # put the repo root and src/ on the path and adopt the package so
-    # the relative conftest import below keeps working.
-    import importlib
-    import pathlib
-    import sys
-    _root = pathlib.Path(__file__).resolve().parents[1]
-    sys.path[:0] = [str(_root), str(_root / "src")]
-    importlib.import_module("benchmarks")
-    __package__ = "benchmarks"
-
 from repro.analysis.tables import TextTable, fmt_cycles
 from repro.hw import costs
 from repro.monitor.structs import EnclaveMode
 
 from .conftest import load_platform_and_handle, median_cycles
-from .telemetry_cli import run_cli
 
 MODES = [("Intel SGX", EnclaveMode.SGX), ("HU-Enclave", EnclaveMode.HU),
          ("GU-Enclave", EnclaveMode.GU), ("P-Enclave", EnclaveMode.P)]
@@ -85,7 +72,7 @@ def run_experiment() -> dict[str, dict[str, float | None]]:
     return {label: measure_mode(mode) for label, mode in MODES}
 
 
-def test_table1_edge_calls(benchmark, record_result):
+def test_table1_edge_calls(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = TextTable(
@@ -99,7 +86,6 @@ def test_table1_edge_calls(benchmark, record_result):
             "-" if r["eexit"] is None else fmt_cycles(r["eexit"]),
             fmt_cycles(r["ecall"]), fmt_cycles(r["ocall"]))
     table.show()
-    record_result("table1_edge_calls", results)
     benchmark.extra_info.update(
         {f"{label}/{metric}": value
          for label, r in results.items() for metric, value in r.items()})
@@ -119,11 +105,3 @@ def test_table1_edge_calls(benchmark, record_result):
     assert results["HU-Enclave"]["ocall"] < results["GU-Enclave"]["ocall"] \
         < results["P-Enclave"]["ocall"] < results["Intel SGX"]["ocall"]
 
-
-def main(argv=None) -> int:
-    """Standalone entry: run Table 1, honouring ``--telemetry-out``."""
-    return run_cli(__doc__.partition("\n")[0], run_experiment, argv)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

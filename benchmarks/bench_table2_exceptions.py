@@ -109,7 +109,7 @@ def run_experiment():
                                 ("P-Enclave", EnclaveMode.P))}
 
 
-def test_table2_exceptions(benchmark, record_result):
+def test_table2_exceptions(benchmark):
     results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
 
     table = TextTable(
@@ -122,7 +122,6 @@ def test_table2_exceptions(benchmark, record_result):
                   fmt_cycles(results["GU-Enclave"]["pf"]),
                   fmt_cycles(results["P-Enclave"]["pf"]))
     table.show()
-    record_result("table2_exceptions", results)
     benchmark.extra_info.update(
         {f"{p}/{m}": v for p, r in results.items() for m, v in r.items()})
 

@@ -7,53 +7,21 @@ key numbers in ``benchmark.extra_info``, and asserts the paper's *shape*
 numbers, except for the microbenchmarks whose cost itemizations are
 calibrated to land exactly.
 
-Results are also appended to ``benchmarks/results.json`` (untracked
-scratch output, regenerable with ``python -m repro.bench run``) so
-EXPERIMENTS.md can be cross-checked against a real run; the *committed*
-result record is ``benchmarks/baselines/BENCH_*.json``, gated by
+The tests write no files.  The result record is
+``benchmarks/baselines/BENCH_*.json``, written by ``python -m repro.bench
+run`` from the same ``run_experiment()`` functions and gated by
 ``python -m repro.bench check`` in CI.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import statistics
-
-import pytest
 
 from repro.hw.machine import MachineConfig
 from repro.monitor.structs import EnclaveConfig, EnclaveMode
 from repro.platform import TeePlatform
 from repro.sdk.image import EnclaveImage
-
-from . import telemetry_cli
-
-RESULTS_PATH = pathlib.Path(__file__).parent / "results.json"
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--telemetry-out", action="store", default=None, metavar="PATH",
-        help="write a telemetry JSON snapshot (plus Chrome trace) of the "
-             "benchmark run to PATH")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _telemetry_out(request):
-    path = request.config.getoption("--telemetry-out")
-    if not path:
-        yield None
-        return
-    sink = telemetry_cli.TelemetrySink()
-    telemetry_cli.activate(sink)
-    yield sink
-    telemetry_cli.deactivate()
-    if sink.items:
-        snapshot_path, trace_path = sink.write(path)
-        print(f"\n{sink.report()}")
-        print(f"telemetry snapshot: {snapshot_path}")
-        print(f"chrome trace:       {trace_path}")
+from repro.telemetry.sink import current
 
 # A small machine keeps pool setup fast; the reserved region still
 # dwarfs every enclave used here.
@@ -147,7 +115,9 @@ def load_platform_and_handle(mode: EnclaveMode, **image_kwargs):
         platform = TeePlatform.intel_sgx(BENCH_MACHINE)
     else:
         platform = TeePlatform.hyperenclave(BENCH_MACHINE)
-    sink = telemetry_cli.current()
+    # Under an active sink (python -m repro.bench), label each machine by
+    # its mode: the committed fingerprints and latency tables use these.
+    sink = current()
     if sink is not None:
         sink.register(mode.value, platform.machine.telemetry)
     handle = platform.load_enclave(empty_image(mode, **image_kwargs))
@@ -165,19 +135,3 @@ def median_cycles(machine, op, iterations: int = 101) -> float:
         samples.append(span.elapsed)
     return statistics.median(samples)
 
-
-@pytest.fixture(scope="session")
-def record_result():
-    """Accumulate benchmark results into benchmarks/results.json."""
-    results: dict[str, object] = {}
-    if RESULTS_PATH.exists():
-        try:
-            results.update(json.loads(RESULTS_PATH.read_text()))
-        except json.JSONDecodeError:
-            pass
-
-    def record(experiment: str, data) -> None:
-        results[experiment] = data
-        RESULTS_PATH.write_text(json.dumps(results, indent=2, sort_keys=True))
-
-    return record

@@ -19,8 +19,7 @@ from repro.bench.compare import (CompareResult, MetricDelta,
 from repro.bench.registry import REGISTRY, BenchSpec, gate_specs, resolve
 from repro.bench.report import artifact_report, report_all
 from repro.bench.runner import (DEFAULT_BASELINE_DIR, RunOutput,
-                                check_benches, run_benches, run_one,
-                                update_results_json)
+                                check_benches, run_benches, run_one)
 
 __all__ = [
     "ARTIFACT_KIND", "ARTIFACT_VERSION", "artifact_path", "build_artifact",
@@ -30,5 +29,5 @@ __all__ = [
     "REGISTRY", "BenchSpec", "gate_specs", "resolve",
     "artifact_report", "report_all",
     "DEFAULT_BASELINE_DIR", "RunOutput", "check_benches",
-    "run_benches", "run_one", "update_results_json",
+    "run_benches", "run_one",
 ]

@@ -2,8 +2,8 @@
 
 One artifact per benchmark run, containing
 
-* ``figures`` — the JSON-ready figure values (same shape the pytest
-  wrappers record into ``benchmarks/results.json``),
+* ``figures`` — the JSON-ready figure values, shaped by the registry's
+  figure function (series plus the x-axis they are plotted over),
 * ``metrics`` — every numeric leaf of ``figures`` flattened to a
   dot-path, plus the telemetry digest (``telemetry.total_cycles``,
   ``telemetry.by_subsystem.*``) and ``profile.total_span_cycles`` — the

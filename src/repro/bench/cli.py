@@ -7,8 +7,8 @@ run|check|diff|report|list``.
   any regression (this is CI's ``bench-gate`` job);
 * ``diff``   — compare two artifacts: per-metric deltas plus the top
   profile frame movements;
-* ``report`` — render committed artifacts (cycle digest, per-enclave
-  latency percentiles) without running anything;
+* ``report`` — render committed artifacts (cycle digest, paper vs
+  measured, per-enclave latency percentiles) without running anything;
 * ``list``   — show the registry.
 """
 
@@ -19,12 +19,12 @@ import json
 import pathlib
 import sys
 
-from repro.bench.artifact import artifact_path, load_artifact
+from repro.bench.artifact import artifact_name, artifact_path, load_artifact
 from repro.bench.compare import compare_artifacts, compare_report
 from repro.bench.registry import REGISTRY, resolve
-from repro.bench.report import report_all, report_all_markdown
-from repro.bench.runner import (DEFAULT_BASELINE_DIR, DEFAULT_RESULTS_PATH,
-                                check_benches, run_benches)
+from repro.bench.report import report_all
+from repro.bench.runner import (DEFAULT_BASELINE_DIR, check_benches,
+                                run_benches)
 
 
 def _add_selection(parser) -> None:
@@ -73,10 +73,8 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args) -> int:
     specs = resolve(args.benchmarks, all_benches=args.all_benches)
-    results_path = None if args.no_results else DEFAULT_RESULTS_PATH
     run_benches(specs, baseline_dir=args.baseline_dir,
                 artifacts_dir=args.artifacts,
-                results_path=results_path,
                 profile=not args.no_profile,
                 record_dir=args.record_dir,
                 timeline_interval=args.timeline_interval,
@@ -111,19 +109,18 @@ def _cmd_report(args) -> int:
             path = artifact_path(args.baseline_dir, spec.name)
         artifacts.append(load_artifact(path))
     if not artifacts:
-        artifacts = [load_artifact(artifact_path(args.baseline_dir,
-                                                 spec.name))
-                     for spec in resolve(None)
-                     if artifact_path(args.baseline_dir,
-                                      spec.name).exists()]
+        # Every artifact in the directory, registered ones in registry
+        # order first.
+        order = {name: i for i, name in enumerate(REGISTRY)}
+        paths = pathlib.Path(args.baseline_dir).glob(artifact_name("*"))
+        artifacts = sorted(
+            (load_artifact(path) for path in paths),
+            key=lambda a: (order.get(a["name"], len(order)), a["name"]))
     if not artifacts:
         print(f"no artifacts found under {args.baseline_dir}",
               file=sys.stderr)
         return 2
-    if args.format == "markdown":
-        print(report_all_markdown(artifacts))
-    else:
-        print(report_all(artifacts))
+    print(report_all(artifacts, args.format))
     return 0
 
 
@@ -135,18 +132,26 @@ def _cmd_diff(args) -> int:
     base_profile = baseline.get("profile")
     cur_profile = current.get("profile")
     if base_profile and cur_profile:
-        base_frames = {f["stack"]: f for f in base_profile["top_self"]}
-        cur_frames = {f["stack"]: f for f in cur_profile["top_self"]}
-        moved = []
-        for stack in sorted(set(base_frames) | set(cur_frames)):
-            b = base_frames.get(stack, {}).get("self_cycles", 0)
-            c = cur_frames.get(stack, {}).get("self_cycles", 0)
-            if b != c:
-                moved.append((abs(c - b), c - b, stack, b, c))
+        # top_self is a top-N summary: a stack absent from one side is
+        # below that side's cut, not at zero, so only stacks on both
+        # sides get a number.
+        base = {f["stack"]: f["self_cycles"]
+                for f in base_profile["top_self"]}
+        cur = {f["stack"]: f["self_cycles"] for f in cur_profile["top_self"]}
+        moved = sorted(((abs(cur[s] - base[s]), cur[s] - base[s], s)
+                        for s in base.keys() & cur.keys()
+                        if cur[s] != base[s]), reverse=True)
         if moved:
             print("\ntop profile frame deltas (self cycles):")
-            for _, delta, stack, b, c in sorted(moved, reverse=True)[:args.top]:
-                print(f"  {delta:>+14,}  {stack}  ({b:,} -> {c:,})")
+            for _, delta, stack in moved[:args.top]:
+                print(f"  {delta:>+14,}  {stack}  "
+                      f"({base[stack]:,} -> {cur[stack]:,})")
+        for label, stacks in (("entered", cur.keys() - base.keys()),
+                              ("left", base.keys() - cur.keys())):
+            if stacks:
+                print(f"\nstacks that {label} the top-N summary:")
+                for stack in sorted(stacks):
+                    print(f"  {stack}")
     return 0 if result.ok else 1
 
 
@@ -163,8 +168,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("run", help="run benchmarks and write baselines")
     _add_selection(p)
-    p.add_argument("--no-results", action="store_true",
-                   help="do not update benchmarks/results.json")
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("check",
@@ -178,11 +181,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("report",
-                       help="render artifact digests: cycles, "
-                            "per-enclave latency percentiles")
+                       help="render artifact digests: cycles, paper vs "
+                            "measured, per-enclave latency percentiles")
     p.add_argument("artifacts", nargs="*", metavar="NAME-or-PATH",
-                   help="bench names or artifact paths (default: the "
-                        "committed gate-set baselines)")
+                   help="bench names or artifact paths (default: every "
+                        "BENCH_*.json in --baseline-dir)")
     p.add_argument("--baseline-dir", default=str(DEFAULT_BASELINE_DIR),
                    metavar="DIR",
                    help="where BENCH_<name>.json baselines live")

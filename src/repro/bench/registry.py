@@ -5,8 +5,9 @@ Each ``benchmarks/bench_*.py`` module exposes a module-level
 (``exact`` cost-model calibrations get a zero tolerance band, ``shape``
 figures and ``ablation`` extensions a small relative one) and knows how
 to turn the raw experiment output into the JSON-ready *figures* dict
-recorded in ``BENCH_<name>.json`` — the same shape the pytest wrappers
-append to ``benchmarks/results.json``.
+recorded in ``BENCH_<name>.json``, the only result record.  A figure
+function adds the x-axis a series is plotted over, so every figure can
+be redrawn from its artifact alone.
 
 The *gate set* (Table 1, Table 2, Fig 7, Fig 11 and the page-swap
 ablation, whose state fingerprints pin the EPC swap path) is what
@@ -25,6 +26,16 @@ FigureFn = Callable[[object, object], dict]
 
 def _identity(module, raw) -> dict:
     return raw
+
+
+def _ablation_epc_figures(module, raw) -> dict:
+    latencies, unconstrained = raw
+    return {"capacities_mb": module.CAPACITIES_MB, "latencies": latencies,
+            "hyperenclave_flat": unconstrained}
+
+
+def _ablation_ycsb_mix_figures(module, raw) -> dict:
+    return {"workloads": module.WORKLOADS, **raw}
 
 
 def _fig8b_figures(module, raw) -> dict:
@@ -63,7 +74,7 @@ def _smp_gc_figures(module, raw) -> dict:
 class BenchSpec:
     """One registered benchmark."""
 
-    name: str                  # results.json / BENCH_<name>.json key
+    name: str                  # BENCH_<name>.json key
     title: str
     kind: str                  # "exact" | "shape" | "ablation"
     gate: bool = False         # in the default run/check set
@@ -112,9 +123,10 @@ _SPECS = [
               "ablation"),
     BenchSpec("ablation_edmm", "Ablation: EDMM vs SGX2", "ablation"),
     BenchSpec("ablation_modes", "Ablation: mode crossover", "ablation"),
-    BenchSpec("ablation_epc", "Ablation: EPC capacity", "ablation"),
+    BenchSpec("ablation_epc", "Ablation: EPC capacity", "ablation",
+              figures=_ablation_epc_figures),
     BenchSpec("ablation_ycsb_mix", "Ablation: YCSB mixes A-F",
-              "ablation"),
+              "ablation", figures=_ablation_ycsb_mix_figures),
     BenchSpec("ablation_swap", "Ablation: page swapping", "ablation",
               gate=True),
     BenchSpec("ablation_smp_gc", "Ablation: SMP GC shootdowns",

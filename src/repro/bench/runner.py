@@ -25,7 +25,6 @@ from repro.bench.registry import BenchSpec
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
 DEFAULT_BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
-DEFAULT_RESULTS_PATH = REPO_ROOT / "benchmarks" / "results.json"
 
 def _ensure_benchmarks_importable() -> None:
     """Put the repo root on sys.path so ``benchmarks.*`` imports."""
@@ -155,30 +154,9 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
                      written=written)
 
 
-def update_results_json(name: str, figures,
-                        results_path: str | pathlib.Path) -> None:
-    """Mirror the pytest ``record_result`` fixture for standalone runs.
-
-    ``benchmarks/results.json`` is untracked scratch output; the
-    committed record is the ``BENCH_*.json`` baseline.
-    """
-    results_path = pathlib.Path(results_path)
-    results: dict = {}
-    if results_path.exists():
-        try:
-            results.update(json.loads(results_path.read_text()))
-        except json.JSONDecodeError:
-            pass
-    results[name] = figures
-    results_path.parent.mkdir(parents=True, exist_ok=True)
-    results_path.write_text(json.dumps(results, indent=2, sort_keys=True))
-
-
 def run_benches(specs: list[BenchSpec], *,
                 baseline_dir: str | pathlib.Path = DEFAULT_BASELINE_DIR,
                 artifacts_dir: str | pathlib.Path | None = None,
-                results_path: str | pathlib.Path | None =
-                DEFAULT_RESULTS_PATH,
                 profile: bool = True,
                 record_dir: str | pathlib.Path | None = None,
                 timeline_interval: int | None = None,
@@ -195,9 +173,6 @@ def run_benches(specs: list[BenchSpec], *,
         path = write_artifact(
             artifact_path(baseline_dir, spec.name), output.artifact)
         output.written.insert(0, path)
-        if results_path is not None:
-            update_results_json(spec.name, output.artifact["figures"],
-                                results_path)
         log(f"  wrote {path} "
             f"({len(output.artifact['metrics'])} metrics)")
         outputs.append(output)

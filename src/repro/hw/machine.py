@@ -101,8 +101,8 @@ class Machine:
         if want is None:
             want = sanitize_enabled()
         self.sanitizer = Sanitizer(self) if want else None
-        # When a process-wide telemetry sink is active (--telemetry-out,
-        # python -m repro.bench run), every machine registers itself so
+        # When a process-wide telemetry sink is active (python -m
+        # repro.bench run|check), every machine registers itself so
         # no workload needs per-call-site capture plumbing.
         from repro.telemetry import sink as telemetry_sink
         active = telemetry_sink.current()

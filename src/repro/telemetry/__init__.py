@@ -1,5 +1,5 @@
 """Platform-wide telemetry: metrics registry, cycle-accurate spans,
-event ring, and exporters (JSON snapshot / Chrome trace / top-N text).
+event ring, and exporters (JSON snapshot / Chrome trace).
 
 See docs/OBSERVABILITY.md for the full API and file formats.
 """
@@ -12,8 +12,8 @@ from repro.telemetry.metrics import (SUMMARY_QUANTILES, Counter, Gauge,
                                      percentile_from_buckets)
 from repro.telemetry.export import (chrome_trace_document,
                                     latency_summaries, machine_snapshot,
-                                    snapshot_document, top_report,
-                                    trace_path_for, write_telemetry)
+                                    snapshot_document, trace_path_for,
+                                    write_telemetry)
 from repro.telemetry.schema import (SchemaError, validate_requests,
                                     validate_snapshot, validate_timeline)
 from repro.telemetry.timeline import (TimelineSampler, attach_machine,
@@ -31,7 +31,7 @@ __all__ = [
     "SUMMARY_QUANTILES", "Counter", "Gauge", "Histogram",
     "MetricsRegistry", "percentile_from_buckets",
     "chrome_trace_document", "latency_summaries", "machine_snapshot",
-    "snapshot_document", "top_report", "trace_path_for",
+    "snapshot_document", "trace_path_for",
     "write_telemetry",
     "SchemaError", "validate_requests", "validate_snapshot",
     "validate_timeline",

@@ -1,7 +1,8 @@
-"""Telemetry exporters: JSON snapshot, Chrome trace_event, top-N text.
+"""Telemetry exporters: JSON snapshot and Chrome trace_event.
 
 The JSON snapshot is the machine-readable "where did the cycles go"
-breakdown every benchmark can emit (``--telemetry-out``); its shape is
+breakdown every benchmark run can emit (``python -m repro.bench run NAME
+--artifacts DIR``); its shape is
 validated by :mod:`repro.telemetry.schema`.  The Chrome trace file loads
 directly in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``:
 spans become complete ("X") events on the simulated-cycle timebase, one
@@ -211,33 +212,6 @@ def chrome_trace_document(items: list[tuple[str, Telemetry]]) -> dict:
         events.extend(chrome_trace_events(tel, pid=pid, label=label))
     return {"traceEvents": events, "displayTimeUnit": "ms",
             "otherData": {"timebase": "simulated cycles (1 cycle = 1 us)"}}
-
-
-# -- plain-text top-N report -------------------------------------------------
-
-def top_report(document: dict, n: int = 10) -> str:
-    """A human-readable top-N digest of a snapshot document."""
-    out = ["Telemetry: where the cycles went", "=" * 40]
-    combined = document["combined"]
-    total = combined["total_cycles"] or 1
-    out.append(f"total simulated cycles: {combined['total_cycles']:,.0f} "
-               f"across {len(document['machines'])} machine(s)")
-    out.append("")
-    out.append(f"top subsystems (of {len(combined['by_subsystem'])}):")
-    ranked = sorted(combined["by_subsystem"].items(),
-                    key=lambda kv: -kv[1])[:n]
-    for sub, cycles in ranked:
-        out.append(f"  {sub:<12} {cycles:>16,.0f}  ({100 * cycles / total:5.1f}%)")
-    merged: dict[str, int | float] = {}
-    for snap in document["machines"]:
-        for category, cycles in snap["cycles"]["by_category"].items():
-            merged[category] = merged.get(category, 0) + cycles
-    out.append("")
-    out.append(f"top categories (of {len(merged)}):")
-    for category, cycles in sorted(merged.items(), key=lambda kv: -kv[1])[:n]:
-        out.append(f"  {category:<16} {cycles:>16,.0f}  "
-                   f"({100 * cycles / total:5.1f}%)")
-    return "\n".join(out)
 
 
 # -- file writer -------------------------------------------------------------

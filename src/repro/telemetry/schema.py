@@ -2,10 +2,11 @@
 
 The container has no ``jsonschema`` package, so this is a small
 hand-rolled structural validator for the format
-:func:`repro.telemetry.export.snapshot_document` emits.  CI's smoke job
-runs a benchmark with ``--telemetry-out`` and validates the result here::
+:func:`repro.telemetry.export.snapshot_document` emits.  CI's
+``bench-gate`` job validates the snapshot that ``python -m repro.bench
+check --artifacts DIR`` writes::
 
-    python -m repro.telemetry.schema out.json
+    python -m repro.telemetry.schema DIR/table1_edge_calls.telemetry.json
 """
 
 from __future__ import annotations

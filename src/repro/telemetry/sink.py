@@ -9,15 +9,13 @@ name (the benchmark conftest labels machines by enclave mode) re-register
 the same hub and simply upgrade its label: registration is idempotent by
 telemetry identity.
 
-This is the backend behind ``--telemetry-out`` (see
-``benchmarks/telemetry_cli.py``) and ``python -m repro.bench run``.
+This is the backend behind ``python -m repro.bench run|check``.
 """
 
 from __future__ import annotations
 
 from repro.telemetry.core import Telemetry
-from repro.telemetry.export import (snapshot_document, top_report,
-                                    write_telemetry)
+from repro.telemetry.export import snapshot_document, write_telemetry
 
 _ACTIVE: "TelemetrySink | None" = None
 
@@ -165,10 +163,6 @@ class TelemetrySink:
     def write(self, snapshot_path) -> tuple:
         """Write snapshot + Chrome trace; returns both paths."""
         return write_telemetry(snapshot_path, self._items)
-
-    def report(self, n: int = 10) -> str:
-        """The plain-text top-N digest for this run."""
-        return top_report(self.document(), n)
 
 
 def activate(sink: TelemetrySink) -> None:

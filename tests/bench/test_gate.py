@@ -31,8 +31,7 @@ def table1_run(tmp_path_factory):
     baseline_dir = tmp_path_factory.mktemp("baselines")
     artifacts_dir = tmp_path_factory.mktemp("artifacts")
     (output,) = run_benches([TABLE1], baseline_dir=baseline_dir,
-                            artifacts_dir=artifacts_dir, results_path=None,
-                            log=lambda *_: None)
+                            artifacts_dir=artifacts_dir, log=lambda *_: None)
     return baseline_dir, artifacts_dir, output
 
 
@@ -198,7 +197,7 @@ class TestCli:
     def test_run_then_check_round_trip(self, tmp_path, capsys):
         baseline_dir = tmp_path / "baselines"
         artifacts_dir = tmp_path / "artifacts"
-        assert bench_main(["run", "table2_exceptions", "--no-results",
+        assert bench_main(["run", "table2_exceptions",
                            "--baseline-dir", str(baseline_dir),
                            "--artifacts", str(artifacts_dir)]) == 0
         baseline = baseline_dir / "BENCH_table2_exceptions.json"
@@ -218,6 +217,33 @@ class TestCli:
         assert bench_main(["diff", str(base), str(cur)]) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
+    def test_diff_gives_no_delta_to_a_stack_outside_one_top_n(
+            self, tmp_path, capsys):
+        # Push the baseline's last top_self frame just below the current
+        # artifact's cut: it left the summary, it did not drop to zero.
+        base_path = DEFAULT_BASELINE_DIR / "BENCH_table1_edge_calls.json"
+        base = load_artifact(base_path)
+        top = base["profile"]["top_self"]
+        assert len(top) == 10
+        current = json.loads(json.dumps(base))
+        dropped = current["profile"]["top_self"].pop()
+        current["profile"]["top_self"].append(
+            {"stack": "sdk.ecall;newcomer", "calls": 1,
+             "self_cycles": dropped["self_cycles"] + 1})
+        current["profile"]["top_self"][0]["self_cycles"] += 5
+        cur_path = tmp_path / "BENCH_table1_edge_calls.json"
+        cur_path.write_text(json.dumps(current))
+        assert bench_main(["diff", str(base_path), str(cur_path)]) == 0
+        out = capsys.readouterr().out
+        deltas = out.split("top profile frame deltas (self cycles):")[1]
+        assert f"+5  {top[0]['stack']}  " in deltas
+        assert "-> 0)" not in out
+        assert "(0 ->" not in out
+        entered = out.split("stacks that entered the top-N summary:")[1]
+        assert entered.split("\n")[1] == "  sdk.ecall;newcomer"
+        left = out.split("stacks that left the top-N summary:")[1]
+        assert left.split("\n")[1] == f"  {dropped['stack']}"
+
     def test_unknown_bench_is_a_usage_error(self, capsys):
-        assert bench_main(["run", "no_such_bench", "--no-results"]) == 2
+        assert bench_main(["run", "no_such_bench"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err

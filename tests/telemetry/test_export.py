@@ -7,8 +7,8 @@ import pytest
 from repro.hw.cycles import CycleCounter
 from repro.telemetry import (SchemaError, Telemetry, validate_snapshot)
 from repro.telemetry.export import (chrome_trace_document,
-                                    snapshot_document, top_report,
-                                    trace_path_for, write_telemetry)
+                                    snapshot_document, trace_path_for,
+                                    write_telemetry)
 
 
 def _busy_telemetry() -> Telemetry:
@@ -75,15 +75,6 @@ class TestChromeTrace:
         doc = chrome_trace_document([("m", tel)])
         (span,) = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert span["args"]["error"] is True
-
-
-class TestTopReport:
-    def test_mentions_top_subsystems(self):
-        doc = snapshot_document([("m", _busy_telemetry())])
-        report = top_report(doc, n=3)
-        assert "world" in report
-        assert "sdk" in report
-        assert "eenter:hu" in report
 
 
 class TestWriter:

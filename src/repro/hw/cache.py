@@ -17,6 +17,7 @@ bit-identical to per-line :meth:`Llc.access_ex` calls.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import eq
 
 from repro.hw import costs
 
@@ -115,13 +116,14 @@ class Llc:
             self.hits += n
             if len(lines) == n:
                 # The range covers every cached line: the final LRU order
-                # is simply ascending — rebuild at C speed.
+                # is simply ascending.  A read keeps every dirty bit, so
+                # on a cache already in that order it changes nothing;
+                # otherwise rebuild at C speed.
                 if write:
                     self._lines = OrderedDict.fromkeys(rng, True)
-                elif not any(lines.values()):
-                    self._lines = OrderedDict.fromkeys(rng, False)
-                else:
-                    self._lines = OrderedDict((l, lines[l]) for l in rng)
+                elif not all(map(eq, lines, rng)):
+                    self._lines = OrderedDict(
+                        zip(rng, map(lines.__getitem__, rng)))
             else:
                 mte = lines.move_to_end
                 if write:

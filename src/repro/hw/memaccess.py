@@ -24,16 +24,18 @@ def copy_in(phys: PhysicalMemory, translate: Callable[[int], int],
     is called once per page touched and may fault, demand-page, or
     police as the caller requires.
     """
-    out = bytearray(max(size, 0))
-    written = 0
+    pages: list[bytes] = []
     while size > 0:
         pa = translate(va)
         chunk = min(size, PAGE_SIZE - (va % PAGE_SIZE))
-        out[written:written + chunk] = phys.read(pa, chunk)
+        # Copy this page's bytes now, not a view of its frame: the next
+        # translate may write memory in place (an A/D-bit update, a fault
+        # handler fixing up enclave memory).
+        pages.append(phys.read(pa, chunk))
         va += chunk
         size -= chunk
-        written += chunk
-    return bytes(out)
+    # One copy per byte; a single page comes back as read.
+    return b"".join(pages)
 
 
 def copy_out(phys: PhysicalMemory, translate: Callable[[int], int],

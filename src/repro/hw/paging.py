@@ -75,13 +75,35 @@ def _flags_of(pte: int) -> PageTableFlags:
     return flags
 
 
-@dataclass(frozen=True, slots=True)
 class Translation:
-    """Result of a successful walk."""
+    """Result of a successful walk.
 
-    pa: int
-    flags: PageTableFlags
-    refs: int               # page-table memory references made
+    A plain ``__slots__`` class: every copied page builds one, and a
+    frozen dataclass's ``__init__`` (one ``object.__setattr__`` per
+    field) costs about three times as much.
+    """
+
+    __slots__ = ("pa", "flags", "refs")
+
+    def __init__(self, pa: int, flags: PageTableFlags, refs: int) -> None:
+        self.pa = pa
+        self.flags = flags
+        self.refs = refs        # page-table memory references made
+
+    def _key(self) -> tuple[int, PageTableFlags, int]:
+        return self.pa, self.flags, self.refs
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Translation:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"Translation(pa={self.pa!r}, flags={self.flags!r}, "
+                f"refs={self.refs!r})")
 
 
 @dataclass

@@ -185,11 +185,11 @@ class PhysicalMemory:
         self._check_range(pa, length)
         offset = pa & (PAGE_SIZE - 1)
         if offset + length <= PAGE_SIZE:
-            # Single-frame read: one slice, no accumulator.
+            # Single-frame read: one copy, no accumulator.
             page = self._frames.get(pa >> PAGE_SHIFT)
             if page is None:
                 return bytes(length)
-            return bytes(page[offset:offset + length])
+            return memoryview(page)[offset:offset + length].tobytes()
         out = bytearray(length)
         written = 0
         while length:

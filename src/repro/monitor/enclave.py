@@ -238,10 +238,12 @@ class Enclave:
         return self.pt.translate(va, write=write, user=True).pa
 
     def accessible(self, va: int, size: int = 1, *, write: bool = False) -> bool:
-        """Can the enclave touch [va, va+size)?"""
+        """Can the enclave touch [va, va+size)?  Only checks: sets no
+        ACCESSED or DIRTY bit."""
         try:
             for page_va in range(va & ~(PAGE_SIZE - 1), va + size, PAGE_SIZE):
-                self.pt.translate(page_va, write=write, user=True)
+                self.pt.translate(page_va, write=write, user=True,
+                                  set_accessed=False)
         except PageFault:
             return False
         return True

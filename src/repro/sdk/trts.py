@@ -10,7 +10,6 @@ mode-dependent exception machinery of Table 2.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable
 
 from repro.crypto.cipher import aead_decrypt, aead_encrypt
@@ -101,26 +100,38 @@ class EnclaveContext:
 
     def _access(self, va: int, size: int, *, write: bool,
                 data: bytes | None = None) -> bytes:
-        translate = functools.partial(
-            self._translate_with_demand_paging, write=write)
         if write:
-            memaccess.copy_out(self._machine.phys, translate, va, data)
+            memaccess.copy_out(self._machine.phys, self._translate_write,
+                               va, data)
             return b""
-        return memaccess.copy_in(self._machine.phys, translate, va, size)
+        return memaccess.copy_in(self._machine.phys, self._translate_read,
+                                 va, size)
 
-    def _translate_with_demand_paging(self, va: int, *, write: bool) -> int:
+    # The per-page translate callbacks of ``_access``: one walk of the
+    # enclave's page table, and on a fault the handling below.
+    def _translate_read(self, va: int) -> int:
         try:
-            return self.enclave.translate(va, write=write)
+            return self.enclave.pt.translate(va).pa
         except PageFault as fault:
-            if not fault.present:
-                # Not-present fault: RustMonitor demand-commits (Sec 3.2).
-                self._monitor.handle_enclave_page_fault(
-                    self.enclave.enclave_id, va, write=write)
-                return self.enclave.translate(va, write=write)
+            return self._translate_after_fault(fault, va, write=False)
+
+    def _translate_write(self, va: int) -> int:
+        try:
+            return self.enclave.pt.translate(va, write=True).pa
+        except PageFault as fault:
+            return self._translate_after_fault(fault, va, write=True)
+
+    def _translate_after_fault(self, fault: PageFault, va: int, *,
+                               write: bool) -> int:
+        if not fault.present:
+            # Not-present fault: RustMonitor demand-commits (Sec 3.2).
+            self._monitor.handle_enclave_page_fault(
+                self.enclave.enclave_id, va, write=write)
+        else:
             # Protection fault: the enclave's own handler may fix it up
             # (the GC scenario of Table 2).
             self._dispatch_protection_fault(va)
-            return self.enclave.translate(va, write=write)
+        return self.enclave.translate(va, write=write)
 
     # cost-only accounting for workload kernels -------------------------------
 

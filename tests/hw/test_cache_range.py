@@ -120,3 +120,38 @@ def test_half_cached_range_within_the_ratio_still_tries_the_proof(
     assert llc.access_range(0, 31) == expected
     assert proofs == [False]            # refuted: the per-line loop ran
     assert _observables(llc) == _observables(clone)
+
+
+def _full_cover_llc(first: int, n: int, *, ascending: bool) -> Llc:
+    """A cache holding exactly ``[first, first + n)``, every third line
+    dirty, in ascending LRU order or in a seeded shuffle."""
+    llc = Llc(1024 * 64)
+    order = list(range(first, first + n))
+    if not ascending:
+        random.Random(5).shuffle(order)
+    for line in order:
+        llc.access(line, write=line % 3 == 0)
+    return llc
+
+
+@pytest.mark.parametrize("ascending, write", [
+    (True, False),                      # web's steady state: a no-op read
+    (False, False),
+    (True, True),
+    (False, True),
+], ids=["ascending-read", "shuffled-read", "ascending-write",
+        "shuffled-write"])
+def test_all_hit_range_covering_every_cached_line(ascending, write):
+    first, n = 7000, 257
+    llc = _full_cover_llc(first, n, ascending=ascending)
+    assert len(llc) == n
+    assert (list(llc._lines) == sorted(llc._lines)) is ascending
+    assert 0 < sum(llc._lines.values()) < n
+    clone = copy.deepcopy(llc)
+    expected = _reference(clone, first, first + n - 1, write)
+
+    got = llc.access_range(first, first + n - 1, write=write)
+
+    assert got == expected == (n, 0, 0, [])
+    assert _observables(llc) == _observables(clone)
+    assert list(llc._lines) == list(range(first, first + n))

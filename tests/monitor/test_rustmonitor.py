@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.errors import (EnclaveError, PageFault, SecurityViolation)
+from repro.hw.paging import PageTableFlags
 from repro.hw.phys import NORMAL, PAGE_SIZE, OwnerKind
 from repro.monitor.enclave import ENCLAVE_BASE_VA
 from repro.monitor.sealing import SealPolicy
@@ -167,6 +168,18 @@ class TestMarshallingBuffer:
         # One page past the marshalling buffer: unmapped in the enclave PT.
         assert not enclave.accessible(enclave.marshalling.base_va
                                       + enclave.marshalling.size)
+
+    def test_refused_check_sets_no_accessed_or_dirty_bit(self, platform):
+        machine, boot = platform
+        eid, enclave = build_minimal_enclave(boot.monitor, machine)
+        ms = enclave.marshalling
+        last_page = ms.base_va + ms.size - PAGE_SIZE
+        # Spans the buffer's last (writable) page and the unmapped one
+        # after it: the check is refused, and nothing was written.
+        assert not enclave.accessible(last_page, 2 * PAGE_SIZE, write=True)
+        flags = enclave.pt.translate(last_page, set_accessed=False).flags
+        assert not flags & PageTableFlags.ACCESSED
+        assert not flags & PageTableFlags.DIRTY
 
     def test_buffer_overlapping_elrange_rejected(self, platform):
         machine, boot = platform

@@ -57,7 +57,7 @@ class TestSwapRoundtrip:
         pa = enclave.translate(HEAP_VA)
         machine.phys.write(pa, b"persistent")
         monitor.swap_out(eid, HEAP_VA)
-        # Fault path (as ctx._translate_with_demand_paging would drive it):
+        # Fault path (as ctx._translate_after_fault would drive it):
         monitor.handle_enclave_page_fault(eid, HEAP_VA)
         assert machine.phys.read(enclave.translate(HEAP_VA), 10) \
             == b"persistent"

@@ -3,13 +3,16 @@
 Every simulated hardware or software step charges cycles to the machine's
 :class:`CycleCounter`.  Benchmarks read the counter before and after a
 region of interest; categories let us itemize where time went (world
-switches, page walks, memcpy, encryption, compute, ...).
+switches, page walks, memcpy, encryption, compute, ...).  Beside the
+category registry sits :data:`SITES`, the one table of names each
+instrumented site writes to the telemetry observers.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Iterator
 
 #: The critical-path classes (plus the total-preserving catch-all).
@@ -68,6 +71,72 @@ CATEGORIES: dict[str, tuple[str, str, str]] = {
     "netstack": ("os", "kernel", "loopback network stack, per message"),
 }
 _UNDECLARED = ("other", "other", "undeclared")
+
+
+@dataclass(frozen=True, slots=True)
+class Site:
+    """The names one instrumented site writes, declared once.
+
+    Templates are ``str.format`` strings over the fields the site passes
+    to :meth:`repro.telemetry.Telemetry.site`.
+    """
+
+    span: str | None = None          # telemetry span name
+    labels: tuple[str, ...] = ()     # span label fields, in label order
+    segment: str | None = None       # request-tracer segment kind
+    name: str | None = None          # segment name template
+    request: bool = False            # a request; tenant: field enclave
+    event: str | None = None         # trace-ring event kind
+    detail: str = ""                 # ring event detail template
+    on_exit: bool = False            # the event fires on exit, not entry
+    cause: str | None = None         # causal-scope label template
+    flow: bool = False               # the segment is a Perfetto flow step
+
+
+_SWITCH = ("enclave", "mode")
+
+#: Every instrumented site, declared once: site -> the span, segment,
+#: ring event and cause it writes.  The names are the ones already in
+#: the snapshot, requests, journal and trace files.
+SITES: dict[str, Site] = {
+    "eenter": Site("world.eenter", _SWITCH, "eenter", "{mode}",
+                   event="eenter", on_exit=True, flow=True,
+                   detail="enclave={enclave} mode={mode} tcs={tcs}"),
+    "eexit": Site("world.eexit", _SWITCH, "eexit", "{mode}",
+                  event="eexit", on_exit=True, flow=True,
+                  detail="enclave={enclave} mode={mode}"),
+    "aex": Site("world.aex", _SWITCH, "aex", "vector:{vector}",
+                event="aex", on_exit=True, flow=True,
+                detail="enclave={enclave} vector={vector}"),
+    "eresume": Site("world.eresume", _SWITCH, "eresume", "{mode}",
+                    event="eresume", on_exit=True, flow=True,
+                    detail="enclave={enclave} mode={mode}"),
+    "hypercall": Site(segment="hypercall", name="{op}", event="hypercall",
+                      detail="{op}", on_exit=True),
+    "tlb_shootdown": Site(segment="tlb_shootdown"),
+    "page_fault": Site("monitor.pagefault", ("enclave",), "page_fault",
+                       "{va:#x}", event="pagefault",
+                       detail="enclave={enclave} va={va:#x}"),
+    "swap_out": Site("monitor.swap_out", ("enclave",), "swap_out",
+                     "{va:#x}", event="swap-out",
+                     detail="enclave={enclave} va={va:#x}"),
+    "swap_in": Site("monitor.swap_in", ("enclave",), "swap_in", "{va:#x}",
+                    event="swap-in", detail="enclave={enclave} va={va:#x}"),
+    "ecall": Site("sdk.ecall", ("func", "enclave"), "ecall", "{func}",
+                  request=True, cause="ecall:{func}", flow=True),
+    "ocall": Site("sdk.ocall", ("func", "enclave", "switchless"), "ocall",
+                  "{func}", cause="ocall:{func}", flow=True),
+    "create_enclave": Site("sdk.create_enclave", ("mode",),
+                           cause="create:{image}"),
+    "exception": Site("trts.exception", ("enclave", "vector"),
+                      cause="exception:{vector}"),
+    "mmap": Site("os.mmap", ("pid", "populate")),
+    "signal": Site(event="signal", detail="pid={pid} sig={sig}"),
+}
+
+#: Segment kind -> its site: the request tracer's whole vocabulary.
+SEGMENT_KINDS: dict[str, Site] = {
+    site.segment: site for site in SITES.values() if site.segment}
 
 
 def category_entry(category: str) -> tuple[str, str, str] | None:

@@ -230,16 +230,9 @@ class RustMonitor:
     def _charge_hypercall(self, op: str) -> None:
         self.hypercalls += 1
         tel = self.machine.telemetry
-        tracer = tel.requests
-        token = (tracer.begin_segment("hypercall", op)
-                 if tracer is not None else None)
-        self.machine.cycles.charge(costs.HYPERCALL_ROUNDTRIP, "hypercall")
-        if tracer is not None:
-            tracer.end_segment(token)
-        if tel.ring.enabled:
-            tel.ring.record("hypercall", op)
-        if tel.enabled:
-            tel.registry.counter("monitor", "hypercalls", op=op).inc()
+        with tel.site("hypercall", op=op):
+            self.machine.cycles.charge(costs.HYPERCALL_ROUNDTRIP, "hypercall")
+        tel.count("monitor", "hypercalls", op=op)
 
     def _enclave(self, enclave_id: int) -> Enclave:
         enclave = self.enclaves.get(enclave_id)
@@ -271,14 +264,10 @@ class RustMonitor:
         self.tlb_shootdowns += 1
         remote = self.machine.config.num_cpus - 1
         if remote > 0:
-            tracer = self.machine.telemetry.requests
-            token = (tracer.begin_segment("tlb_shootdown")
-                     if tracer is not None else None)
-            self.machine.cycles.charge(
-                costs.IPI_BASE_CYCLES + remote * costs.IPI_PER_CPU_CYCLES,
-                "tlb-shootdown")
-            if tracer is not None:
-                tracer.end_segment(token)
+            with self.machine.telemetry.site("tlb_shootdown"):
+                self.machine.cycles.charge(
+                    costs.IPI_BASE_CYCLES + remote * costs.IPI_PER_CPU_CYCLES,
+                    "tlb-shootdown")
 
     def allow_dma_device(self, device: str) -> None:
         """Grant a device DMA windows over normal memory only (R-3)."""
@@ -432,48 +421,40 @@ class RustMonitor:
         enclave = self._enclave(enclave_id)
         enclave.require_state(EnclaveState.INITIALIZED)
         self._sanitize_op("page_fault")
-        tel = self.machine.telemetry
-        tel.event("pagefault", lambda: f"enclave={enclave_id} va={va:#x}")
-        tracer = tel.requests
-        token = (tracer.begin_segment("page_fault", f"{va:#x}")
-                 if tracer is not None else None)
-        try:
-            with tel.span("monitor.pagefault", enclave=enclave_id):
-                state = self._swap_states.get(enclave_id)
-                if state is not None and \
-                        (va & ~(PAGE_SIZE - 1)) in state.records:
-                    swap_in_page(self, enclave, state, self.swap_store, va)
-                    self._sanitize_check("page_fault", enclave_id, va)
-                    return
-                region = enclave.reserved_region_for(va)
-                if region is not None and enclave.page_at(va) is None:
-                    if enclave.mode is EnclaveMode.SGX:
-                        # The SGX2 EDMM path: AEX out, driver EAUG,
-                        # ERESUME, then the enclave must EACCEPT the
-                        # page (Sec 3.2).
-                        self.machine.cpu.charge_steps(
-                            costs.AEX_STEPS["sgx"], "edmm-sgx2")
-                        self.machine.cycles.charge(
-                            costs.SGX2_EDMM_DRIVER_CYCLES, "edmm-sgx2")
-                        self.machine.cpu.charge_steps(
-                            costs.ERESUME_STEPS["sgx"], "edmm-sgx2")
-                        self.machine.cycles.charge(
-                            costs.SGX2_EACCEPT_CYCLES, "edmm-sgx2")
-                    else:
-                        # HyperEnclave: the trusted monitor commits the
-                        # page.
-                        self.machine.cpu.charge_steps(
-                            costs.DEMAND_PAGING_PF_STEPS, "demand-paging")
-                    pa = self._alloc_epc_frame(enclave_id)
-                    enclave.commit_page(va & ~(PAGE_SIZE - 1), pa,
-                                        region.perms)
-                    self._sanitize_check("page_fault", enclave_id, va)
-                    return
-                raise PageFault(va, write=write, present=enclave.page_at(va)
-                                is not None)
-        finally:
-            if tracer is not None:
-                tracer.end_segment(token)
+        with self.machine.telemetry.site("page_fault", enclave=enclave_id,
+                                         va=va):
+            state = self._swap_states.get(enclave_id)
+            if state is not None and \
+                    (va & ~(PAGE_SIZE - 1)) in state.records:
+                swap_in_page(self, enclave, state, self.swap_store, va)
+                self._sanitize_check("page_fault", enclave_id, va)
+                return
+            region = enclave.reserved_region_for(va)
+            if region is not None and enclave.page_at(va) is None:
+                if enclave.mode is EnclaveMode.SGX:
+                    # The SGX2 EDMM path: AEX out, driver EAUG,
+                    # ERESUME, then the enclave must EACCEPT the
+                    # page (Sec 3.2).
+                    self.machine.cpu.charge_steps(
+                        costs.AEX_STEPS["sgx"], "edmm-sgx2")
+                    self.machine.cycles.charge(
+                        costs.SGX2_EDMM_DRIVER_CYCLES, "edmm-sgx2")
+                    self.machine.cpu.charge_steps(
+                        costs.ERESUME_STEPS["sgx"], "edmm-sgx2")
+                    self.machine.cycles.charge(
+                        costs.SGX2_EACCEPT_CYCLES, "edmm-sgx2")
+                else:
+                    # HyperEnclave: the trusted monitor commits the
+                    # page.
+                    self.machine.cpu.charge_steps(
+                        costs.DEMAND_PAGING_PF_STEPS, "demand-paging")
+                pa = self._alloc_epc_frame(enclave_id)
+                enclave.commit_page(va & ~(PAGE_SIZE - 1), pa,
+                                    region.perms)
+                self._sanitize_check("page_fault", enclave_id, va)
+                return
+            raise PageFault(va, write=write, present=enclave.page_at(va)
+                            is not None)
 
     def enclave_mprotect(self, enclave_id: int, va: int, npages: int,
                          perms: PagePerm) -> None:

@@ -116,12 +116,7 @@ def swap_out_page(monitor, enclave, state: EnclaveSwapState,
     if page_va in state.records:
         raise MonitorError(f"page {page_va:#x} already swapped")
     tel = monitor.machine.telemetry
-    tel.event("swap-out",
-              lambda: f"enclave={enclave.enclave_id} va={page_va:#x}")
-    tracer = tel.requests
-    seg = (tracer.begin_segment("swap_out", f"{page_va:#x}")
-           if tracer is not None else None)
-    with tel.span("monitor.swap_out", enclave=enclave.enclave_id):
+    with tel.site("swap_out", enclave=enclave.enclave_id, va=page_va):
         phys = monitor.machine.phys
         content = phys.read(page.pa, PAGE_SIZE)
         version = state.next_version()
@@ -141,8 +136,6 @@ def swap_out_page(monitor, enclave, state: EnclaveSwapState,
         san = monitor.machine.sanitizer
         if san is not None:
             san.on_swap_out(enclave, page_va, version, page.pa)
-    if tracer is not None:
-        tracer.end_segment(seg)
     tel.count("monitor", "swap.pages_out", enclave=enclave.enclave_id)
     return token
 
@@ -155,12 +148,7 @@ def swap_in_page(monitor, enclave, state: EnclaveSwapState,
     if record is None:
         raise MonitorError(f"page {page_va:#x} is not swapped")
     tel = monitor.machine.telemetry
-    tel.event("swap-in",
-              lambda: f"enclave={enclave.enclave_id} va={page_va:#x}")
-    tracer = tel.requests
-    seg = (tracer.begin_segment("swap_in", f"{page_va:#x}")
-           if tracer is not None else None)
-    with tel.span("monitor.swap_in", enclave=enclave.enclave_id):
+    with tel.site("swap_in", enclave=enclave.enclave_id, va=page_va):
         blob = store.get(record.token)
         try:
             content = aead_decrypt(state.key, blob,
@@ -182,6 +170,4 @@ def swap_in_page(monitor, enclave, state: EnclaveSwapState,
         san = monitor.machine.sanitizer
         if san is not None:
             san.on_swap_in(enclave, page_va, record.version, pa)
-    if tracer is not None:
-        tracer.end_segment(seg)
     tel.count("monitor", "swap.pages_in", enclave=enclave.enclave_id)

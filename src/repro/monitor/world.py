@@ -15,7 +15,7 @@ from repro.hw.cpu import Cpu, CpuMode
 from repro.hw.tlb import Tlb
 from repro.monitor.enclave import Enclave
 from repro.monitor.structs import EnclaveMode, Tcs
-from repro.telemetry import NULL_SPAN, Telemetry
+from repro.telemetry import Telemetry
 
 _ENCLAVE_CPU_MODE = {
     EnclaveMode.GU: CpuMode.GUEST_USER,
@@ -28,33 +28,13 @@ _ENCLAVE_CPU_MODE = {
 class WorldSwitchEngine:
     """Drives EENTER / EEXIT / AEX / ERESUME for one platform."""
 
-    def __init__(self, cpu: Cpu, tlb: Tlb,
-                 telemetry: Telemetry | None = None) -> None:
+    def __init__(self, cpu: Cpu, tlb: Tlb, telemetry: Telemetry) -> None:
         self.cpu = cpu
         self.tlb = tlb
         self.telemetry = telemetry
         self.enters = 0
         self.exits = 0
         self.aexes = 0
-
-    def _event(self, kind: str, detail_fn) -> None:
-        # Detail strings are built lazily: the disabled path pays one
-        # branch, never an f-string.
-        tel = self.telemetry
-        if tel is not None and tel.ring.enabled:
-            tel.ring.record(kind, detail_fn())
-
-    def _span(self, name: str, enclave: Enclave):
-        tel = self.telemetry
-        if tel is None or not tel.enabled:
-            return NULL_SPAN
-        return tel.span(name, enclave=enclave.enclave_id,
-                        mode=enclave.mode.value)
-
-    def _tracer(self):
-        # The request tracer, when one is attached (one load + branch).
-        tel = self.telemetry
-        return None if tel is None else tel.requests
 
     @staticmethod
     def _mode_key(enclave: Enclave) -> str:
@@ -79,20 +59,14 @@ class WorldSwitchEngine:
         if tcs not in enclave.tcs_list:
             raise EnclaveError("TCS does not belong to this enclave")
         mode = self._mode_key(enclave)
-        tracer = self._tracer()
-        token = (tracer.begin_segment("eenter", mode)
-                 if tracer is not None else None)
-        with self._span("world.eenter", enclave):
+        with self.telemetry.site("eenter", enclave=enclave.enclave_id,
+                                 mode=mode, tcs=tcs.index):
             self.cpu.charge_steps(costs.SWITCH_COSTS[mode].eenter,
                                   f"eenter:{mode}")
             self._flush_for(enclave)
-        if tracer is not None:
-            tracer.end_segment(token)
-        enclave.registered_aep = aep
-        self.cpu.mode = _ENCLAVE_CPU_MODE[enclave.mode]
-        self.enters += 1
-        self._event("eenter", lambda: f"enclave={enclave.enclave_id} "
-                                      f"mode={mode} tcs={tcs.index}")
+            enclave.registered_aep = aep
+            self.cpu.mode = _ENCLAVE_CPU_MODE[enclave.mode]
+            self.enters += 1
 
     def eexit(self, enclave: Enclave, target: int) -> None:
         """Leave the enclave; the jump target is validated against the AEP.
@@ -108,19 +82,13 @@ class WorldSwitchEngine:
                 f"EEXIT to {target:#x} blocked: only the registered AEP "
                 f"{enclave.registered_aep:#x} is a legal exit target")
         mode = self._mode_key(enclave)
-        tracer = self._tracer()
-        token = (tracer.begin_segment("eexit", mode)
-                 if tracer is not None else None)
-        with self._span("world.eexit", enclave):
+        with self.telemetry.site("eexit", enclave=enclave.enclave_id,
+                                 mode=mode):
             self.cpu.charge_steps(costs.SWITCH_COSTS[mode].eexit,
                                   f"eexit:{mode}")
             self._flush_for(enclave)
-        if tracer is not None:
-            tracer.end_segment(token)
-        self.cpu.mode = CpuMode.GUEST_USER
-        self.exits += 1
-        self._event("eexit",
-                    lambda: f"enclave={enclave.enclave_id} mode={mode}")
+            self.cpu.mode = CpuMode.GUEST_USER
+            self.exits += 1
 
     # -- asynchronous exits ----------------------------------------------------------
 
@@ -135,18 +103,12 @@ class WorldSwitchEngine:
         tcs.current_ssa += 1
         enclave.interrupted_tcs = tcs
         mode = self._mode_key(enclave)
-        tracer = self._tracer()
-        token = (tracer.begin_segment("aex", f"vector:{vector}")
-                 if tracer is not None else None)
-        with self._span("world.aex", enclave):
+        with self.telemetry.site("aex", enclave=enclave.enclave_id,
+                                 mode=mode, vector=vector):
             self.cpu.charge_steps(costs.AEX_STEPS[mode], f"aex:{mode}")
             self._flush_for(enclave)
-        if tracer is not None:
-            tracer.end_segment(token)
-        self.cpu.mode = CpuMode.GUEST_KERNEL   # the primary OS takes over
-        self.aexes += 1
-        self._event("aex",
-                    lambda: f"enclave={enclave.enclave_id} vector={vector}")
+            self.cpu.mode = CpuMode.GUEST_KERNEL   # the primary OS takes over
+            self.aexes += 1
 
     def eresume(self, enclave: Enclave, tcs: Tcs) -> None:
         """Resume an interrupted enclave thread from its SSA frame."""
@@ -157,18 +119,12 @@ class WorldSwitchEngine:
         frame.valid = False
         enclave.interrupted_tcs = None
         mode = self._mode_key(enclave)
-        tracer = self._tracer()
-        token = (tracer.begin_segment("eresume", mode)
-                 if tracer is not None else None)
-        with self._span("world.eresume", enclave):
+        with self.telemetry.site("eresume", enclave=enclave.enclave_id,
+                                 mode=mode):
             self.cpu.charge_steps(costs.ERESUME_STEPS[mode],
                                   f"eresume:{mode}")
             self._flush_for(enclave)
-        if tracer is not None:
-            tracer.end_segment(token)
-        self.cpu.mode = _ENCLAVE_CPU_MODE[enclave.mode]
-        self._event("eresume",
-                    lambda: f"enclave={enclave.enclave_id} mode={mode}")
+            self.cpu.mode = _ENCLAVE_CPU_MODE[enclave.mode]
 
     # -- SDK-path cost hooks (charged by the runtimes) -----------------------------
 

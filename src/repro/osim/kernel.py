@@ -152,7 +152,7 @@ class Kernel:
              populate: bool = False, addr: int | None = None) -> VmArea:
         """Anonymous mmap; ``populate`` commits frames eagerly
         (MAP_POPULATE, used for the marshalling buffer, Sec 5.3)."""
-        with self.machine.telemetry.span("os.mmap", pid=process.pid,
+        with self.machine.telemetry.site("mmap", pid=process.pid,
                                          populate=populate):
             self.charge_syscall(500)
             if size <= 0 or size % PAGE_SIZE:
@@ -253,10 +253,10 @@ class Kernel:
         lands in the OS, which signals the uRTS handler.
         """
         self.machine.cycles.charge(costs.OS_SIGNAL_DISPATCH, "signal")
-        self.machine.telemetry.event(
-            "signal", lambda: f"pid={process.pid} sig={signal}")
-        handler = process.signal_handlers.get(signal)
-        if handler is None:
-            raise OsError(
-                f"process {process.pid} killed by unhandled signal {signal}")
-        return handler(**info)
+        with self.machine.telemetry.site("signal", pid=process.pid,
+                                         sig=signal):
+            handler = process.signal_handlers.get(signal)
+            if handler is None:
+                raise OsError(f"process {process.pid} killed by unhandled "
+                              f"signal {signal}")
+            return handler(**info)

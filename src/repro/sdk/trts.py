@@ -294,8 +294,8 @@ class EnclaveContext:
         tel = self._machine.telemetry
         tel.count("sdk", "exceptions.two_phase", vector=vector,
                   mode=enclave.mode.value)
-        with tel.span("trts.exception", enclave=enclave.enclave_id,
-                      vector=vector), tel.cause(f"exception:{vector}"):
+        with tel.site("exception", enclave=enclave.enclave_id,
+                      vector=vector):
             self._world.aex(enclave, tcs, vector)
             self._handle.kernel.deliver_signal(
                 self._handle.process, _signal_for(vector),

@@ -59,9 +59,9 @@ class UntrustedRuntime:
     def create_enclave(self, image: EnclaveImage, signing_key, *,
                        use_marshalling: bool = True) -> "EnclaveHandle":
         """Load, measure, and initialize an enclave from ``image``."""
-        tel = self.machine.telemetry
-        with tel.span("sdk.create_enclave", mode=image.config.mode.value), \
-                tel.cause(f"create:{image.name}"):
+        with self.machine.telemetry.site("create_enclave",
+                                         mode=image.config.mode.value,
+                                         image=image.name):
             return self._do_create(image, signing_key,
                                    use_marshalling=use_marshalling)
 
@@ -205,21 +205,9 @@ class EnclaveHandle:
                 f"ECALL to private trusted function {name!r}")
         func = self.image.trusted_funcs[name]
 
-        tel = self.machine.telemetry
-        tracer = tel.requests
-        token = (tracer.begin_request(name, self.enclave_id)
-                 if tracer is not None else None)
-        error = False
-        try:
-            with tel.span("sdk.ecall", func=name, enclave=self.enclave_id), \
-                    tel.cause(f"ecall:{name}"):
-                return self._do_ecall(spec, func, kwargs)
-        except BaseException:
-            error = True
-            raise
-        finally:
-            if tracer is not None:
-                tracer.end_request(token, error=error)
+        with self.machine.telemetry.site("ecall", func=name,
+                                         enclave=self.enclave_id):
+            return self._do_ecall(spec, func, kwargs)
 
     def _do_ecall(self, spec: FuncSpec, func, kwargs):
         self.machine.cpu.charge_steps(_URTS_PRE, "sdk-ecall")
@@ -398,19 +386,11 @@ class EnclaveHandle:
             raise SdkError("OCALL outside an ECALL")
         switchless = self.switchless_workers > 0
 
-        tel = self.machine.telemetry
-        tracer = tel.requests
-        token = (tracer.begin_segment("ocall", name)
-                 if tracer is not None else None)
-        try:
-            with tel.span("sdk.ocall", func=name, enclave=self.enclave_id,
-                          switchless=switchless), \
-                    tel.cause(f"ocall:{name}"):
-                return self._do_ocall(ctx, spec, impl, tcs, switchless, name,
-                                      kwargs)
-        finally:
-            if tracer is not None:
-                tracer.end_segment(token)
+        with self.machine.telemetry.site("ocall", func=name,
+                                         enclave=self.enclave_id,
+                                         switchless=switchless):
+            return self._do_ocall(ctx, spec, impl, tcs, switchless, name,
+                                  kwargs)
 
     def _do_ocall(self, ctx: EnclaveContext, spec: FuncSpec, impl, tcs,
                   switchless: bool, name: str, kwargs):

@@ -11,9 +11,9 @@ SC006 (file-local arm)
     a barrier marshals through :mod:`repro.hw.memaccess`, never around
     it.
 SC007
-    A telemetry ``.span(...)`` must be a ``with`` context expression or
-    be returned to a caller who will enter it; an unclosed span
-    corrupts the trace nesting.
+    A telemetry ``.span(...)`` or ``.site(...)`` must be a ``with``
+    context expression or be returned to a caller who will enter it; an
+    unclosed span or site corrupts the trace nesting.
 SC008
     No bare ``except:`` in the trusted layers (``repro.monitor``,
     ``repro.hw``): swallowing ``SecurityViolation`` would turn a caught
@@ -94,10 +94,10 @@ def _hits(module: ModuleInfo, config: StaticcheckConfig):
         elif isinstance(node, ast.Call) \
                 and isinstance(node.func, ast.Attribute):
             attr, receiver = node.func.attr, node.func.value
-            if attr == "span" and id(node) not in managed:
+            if attr in ("span", "site") and id(node) not in managed:
                 yield node, "SC007", ast.unparse(node.func), (
-                    "span opened outside a with-statement; a span that "
-                    "is never closed corrupts the trace nesting")
+                    f"{attr} opened outside a with-statement; a {attr} "
+                    f"that is never closed corrupts the trace nesting")
             elif untrusted and attr in _PHYS_PRIMITIVES \
                     and isinstance(receiver, ast.Attribute) \
                     and receiver.attr == "phys":

@@ -11,10 +11,12 @@ Machine`.  It owns
   sampled at snapshot time.
 
 Spans *observe* the simulated clock — they never charge cycles — so
-enabling telemetry cannot perturb a calibrated benchmark.  Disabled,
-``span()`` is a single branch returning a shared no-op context manager
-and ``event()`` a single branch, so the disabled path stays bit-identical
-to a build without telemetry.
+enabling telemetry cannot perturb a calibrated benchmark.  Instrumented
+code calls ``site()``, which opens a site's span, request segment, ring
+event and causal scope together (the names live in
+:data:`repro.hw.cycles.SITES`).  Disabled, ``site()`` and ``span()`` are
+a single branch returning a shared no-op context manager, so the
+disabled path stays bit-identical to a build without telemetry.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.hw.cycles import subsystem_for_category
+from repro.hw.cycles import SITES, Site, subsystem_for_category
 from repro.hw.trace import TraceBuffer
 from repro.telemetry.metrics import MetricsRegistry, _label_key
 
@@ -87,24 +89,6 @@ class _NullSpan:
 
 
 NULL_SPAN = _NullSpan()
-
-
-class _CauseScope:
-    """Context manager pushing a causal label onto the trace ring."""
-
-    __slots__ = ("_ring", "_label")
-
-    def __init__(self, ring: TraceBuffer, label: str) -> None:
-        self._ring = ring
-        self._label = label
-
-    def __enter__(self) -> "_CauseScope":
-        self._ring.push_cause(self._label)
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._ring.pop_cause()
-        return False
 
 
 class Span:
@@ -201,6 +185,60 @@ class Span:
         return False
 
 
+class _Site:
+    """One instrumented site's observers, opened and closed together.
+
+    Entry: the entry event, the request or segment, the span, the cause.
+    Exit: the same in reverse, then the exit event (on a clean exit
+    only).  Each observer is gated by its own switch, read at entry.
+    """
+
+    __slots__ = ("_telemetry", "_site", "_fields", "_tracer", "_token",
+                 "_span", "_caused")
+
+    def __init__(self, telemetry: "Telemetry", site: Site,
+                 fields: dict) -> None:
+        self._telemetry = telemetry
+        self._site = site
+        self._fields = fields
+
+    def __enter__(self) -> "_Site":
+        tel, site, fields = self._telemetry, self._site, self._fields
+        ring = tel.ring
+        if site.event is not None and not site.on_exit and ring.enabled:
+            ring.record(site.event, site.detail.format_map(fields))
+        tracer = self._tracer = tel.requests
+        self._token = self._span = None
+        if tracer is not None and site.segment is not None:
+            name = site.name and site.name.format_map(fields)
+            self._token = (tracer.begin_request(name, fields["enclave"])
+                           if site.request else
+                           tracer.begin_segment(site.segment, name))
+        if site.span is not None and tel.enabled:
+            self._span = Span(tel, site.span,
+                              {key: fields[key] for key in site.labels})
+            self._span.__enter__()
+        self._caused = site.cause is not None and ring.enabled
+        if self._caused:
+            ring.push_cause(site.cause.format_map(fields))
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        tel, site, token = self._telemetry, self._site, self._token
+        if self._caused:
+            tel.ring.pop_cause()
+        if self._span is not None:
+            self._span.__exit__(exc_type, exc, tb)
+        if token is not None:
+            if site.request:
+                self._tracer.end_request(token, error=exc_type is not None)
+            else:
+                self._tracer.end_segment(token)
+        if site.on_exit and exc_type is None and tel.ring.enabled:
+            tel.ring.record(site.event, site.detail.format_map(self._fields))
+        return False
+
+
 class Telemetry:
     """The observability hub for one simulated machine."""
 
@@ -253,6 +291,18 @@ class Telemetry:
             return NULL_SPAN
         return Span(self, name, labels)
 
+    def site(self, name: str, **fields):
+        """Open every observer of the instrumented site ``name``.
+
+        The site's span, request segment, ring event and causal scope
+        are declared once in :data:`repro.hw.cycles.SITES`; ``fields``
+        fill their label and name templates.  With no observer on, this
+        is one branch returning the shared no-op (no string is built).
+        """
+        if self.enabled or self.requests is not None or self.ring.enabled:
+            return _Site(self, SITES[name], fields)
+        return NULL_SPAN
+
     def open_span_names(self) -> list[str]:
         """Names of spans currently open, outermost first.
 
@@ -261,34 +311,11 @@ class Telemetry:
         """
         return [span.name for span in self._stack]
 
-    def event(self, kind: str, detail="") -> None:
-        """Record a raw event into the ring.
-
-        ``detail`` may be a callable, evaluated only when the ring is
-        enabled — call-sites never pay for f-string construction on the
-        disabled path.
-        """
-        if not self.ring.enabled:
-            return
-        self.ring.record(kind, detail() if callable(detail) else detail)
-
     def count(self, subsystem: str, name: str, amount: int | float = 1,
               **labels) -> None:
         """Bump a counter iff telemetry is enabled (single branch off)."""
         if self.enabled:
             self.registry.counter(subsystem, name, **labels).inc(amount)
-
-    def cause(self, label: str):
-        """Enter a causal scope that tags every ring event inside it.
-
-        The SDK pushes ``ecall:<name>`` / ``ocall:<name>`` scopes so
-        events recorded kernel- and monitor-side inherit the edge call
-        that caused them.  A shared no-op when the ring is disabled
-        (single branch), mirroring :meth:`span`.
-        """
-        if not self.ring.enabled:
-            return NULL_SPAN
-        return _CauseScope(self.ring, label)
 
     def _on_ring_drop(self, n: int) -> None:
         """Ring wrap-around: surface the loss as a metric, not silence."""

@@ -19,19 +19,20 @@ Determinism contract (same bar as the timeline sampler):
   issues exactly one charge on either hot-path implementation).  The
   tracer never charges a cycle — tracing on/off cannot move a figure,
   fingerprint or journal event.
-* The disabled path at every hook site is a single attribute load and
-  ``is not None`` branch; with a tracer attached but no open request
-  (e.g. enclave build-time hypercalls) the hook is one list check.
+* Hook sites reach the tracer only through ``Telemetry.site``, whose
+  disabled path is one branch over every observer; with a tracer
+  attached but no open request (e.g. enclave build-time hypercalls) the
+  hook is one list check.
 
-Segment kinds written by the instrumented paths: ``ecall`` (nested
-re-entry), ``ocall``, ``eenter`` / ``eexit`` / ``aex`` / ``eresume``
-(world switches), ``hypercall``, ``page_fault``, ``tlb_shootdown``,
-``swap_in`` and ``swap_out``.
+The segment kinds, and which of them are flow steps, are declared in
+:data:`repro.hw.cycles.SITES`.
 """
 
 from __future__ import annotations
 
 import json
+
+from repro.hw.cycles import SEGMENT_KINDS
 
 REQUESTS_VERSION = 1
 REQUESTS_KIND = "hyperenclave-requests"
@@ -103,21 +104,10 @@ class RequestTracer:
         return record
 
     def end_request(self, token, *, error: bool = False) -> None:
-        """Close a request opened by :meth:`begin_request`."""
-        if token is None:
+        """Close a request opened by :meth:`begin_request` (a nested
+        ``ecall`` token closes as a segment)."""
+        if not self.end_segment(token) or "seq" not in token:
             return
-        if "seq" not in token:       # a nested-ecall segment
-            self.end_segment(token)
-            return
-        if not any(entry is token for entry in self._stack):
-            return
-        cycle = int(self._cycles.total)
-        while self._stack:
-            top = self._stack.pop()
-            if top.get("end") is None:
-                top["end"] = cycle
-            if top is token:
-                break
         base = token.pop("_cat0")
         categories: dict[str, float] = {}
         for category, value in self._cycles.by_category.items():
@@ -145,19 +135,19 @@ class RequestTracer:
         self._stack.append(segment)
         return segment
 
-    def end_segment(self, token) -> None:
-        """Close a segment, unwinding any abandoned inner segments."""
-        if token is None:
-            return
+    def end_segment(self, token) -> bool:
+        """Close a segment, unwinding any abandoned inner segments;
+        False when ``token`` is not open."""
         if not any(entry is token for entry in self._stack):
-            return
+            return False
         cycle = int(self._cycles.total)
         while self._stack:
             top = self._stack.pop()
             if top.get("end") is None:
                 top["end"] = cycle
             if top is token:
-                return
+                break
+        return True
 
     # -- attribution ---------------------------------------------------------
 
@@ -205,8 +195,8 @@ def attach_machine(machine, *, label: str = "machine") -> RequestTracer:
 
 
 def detach_machine(machine) -> None:
-    """Remove an attached tracer; every hook site goes back to one
-    load-and-branch."""
+    """Remove an attached tracer; with no other observer on, every hook
+    site goes back to one branch."""
     machine.telemetry.requests = None
 
 
@@ -245,15 +235,11 @@ def load_requests(path) -> dict:
 
 # -- Perfetto flow events ----------------------------------------------------
 
-#: Segment kinds that carry a flow step (``ph: "t"``): the hops that
-#: move a request across the boundary and back.
-_FLOW_STEP_KINDS = frozenset(
-    ("ocall", "ecall", "eenter", "eexit", "aex", "eresume"))
-
-
 def _flow_steps(segments: list, out: list) -> None:
+    # A flow step (``ph: "t"``) is a hop that moves a request across the
+    # boundary and back; its site row says which kinds those are.
     for segment in segments:
-        if segment["kind"] in _FLOW_STEP_KINDS:
+        if SEGMENT_KINDS[segment["kind"]].flow:
             out.append(segment)
         _flow_steps(segment["segments"], out)
 

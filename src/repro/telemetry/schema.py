@@ -15,6 +15,8 @@ import json
 import pathlib
 import sys
 
+from repro.hw.cycles import SEGMENT_KINDS
+
 _METRIC_TYPES = {"counter", "gauge", "histogram"}
 
 
@@ -167,6 +169,8 @@ def validate_timeline(document) -> None:
 def _check_segment(segment, where: str) -> None:
     _require(isinstance(segment, dict), where, "expected an object")
     _require(isinstance(segment.get("kind"), str), where, "missing kind")
+    _require(segment["kind"] in SEGMENT_KINDS, where,
+             f"undeclared segment kind {segment['kind']!r}")
     _check_number(segment.get("begin"), f"{where}.begin")
     _check_number(segment.get("end"), f"{where}.end")
     _require(segment["end"] >= segment["begin"], where,

@@ -134,8 +134,9 @@ class TestInjectedViolations:
 
 
 #: One violation per retired repro-lint rule (R001-R005), plus a wall
-#: clock in the SDK's marshalling charge: (file under src/repro, anchor,
-#: replacement, the SC rule that must catch it).
+#: clock in the SDK's marshalling charge and a bare ``tel.site(...)``:
+#: (file under src/repro, anchor, replacement, the SC rule that must
+#: catch it).
 PROBES = {
     "R001-unseeded-random-in-app": (
         "apps/kvserver.py",
@@ -156,11 +157,19 @@ PROBES = {
         "SC003"),
     "R004-span-outside-with-in-swap": (
         "monitor/swap.py",
-        '    with tel.span("monitor.swap_out", '
-        'enclave=enclave.enclave_id):\n',
+        '    with tel.site("swap_out", enclave=enclave.enclave_id, '
+        'va=page_va):\n',
         '    span = tel.span("monitor.swap_out", '
         'enclave=enclave.enclave_id)\n'
         "    with span:\n",
+        "SC007"),
+    "site-outside-with-in-world": (
+        "monitor/world.py",
+        '        with self.telemetry.site("eenter", ',
+        "        tel = self.telemetry\n"
+        '        tel.site("eenter", enclave=enclave.enclave_id, mode=mode,\n'
+        "                 tcs=tcs.index)\n"
+        '        with self.telemetry.site("eenter", ',
         "SC007"),
     "R005-bare-except-in-tlb": (
         "hw/tlb.py",

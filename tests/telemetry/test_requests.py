@@ -269,3 +269,27 @@ class TestZeroPerturbation:
         assert bare[3] is None and traced[3] is not None
         validate_requests(traced[3])
         assert any(t["requests"] for t in traced[3]["traces"])
+
+
+class TestSchema:
+    def test_undeclared_segment_kind_is_rejected(self, traced_platform,
+                                                 tmp_path):
+        """A hand-edited document whose segment kind no site row
+        declares (``page-fault``, for the real ``page_fault``) fails
+        validation on load."""
+        import json
+
+        from repro.telemetry.requests import load_requests
+        from repro.telemetry.schema import SchemaError
+        platform, tracer = traced_platform
+        handle = _load(platform)
+        handle.ecall("inner", x=1)
+        document = requests_document([tracer])
+        validate_requests(document)
+        (record,) = document["traces"][0]["requests"]
+        record["segments"][0]["kind"] = "page-fault"
+        path = tmp_path / "edited.requests.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(SchemaError, match="undeclared segment kind"):
+            load_requests(path)
+        handle.destroy()

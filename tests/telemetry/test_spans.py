@@ -1,11 +1,11 @@
-"""Tests for the telemetry hub: spans, events, attribution, collectors."""
+"""Tests for the telemetry hub: spans, sites, attribution, collectors."""
 
 import pytest
 
 from repro.errors import EnclaveError
 from repro.hw.cycles import CycleCounter
-from repro.telemetry import (NULL_SPAN, Telemetry, cycles_by_subsystem,
-                             subsystem_for_category)
+from repro.telemetry import (NULL_SPAN, RequestTracer, Telemetry,
+                             cycles_by_subsystem, subsystem_for_category)
 
 
 @pytest.fixture
@@ -97,22 +97,75 @@ class TestSpans:
         assert snap["eenter.calls"]["labels"] == {"mode": "hu"}
 
 
+class _FormatProbe:
+    """A site field that counts how often a template formats it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __format__(self, spec):
+        self.calls += 1
+        return "built"
+
+
+class TestSites:
+    def test_ecall_site_opens_request_span_and_cause(self, tel):
+        tracer = tel.requests = RequestTracer(tel.cycles)
+        with tel.site("ecall", func="f", enclave=1):
+            with tel.site("hypercall", op="eadd"):
+                tel.cycles.charge(10, "hypercall")
+        (record,) = tracer.requests
+        assert record["name"] == "f" and record["tenant"] == "1"
+        assert not record["error"]
+        (segment,) = record["segments"]
+        assert (segment["kind"], segment["name"]) == ("hypercall", "eadd")
+        (ev,) = tel.ring.events("hypercall")
+        assert ev.detail == "eadd"
+        assert ev.cause.startswith("ecall:f#")
+        (span,) = tel.spans
+        assert span.name == "sdk.ecall"
+        assert span.labels == {"func": "f", "enclave": 1}
+
+    def test_exception_flags_error_and_skips_exit_event(self, tel):
+        tracer = tel.requests = RequestTracer(tel.cycles)
+        with pytest.raises(EnclaveError):
+            with tel.site("ecall", func="f", enclave=1):
+                with tel.site("eexit", enclave=1, mode="gu"):
+                    raise EnclaveError("boom")
+        (record,) = tracer.requests
+        assert record["error"] is True
+        assert record["segments"][0]["end"] is not None
+        assert tel.ring.events("eexit") == []
+        assert [s.error for s in tel.spans] == [True, True]
+        assert tel.ring.current_cause == ""
+
+    def test_tracer_records_with_telemetry_disabled(self):
+        t = Telemetry(CycleCounter())
+        tracer = t.requests = RequestTracer(t.cycles)
+        with t.site("ecall", func="f", enclave=1):
+            with t.site("page_fault", enclave=1, va=0x1234):
+                pass
+        (record,) = tracer.requests
+        (segment,) = record["segments"]
+        assert (segment["kind"], segment["name"]) == ("page_fault",
+                                                      "0x1234")
+        assert len(t.spans) == 0 and len(t.ring) == 0
+
+
 class TestEventsAndCounts:
     def test_event_detail_lazy(self, tel):
-        calls = []
-
-        def detail():
-            calls.append(1)
-            return "built"
-
+        probe = _FormatProbe()
         tel.disable()
-        tel.event("kind", detail)
-        assert not calls
+        assert tel.site("signal", pid=probe, sig=4) is NULL_SPAN
+        with tel.site("signal", pid=probe, sig=4):
+            pass
+        assert probe.calls == 0
         tel.enable()
-        tel.event("kind", detail)
-        assert calls == [1]
-        (ev,) = tel.ring.events("kind")
-        assert ev.detail == "built"
+        with tel.site("signal", pid=probe, sig=4):
+            pass
+        assert probe.calls == 1
+        (ev,) = tel.ring.events("signal")
+        assert ev.detail == "pid=built sig=4"
 
     def test_count_noop_when_disabled(self):
         t = Telemetry(CycleCounter())
@@ -122,7 +175,8 @@ class TestEventsAndCounts:
     def test_reset_drops_everything(self, tel):
         with tel.span("sdk.ecall"):
             pass
-        tel.event("e", "d")
+        with tel.site("signal", pid=1, sig=4):
+            pass
         tel.reset()
         assert len(tel.spans) == 0
         assert len(tel.registry) == 0

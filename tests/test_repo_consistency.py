@@ -80,3 +80,50 @@ def test_costs_validate_importable():
 def test_version_exported():
     import repro
     assert repro.__version__
+
+
+#: Observer calls that instrumented code must make through
+#: ``Telemetry.site`` instead (ring writes are checked separately).
+_SITE_ONLY_CALLS = frozenset({
+    "begin_segment", "end_segment", "begin_request", "end_request",
+    "event", "cause", "span", "push_cause", "pop_cause"})
+
+
+def _instrumented_calls():
+    """(path, call) for every attribute call outside repro.telemetry."""
+    for path in sorted(SRC.rglob("*.py")):
+        if (SRC / "telemetry") in path.parents:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute):
+                yield path.relative_to(ROOT), node
+
+
+def test_instrumented_sites_use_one_call():
+    """Outside repro.telemetry a site is ``tel.site(...)`` plus
+    ``tel.count(...)``: no direct span, segment, request, cause or ring
+    call."""
+    direct = []
+    for path, call in _instrumented_calls():
+        attr, receiver = call.func.attr, call.func.value
+        ring = (isinstance(receiver, ast.Attribute)
+                and receiver.attr in ("ring", "trace")) or \
+            (isinstance(receiver, ast.Name) and receiver.id == "ring")
+        if attr in _SITE_ONLY_CALLS or (attr == "record" and ring):
+            direct.append(f"{path}:{call.lineno}: {ast.unparse(call.func)}")
+    assert not direct, direct
+
+
+def test_site_names_match_the_site_table():
+    from repro.hw.cycles import SITES
+    used = set()
+    for path, call in _instrumented_calls():
+        if call.func.attr != "site":
+            continue
+        name = call.args[0] if call.args else None
+        assert isinstance(name, ast.Constant), \
+            f"{path}:{call.lineno}: site name must be a literal"
+        assert name.value in SITES, f"{path}:{call.lineno}: {name.value!r}"
+        used.add(name.value)
+    assert used == set(SITES), f"unused rows: {set(SITES) - used}"

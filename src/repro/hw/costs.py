@@ -41,6 +41,11 @@ SYSCALL_ROUNDTRIP = SYSCALL_CYCLES + SYSRET_CYCLES             # 120
 Steps = list[tuple[str, int]]
 
 
+def steps_total(steps: Steps) -> int:
+    """The summed cycles of an itemized step list."""
+    return sum(c for _, c in steps)
+
+
 @dataclass(frozen=True)
 class WorldSwitchCosts:
     """Itemized entry/exit steps for one enclave operation mode."""
@@ -50,11 +55,11 @@ class WorldSwitchCosts:
 
     @property
     def eenter_total(self) -> int:
-        return sum(c for _, c in self.eenter)
+        return steps_total(self.eenter)
 
     @property
     def eexit_total(self) -> int:
-        return sum(c for _, c in self.eexit)
+        return steps_total(self.eexit)
 
 
 GU_SWITCH = WorldSwitchCosts(

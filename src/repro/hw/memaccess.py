@@ -24,18 +24,25 @@ def copy_in(phys: PhysicalMemory, translate: Callable[[int], int],
     is called once per page touched and may fault, demand-page, or
     police as the caller requires.
     """
-    pages: list[bytes] = []
-    while size > 0:
-        pa = translate(va)
-        chunk = min(size, PAGE_SIZE - (va % PAGE_SIZE))
-        # Copy this page's bytes now, not a view of its frame: the next
-        # translate may write memory in place (an A/D-bit update, a fault
-        # handler fixing up enclave memory).
-        pages.append(phys.read(pa, chunk))
+    if va % PAGE_SIZE + size <= PAGE_SIZE:
+        # One page (or nothing): a single read is the one copy.
+        return phys.read(translate(va), size) if size > 0 else b""
+    # Fill one zeroed buffer page by page.  Each page is copied right
+    # after its own translate, not through a view of its frame: the next
+    # translate may write memory in place (an A/D-bit update, a fault
+    # handler fixing up enclave memory).  Never-written frames stay zero.
+    out = bytearray(size)
+    read_into = phys.read_into
+    chunk = PAGE_SIZE - va % PAGE_SIZE     # the first page runs to its end
+    done = 0
+    while done < size:
+        if chunk > size - done:
+            chunk = size - done
+        read_into(translate(va), out, done, chunk)
         va += chunk
-        size -= chunk
-    # One copy per byte; a single page comes back as read.
-    return b"".join(pages)
+        done += chunk
+        chunk = PAGE_SIZE
+    return bytes(out)
 
 
 def copy_out(phys: PhysicalMemory, translate: Callable[[int], int],

@@ -203,6 +203,24 @@ class PhysicalMemory:
             written += chunk
         return bytes(out)
 
+    def read_into(self, pa: int, out: bytearray, start: int,
+                  length: int) -> None:
+        """Copy ``length`` bytes at ``pa``, all in one frame, into
+        ``out[start:]``.
+
+        A frame that was never written is skipped, not copied: ``out``
+        must already hold zeroes there (a fresh ``bytearray``).
+        """
+        offset = pa & (PAGE_SIZE - 1)
+        if offset + length > PAGE_SIZE:
+            raise PhysicalMemoryError(
+                f"read_into of {length} bytes at {pa:#x} crosses a frame")
+        self._check_range(pa, length)
+        page = self._frames.get(pa >> PAGE_SHIFT)
+        if page is not None:
+            out[start:start + length] = \
+                memoryview(page)[offset:offset + length]
+
     def write(self, pa: int, data: bytes) -> None:
         """Write ``data`` at physical address ``pa``."""
         self._check_range(pa, len(data))

@@ -17,6 +17,7 @@ from repro.hw.phys import PAGE_SIZE
 from repro.monitor.measurement import MeasurementLog
 from repro.monitor.structs import (EnclaveConfig, EnclaveMode, PagePerm,
                                    PageType, Secs, SsaFrame, Tcs)
+from repro.monitor.world import SwitchProfile
 
 # Default ELRANGE base: high in the canonical lower half, far from the
 # primary OS's process mappings.
@@ -116,6 +117,9 @@ class Enclave:
         # may only return there (enclave-malware defense, Sec 6).
         self.registered_aep: int | None = None
         self.interrupted_tcs: Tcs | None = None
+        # What its world switches charge and do, resolved once from the
+        # live cost tables (see repro.monitor.world.SwitchProfile).
+        self.switch = SwitchProfile(config.mode)
 
     # -- identity -----------------------------------------------------------
 

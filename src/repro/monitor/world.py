@@ -9,13 +9,17 @@ enclave-malware jump attack (Sec 6).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.errors import EnclaveError, SecurityViolation
 from repro.hw import costs
 from repro.hw.cpu import Cpu, CpuMode
 from repro.hw.tlb import Tlb
-from repro.monitor.enclave import Enclave
 from repro.monitor.structs import EnclaveMode, Tcs
 from repro.telemetry import Telemetry
+
+if TYPE_CHECKING:
+    from repro.monitor.enclave import Enclave
 
 _ENCLAVE_CPU_MODE = {
     EnclaveMode.GU: CpuMode.GUEST_USER,
@@ -25,8 +29,46 @@ _ENCLAVE_CPU_MODE = {
 }
 
 
+class SwitchProfile:
+    """Everything a world switch of one enclave needs, resolved once.
+
+    An enclave's mode never changes, so its cost-table key, CPU mode,
+    flush policy and summed step costs are fixed when it is created.
+    They are read from the live :mod:`repro.hw.costs` tables then, not
+    at import, so a cost table patched before the enclave exists still
+    reaches it.  Step costs are integers: charging a stored sum is
+    bit-identical to summing the step list on every switch.
+    """
+
+    __slots__ = ("mode", "cpu_mode", "flush", "eenter", "eexit", "aex",
+                 "eresume", "ecall_warmup", "ocall_warmup")
+
+    def __init__(self, mode: EnclaveMode) -> None:
+        key = mode.value
+        switch = costs.SWITCH_COSTS[key]
+        self.mode = key
+        self.cpu_mode = _ENCLAVE_CPU_MODE[mode]
+        # HU switches CR3 with a fresh PCID and SGX tags enclave
+        # translations; isolation comes from the ASID tags, so the
+        # enclave's working set stays warm across switches.  GU/P run
+        # under their own GPT+NPT: "TLBs are cleared upon world switches
+        # to prevent illegal memory accesses using stale TLB entries"
+        # (Sec 6).
+        self.flush = mode not in (EnclaveMode.HU, EnclaveMode.SGX)
+        self.eenter = switch.eenter_total
+        self.eexit = switch.eexit_total
+        self.aex = costs.steps_total(costs.AEX_STEPS[key])
+        self.eresume = costs.steps_total(costs.ERESUME_STEPS[key])
+        self.ecall_warmup = costs.TLB_WARMUP_EXTRA[key]
+        self.ocall_warmup = costs.OCALL_WARMUP_EXTRA[key]
+
+
 class WorldSwitchEngine:
-    """Drives EENTER / EEXIT / AEX / ERESUME for one platform."""
+    """Drives EENTER / EEXIT / AEX / ERESUME for one platform.
+
+    Each enclave carries its own :class:`SwitchProfile`
+    (``enclave.switch``), so no table here outlives an enclave.
+    """
 
     def __init__(self, cpu: Cpu, tlb: Tlb, telemetry: Telemetry) -> None:
         self.cpu = cpu
@@ -36,21 +78,6 @@ class WorldSwitchEngine:
         self.exits = 0
         self.aexes = 0
 
-    @staticmethod
-    def _mode_key(enclave: Enclave) -> str:
-        return enclave.mode.value
-
-    def _flush_for(self, enclave: Enclave) -> None:
-        if enclave.mode in (EnclaveMode.HU, EnclaveMode.SGX):
-            # HU switches CR3 with a fresh PCID and SGX tags enclave
-            # translations; isolation comes from the ASID tags, so the
-            # enclave's working set stays warm across switches.
-            return
-        # GU/P run under their own GPT+NPT: "TLBs are cleared upon world
-        # switches to prevent illegal memory accesses using stale TLB
-        # entries" (Sec 6).
-        self.tlb.flush()
-
     # -- synchronous transitions ------------------------------------------------
 
     def eenter(self, enclave: Enclave, tcs: Tcs, aep: int) -> None:
@@ -58,14 +85,15 @@ class WorldSwitchEngine:
         address EEXIT may later return to."""
         if tcs not in enclave.tcs_list:
             raise EnclaveError("TCS does not belong to this enclave")
-        mode = self._mode_key(enclave)
+        switch = enclave.switch
+        mode = switch.mode
         with self.telemetry.site("eenter", enclave=enclave.enclave_id,
                                  mode=mode, tcs=tcs.index):
-            self.cpu.charge_steps(costs.SWITCH_COSTS[mode].eenter,
-                                  f"eenter:{mode}")
-            self._flush_for(enclave)
+            self.cpu.cycles.charge(switch.eenter, f"eenter:{mode}")
+            if switch.flush:
+                self.tlb.flush()
             enclave.registered_aep = aep
-            self.cpu.mode = _ENCLAVE_CPU_MODE[enclave.mode]
+            self.cpu.mode = switch.cpu_mode
             self.enters += 1
 
     def eexit(self, enclave: Enclave, target: int) -> None:
@@ -81,12 +109,13 @@ class WorldSwitchEngine:
             raise SecurityViolation(
                 f"EEXIT to {target:#x} blocked: only the registered AEP "
                 f"{enclave.registered_aep:#x} is a legal exit target")
-        mode = self._mode_key(enclave)
+        switch = enclave.switch
+        mode = switch.mode
         with self.telemetry.site("eexit", enclave=enclave.enclave_id,
                                  mode=mode):
-            self.cpu.charge_steps(costs.SWITCH_COSTS[mode].eexit,
-                                  f"eexit:{mode}")
-            self._flush_for(enclave)
+            self.cpu.cycles.charge(switch.eexit, f"eexit:{mode}")
+            if switch.flush:
+                self.tlb.flush()
             self.cpu.mode = CpuMode.GUEST_USER
             self.exits += 1
 
@@ -102,11 +131,13 @@ class WorldSwitchEngine:
         frame.valid = True
         tcs.current_ssa += 1
         enclave.interrupted_tcs = tcs
-        mode = self._mode_key(enclave)
+        switch = enclave.switch
+        mode = switch.mode
         with self.telemetry.site("aex", enclave=enclave.enclave_id,
                                  mode=mode, vector=vector):
-            self.cpu.charge_steps(costs.AEX_STEPS[mode], f"aex:{mode}")
-            self._flush_for(enclave)
+            self.cpu.cycles.charge(switch.aex, f"aex:{mode}")
+            if switch.flush:
+                self.tlb.flush()
             self.cpu.mode = CpuMode.GUEST_KERNEL   # the primary OS takes over
             self.aexes += 1
 
@@ -118,20 +149,19 @@ class WorldSwitchEngine:
         frame = tcs.ssa[tcs.current_ssa]
         frame.valid = False
         enclave.interrupted_tcs = None
-        mode = self._mode_key(enclave)
+        switch = enclave.switch
+        mode = switch.mode
         with self.telemetry.site("eresume", enclave=enclave.enclave_id,
                                  mode=mode):
-            self.cpu.charge_steps(costs.ERESUME_STEPS[mode],
-                                  f"eresume:{mode}")
-            self._flush_for(enclave)
-            self.cpu.mode = _ENCLAVE_CPU_MODE[enclave.mode]
+            self.cpu.cycles.charge(switch.eresume, f"eresume:{mode}")
+            if switch.flush:
+                self.tlb.flush()
+            self.cpu.mode = switch.cpu_mode
 
     # -- SDK-path cost hooks (charged by the runtimes) -----------------------------
 
     def charge_ecall_warmup(self, enclave: Enclave) -> None:
-        self.cpu.cycles.charge(
-            costs.TLB_WARMUP_EXTRA[self._mode_key(enclave)], "tlb-warmup")
+        self.cpu.cycles.charge(enclave.switch.ecall_warmup, "tlb-warmup")
 
     def charge_ocall_warmup(self, enclave: Enclave) -> None:
-        self.cpu.cycles.charge(
-            costs.OCALL_WARMUP_EXTRA[self._mode_key(enclave)], "tlb-warmup")
+        self.cpu.cycles.charge(enclave.switch.ocall_warmup, "tlb-warmup")

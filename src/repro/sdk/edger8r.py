@@ -30,15 +30,16 @@ class Proxies:
 
 
 def _make_proxy(handle: EnclaveHandle, spec: FuncSpec):
-    expected = {p.name for p in spec.params
-                if not (p.is_buffer and p.direction is Direction.OUT)}
+    known = frozenset(p.name for p in spec.plan)
+    expected = frozenset(p.name for p in spec.plan
+                         if p.kind is not Direction.OUT)
 
     def proxy(**kwargs):
-        unknown = set(kwargs) - {p.name for p in spec.params}
-        if unknown:
+        if not kwargs.keys() <= known:
+            unknown = kwargs.keys() - known
             raise SdkError(f"{spec.name}: unknown arguments {sorted(unknown)}")
-        missing = expected - set(kwargs)
-        if missing:
+        if not kwargs.keys() >= expected:
+            missing = expected - kwargs.keys()
             raise SdkError(f"{spec.name}: missing arguments {sorted(missing)}")
         return handle.ecall(spec.name, **kwargs)
 

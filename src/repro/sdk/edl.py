@@ -29,8 +29,9 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.errors import EdlError
+from repro.errors import EdlError, SdkError
 
 _TOKEN_RE = re.compile(r"""
     (?P<comment>/\*.*?\*/|//[^\n]*) |
@@ -70,14 +71,64 @@ class ParamSpec:
         return self.type == "bytes"
 
 
+class ParamPlan(NamedTuple):
+    """How one parameter crosses the boundary, resolved once per EDL.
+
+    ``kind`` is the parameter's direction, ``Direction.NONE`` for a
+    scalar.  ``copies_in``/``copies_out`` say which way a buffer is
+    copied (neither for scalars and ``[user_check]`` pointers).  A copied
+    buffer is sized by the ``size`` literal, else by the ``size_param``
+    argument, else (a ``[string]``) by the argument's length.
+    """
+
+    name: str
+    kind: Direction
+    copies_in: bool
+    copies_out: bool
+    size: int | None
+    size_param: str | None
+
+    def size_of(self, func: str, kwargs) -> int:
+        """The byte size of this buffer in a call with ``kwargs``."""
+        if self.size is not None:
+            return self.size
+        if self.size_param is not None:
+            return int(kwargs[self.size_param])
+        value = kwargs.get(self.name)
+        if value is not None:
+            return len(value)
+        raise SdkError(f"{func}.{self.name}: cannot determine size")
+
+
+def _plan(param: ParamSpec) -> ParamPlan:
+    kind = param.direction if param.is_buffer else Direction.NONE
+    size_expr = param.size_expr
+    return ParamPlan(
+        name=param.name, kind=kind,
+        copies_in=kind in (Direction.IN, Direction.INOUT),
+        copies_out=kind in (Direction.OUT, Direction.INOUT),
+        size=size_expr if isinstance(size_expr, int) else None,
+        size_param=size_expr if isinstance(size_expr, str) else None)
+
+
 @dataclass(frozen=True)
 class FuncSpec:
-    """One trusted or untrusted function."""
+    """One trusted or untrusted function.
+
+    ``plan`` holds one :class:`ParamPlan` per parameter, in order: what
+    the uRTS walks on every edge call.
+    """
 
     name: str
     return_type: str
     params: tuple[ParamSpec, ...]
     public: bool = False
+    plan: tuple[ParamPlan, ...] = field(init=False, repr=False,
+                                        compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "plan",
+                           tuple(_plan(p) for p in self.params))
 
     def param(self, name: str) -> ParamSpec:
         for p in self.params:
@@ -92,18 +143,29 @@ class EdlInterface:
 
     trusted: tuple[FuncSpec, ...]
     untrusted: tuple[FuncSpec, ...]
+    _trusted: dict[str, FuncSpec] = field(init=False, repr=False,
+                                          compare=False)
+    _untrusted: dict[str, FuncSpec] = field(init=False, repr=False,
+                                            compare=False)
+
+    def __post_init__(self) -> None:
+        # parse_edl rejects duplicate names, so each name keys one spec.
+        object.__setattr__(self, "_trusted",
+                           {f.name: f for f in self.trusted})
+        object.__setattr__(self, "_untrusted",
+                           {f.name: f for f in self.untrusted})
 
     def trusted_by_name(self, name: str) -> FuncSpec:
-        for f in self.trusted:
-            if f.name == name:
-                return f
-        raise EdlError(f"no trusted function {name!r}")
+        spec = self._trusted.get(name)
+        if spec is None:
+            raise EdlError(f"no trusted function {name!r}")
+        return spec
 
     def untrusted_by_name(self, name: str) -> FuncSpec:
-        for f in self.untrusted:
-            if f.name == name:
-                return f
-        raise EdlError(f"no untrusted function {name!r}")
+        spec = self._untrusted.get(name)
+        if spec is None:
+            raise EdlError(f"no untrusted function {name!r}")
+        return spec
 
 
 def _tokenize(text: str) -> list[str]:

@@ -28,14 +28,16 @@ from repro.sdk.edl import Direction, FuncSpec
 from repro.sdk.image import EnclaveImage, compute_layout
 from repro.sdk.trts import EnclaveContext
 
-# SDK step slices (see repro.hw.costs.ECALL_SDK_STEPS).
-_URTS_PRE = costs.ECALL_SDK_STEPS[:2]
-_TRTS_PRE = costs.ECALL_SDK_STEPS[2:5]
-_TRTS_POST = costs.ECALL_SDK_STEPS[5:6]
-_URTS_POST = costs.ECALL_SDK_STEPS[6:]
-_OCALL_TRTS_PRE = costs.OCALL_SDK_STEPS[:2]
-_OCALL_URTS = costs.OCALL_SDK_STEPS[2:3]
-_OCALL_TRTS_POST = costs.OCALL_SDK_STEPS[3:]
+# SDK step slices (see repro.hw.costs.ECALL_SDK_STEPS), summed once.  Step
+# costs are integers, so one charge of the sum is bit-identical to what
+# Cpu.charge_steps charges for the slice.
+_URTS_PRE = costs.steps_total(costs.ECALL_SDK_STEPS[:2])
+_TRTS_PRE = costs.steps_total(costs.ECALL_SDK_STEPS[2:5])
+_TRTS_POST = costs.steps_total(costs.ECALL_SDK_STEPS[5:6])
+_URTS_POST = costs.steps_total(costs.ECALL_SDK_STEPS[6:])
+_OCALL_TRTS_PRE = costs.steps_total(costs.OCALL_SDK_STEPS[:2])
+_OCALL_URTS = costs.steps_total(costs.OCALL_SDK_STEPS[2:3])
+_OCALL_TRTS_POST = costs.steps_total(costs.OCALL_SDK_STEPS[3:])
 
 
 def _charge_memcpy(machine, nbytes: int) -> None:
@@ -210,25 +212,27 @@ class EnclaveHandle:
             return self._do_ecall(spec, func, kwargs)
 
     def _do_ecall(self, spec: FuncSpec, func, kwargs):
-        self.machine.cpu.charge_steps(_URTS_PRE, "sdk-ecall")
+        cycles = self.machine.cycles
+        cycles.charge(_URTS_PRE, "sdk-ecall")
         tcs = self.enclave.acquire_tcs()
         frame_save = self._ecall_cursor
         try:
-            staged = self._stage_in(spec, kwargs)
+            scalars, staged = self._stage_in(spec, kwargs)
             self.world.eenter(self.enclave, tcs, self.AEP)
             self.world.charge_ecall_warmup(self.enclave)
             prev_tcs = self.ctx.current_tcs
             self.ctx.current_tcs = tcs
             try:
-                self.machine.cpu.charge_steps(_TRTS_PRE, "sdk-ecall")
-                args, out_bufs = self._unmarshal_trusted(spec, staged)
+                cycles.charge(_TRTS_PRE, "sdk-ecall")
+                args, out_bufs = self._unmarshal_trusted(spec, scalars,
+                                                         staged)
                 retval = func(self.ctx, **args)
-                self._marshal_out_trusted(spec, staged, out_bufs)
-                self.machine.cpu.charge_steps(_TRTS_POST, "sdk-ecall")
+                self._marshal_out_trusted(staged, out_bufs)
+                cycles.charge(_TRTS_POST, "sdk-ecall")
             finally:
                 self.ctx.current_tcs = prev_tcs
             self.world.eexit(self.enclave, self.AEP)
-            self.machine.cpu.charge_steps(_URTS_POST, "sdk-ecall")
+            cycles.charge(_URTS_POST, "sdk-ecall")
             outs = self._copy_out_to_app(spec, staged)
         finally:
             self._ecall_cursor = frame_save
@@ -246,37 +250,31 @@ class EnclaveHandle:
         self._ecall_cursor += size
         return va
 
-    def _buffer_size(self, spec: FuncSpec, param, kwargs) -> int:
-        if isinstance(param.size_expr, int):
-            return param.size_expr
-        if param.size_expr is not None:
-            return int(kwargs[param.size_expr])
-        value = kwargs.get(param.name)
-        if param.is_string and value is not None:
-            return len(value)
-        raise SdkError(f"{spec.name}.{param.name}: cannot determine size")
+    def _stage_in(self, spec: FuncSpec, kwargs):
+        """App side: validate args and stage [in] data toward the enclave.
 
-    def _stage_in(self, spec: FuncSpec, kwargs) -> dict:
-        """App side: validate args and stage [in] data toward the enclave."""
-        staged: dict[str, dict] = {"scalars": {}, "buffers": {}}
-        for param in spec.params:
-            if not param.is_buffer:
-                if param.name not in kwargs:
+        Returns the scalar arguments and one entry per buffer parameter.
+        """
+        scalars: dict[str, int] = {}
+        staged: dict[str, dict] = {}
+        for p in spec.plan:
+            name = p.name
+            if p.kind is Direction.NONE:
+                if name not in kwargs:
                     raise SdkError(f"{spec.name}: missing argument "
-                                   f"{param.name!r}")
-                staged["scalars"][param.name] = int(kwargs[param.name])
+                                   f"{name!r}")
+                scalars[name] = int(kwargs[name])
                 continue
-            if param.direction is Direction.USER_CHECK:
-                staged["buffers"][param.name] = {
-                    "user_va": int(kwargs[param.name])}
+            if p.kind is Direction.USER_CHECK:
+                staged[name] = {"user_va": int(kwargs[name])}
                 continue
-            size = self._buffer_size(spec, param, kwargs)
+            size = p.size_of(spec.name, kwargs)
             entry: dict = {"size": size}
-            if param.direction in (Direction.IN, Direction.INOUT):
-                data = bytes(kwargs[param.name])
+            if p.copies_in:
+                data = bytes(kwargs[name])
                 if len(data) != size:
                     raise SdkError(
-                        f"{spec.name}.{param.name}: buffer is {len(data)} "
+                        f"{spec.name}.{name}: buffer is {len(data)} "
                         f"bytes but size says {size}")
                 if self.use_marshalling:
                     # Copy 1: application -> marshalling buffer.
@@ -286,24 +284,25 @@ class EnclaveHandle:
                     entry["ms_va"] = va
                 else:
                     entry["direct"] = data
-            elif param.direction is Direction.OUT and self.use_marshalling:
+            elif self.use_marshalling:   # [out]
                 entry["ms_va"] = self._msbuf_alloc_ecall(size)
-            staged["buffers"][param.name] = entry
-        return staged
+            staged[name] = entry
+        return scalars, staged
 
-    def _unmarshal_trusted(self, spec: FuncSpec, staged):
+    def _unmarshal_trusted(self, spec: FuncSpec, scalars, staged):
         """Enclave side: pull [in] data across, build the call arguments."""
-        args: dict[str, object] = dict(staged["scalars"])
+        args: dict[str, object] = dict(scalars)
         out_bufs: dict[str, bytearray] = {}
-        for param in spec.params:
-            if not param.is_buffer:
+        for p in spec.plan:
+            if p.kind is Direction.NONE:
                 continue
-            entry = staged["buffers"][param.name]
-            if param.direction is Direction.USER_CHECK:
-                args[param.name] = entry["user_va"]
+            name = p.name
+            entry = staged[name]
+            if p.kind is Direction.USER_CHECK:
+                args[name] = entry["user_va"]
                 continue
             size = entry["size"]
-            if param.direction in (Direction.IN, Direction.INOUT):
+            if p.copies_in:
                 if self.use_marshalling:
                     # Copy 2: marshalling buffer -> enclave memory.
                     data = self.ctx.read_stream(entry["ms_va"], size)
@@ -312,25 +311,23 @@ class EnclaveHandle:
                     enclave_va = self.ctx.malloc(size)
                     self.ctx.write_stream(enclave_va, data)
                 _charge_memcpy(self.machine, size)
-                if param.direction is Direction.INOUT:
+                if p.copies_out:
                     buf = bytearray(data)
-                    out_bufs[param.name] = buf
-                    args[param.name] = buf
+                    out_bufs[name] = buf
+                    args[name] = buf
                 else:
-                    args[param.name] = data
+                    args[name] = data
             else:   # OUT
                 buf = bytearray(size)
-                out_bufs[param.name] = buf
-                args[param.name] = buf
+                out_bufs[name] = buf
+                args[name] = buf
         return args, out_bufs
 
-    def _marshal_out_trusted(self, spec: FuncSpec, staged, out_bufs) -> None:
+    def _marshal_out_trusted(self, staged, out_bufs) -> None:
         """Enclave side: push [out] data into the marshalling buffer."""
-        for param in spec.params:
-            if param.name not in out_bufs:
-                continue
-            entry = staged["buffers"][param.name]
-            data = bytes(out_bufs[param.name])
+        for name, buf in out_bufs.items():
+            entry = staged[name]
+            data = bytes(buf)
             if self.use_marshalling:
                 self.ctx.write_stream(entry["ms_va"], data)
             else:
@@ -340,16 +337,15 @@ class EnclaveHandle:
     def _copy_out_to_app(self, spec: FuncSpec, staged) -> dict[str, bytes]:
         """App side: read [out] results back."""
         outs: dict[str, bytes] = {}
-        for param in spec.params:
-            if param.direction not in (Direction.OUT, Direction.INOUT):
+        for p in spec.plan:
+            if not p.copies_out:
                 continue
-            entry = staged["buffers"][param.name]
+            entry = staged[p.name]
             if self.use_marshalling:
-                outs[param.name] = self.app_read(entry["ms_va"],
-                                                 entry["size"])
+                outs[p.name] = self.app_read(entry["ms_va"], entry["size"])
                 _charge_memcpy(self.machine, entry["size"])
             else:
-                outs[param.name] = entry.get("direct_out", b"")
+                outs[p.name] = entry.get("direct_out", b"")
         return outs
 
     # -- OCALL -------------------------------------------------------------------
@@ -394,45 +390,43 @@ class EnclaveHandle:
 
     def _do_ocall(self, ctx: EnclaveContext, spec: FuncSpec, impl, tcs,
                   switchless: bool, name: str, kwargs):
+        cycles = self.machine.cycles
         if not switchless:
-            self.machine.cpu.charge_steps(_OCALL_TRTS_PRE, "sdk-ocall")
+            cycles.charge(_OCALL_TRTS_PRE, "sdk-ocall")
         frame_save = self._ocall_cursor
         try:
             app_args: dict[str, object] = {}
             out_entries: dict[str, tuple[int, int]] = {}
-            for param in spec.params:
-                if not param.is_buffer:
-                    app_args[param.name] = int(kwargs[param.name])
+            for p in spec.plan:
+                pname = p.name
+                if not (p.copies_in or p.copies_out):
+                    # Scalars and [user_check] pointers travel as integers.
+                    app_args[pname] = int(kwargs[pname])
                     continue
-                if param.direction is Direction.USER_CHECK:
-                    app_args[param.name] = int(kwargs[param.name])
-                    continue
-                size = self._buffer_size(spec, param, kwargs)
+                size = p.size_of(name, kwargs)
                 va = self._msbuf_ocalloc(size)
-                if param.direction in (Direction.IN, Direction.INOUT):
+                if p.copies_in:
                     # The single copy: enclave -> ocalloc'd msbuf frame.
-                    data = bytes(kwargs[param.name])
-                    ctx.write_stream(va, data)
+                    ctx.write_stream(va, bytes(kwargs[pname]))
                     _charge_memcpy(self.machine, size)
-                if param.direction in (Direction.OUT, Direction.INOUT):
-                    out_entries[param.name] = (va, size)
-                app_args[param.name] = self.app_read(va, size) \
-                    if param.direction in (Direction.IN, Direction.INOUT) \
-                    else None
+                    app_args[pname] = self.app_read(va, size)
+                else:
+                    app_args[pname] = None
+                if p.copies_out:
+                    out_entries[pname] = (va, size)
 
             if switchless:
                 # Enqueue -> worker pickup -> impl -> completion spin.
-                self.machine.cycles.charge(costs.SWITCHLESS_ENQUEUE_CYCLES,
-                                           "switchless")
-                self.machine.cycles.charge(
-                    costs.SWITCHLESS_POLL_INTERVAL_CYCLES / 2, "switchless")
-                with self.machine.cycles.measure() as span:
+                cycles.charge(costs.SWITCHLESS_ENQUEUE_CYCLES, "switchless")
+                cycles.charge(costs.SWITCHLESS_POLL_INTERVAL_CYCLES / 2,
+                              "switchless")
+                with cycles.measure() as span:
                     result = impl(**app_args)
                 self.switchless_worker_cycles += span.elapsed
                 self.switchless_calls += 1
             else:
                 self.world.eexit(self.enclave, self.AEP)
-                self.machine.cpu.charge_steps(_OCALL_URTS, "sdk-ocall")
+                cycles.charge(_OCALL_URTS, "sdk-ocall")
                 result = impl(**app_args)
             retval, impl_outs = _split_ocall_result(result, out_entries)
             for pname, data in impl_outs.items():
@@ -442,13 +436,13 @@ class EnclaveHandle:
                                    f"than the declared buffer")
                 self.app_write(va, data)
             if switchless:
-                self.machine.cycles.charge(costs.SWITCHLESS_COMPLETE_CYCLES,
-                                           "switchless")
+                cycles.charge(costs.SWITCHLESS_COMPLETE_CYCLES, "switchless")
             else:
                 self.world.eenter(self.enclave, tcs, self.AEP)
                 self.world.charge_ocall_warmup(self.enclave)
-                self.machine.cpu.charge_steps(_OCALL_TRTS_POST, "sdk-ocall")
+                cycles.charge(_OCALL_TRTS_POST, "sdk-ocall")
 
+            # The whole [out] frame comes back, as the SDK copies it.
             outs = {pname: ctx.read_stream(va, size)
                     for pname, (va, size) in out_entries.items()}
         finally:
@@ -478,8 +472,8 @@ class EnclaveHandle:
 def _split_ocall_result(result, out_entries):
     if isinstance(result, tuple):
         retval, outs = result
-        missing = set(outs) - set(out_entries)
-        if missing:
+        if not outs.keys() <= out_entries.keys():
+            missing = set(outs) - set(out_entries)
             raise SdkError(f"OCALL returned unknown out params {missing}")
         return retval, outs
     return result, {}

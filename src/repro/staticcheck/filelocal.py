@@ -35,8 +35,8 @@ from repro.staticcheck.project import (ModuleInfo, Project, dotted_of,
 from repro.staticcheck.taint import TRUSTED_FRAGMENTS
 
 #: The raw primitives untrusted files must never call directly.
-_PHYS_PRIMITIVES = frozenset({"read", "write", "read_u64", "write_u64",
-                              "zero_frame"})
+_PHYS_PRIMITIVES = frozenset({"read", "read_into", "write", "read_u64",
+                              "write_u64", "zero_frame"})
 
 
 def run(project: Project,

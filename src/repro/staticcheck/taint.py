@@ -54,8 +54,8 @@ class SinkSpec:
 
 _SINK_SPECS = (
     SinkSpec("PhysicalMemory",
-             frozenset({"read", "write", "read_u64", "write_u64",
-                        "zero_frame", "set_owner"}),
+             frozenset({"read", "read_into", "write", "read_u64",
+                        "write_u64", "zero_frame", "set_owner"}),
              ("phys",), "raw physical memory"),
     SinkSpec("FramePool", frozenset({"alloc", "free"}),
              ("pool", "frame"), "EPC frame pool"),

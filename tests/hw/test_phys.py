@@ -37,6 +37,30 @@ def test_negative_length_rejected(phys):
         phys.read(0, -1)
 
 
+def test_read_into_copies_one_frame_at_an_offset(phys):
+    phys.write(0x2010, b"abcdef")
+    out = bytearray(10)
+    phys.read_into(0x2010, out, 2, 6)
+    assert out == b"\x00\x00abcdef\x00\x00"
+
+
+def test_read_into_skips_a_never_written_frame(phys):
+    # The caller's buffer is left as it was: it must start zeroed.
+    out = bytearray(b"\xff" * 8)
+    phys.read_into(0x9000, out, 0, 8)
+    assert out == b"\xff" * 8
+
+
+def test_read_into_rejects_a_frame_crossing_or_out_of_range(phys):
+    out = bytearray(PAGE_SIZE)
+    with pytest.raises(PhysicalMemoryError, match="crosses a frame"):
+        phys.read_into(PAGE_SIZE - 4, out, 0, 8)
+    with pytest.raises(PhysicalMemoryError):
+        phys.read_into(phys.size, out, 0, 1)
+    with pytest.raises(PhysicalMemoryError):
+        phys.read_into(0, out, 0, -1)
+
+
 def test_u64_helpers(phys):
     phys.write_u64(0x100, 0xDEADBEEF12345678)
     assert phys.read_u64(0x100) == 0xDEADBEEF12345678

@@ -112,6 +112,14 @@ class TestOcallSemantics:
             handle.ecall("pull", n=4)
         handle.destroy()
 
+    def test_ocall_unknown_output_rejected(self, he_platform):
+        handle = he_platform.load_enclave(_ocall_out_image())
+        handle.register_ocall("ocall_source",
+                              lambda data, n: (0, {"bogus": b"\x00"}))
+        with pytest.raises(SdkError, match="unknown out params"):
+            handle.ecall("pull", n=4)
+        handle.destroy()
+
 
 _OCALL_EDL = """
 enclave {
@@ -142,6 +150,92 @@ def _ocall_out_image():
     from repro.sdk.image import EnclaveImage
     return EnclaveImage.build("ocaller", _OCALL_EDL,
                               {"pull": _pull, "flip": _flip})
+
+
+_BRANCH_EDL = """
+enclave {
+    trusted {
+        public uint64 call_undeclared();
+        public uint64 pass_pointer(uint64 ptr);
+        public uint64 log_message([string] bytes msg);
+        public uint64 overflow_then_retry(uint64 n, uint64 m);
+    };
+    untrusted {
+        uint64 o_pointer([user_check] bytes ptr);
+        uint64 o_log([string] bytes msg);
+        uint64 o_pair([in, size=n] bytes a, [in, size=m] bytes b,
+                      uint64 n, uint64 m);
+    };
+};
+"""
+
+
+def _call_undeclared(ctx):
+    return ctx.ocall("o_missing")
+
+
+def _pass_pointer(ctx, ptr):
+    return ctx.ocall("o_pointer", ptr=ptr)
+
+
+def _log_message(ctx, msg):
+    return ctx.ocall("o_log", msg=bytes(msg))
+
+
+def _overflow_then_retry(ctx, n, m):
+    # The first buffer fits the OCALL region, the second does not: the
+    # failure comes after the cursor has already moved once.
+    try:
+        ctx.ocall("o_pair", a=bytes(n), b=bytes(m), n=n, m=m)
+    except SdkError as exc:
+        ctx.globals["overflow"] = str(exc)
+    # The same first buffer fits again only if the cursor was restored.
+    return ctx.ocall("o_pair", a=bytes([1]) * n, b=b"\x02", n=n, m=1)
+
+
+class TestOcallBranches:
+    """The OCALL parameter kinds and failure paths, one test each."""
+
+    @pytest.fixture
+    def handle(self, he_platform):
+        from repro.sdk.image import EnclaveImage
+        handle = he_platform.load_enclave(EnclaveImage.build(
+            "branches", _BRANCH_EDL,
+            {"call_undeclared": _call_undeclared,
+             "pass_pointer": _pass_pointer, "log_message": _log_message,
+             "overflow_then_retry": _overflow_then_retry}))
+        yield handle
+        handle.destroy()
+
+    def test_undeclared_ocall_raises_edl_error(self, handle):
+        from repro.errors import EdlError
+        with pytest.raises(EdlError, match="o_missing"):
+            handle.ecall("call_undeclared")
+
+    def test_user_check_reaches_impl_as_raw_integer(self, handle):
+        seen = []
+        handle.register_ocall("o_pointer",
+                              lambda ptr: seen.append(ptr) or 7)
+        assert handle.ecall("pass_pointer", ptr=0xDEAD_BEEF) == 7
+        assert seen == [0xDEAD_BEEF]
+        assert type(seen[0]) is int
+
+    def test_string_is_sized_by_its_length(self, handle):
+        seen = []
+        handle.register_ocall("o_log", lambda msg: seen.append(msg) or
+                              len(msg))
+        message = b"a message of thirty-one bytes!!"
+        assert handle.ecall("log_message", msg=message) == 31
+        assert seen == [message]
+
+    def test_overflow_restores_the_ocall_cursor(self, handle):
+        region = handle._ocall_limit - handle._ocall_base
+        n = region // 2 + 16
+        handle.register_ocall("o_pair", lambda a, b, n, m: sum(a) + sum(b))
+        assert handle.ecall("overflow_then_retry", n=n, m=region // 2) \
+            == n + 2
+        assert "overflow on OCALL frame" in handle.ctx.globals["overflow"]
+        assert handle._ocall_cursor == handle._ocall_base
 
 
 class TestCalibratedCosts:

@@ -134,7 +134,9 @@ class TestInjectedViolations:
 
 
 #: One violation per retired repro-lint rule (R001-R005), plus a wall
-#: clock in the SDK's marshalling charge and a bare ``tel.site(...)``:
+#: clock in the SDK's marshalling charge, a bare ``tel.site(...)``, a
+#: direct ``PhysicalMemory.read_into`` in the tRTS and a mistyped
+#: world-switch category:
 #: (file under src/repro, anchor, replacement, the SC rule that must
 #: catch it).
 PROBES = {
@@ -150,6 +152,20 @@ PROBES = {
         "        return self.kernel.user_read(self.process, va, size)\n",
         "        return self.machine.phys.read(va, size)\n",
         "SC006"),
+    "phys-read-into-in-trts": (
+        "sdk/trts.py",
+        "        return memaccess.copy_in(self._machine.phys, "
+        "self._translate_read,\n",
+        "        out = bytearray(size)\n"
+        "        self._machine.phys.read_into(va, out, 0, size)\n"
+        "        return memaccess.copy_in(self._machine.phys, "
+        "self._translate_read,\n",
+        "SC006"),
+    "switch-category-typo-in-world": (
+        "monitor/world.py",
+        'f"eenter:{mode}")',
+        'f"eentr:{mode}")',
+        "SC009"),
     "R003-eremove-without-charge": (
         "monitor/rustmonitor.py",
         '        self._charge_hypercall("eremove")\n',

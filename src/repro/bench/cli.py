@@ -25,6 +25,7 @@ from repro.bench.registry import REGISTRY, resolve
 from repro.bench.report import report_all
 from repro.bench.runner import (DEFAULT_BASELINE_DIR, check_benches,
                                 run_benches)
+from repro.profiler.diff import delta_lines, rank_deltas
 
 
 def _add_selection(parser) -> None:
@@ -135,23 +136,23 @@ def _cmd_diff(args) -> int:
         # top_self is a top-N summary: a stack absent from one side is
         # below that side's cut, not at zero, so only stacks on both
         # sides get a number.
-        base = {f["stack"]: f["self_cycles"]
+        base = {tuple(f["stack"].split(";")): f
                 for f in base_profile["top_self"]}
-        cur = {f["stack"]: f["self_cycles"] for f in cur_profile["top_self"]}
-        moved = sorted(((abs(cur[s] - base[s]), cur[s] - base[s], s)
-                        for s in base.keys() & cur.keys()
-                        if cur[s] != base[s]), reverse=True)
+        cur = {tuple(f["stack"].split(";")): f
+               for f in cur_profile["top_self"]}
+        both = base.keys() & cur.keys()
+        moved = delta_lines(rank_deltas({s: base[s] for s in both},
+                                        {s: cur[s] for s in both}),
+                            args.top)
         if moved:
             print("\ntop profile frame deltas (self cycles):")
-            for _, delta, stack in moved[:args.top]:
-                print(f"  {delta:>+14,}  {stack}  "
-                      f"({base[stack]:,} -> {cur[stack]:,})")
+            print("\n".join(moved))
         for label, stacks in (("entered", cur.keys() - base.keys()),
                               ("left", base.keys() - cur.keys())):
             if stacks:
                 print(f"\nstacks that {label} the top-N summary:")
                 for stack in sorted(stacks):
-                    print(f"  {stack}")
+                    print(f"  {';'.join(stack)}")
     return 0 if result.ok else 1
 
 

@@ -57,9 +57,7 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
     When ``artifacts_dir`` is given, the side artifacts land there:
     ``<name>.telemetry.json`` + ``<name>.telemetry.trace.json`` (snapshot
     and Chrome trace), ``<name>.profile.json`` (full profile document)
-    and ``<name>.collapsed`` + ``<name>.wall.collapsed`` (cycle- and
-    wall-weighted flamegraph stacks — the pair is the efficiency
-    flamegraph).
+    and ``<name>.collapsed`` (cycle-weighted flamegraph stacks).
 
     When ``record_dir`` is given, a flight recorder is active for the
     run and its journal lands at ``<record_dir>/<name>.journal.json`` —
@@ -81,8 +79,7 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
     """
     from repro.flightrec import forensics
     from repro.flightrec import recorder as flightrec_recorder
-    from repro.profiler import (profile_document, write_collapsed,
-                                write_wall_collapsed)
+    from repro.profiler import profile_document, write_collapsed
     from repro.telemetry import sink as telemetry_sink
 
     _ensure_benchmarks_importable()
@@ -143,10 +140,6 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
             written.append(profile_path)
             written.append(write_collapsed(
                 artifacts_dir / f"{spec.name}.collapsed", profile_doc))
-            # The wall-weighted twin: cycle vs wall widths side by side
-            # are the efficiency flamegraph.
-            written.append(write_wall_collapsed(
-                artifacts_dir / f"{spec.name}.wall.collapsed", profile_doc))
     if journal_path is not None:
         written.append(journal_path)
     return RunOutput(spec=spec, artifact=artifact,

@@ -9,10 +9,10 @@ cycle profile" walkthrough.
 * :func:`profile_document` / :func:`machine_profile` — build profiles;
 * :mod:`repro.profiler.collapsed` — flamegraph-ready collapsed stacks;
 * :mod:`repro.profiler.diff` — top cycle-delta frames between two runs;
-* :mod:`repro.profiler.wall` — host wall-time / efficiency attribution
-  over the same stacks (dual-domain frames);
-* ``python -m repro.profiler report|collapse|diff|wall|efficiency`` —
-  the CLI.
+* ``python -m repro.profiler report|collapse|diff`` — the CLI.
+
+Profiles hold simulated cycles only.  Host time per layer is
+``perfbench/run.py --trace 1``'s job.
 """
 
 from repro.profiler.core import (PROFILE_KIND, PROFILE_VERSION, FrameStats,
@@ -22,11 +22,6 @@ from repro.profiler.core import (PROFILE_KIND, PROFILE_VERSION, FrameStats,
 from repro.profiler.collapsed import (collapsed_lines, parse_collapsed,
                                       write_collapsed)
 from repro.profiler.diff import FrameDelta, diff_profiles, diff_report
-from repro.profiler.wall import (efficiency_frames, efficiency_report,
-                                 has_wall_data, host_clock_ns,
-                                 subsystem_wall_shares, wall_collapsed_lines,
-                                 wall_frames, wall_report, wall_summary,
-                                 write_wall_collapsed)
 
 __all__ = [
     "PROFILE_KIND", "PROFILE_VERSION", "FrameStats",
@@ -34,7 +29,4 @@ __all__ = [
     "self_total", "validate_profile",
     "collapsed_lines", "parse_collapsed", "write_collapsed",
     "FrameDelta", "diff_profiles", "diff_report",
-    "efficiency_frames", "efficiency_report", "has_wall_data",
-    "host_clock_ns", "subsystem_wall_shares", "wall_collapsed_lines",
-    "wall_frames", "wall_report", "wall_summary", "write_wall_collapsed",
 ]

@@ -2,21 +2,15 @@
 
 ::
 
-    python -m repro.profiler report     PROFILE.json [--top N]
-    python -m repro.profiler collapse   PROFILE.json [-o OUT.collapsed]
-    python -m repro.profiler diff       BASE.json CURRENT.json [--top N]
-    python -m repro.profiler wall       PROFILE.json [--top N] [-o OUT]
-    python -m repro.profiler efficiency PROFILE.json [--top N]
-                                        [--min-cycles N]
+    python -m repro.profiler report   PROFILE.json [--top N]
+    python -m repro.profiler collapse PROFILE.json [-o OUT.collapsed]
+    python -m repro.profiler diff     BASE.json CURRENT.json [--top N]
 
-``report``/``collapse``/``diff`` work in the simulated-cycle domain;
-``wall`` ranks the same stacks by *host* wall-time (optionally writing
-the wall-weighted flamegraph) and ``efficiency`` by wall-ns per
-simulated cycle — the table that names the pure-Python hot paths worth
-optimizing.  ``PROFILE.json`` files are written by ``python -m
-repro.bench run`` (``<name>.profile.json`` in the artifacts directory)
-or by :func:`repro.profiler.profile_document` + ``json.dump`` from any
-script.
+All three work in the simulated-cycle domain; host time per layer is
+``perfbench/run.py --trace 1``'s job.  ``PROFILE.json`` files are
+written by ``python -m repro.bench run`` (``<name>.profile.json`` in the
+artifacts directory) or by :func:`repro.profiler.profile_document` +
+``json.dump`` from any script.
 """
 
 from __future__ import annotations
@@ -29,8 +23,6 @@ import sys
 from repro.profiler.collapsed import write_collapsed
 from repro.profiler.core import profile_summary, validate_profile
 from repro.profiler.diff import diff_report
-from repro.profiler.wall import (efficiency_report, has_wall_data,
-                                 wall_report, write_wall_collapsed)
 
 
 def _load(path: str) -> dict:
@@ -68,36 +60,6 @@ def _cmd_diff(args) -> int:
     return 1 if moved else 0
 
 
-def _require_wall(document: dict, path: str) -> bool:
-    if has_wall_data(document):
-        return True
-    print(f"error: {path} has no wall-domain data (written before the "
-          f"wall profiler); regenerate with `python -m repro.bench run`",
-          file=sys.stderr)
-    return False
-
-
-def _cmd_wall(args) -> int:
-    document = _load(args.profile)
-    if not _require_wall(document, args.profile):
-        return 2
-    print(wall_report(document, args.top))
-    if args.output:
-        path = write_wall_collapsed(args.output, document)
-        print(f"\nwall flamegraph stacks: {path} (load with flamegraph.pl "
-              f"or https://www.speedscope.app)")
-    return 0
-
-
-def _cmd_efficiency(args) -> int:
-    document = _load(args.profile)
-    if not _require_wall(document, args.profile):
-        return 2
-    print(efficiency_report(document, args.top,
-                            min_cycles=args.min_cycles))
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -123,25 +85,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("current")
     p.add_argument("--top", type=int, default=15, metavar="N")
     p.set_defaults(fn=_cmd_diff)
-
-    p = sub.add_parser("wall",
-                       help="host wall-time shares and top frames "
-                            "(the wall-domain report)")
-    p.add_argument("profile")
-    p.add_argument("--top", type=int, default=10, metavar="N")
-    p.add_argument("-o", "--output", default=None, metavar="OUT",
-                   help="also write wall-weighted collapsed stacks "
-                        "(the wall flamegraph)")
-    p.set_defaults(fn=_cmd_wall)
-
-    p = sub.add_parser("efficiency",
-                       help="wall-ns per simulated cycle, per stack "
-                            "(the simulator hot-path table)")
-    p.add_argument("profile")
-    p.add_argument("--top", type=int, default=15, metavar="N")
-    p.add_argument("--min-cycles", type=int, default=1000, metavar="N",
-                   help="ignore frames below N self cycles (ratio noise)")
-    p.set_defaults(fn=_cmd_efficiency)
 
     args = parser.parse_args(argv)
     try:

@@ -30,13 +30,10 @@ class FrameStats:
     calls: int = 0
     cycles: int = 0          # inclusive: this frame plus its children
     self_cycles: int = 0     # exclusive: minus enclosed child spans
-    wall_ns: int = 0         # inclusive host wall-time (dual domain)
-    self_wall_ns: int = 0    # exclusive host wall-time
 
     def as_dict(self) -> dict:
         return {"stack": list(self.stack), "calls": self.calls,
-                "cycles": self.cycles, "self_cycles": self.self_cycles,
-                "wall_ns": self.wall_ns, "self_wall_ns": self.self_wall_ns}
+                "cycles": self.cycles, "self_cycles": self.self_cycles}
 
 
 def _bump(table: dict, key: str, amount: int) -> None:
@@ -61,7 +58,6 @@ def machine_profile(telemetry: Telemetry, label: str = "machine", *,
     by_enclave: dict[str, int] = {}
     by_cpu: dict[str, int] = {}
     root_cycles = 0
-    root_wall_ns = 0
     for record in telemetry.spans:
         stack = record.path or (record.name,)
         stats = frames.get(stack)
@@ -70,11 +66,8 @@ def machine_profile(telemetry: Telemetry, label: str = "machine", *,
         stats.calls += 1
         stats.cycles += record.dur_cycles
         stats.self_cycles += record.self_cycles
-        stats.wall_ns += record.dur_wall_ns
-        stats.self_wall_ns += record.self_wall_ns
         if record.depth == 0:
             root_cycles += record.dur_cycles
-            root_wall_ns += record.dur_wall_ns
         _bump(by_enclave, str(record.labels.get("enclave", "-")),
               record.self_cycles)
         _bump(by_cpu, str(record.labels.get("cpu", 0)),
@@ -83,7 +76,6 @@ def machine_profile(telemetry: Telemetry, label: str = "machine", *,
     return {
         "label": label,
         "total_span_cycles": root_cycles,
-        "total_span_wall_ns": root_wall_ns,
         "spans_recorded": len(telemetry.spans),
         # A full ring means the oldest spans were dropped and totals are
         # a lower bound; profiles of bounded runs never hit this.
@@ -106,10 +98,6 @@ def _merge_frames(machines: list[dict]) -> list[dict]:
             stats.calls += frame["calls"]
             stats.cycles += frame["cycles"]
             stats.self_cycles += frame["self_cycles"]
-            # Wall fields are absent from pre-wall-profiler documents;
-            # merging one keeps the wall totals a lower bound.
-            stats.wall_ns += frame.get("wall_ns", 0)
-            stats.self_wall_ns += frame.get("self_wall_ns", 0)
     return [merged[key].as_dict() for key in sorted(merged)]
 
 
@@ -129,8 +117,6 @@ def profile_document(items: list[tuple[str, Telemetry]], *,
         "combined": {
             "total_span_cycles": sum(m["total_span_cycles"]
                                      for m in machines),
-            "total_span_wall_ns": sum(m["total_span_wall_ns"]
-                                      for m in machines),
             "frames": _merge_frames(machines),
         },
     }

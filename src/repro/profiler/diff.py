@@ -37,12 +37,14 @@ def _frame_table(document: dict) -> dict[tuple[str, ...], dict]:
             for frame in document["combined"]["frames"]}
 
 
-def diff_profiles(base: dict, current: dict) -> list[FrameDelta]:
-    """Every stack seen in either profile, sorted by |self-cycle delta|."""
-    validate_profile(base)
-    validate_profile(current)
-    base_frames = _frame_table(base)
-    cur_frames = _frame_table(current)
+def rank_deltas(base_frames: dict[tuple[str, ...], dict],
+                cur_frames: dict[tuple[str, ...], dict]
+                ) -> list[FrameDelta]:
+    """Every stack in either frame table, sorted by |self-cycle delta|.
+
+    A frame is any mapping with ``self_cycles`` and ``calls``; a stack
+    missing from one table counts as zero there.
+    """
     deltas = []
     for stack in sorted(set(base_frames) | set(cur_frames)):
         b = base_frames.get(stack)
@@ -57,6 +59,21 @@ def diff_profiles(base: dict, current: dict) -> list[FrameDelta]:
     return deltas
 
 
+def diff_profiles(base: dict, current: dict) -> list[FrameDelta]:
+    """Every stack seen in either profile, sorted by |self-cycle delta|."""
+    validate_profile(base)
+    validate_profile(current)
+    return rank_deltas(_frame_table(base), _frame_table(current))
+
+
+def delta_lines(deltas: list[FrameDelta], n: int) -> list[str]:
+    """One line per frame that moved, for the first ``n`` of them."""
+    return [f"  {d.delta:>+14,}  {';'.join(d.stack)}  "
+            f"(self {d.base_self:,} -> {d.cur_self:,}, "
+            f"calls {d.base_calls} -> {d.cur_calls})"
+            for d in deltas if d.delta != 0][:n]
+
+
 def diff_report(base: dict, current: dict, n: int = 15) -> str:
     """A human-readable top-N cycle-delta digest."""
     deltas = diff_profiles(base, current)
@@ -65,11 +82,6 @@ def diff_report(base: dict, current: dict, n: int = 15) -> str:
     out = ["Profile diff: top self-cycle deltas", "=" * 40,
            f"total span cycles: {base_total:,} -> {cur_total:,} "
            f"({cur_total - base_total:+,})", ""]
-    moved = [d for d in deltas if d.delta != 0][:n]
-    if not moved:
-        out.append("no frame moved a single cycle")
-    for d in moved:
-        out.append(f"  {d.delta:>+14,}  {';'.join(d.stack)}  "
-                   f"(self {d.base_self:,} -> {d.cur_self:,}, "
-                   f"calls {d.base_calls} -> {d.cur_calls})")
+    out.extend(delta_lines(deltas, n)
+               or ["no frame moved a single cycle"])
     return "\n".join(out)

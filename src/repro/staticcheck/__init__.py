@@ -9,12 +9,12 @@ interprocedural passes plus file-local checks:
 determinism (SC001/SC002)
     No function reachable from cycle-charged code (the hw/monitor/osim
     hot paths) may transitively reach a wall clock, unseeded randomness,
-    ``os.environ`` or an ``id()``-keyed value, except the sanctioned
-    ``repro.profiler.wall.host_clock_ns``.  Unordered-``set`` iteration
-    feeding charges or digests is flagged too.  Violations print the
-    full call chain from the charged root to the forbidden source.  A
-    file-local arm flags any direct wall-clock or unseeded-``random``
-    reference in every analyzed file.
+    ``os.environ`` or an ``id()``-keyed value.  Unordered-``set``
+    iteration feeding charges or digests is flagged too.  Violations
+    print the full call chain from the charged root to the forbidden
+    source.  A file-local arm flags any direct wall-clock or
+    unseeded-``random`` reference in every analyzed file; no module
+    under ``src/repro`` reads a host clock (host time is perfbench's).
 
 charge coverage (SC003/SC005/SC009)
     Every configured public ``RustMonitor`` / hw entry point must reach

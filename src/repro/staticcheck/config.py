@@ -13,7 +13,6 @@ Recognized keys::
     baseline = "staticcheck-baseline.json"   # relative to pyproject
     determinism-roots = ["repro/hw/", "repro/monitor/", "repro/osim/"]
     determinism-exclude = ["repro/telemetry/"]   # traversal cut here
-    sanctioned-clocks = ["repro.profiler.wall.host_clock_ns"]
     charge-entry-points = ["repro.monitor.rustmonitor:RustMonitor.*"]
     charge-exempt = ["RustMonitor.initialize_keys -- boot-time setup"]
     taint-sources = ["repro/apps/", "repro/osim/", "repro/sdk/"]
@@ -33,15 +32,15 @@ DEFAULT_DETERMINISM_ROOTS = (
     "repro/hw/", "repro/monitor/", "repro/osim/")
 
 # Observer layers the determinism traversal does not descend into:
-# telemetry/profiler/flight-recorder code legitimately reads host state
-# (each such read carries a justified SC001 pragma for the file-local
-# arm, and the runtime zero-perturbation pins keep it off the clock).
+# telemetry/profiler/flight-recorder code may read host state such as
+# the environment, but never the simulated clock's inputs (the runtime
+# zero-perturbation pins check that).  SC001's file-local arm still
+# checks each of their files for direct wall-clock and unseeded-random
+# reads.
 DEFAULT_DETERMINISM_EXCLUDE = (
     "repro/telemetry/", "repro/profiler/", "repro/flightrec/",
     "repro/bench/", "repro/analysis/", "repro/sanitizer/",
     "repro/staticcheck/")
-
-DEFAULT_SANCTIONED_CLOCKS = ("repro.profiler.wall.host_clock_ns",)
 
 DEFAULT_CHARGE_ENTRY_POINTS = (
     "repro.monitor.rustmonitor:RustMonitor.*",
@@ -80,7 +79,6 @@ class StaticcheckConfig:
     baseline: str = DEFAULT_BASELINE
     determinism_roots: tuple[str, ...] = DEFAULT_DETERMINISM_ROOTS
     determinism_exclude: tuple[str, ...] = DEFAULT_DETERMINISM_EXCLUDE
-    sanctioned_clocks: tuple[str, ...] = DEFAULT_SANCTIONED_CLOCKS
     charge_entry_points: tuple[str, ...] = DEFAULT_CHARGE_ENTRY_POINTS
     charge_exempt: tuple[str, ...] = DEFAULT_CHARGE_EXEMPT
     taint_sources: tuple[str, ...] = DEFAULT_TAINT_SOURCES
@@ -112,7 +110,6 @@ _KEYS = {
     "exclude": "exclude",
     "determinism-roots": "determinism_roots",
     "determinism-exclude": "determinism_exclude",
-    "sanctioned-clocks": "sanctioned_clocks",
     "charge-entry-points": "charge_entry_points",
     "charge-exempt": "charge_exempt",
     "taint-sources": "taint_sources",

@@ -15,7 +15,7 @@ to a nondeterminism source:
 
 Traversal is cut at the ``determinism-exclude`` fragments (telemetry,
 profiler, flight recorder: host-side observers that never feed the
-simulated clock) and at the sanctioned ``sanctioned-clocks`` symbols.
+simulated clock).
 Each finding carries the full call chain from a charged root to the
 forbidden source.
 
@@ -70,11 +70,8 @@ ENTROPY_SOURCES = frozenset({
 _DIGEST_ATTRS = frozenset({"state_digest", "hexdigest", "digest"})
 
 
-def classify(dotted: str, has_args: bool,
-             sanctioned: frozenset[str]) -> str | None:
+def classify(dotted: str, has_args: bool) -> str | None:
     """Human label for a forbidden external reference, or ``None``."""
-    if dotted in sanctioned:
-        return None
     if dotted in WALL_CLOCKS:
         return "wall clock"
     if dotted.startswith("os.environ") or dotted in ("os.getenv",
@@ -137,11 +134,6 @@ def _raw_set_exprs(fn: ast.AST) -> dict[int, set[str]]:
 def run(project: Project, facts: dict[str, FunctionFacts],
         config: StaticcheckConfig) -> list[StaticFinding]:
     """Run the determinism pass; returns unsorted findings."""
-    sanctioned = frozenset(config.sanctioned_clocks)
-    sanctioned_quals = {
-        clock.rsplit(".", 1)[0] + ":" + clock.rsplit(".", 1)[1]
-        for clock in sanctioned}
-
     roots = [q for q, info in project.functions.items()
              if _is_root(info, config)]
 
@@ -149,8 +141,6 @@ def run(project: Project, facts: dict[str, FunctionFacts],
         info = project.functions.get(qualname)
         if info is None:
             return True
-        if qualname in sanctioned_quals:
-            return False
         if config.path_excluded(info.path):
             return False
         return not any(fragment in info.path
@@ -172,7 +162,7 @@ def run(project: Project, facts: dict[str, FunctionFacts],
                         if site.external is not None}
         for dotted, line in refs:
             has_args = arg_presence.get((dotted, line), False)
-            label = classify(dotted, has_args, sanctioned)
+            label = classify(dotted, has_args)
             if label is None:
                 continue
             key = (info.path, qualname, dotted)

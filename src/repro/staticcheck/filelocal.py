@@ -4,7 +4,6 @@ SC001 (file-local arm)
     A direct wall-clock or unseeded-``random`` reference, in *every*
     analyzed file: the flow pass's observer excludes cut only its
     traversal, so each host-time read carries its own justified pragma.
-    The body of a ``sanctioned-clocks`` function is exempt.
 SC006 (file-local arm)
     A direct ``PhysicalMemory`` primitive call (``<x>.phys.read(...)``
     and friends) in any ``taint-sources`` file, barrier files included:
@@ -48,9 +47,6 @@ def run(project: Project,
             continue
         for node, rule, sink, message in _hits(module, config):
             symbol = project.symbol_at(module, node.lineno)
-            if rule == "SC001" and \
-                    symbol.replace(":", ".") in config.sanctioned_clocks:
-                continue
             findings.append(StaticFinding(
                 rule=rule, path=module.path, line=node.lineno,
                 symbol=symbol, sink=sink, message=message,
@@ -78,8 +74,7 @@ def _hits(module: ModuleInfo, config: StaticcheckConfig):
             dotted = dotted_of(node, aliases)
             # A bare ``random.Random`` reference (a base class, an
             # annotation) is not a draw; only an argument-less call is.
-            label = dotted and classify(dotted, called.get(id(node), True),
-                                        frozenset())
+            label = dotted and classify(dotted, called.get(id(node), True))
             if label in ("wall clock", "unseeded randomness"):
                 yield node, "SC001", dotted, (
                     f"{label} {dotted} referenced directly; simulated "

@@ -330,9 +330,9 @@ class Project:
                       _depth: int = 0) -> FunctionInfo | ClassInfo | None:
         """Project symbol for a canonical dotted path, if any.
 
-        Follows re-export chains (``from repro.profiler.wall import
-        host_clock_ns`` re-exported by ``repro.profiler``) up to a small
-        depth.  Returns ``None`` for external or unknown names.
+        Follows re-export chains (``from repro.profiler.core import
+        profile_document`` re-exported by ``repro.profiler``) up to a
+        small depth.  Returns ``None`` for external or unknown names.
         """
         if _depth > 4:
             return None

@@ -21,7 +21,6 @@ disabled path stays bit-identical to a build without telemetry.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -65,15 +64,9 @@ class SpanRecord:
     start_cycle: int
     dur_cycles: int
     self_cycles: int
-    start_wall_ns: int
-    dur_wall_ns: int
     depth: int
     error: bool
     path: tuple[str, ...] = ()
-    # Host wall-time spent in this span minus enclosed child spans: the
-    # wall-domain twin of ``self_cycles``, feeding the wall/efficiency
-    # profiler (repro.profiler.wall).
-    self_wall_ns: int = 0
 
 
 class _NullSpan:
@@ -96,13 +89,12 @@ class Span:
 
     On exit the span aggregates into the registry under its subsystem
     (the ``name`` prefix before the first dot): call count, total
-    cycles, *self* cycles (total minus enclosed child spans), a log-scale
-    cycle histogram, and host wall-clock nanoseconds.
+    cycles, *self* cycles (total minus enclosed child spans) and a
+    log-scale cycle histogram.  Spans read only the simulated clock.
     """
 
     __slots__ = ("_telemetry", "name", "labels", "start_cycle",
-                 "_start_wall", "_child_cycles", "_child_wall", "_depth",
-                 "_path")
+                 "_child_cycles", "_depth", "_path")
 
     def __init__(self, telemetry: "Telemetry", name: str,
                  labels: dict) -> None:
@@ -113,24 +105,17 @@ class Span:
     def __enter__(self) -> "Span":
         tel = self._telemetry
         self._child_cycles = 0
-        self._child_wall = 0
         stack = tel._stack
         self._depth = len(stack)
         self._path = ((stack[-1]._path + (self.name,)) if stack
                       else (self.name,))
         stack.append(self)
-        # repro-lint: disable=SC001 -- host wall time is reported next to
-        # the span's cycles and never feeds the simulated clock
-        self._start_wall = time.perf_counter_ns()
         self.start_cycle = int(tel.cycles.total)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         tel = self._telemetry
         dur = int(tel.cycles.total) - self.start_cycle
-        # repro-lint: disable=SC001 -- host wall time is reported next to
-        # the span's cycles and never feeds the simulated clock
-        dur_wall = time.perf_counter_ns() - self._start_wall
         stack = tel._stack
         # Unwind robustly: an exception may have skipped child exits.
         while stack:
@@ -138,12 +123,10 @@ class Span:
             if top is self:
                 break
         self_cycles = max(dur - self._child_cycles, 0)
-        self_wall = max(dur_wall - self._child_wall, 0)
         if stack:
             stack[-1]._child_cycles += dur
-            stack[-1]._child_wall += dur_wall
         labels = self.labels
-        # The seven metrics a span feeds are fixed per (name, labels);
+        # The four metrics a span feeds are fixed per (name, labels);
         # interning each through the registry on every exit dominates
         # span overhead, so the resolved cells are memoized on the
         # Telemetry (cleared alongside the registry in reset()).
@@ -158,30 +141,19 @@ class Span:
                 reg.counter(subsystem, short + ".calls", **labels),
                 reg.counter(subsystem, short + ".cycles", **labels),
                 reg.counter(subsystem, short + ".self_cycles", **labels),
-                # Wall-domain metrics ride the same enabled-only path as
-                # the cycle metrics: the single branch in
-                # Telemetry.span() is the only disabled-path cost.
-                # self_wall_ns counters sum exactly to root-span wall time.
-                reg.counter(subsystem, short + ".wall_ns", **labels),
-                reg.counter(subsystem, short + ".self_wall_ns", **labels),
                 reg.histogram(subsystem, short + ".cycles_hist", **labels),
-                reg.histogram(subsystem, short + ".wall_ns_hist", **labels),
             )
             tel._span_metrics[key] = metrics
-        calls, cyc, self_cyc, wall, self_w, cyc_hist, wall_hist = metrics
+        calls, cyc, self_cyc, cyc_hist = metrics
         # Direct cell mutation: all increments here are non-negative by
         # construction (max() above), matching Counter.inc semantics.
         calls.value += 1
         cyc.value += dur
         self_cyc.value += self_cycles
-        wall.value += dur_wall
-        self_w.value += self_wall
         cyc_hist.observe(dur)
-        wall_hist.observe(dur_wall)
         tel.spans.append(SpanRecord(
             self.name, labels, self.start_cycle, dur, self_cycles,
-            self._start_wall, dur_wall, self._depth, exc_type is not None,
-            self._path, self_wall))
+            self._depth, exc_type is not None, self._path))
         return False
 
 

@@ -91,7 +91,7 @@ def snapshot_document(items: list[tuple[str, Telemetry]], *,
     }
 
 
-# -- derived summaries (latency percentiles, wall shares) --------------------
+# -- derived summaries (latency percentiles) ---------------------------------
 
 # The span families whose per-enclave latency distributions matter for
 # serving: edge calls (sdk.*) and world switches (world.*).  os/monitor
@@ -171,7 +171,6 @@ def chrome_trace_events(telemetry: Telemetry, *, pid: int = 1,
         tids.add(tid)
         args = {k: v for k, v in record.labels.items()}
         args["self_cycles"] = record.self_cycles
-        args["wall_ns"] = record.dur_wall_ns
         if record.error:
             args["error"] = True
         span_events.append({

@@ -104,27 +104,6 @@ class TestSC001:
         hits = by_rule(found, "SC001")
         assert [f.symbol for f in hits] == ["repro.hw.rng:bad"]
 
-    def test_sanctioned_clock_not_flagged(self, run_passes):
-        found = run_passes({
-            "hw/engine.py": '''
-                """Fixture."""
-                from repro.profiler.wall import host_clock_ns
-
-                def step():
-                    """Step."""
-                    return host_clock_ns()
-                ''',
-            "profiler/wall.py": '''
-                """Fixture."""
-                import time
-
-                def host_clock_ns():
-                    """Sanctioned."""
-                    return time.perf_counter_ns()
-                ''',
-        })
-        assert by_rule(found, "SC001") == []
-
     def test_excluded_observer_layer_not_flagged(self, run_passes):
         found = run_passes({
             "hw/engine.py": '''

@@ -17,9 +17,9 @@ journal's events and checkpoint chain, the span records, the metric
 snapshot, and the CPU state each ring event sees.  The last is what a
 flight-recorder checkpoint landing on that event would fold for the
 CPU, so it pins where each event fires relative to the state changes
-around it (a checkpoint only lands on every 256th event).  Host
-wall-clock fields and metrics are left out; everything else is
-simulated and must not move when instrumentation is restructured.
+around it (a checkpoint only lands on every 256th event).  Everything
+here is simulated and must not move when instrumentation is
+restructured.
 
 A deliberate change to what an observer writes moves these digests.
 Regenerate them with::
@@ -116,8 +116,7 @@ def digests(outputs: dict) -> dict:
             [r.name, r.labels, r.start_cycle, r.dur_cycles, r.self_cycles,
              r.depth, r.error, list(r.path)]
             for r in outputs["spans"]]),
-        "metrics": _sha([m for m in outputs["metrics"]
-                         if "wall" not in m["name"]]),
+        "metrics": _sha(outputs["metrics"]),
         "event_states": _sha(outputs["event_states"]),
     }
 

@@ -83,7 +83,7 @@ class TestObservabilityStack:
 class TestZeroPerturbationTable1:
     """The zero-perturbation pin: every observer at once is still free.
 
-    Table 1 with wall profiling, the invariant sanitizer, and the flight
+    Table 1 with profiling, the invariant sanitizer, and the flight
     recorder all active must produce bit-identical simulated cycles and
     ``Machine.state_hash()`` fingerprints to a bare run — the observers
     may cost host wall time, never simulated time.
@@ -108,8 +108,10 @@ class TestZeroPerturbationTable1:
             if metric.startswith("profile."):
                 continue        # profile-only family
             assert full.artifact["metrics"][metric] == value, metric
-        # The instrumented run really did record the wall domain.
-        assert (tmp_path / "table1_edge_calls.wall.collapsed").exists()
+        # The instrumented run wrote its cycle flamegraph, and no
+        # host-time twin next to it.
+        assert (tmp_path / "table1_edge_calls.collapsed").exists()
+        assert not (tmp_path / "table1_edge_calls.wall.collapsed").exists()
         assert (tmp_path / "table1_edge_calls.journal.json").exists()
 
     def test_table1_bit_identical_with_timeline_sampling(self, tmp_path):

@@ -8,6 +8,8 @@ rot a released artifact cannot afford; these tests pin them down.
 import ast
 import pathlib
 import re
+import runpy
+import sys
 
 import pytest
 
@@ -39,17 +41,52 @@ def test_every_public_class_and_function_documented():
     assert not undocumented, undocumented
 
 
-def test_design_md_references_existing_modules():
-    design = (ROOT / "DESIGN.md").read_text()
-    for dotted in set(re.findall(r"`repro\.([a-z_.]+)`", design)):
-        parts = dotted.split(".")
-        candidates = [
-            SRC.joinpath(*parts).with_suffix(".py"),
-            SRC.joinpath(*parts) / "__init__.py",
-            # Attribute references like repro.monitor.rustmonitor.foo
-            SRC.joinpath(*parts[:-1]).with_suffix(".py"),
-        ]
-        assert any(c.exists() for c in candidates), dotted
+DOCS = [ROOT / "DESIGN.md", ROOT / "README.md",
+        *sorted((ROOT / "docs").glob("*.md"))]
+
+# `python -m repro.<pkg> <sub>` or `repro.<pkg> <sub>|<sub>` in a doc.
+CLI_MENTION = re.compile(
+    r"(?:python -m |`)repro\.([a-z_]+) "
+    r"((?:[a-z][a-z-]*\|)*[a-z][a-z-]*)(?![\w/.-])")
+
+
+def _cli_accepts(package: str, command: str, monkeypatch) -> bool:
+    """Whether ``python -m repro.<package> <command> --help`` exits 0."""
+    monkeypatch.setattr(sys, "argv", [package, command, "--help"])
+    # A __main__ another test imported would make runpy warn.
+    monkeypatch.delitem(sys.modules, f"repro.{package}.__main__",
+                        raising=False)
+    try:
+        runpy.run_module(f"repro.{package}", run_name="__main__")
+    except SystemExit as exc:
+        return exc.code == 0
+    return False
+
+
+def test_design_md_references_existing_modules(monkeypatch, capsys):
+    missing, commands = [], set()
+    for doc in DOCS:
+        text = doc.read_text()
+        for dotted in set(re.findall(r"`repro\.([a-z_.]+)`", text)):
+            parts = dotted.split(".")
+            candidates = [
+                SRC.joinpath(*parts).with_suffix(".py"),
+                SRC.joinpath(*parts) / "__init__.py",
+                # Attribute references like repro.monitor.rustmonitor.foo
+                SRC.joinpath(*parts[:-1]).with_suffix(".py"),
+            ]
+            if not any(c.exists() for c in candidates):
+                missing.append(f"{doc.name}: repro.{dotted}")
+        for package, names in CLI_MENTION.findall(text):
+            if (SRC / package / "__main__.py").exists():
+                commands.update((doc.name, package, name)
+                                for name in names.split("|"))
+    assert commands
+    missing += [f"{doc}: python -m repro.{package} {name}"
+                for doc, package, name in sorted(commands)
+                if not _cli_accepts(package, name, monkeypatch)]
+    capsys.readouterr()
+    assert not missing, missing
 
 
 def test_every_benchmark_is_documented():

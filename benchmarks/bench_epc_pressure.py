@@ -8,10 +8,12 @@ real ``sweep`` ECALLs (one per :data:`CHUNK_PAGES`-page chunk), so the
 scenario exercises the whole edge-call stack: under a request tracer
 (``python -m repro.bench run epc_pressure --requests``) every chunk is
 a traced request whose causal tree shows the page-fault/swap storms it
-hit, and the artifact ends in the per-request cross-tenant interference
-table; under a timeline sampler (``--timeline``) the same run yields
-the canonical pressure trace with per-interval (victim, aggressor)
-episode attribution — the two reports agree by construction.
+hit; under a timeline sampler (``--timeline``) the same run yields the
+canonical pressure trace with per-interval (victim, aggressor) episode
+attribution.  ``python -m repro.bench report`` prints both from the
+artifact — the timeline series, rollups and episode table, then the
+request latency, slowest-request and cross-tenant interference tables
+— and the two attributions agree by construction.
 
 The figures are deterministic fault/steal counts — no host time — so
 the scenario doubles as an ordinary (non-gated) ablation benchmark.

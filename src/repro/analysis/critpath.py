@@ -5,8 +5,9 @@ Consumes the requests JSON documents produced by
 answers: per-request critical paths through the causal segment tree,
 per-request cycle breakdowns into the coarse
 :data:`~repro.hw.cycles.CLASSES`, per-tenant and per-call-name p50/p95/p99
-latency tables with an attributed tail cause, and the cross-tenant
-interference report (which tenant's EPC steals stalled whose requests).
+latency tables with an attributed tail cause, the slowest requests, and
+the cross-tenant interference report (which tenant's EPC steals stalled
+whose requests).  :mod:`repro.bench.report` renders them as tables.
 
 Everything here is a pure function of the input document — no host
 time, no randomness, no I/O — so reports are bit-reproducible across
@@ -25,7 +26,8 @@ from __future__ import annotations
 
 import math
 
-from repro.hw.cycles import CLASSES, critpath_class
+# CLASSES is re-exported: perfbench/layers.py imports it from here.
+from repro.hw.cycles import CLASSES, critpath_class  # noqa: F401
 from repro.telemetry.timeline import pick_steal_pair, steal_pair
 
 # -- per-request analysis ----------------------------------------------------
@@ -190,74 +192,18 @@ def interference_report(document: dict) -> list[dict]:
     return out
 
 
-# -- text renderers (the ``requests`` CLI and bench digests) -----------------
+# -- the tail ----------------------------------------------------------------
 
 
-def requests_report(document: dict) -> str:
-    """Plain-text latency digest of a requests document."""
-    lines: list[str] = []
-    for trace in document["traces"]:
-        requests = trace["requests"]
-        lines.append(f"requests [{trace['label']}]: "
-                     f"{len(requests)} traced request(s)")
-    rows = latency_tables(document)
-    if rows:
-        lines.append(f"  {'tenant':<12} {'call':<16} {'n':>4} "
-                     f"{'p50':>12} {'p95':>12} {'p99':>12} {'max':>12}  "
-                     f"tail cause")
-        for row in rows:
-            lines.append(
-                f"  {row['tenant']:<12} {row['name']:<16} "
-                f"{row['count']:>4} {row['p50']:>12,} {row['p95']:>12,} "
-                f"{row['p99']:>12,} {row['max']:>12,}  "
-                f"{row['tail_cause']}")
-    return "\n".join(lines)
-
-
-def slowest_requests(document: dict, *, limit: int = 10) -> str:
-    """The slowest requests with their critical paths, one block each."""
-    flat: list[tuple[dict, dict]] = []
-    for trace in document["traces"]:
-        for request in trace["requests"]:
-            flat.append((trace, request))
-    flat.sort(key=lambda item: (-request_duration(item[1]),
-                                item[1]["id"]))
-    lines: list[str] = []
-    for trace, request in flat[:limit]:
-        duration = request_duration(request)
-        lines.append(f"{request['id']}  {request['name']} "
-                     f"[{_display(trace, request['tenant'])}]  "
-                     f"{duration:,} cycles"
-                     + ("  ERROR" if request["error"] else ""))
-        breakdown = request_breakdown(request)
-        parts = [f"{cls}={breakdown[cls]:,.0f}"
-                 for cls in CLASSES if breakdown.get(cls)]
-        lines.append(f"  breakdown: {', '.join(parts) or 'none'}")
-        hops = critical_path(request)
-        chain = " > ".join(
-            f"{hop['kind']}" + (f":{hop['name']}" if "name" in hop else "")
-            + f" ({hop['cycles']:,})" for hop in hops)
-        lines.append(f"  critical path: {chain}")
-    if not lines:
-        lines.append("no requests traced")
-    return "\n".join(lines)
-
-
-def interference_text(document: dict) -> str:
-    """Plain-text cross-tenant interference digest."""
-    lines: list[str] = []
-    for entry in interference_report(document):
-        lines.append(f"interference [{entry['trace']}]: "
-                     f"victim={entry['victim']} "
-                     f"aggressor={entry['aggressor']}")
-        if not entry["rows"]:
-            lines.append("  no EPC steals recorded")
-            continue
-        for row in entry["rows"]:
-            lines.append(
-                f"  {row['victim']} <- {row['aggressor']}: "
-                f"{row['frames_stolen']:g} frames stolen, "
-                f"{row['victim_requests_stalled']} victim request(s) "
-                f"stalled for {row['victim_swap_stall_cycles']:,.0f} "
-                f"swap-stall cycles")
-    return "\n".join(lines)
+def slowest_requests(document: dict, limit: int) -> list[dict]:
+    """The ``limit`` slowest requests, slowest first (ties break on the
+    request id), each with its breakdown and critical path."""
+    flat = [(trace, request) for trace in document["traces"]
+            for request in trace["requests"]]
+    flat.sort(key=lambda item: (-request_duration(item[1]), item[1]["id"]))
+    return [{"id": request["id"], "name": request["name"],
+             "tenant": _display(trace, request["tenant"]),
+             "cycles": request_duration(request), "error": request["error"],
+             "breakdown": request_breakdown(request),
+             "critical_path": critical_path(request)}
+            for trace, request in flat[:limit]]

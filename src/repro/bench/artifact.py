@@ -9,6 +9,9 @@ One artifact per benchmark run, containing
   ``telemetry.by_subsystem.*``) and ``profile.total_span_cycles`` — the
   exact set the regression gate compares with tolerance bands,
 * ``telemetry`` / ``profile`` — the cycle digest and top-frame summary,
+* ``timeline`` / ``requests`` — the full timeline and request-trace
+  documents of a ``--timeline``/``--requests`` run (never gated; no
+  side file copies them),
 * ``provenance`` — cost-model fingerprint, python version, git commit.
 
 Everything in ``metrics`` is a deterministic function of the simulation
@@ -24,6 +27,8 @@ import hashlib
 import json
 import pathlib
 import subprocess
+
+from repro.telemetry.schema import validate_requests, validate_timeline
 
 # Version 2 added the explicit ``artifact_version`` field and the
 # ``latency`` block (per-enclave p50/p95/p99 cycle summaries).
@@ -230,6 +235,13 @@ def validate_artifact(document) -> None:
         if not isinstance(value, str):
             raise ValueError(
                 f"artifact: non-string fingerprint {key!r}")
+    # The informational blocks are the only copy of the timeline and
+    # request documents, so they are held to their own schemas here,
+    # on every write and every load.
+    if document.get("timeline") is not None:
+        validate_timeline(document["timeline"])
+    if document.get("requests") is not None:
+        validate_requests(document["requests"])
 
 
 def write_artifact(path: str | pathlib.Path, document: dict

@@ -2,13 +2,16 @@
 run|check|diff|report|list``.
 
 * ``run``    — execute benchmarks (default: the gate set) and write
-  ``BENCH_<name>.json`` baselines plus flamegraph/trace side artifacts;
+  ``BENCH_<name>.json`` baselines plus, with ``--artifacts``, the
+  telemetry snapshot, Chrome trace, profile and collapsed stacks;
 * ``check``  — re-run and gate against the committed baselines; exit 1 on
   any regression (this is CI's ``bench-gate`` job);
-* ``diff``   — compare two artifacts: per-metric deltas plus the top
-  profile frame movements;
-* ``report`` — render committed artifacts (cycle digest, paper vs
-  measured, per-enclave latency percentiles) without running anything;
+* ``diff``   — compare two artifacts (per-metric deltas plus the top
+  profile frame movements), or two ``<name>.profile.json`` profiles
+  (every frame's self-cycle delta; exit 1 when the total moved);
+* ``report`` — render artifacts (cycle digest, top frames, paper vs
+  measured, per-enclave latency percentiles, timeline and request
+  tables) without running anything;
 * ``list``   — show the registry.
 """
 
@@ -19,13 +22,16 @@ import json
 import pathlib
 import sys
 
-from repro.bench.artifact import artifact_name, artifact_path, load_artifact
+from repro.bench.artifact import (artifact_name, artifact_path,
+                                  load_artifact, validate_artifact)
 from repro.bench.compare import compare_artifacts, compare_report
 from repro.bench.registry import REGISTRY, resolve
 from repro.bench.report import report_all
 from repro.bench.runner import (DEFAULT_BASELINE_DIR, check_benches,
                                 run_benches)
-from repro.profiler.diff import delta_lines, rank_deltas
+from repro.profiler.core import PROFILE_KIND
+from repro.profiler.diff import delta_lines, diff_report, rank_deltas
+from repro.telemetry.timeline import DEFAULT_INTERVAL
 
 
 def _add_selection(parser) -> None:
@@ -46,21 +52,21 @@ def _add_selection(parser) -> None:
                         help="record each run's flight-recorder journal "
                              "here (replayable with `python -m "
                              "repro.flightrec replay`)")
-    parser.add_argument("--timeline", type=int, nargs="?",
-                        const=250_000, default=None, metavar="CYCLES",
-                        dest="timeline_interval",
-                        help="sample a cycle-domain timeline every CYCLES "
-                             "simulated cycles (default 250000); adds an "
-                             "informational `timeline` block to the "
-                             "artifact and, with --artifacts, a "
-                             "<name>.timeline.json side file")
+    parser.add_argument("--timeline", action="store_true",
+                        help="sample a cycle-domain timeline every "
+                             f"{DEFAULT_INTERVAL:,} simulated cycles; adds "
+                             "an informational `timeline` block to the "
+                             "artifact")
     parser.add_argument("--requests", action="store_true",
                         dest="trace_requests",
                         help="trace every top-level ecall as a request "
                              "(repro.telemetry.requests); adds an "
                              "informational `requests` block to the "
-                             "artifact and, with --artifacts, a "
-                             "<name>.requests.json side file")
+                             "artifact")
+
+
+def _timeline_interval(args) -> int | None:
+    return DEFAULT_INTERVAL if args.timeline else None
 
 
 def _cmd_list(args) -> int:
@@ -78,7 +84,7 @@ def _cmd_run(args) -> int:
                 artifacts_dir=args.artifacts,
                 profile=not args.no_profile,
                 record_dir=args.record_dir,
-                timeline_interval=args.timeline_interval,
+                timeline_interval=_timeline_interval(args),
                 trace_requests=args.trace_requests)
     print(f"wrote {len(specs)} baseline artifact(s) to "
           f"{args.baseline_dir}")
@@ -91,7 +97,7 @@ def _cmd_check(args) -> int:
                             artifacts_dir=args.artifacts,
                             profile=not args.no_profile,
                             record_dir=args.record_dir,
-                            timeline_interval=args.timeline_interval,
+                            timeline_interval=_timeline_interval(args),
                             trace_requests=args.trace_requests)
     if args.json:
         print(json.dumps([r.as_dict() for r in results], indent=2))
@@ -126,8 +132,18 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    baseline = load_artifact(args.base)
-    current = load_artifact(args.current)
+    baseline, current = (json.loads(pathlib.Path(path).read_text())
+                         for path in (args.base, args.current))
+    if all(isinstance(doc, dict) and doc.get("kind") == PROFILE_KIND
+           for doc in (baseline, current)):
+        # Two full profiles (<name>.profile.json): every frame is there,
+        # so the diff ranks them all and gates on the total.
+        print(diff_report(baseline, current, args.top))
+        moved = baseline["combined"]["total_span_cycles"] != \
+            current["combined"]["total_span_cycles"]
+        return 1 if moved else 0
+    validate_artifact(baseline)
+    validate_artifact(current)
     result = compare_artifacts(baseline, current)
     print(compare_report([result], verbose=args.verbose))
     base_profile = baseline.get("profile")
@@ -196,7 +212,10 @@ def main(argv: list[str] | None = None) -> int:
                         "tables)")
     p.set_defaults(fn=_cmd_report)
 
-    p = sub.add_parser("diff", help="compare two BENCH_*.json artifacts")
+    p = sub.add_parser("diff",
+                       help="compare two BENCH_*.json artifacts, or two "
+                            "<name>.profile.json profiles (exit 1 when "
+                            "the profile totals moved)")
     p.add_argument("base")
     p.add_argument("current")
     p.add_argument("--top", type=int, default=10, metavar="N")

@@ -1,12 +1,16 @@
 """Human-readable digests of ``BENCH_<name>.json`` artifacts.
 
 ``python -m repro.bench report`` renders, per artifact: the cycle
-digest and hottest profile frame, the paper-vs-measured lines for the
-paper's headline tables and figures, the per-enclave latency percentile
-table (p50/p95/p99 in simulated cycles, Stress-SGX-style), plus the
-timeline and request digests when the artifact carries them.  It reads
-committed baselines by default, so it is one command with no benchmark
-run.  Host speed is ``perfbench``'s job, not this report's.
+digest, the top profile frames by self cycles, the paper-vs-measured
+lines for the paper's headline tables and figures, the per-enclave
+latency percentile table (p50/p95/p99 in simulated cycles,
+Stress-SGX-style), plus, when the artifact carries them, the timeline
+tables (series, per-tenant rollups, pressure episodes) and the request
+tables (per-call latency, the slowest requests with their critical
+paths, cross-tenant interference).  It reads committed baselines by
+default, so it is one command with no benchmark run, and it is the only
+reader of those blocks.  Host speed is ``perfbench``'s job, not this
+report's.
 
 Each section builds its rows once as :class:`Table` blocks; one renderer
 emits them as plain text or, with ``--format markdown``, as
@@ -18,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.hw.cycles import CLASSES
+
 # The paper's headline numbers, for side-by-side rendering.
 PAPER = {
     "table1_ecall": {"HU-Enclave": 8440, "GU-Enclave": 9480,
@@ -26,6 +32,9 @@ PAPER = {
                   "Intel SGX": 28561},
     "fig8d_relmax": {"HU-Enclave": 0.89, "GU-Enclave": 0.72, "SGX": 0.48},
 }
+
+#: How many of the slowest traced requests get a critical-path row.
+SLOWEST = 5
 
 
 @dataclass
@@ -59,6 +68,21 @@ def _exact_rows(figures: dict, paper: dict, key: str) -> list[list[str]]:
         rows.append([platform, f"{value:,}", f"{measured:,.0f}",
                      "exact" if measured == value else "DIFFERS"])
     return rows
+
+
+def profile_section(artifact: dict) -> list[Table]:
+    """The profile's top frames by self cycles (nothing when unprofiled)."""
+    profile = artifact.get("profile")
+    if not profile or not profile.get("top_self"):
+        return []
+    top = profile["top_self"]
+    return [Table(f"top {len(top)} frames by self cycles (of "
+                  f"{profile['total_span_cycles']:,} span cycles across "
+                  f"{profile['machines']} machine(s)):",
+                  ["self cycles", "stack", "calls"],
+                  [[f"{frame['self_cycles']:,}", frame["stack"],
+                    str(frame["calls"])] for frame in top],
+                  "{:>14}  {}  ({} calls)", text_header=False)]
 
 
 def paper_section(artifact: dict) -> list[Table]:
@@ -108,57 +132,133 @@ def latency_section(artifact: dict) -> list[Table]:
                   empty="latency: no per-enclave span histograms recorded")]
 
 
+def _series_table(timeline: dict) -> Table:
+    from repro.telemetry.timeline import (DEFAULT_EPISODE_THRESHOLD,
+                                          scalar_series)
+    samples = timeline["samples"]
+    title = (f"timeline [{timeline['label']}]: {len(samples)} samples "
+             f"every {timeline['interval']:,} cycles")
+    if samples:
+        title += (f", cycle {samples[0]['cycle']:,}.."
+                  f"{samples[-1]['cycle']:,}; pressure episodes at >= "
+                  f"{DEFAULT_EPISODE_THRESHOLD:g} pages swapped out per "
+                  f"interval")
+    rows = []
+    for name in sorted({name for s in samples for name in s["series"]}):
+        values = [value for _, value in scalar_series(timeline, name)]
+        rows.append([name, f"{min(values):,.0f}", f"{max(values):,.0f}",
+                     f"{values[-1]:,.0f}"])
+    return Table(f"{title}:", ["series", "min", "max", "last"], rows,
+                 "{:<24} {:>14} {:>14} {:>14}", empty=title)
+
+
+def _pairs(counts: dict) -> str:
+    return ", ".join(f"{name}: {n:g}" for name, n in counts.items()) or "-"
+
+
+def _rollup_table(timeline: dict) -> Table:
+    from repro.telemetry.timeline import tenant_rollups
+    rows = [[roll["tenant"], key, f"{roll['cycles']:,.0f}",
+             f"{roll['epc_pages_peak']:g}", str(roll["epc_pages_mean"]),
+             f"{roll['pages_swapped_out']:g}",
+             f"{roll['pages_swapped_in']:g}",
+             _pairs(roll["stolen_from"]), _pairs(roll["stolen_by"])]
+            for key, roll in tenant_rollups(timeline).items()]
+    return Table(f"per-tenant rollups [{timeline['label']}] (EPC in pages):",
+                 ["tenant", "enclave", "world cycles", "EPC peak",
+                  "EPC mean", "swapped out", "swapped in", "stolen from",
+                  "stolen by"], rows,
+                 "{:<10} {:>7} {:>12} {:>8} {:>9} {:>11} {:>10}  "
+                 "{:<30} {}")
+
+
 def timeline_section(artifact: dict) -> list[Table]:
-    """The timeline pressure-episode table (nothing when untimed)."""
+    """Per timeline its series and per-tenant rollups, then the
+    pressure-episode table (nothing when untimed)."""
     timeline_doc = artifact.get("timeline")
     if not timeline_doc:
         return []
     from repro.telemetry.timeline import detect_episodes
+    timelines = timeline_doc.get("timelines", [])
+    out = []
+    for timeline in timelines:
+        out.append(_series_table(timeline))
+        if timeline["samples"]:
+            out.append(_rollup_table(timeline))
     rows = [[timeline["label"], f"{ep['start_cycle']:,}",
              f"{ep['end_cycle']:,}", f"{ep['pages']:g}", f"{ep['depth']:g}",
              ep["victim"], ep["aggressor"]]
-            for timeline in timeline_doc.get("timelines", [])
+            for timeline in timelines
             for ep in detect_episodes(timeline)]
-    if not rows:
-        return []
-    return [Table("EPC pressure episodes (from the timeline block):",
-                  ["machine", "start cycle", "end cycle", "pages", "depth",
-                   "victim", "aggressor"], rows,
-                  "{:<14} {:>14} {:>14} {:>7} {:>7}  {} -> {}")]
+    if rows:
+        out.append(Table("EPC pressure episodes (from the timeline block):",
+                         ["machine", "start cycle", "end cycle", "pages",
+                          "depth", "victim", "aggressor"], rows,
+                         "{:<14} {:>14} {:>14} {:>7} {:>7}  {} -> {}"))
+    return out
+
+
+def _slowest_table(requests_doc: dict) -> Table:
+    from repro.analysis.critpath import slowest_requests
+    total = sum(len(trace["requests"]) for trace in requests_doc["traces"])
+    rows = []
+    for request in slowest_requests(requests_doc, SLOWEST):
+        breakdown = request["breakdown"]
+        path = " > ".join(
+            hop["kind"] + (f":{hop['name']}" if "name" in hop else "")
+            + f" ({hop['cycles']:,})" for hop in request["critical_path"])
+        rows.append([request["id"] + (" (error)" if request["error"]
+                                      else ""),
+                     request["tenant"], f"{request['cycles']:,}",
+                     ", ".join(f"{cls}={breakdown[cls]:,.0f}"
+                               for cls in CLASSES if breakdown.get(cls))
+                     or "none", path])
+    return Table(f"slowest {len(rows)} of {total} traced requests "
+                 f"(simulated cycles):",
+                 ["request", "tenant", "cycles", "breakdown",
+                  "critical path"], rows,
+                 "{}  [{}]  {} cycles\n      breakdown: {}"
+                 "\n      critical path: {}", text_header=False)
 
 
 def requests_section(artifact: dict) -> list[Table]:
-    """The request-trace digest: per-call latency, then one interference
-    table per trace (nothing when untraced)."""
+    """The request-trace digest: per-call latency, the slowest requests,
+    then one interference table per trace (nothing when untraced)."""
     requests_doc = artifact.get("requests")
     if not requests_doc:
         return []
     from repro.analysis.critpath import interference_report, latency_tables
     rows = [[row["trace"], row["tenant"], row["name"], str(row["count"]),
              f"{row['p50']:,}", f"{row['p95']:,}", f"{row['p99']:,}",
-             row["tail_cause"]]
+             f"{row['max']:,}", row["tail_cause"]]
             for row in latency_tables(requests_doc)]
     out = [Table("traced requests (per tenant and call, simulated cycles):",
                  ["trace", "tenant", "call", "count", "p50", "p95", "p99",
-                  "tail cause"], rows,
-                 "{:<14} {:<10} {:<16} {:>6} {:>10} {:>10} {:>10}  {}")]
+                  "max", "tail cause"], rows,
+                 "{:<14} {:<10} {:<16} {:>6} {:>10} {:>10} {:>10} {:>10}  "
+                 "{}"),
+           _slowest_table(requests_doc)]
     for entry in interference_report(requests_doc):
         out.append(Table(
             f"interference [{entry['trace']}]: victim={entry['victim']} "
             f"aggressor={entry['aggressor']}",
             ["trace", "victim", "aggressor", "frames stolen",
-             "requests stalled"],
+             "requests stalled", "swap-stall cycles"],
             [[entry["trace"], irow["victim"], irow["aggressor"],
               f"{irow['frames_stolen']:g}",
-              str(irow["victim_requests_stalled"])]
+              str(irow["victim_requests_stalled"]),
+              f"{irow['victim_swap_stall_cycles']:,.0f}"]
              for irow in entry["rows"]],
-            "{1} <- {2}: {3} frames stolen, {4} request(s) stalled",
-            text_header=False))
+            "{1} <- {2}: {3} frames stolen, {4} request(s) stalled for "
+            "{5} swap-stall cycles",
+            text_header=False,
+            empty=f"interference [{entry['trace']}]: no EPC steals "
+                  f"recorded"))
     return out
 
 
 def _summary(artifact: dict) -> list[str]:
-    """The lines under an artifact's heading: size, cycles, hottest frame."""
+    """The lines under an artifact's heading: size and cycles."""
     out = [f"artifact_version {artifact['artifact_version']}, "
            f"{len(artifact['metrics'])} gated metric(s), "
            f"tolerance {artifact['tolerance']:.1%}"]
@@ -166,12 +266,6 @@ def _summary(artifact: dict) -> list[str]:
     if telemetry:
         out.append(f"simulated cycles: {telemetry['total_cycles']:,.0f} "
                    f"across {telemetry['machines']} machine(s)")
-    profile = artifact.get("profile")
-    if profile and profile.get("top_self"):
-        top = profile["top_self"][0]
-        out.append(f"hottest frame: {top['stack']} "
-                   f"({top['self_cycles']:,} self cycles, "
-                   f"{top['calls']} calls)")
     return out
 
 
@@ -198,7 +292,8 @@ def artifact_report(artifact: dict, fmt: str = "text") -> str:
     """The full digest of one artifact, as ``text`` or ``markdown``."""
     heading = (f"{artifact['name']} — {artifact['title']} "
                f"[{artifact['bench_kind']}]")
-    tables = [*paper_section(artifact), *latency_section(artifact),
+    tables = [*profile_section(artifact), *paper_section(artifact),
+              *latency_section(artifact),
               *timeline_section(artifact), *requests_section(artifact)]
     if fmt == "markdown":
         out = [f"### {heading}", "", *_summary(artifact)]

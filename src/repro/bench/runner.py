@@ -66,16 +66,17 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
 
     When ``timeline_interval`` is given, every machine gets a
     cycle-domain timeline sampler at that cadence; the artifact gains an
-    informational ``timeline`` block (never gated) and, with
-    ``artifacts_dir``, a ``<name>.timeline.json`` side file.  Sampling
-    is a pure observer too: figures and fingerprints are unchanged.
+    informational ``timeline`` block (never gated).  Sampling is a pure
+    observer too: figures and fingerprints are unchanged.
 
     When ``trace_requests`` is true, every machine gets a request tracer
     (``repro.telemetry.requests``): each top-level ecall becomes a
     traced request with a causal segment tree.  The artifact gains an
-    informational ``requests`` block and, with ``artifacts_dir``, a
-    ``<name>.requests.json`` side file.  Tracing charges nothing —
+    informational ``requests`` block.  Tracing charges nothing —
     figures and fingerprints are bit-identical to an untraced run.
+
+    The artifact is the only copy of both blocks; ``python -m
+    repro.bench report`` reads them from it.
     """
     from repro.flightrec import forensics
     from repro.flightrec import recorder as flightrec_recorder
@@ -123,16 +124,6 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
         if sink.items:
             written.extend(
                 sink.write(artifacts_dir / f"{spec.name}.telemetry.json"))
-        if timeline_doc is not None:
-            from repro.telemetry.timeline import write_timeline
-            timeline_path = artifacts_dir / f"{spec.name}.timeline.json"
-            write_timeline(timeline_path, timeline_doc)
-            written.append(timeline_path)
-        if requests_doc is not None:
-            from repro.telemetry.requests import write_requests
-            requests_path = artifacts_dir / f"{spec.name}.requests.json"
-            write_requests(requests_path, requests_doc)
-            written.append(requests_path)
         if profile_doc is not None:
             profile_path = artifacts_dir / f"{spec.name}.profile.json"
             profile_path.write_text(

@@ -127,11 +127,6 @@ class PagingStats:
                 "nested_refs": self.nested_refs}
 
 
-def page_of(va: int) -> int:
-    """The page-aligned base of ``va``."""
-    return va & ~(PAGE_SIZE - 1)
-
-
 def _not_present(va: int, write: bool, user: bool, fetch: bool) -> PageFault:
     return PageFault(va, write=write, user=user, fetch=fetch, present=False)
 

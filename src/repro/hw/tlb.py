@@ -54,10 +54,6 @@ class Tlb:
         self._pending: list[tuple[int, int]] = []
         self._asid_keys: dict[int, set[tuple[int, int]]] = {}
 
-    @staticmethod
-    def _vpn(va: int) -> int:
-        return va // PAGE_SIZE
-
     # -- deferred LRU ---------------------------------------------------------
 
     def fast_hit(self, asid: int, vpn: int) -> bool:

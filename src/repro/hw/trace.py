@@ -96,10 +96,6 @@ class TraceBuffer:
         """Register a callback that sees every event before eviction."""
         self._taps.append(fn)
 
-    def untap(self, fn: Callable[[TraceEvent], None]) -> None:
-        if fn in self._taps:
-            self._taps.remove(fn)
-
     def record(self, kind: str, detail: str = "") -> None:
         if not self.enabled:
             return

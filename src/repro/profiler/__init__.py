@@ -8,8 +8,12 @@ cycle profile" walkthrough.
 
 * :func:`profile_document` / :func:`machine_profile` — build profiles;
 * :mod:`repro.profiler.collapsed` — flamegraph-ready collapsed stacks;
-* :mod:`repro.profiler.diff` — top cycle-delta frames between two runs;
-* ``python -m repro.profiler report|collapse|diff`` — the CLI.
+* :mod:`repro.profiler.diff` — top cycle-delta frames between two runs.
+
+``python -m repro.bench run ... --artifacts DIR`` writes
+``<name>.profile.json`` and ``<name>.collapsed``; ``python -m repro.bench
+report`` prints the top frames and ``python -m repro.bench diff A B``
+diffs two profiles.
 
 Profiles hold simulated cycles only.  Host time per layer is
 ``perfbench/run.py --trace 1``'s job.

@@ -19,38 +19,29 @@ import pathlib
 from repro.profiler.core import validate_profile
 
 
-def collapsed_lines(document: dict, *, prefix_machine: bool = True
-                    ) -> list[str]:
+def collapsed_lines(document: dict) -> list[str]:
     """Render a profile document as collapsed-stack lines.
 
-    ``prefix_machine`` roots every stack at the machine label (so a
-    multi-machine run shows one tower per machine); turn it off to merge
-    identical stacks across machines via the combined section.
+    Every stack is rooted at its machine label, so a multi-machine run
+    shows one tower per machine.
     """
     validate_profile(document)
     lines: list[str] = []
-    if prefix_machine:
-        for snap in document["machines"]:
-            label = snap["label"].replace(";", "_").replace(" ", "_")
-            for frame in snap["frames"]:
-                if frame["self_cycles"] <= 0:
-                    continue
-                stack = ";".join([label] + frame["stack"])
-                lines.append(f"{stack} {int(frame['self_cycles'])}")
-    else:
-        for frame in document["combined"]["frames"]:
+    for snap in document["machines"]:
+        label = snap["label"].replace(";", "_").replace(" ", "_")
+        for frame in snap["frames"]:
             if frame["self_cycles"] <= 0:
                 continue
-            lines.append(f"{';'.join(frame['stack'])} "
-                         f"{int(frame['self_cycles'])}")
+            stack = ";".join([label] + frame["stack"])
+            lines.append(f"{stack} {int(frame['self_cycles'])}")
     return lines
 
 
-def write_collapsed(path: str | pathlib.Path, document: dict, *,
-                    prefix_machine: bool = True) -> pathlib.Path:
+def write_collapsed(path: str | pathlib.Path, document: dict
+                    ) -> pathlib.Path:
     """Write the collapsed-stack file; returns the path."""
     path = pathlib.Path(path)
-    lines = collapsed_lines(document, prefix_machine=prefix_machine)
+    lines = collapsed_lines(document)
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
     return path
 

@@ -1,12 +1,14 @@
 """Exact cycle-attribution profiles over the telemetry span tree.
 
-Unlike a sampling profiler, this one is *exact*: every span records the
-precise simulated-cycle interval it covered and the exact ancestor stack
-it opened under (:attr:`repro.telemetry.SpanRecord.path`), so the frame
-aggregation below is a complete accounting — the self-cycles of all
-frames sum to the cycles of all root spans, bit for bit.
+Unlike a sampling profiler, this one is *exact*: every span, as it
+closes, folds the precise simulated-cycle interval it covered into the
+frame of the exact ancestor stack it opened under
+(:attr:`repro.telemetry.Telemetry.frames`), so the frame table is a
+complete accounting — the self-cycles of all frames sum to the cycles of
+all root spans, bit for bit, however many spans the run closed (the
+bounded span ring only feeds the Chrome trace).
 
-The profiler only *reads* recorded spans; it charges nothing to the
+The profiler only *reads* that table; it charges nothing to the
 simulated clock, so profiles can be taken on calibrated benchmark runs
 without perturbing Table 1/2 (pinned by
 ``tests/profiler/test_profiler_invariants.py``).
@@ -36,10 +38,6 @@ class FrameStats:
                 "cycles": self.cycles, "self_cycles": self.self_cycles}
 
 
-def _bump(table: dict, key: str, amount: int) -> None:
-    table[key] = table.get(key, 0) + amount
-
-
 def machine_profile(telemetry: Telemetry, label: str = "machine", *,
                     strict: bool = True) -> dict:
     """One machine's exact cycle profile as a JSON-ready dict.
@@ -54,36 +52,16 @@ def machine_profile(telemetry: Telemetry, label: str = "machine", *,
             f"profiling {label!r} with {len(open_names)} span(s) still "
             f"open: {' > '.join(open_names)}")
 
-    frames: dict[tuple[str, ...], FrameStats] = {}
-    by_enclave: dict[str, int] = {}
-    by_cpu: dict[str, int] = {}
-    root_cycles = 0
-    for record in telemetry.spans:
-        stack = record.path or (record.name,)
-        stats = frames.get(stack)
-        if stats is None:
-            stats = frames[stack] = FrameStats(stack)
-        stats.calls += 1
-        stats.cycles += record.dur_cycles
-        stats.self_cycles += record.self_cycles
-        if record.depth == 0:
-            root_cycles += record.dur_cycles
-        _bump(by_enclave, str(record.labels.get("enclave", "-")),
-              record.self_cycles)
-        _bump(by_cpu, str(record.labels.get("cpu", 0)),
-              record.self_cycles)
-
+    frames = telemetry.frames
     return {
         "label": label,
-        "total_span_cycles": root_cycles,
-        "spans_recorded": len(telemetry.spans),
-        # A full ring means the oldest spans were dropped and totals are
-        # a lower bound; profiles of bounded runs never hit this.
-        "truncated": len(telemetry.spans) == telemetry.spans.maxlen,
+        "total_span_cycles": telemetry.root_cycles,
+        "spans_recorded": sum(calls for calls, _, _ in frames.values()),
         "open_spans": open_names,
-        "frames": [frames[key].as_dict() for key in sorted(frames)],
-        "by_enclave": by_enclave,
-        "by_cpu": by_cpu,
+        "frames": [FrameStats(path, *frames[path]).as_dict()
+                   for path in sorted(frames)],
+        "by_enclave": dict(telemetry.self_by_enclave),
+        "by_cpu": dict(telemetry.self_by_cpu),
     }
 
 

@@ -1,15 +1,17 @@
 """Platform-wide telemetry: metrics registry, cycle-accurate spans,
 event ring, and exporters (JSON snapshot / Chrome trace).
 
+Runs record through ``python -m repro.bench run ... --artifacts DIR``;
+``python -m repro.bench report`` prints what they recorded.
+
 See docs/OBSERVABILITY.md for the full API and file formats.
 """
 
 from repro.telemetry.core import (NULL_SPAN, Span, SpanRecord, Telemetry,
                                   UnclosedSpanError, cycles_by_subsystem,
                                   subsystem_for_category)
-from repro.telemetry.metrics import (SUMMARY_QUANTILES, Counter, Gauge,
-                                     Histogram, MetricsRegistry,
-                                     percentile_from_buckets)
+from repro.telemetry.metrics import (SUMMARY_QUANTILES, Counter, Histogram,
+                                     MetricsRegistry, percentile_from_buckets)
 from repro.telemetry.export import (chrome_trace_document,
                                     latency_summaries, machine_snapshot,
                                     snapshot_document, trace_path_for,
@@ -18,17 +20,15 @@ from repro.telemetry.schema import (SchemaError, validate_requests,
                                     validate_snapshot, validate_timeline)
 from repro.telemetry.timeline import (TimelineSampler, attach_machine,
                                       detach_machine, detect_episodes,
-                                      register_monitor_probes, render_html,
-                                      tenant_rollups, timeline_document,
-                                      write_timeline)
-from repro.telemetry.requests import (RequestTracer, load_requests,
-                                      request_flow_events,
-                                      requests_document, write_requests)
+                                      register_monitor_probes,
+                                      tenant_rollups, timeline_document)
+from repro.telemetry.requests import (RequestTracer, request_flow_events,
+                                      requests_document)
 
 __all__ = [
     "NULL_SPAN", "Span", "SpanRecord", "Telemetry", "UnclosedSpanError",
     "cycles_by_subsystem", "subsystem_for_category",
-    "SUMMARY_QUANTILES", "Counter", "Gauge", "Histogram",
+    "SUMMARY_QUANTILES", "Counter", "Histogram",
     "MetricsRegistry", "percentile_from_buckets",
     "chrome_trace_document", "latency_summaries", "machine_snapshot",
     "snapshot_document", "trace_path_for",
@@ -36,8 +36,7 @@ __all__ = [
     "SchemaError", "validate_requests", "validate_snapshot",
     "validate_timeline",
     "TimelineSampler", "attach_machine", "detach_machine",
-    "detect_episodes", "register_monitor_probes", "render_html",
-    "tenant_rollups", "timeline_document", "write_timeline",
-    "RequestTracer", "load_requests", "request_flow_events",
-    "requests_document", "write_requests",
+    "detect_episodes", "register_monitor_probes",
+    "tenant_rollups", "timeline_document",
+    "RequestTracer", "request_flow_events", "requests_document",
 ]

@@ -55,8 +55,8 @@ class SpanRecord:
     """One completed span (feeds the Chrome trace exporter).
 
     ``path`` is the exact ancestor stack (root first, this span last) at
-    the moment the span opened — the profiler's collapsed-stack frames
-    come straight from it, no sampling or reconstruction involved.
+    the moment the span opened — the same key the span's profile frame
+    (:attr:`Telemetry.frames`) is folded under at exit.
     """
 
     name: str
@@ -126,10 +126,10 @@ class Span:
         if stack:
             stack[-1]._child_cycles += dur
         labels = self.labels
-        # The four metrics a span feeds are fixed per (name, labels);
-        # interning each through the registry on every exit dominates
-        # span overhead, so the resolved cells are memoized on the
-        # Telemetry (cleared alongside the registry in reset()).
+        # The four metrics a span feeds, and its profile buckets, are
+        # fixed per (name, labels); interning each through the registry
+        # on every exit dominates span overhead, so the resolved cells
+        # are memoized on the Telemetry (cleared in reset()).
         key = (self.name if not labels
                else (self.name, _label_key(labels)))
         metrics = tel._span_metrics.get(key)
@@ -142,15 +142,30 @@ class Span:
                 reg.counter(subsystem, short + ".cycles", **labels),
                 reg.counter(subsystem, short + ".self_cycles", **labels),
                 reg.histogram(subsystem, short + ".cycles_hist", **labels),
+                str(labels.get("enclave", "-")),
+                str(labels.get("cpu", 0)),
             )
             tel._span_metrics[key] = metrics
-        calls, cyc, self_cyc, cyc_hist = metrics
+        calls, cyc, self_cyc, cyc_hist, enclave, cpu = metrics
         # Direct cell mutation: all increments here are non-negative by
         # construction (max() above), matching Counter.inc semantics.
         calls.value += 1
         cyc.value += dur
         self_cyc.value += self_cycles
         cyc_hist.observe(dur)
+        # The profile aggregates here, at exit, so it covers every span
+        # the run closed; the bounded span ring feeds the Chrome trace.
+        frame = tel.frames.get(self._path)
+        if frame is None:
+            frame = tel.frames[self._path] = [0, 0, 0]
+        frame[0] += 1
+        frame[1] += dur
+        frame[2] += self_cycles
+        by_enclave, by_cpu = tel.self_by_enclave, tel.self_by_cpu
+        by_enclave[enclave] = by_enclave.get(enclave, 0) + self_cycles
+        by_cpu[cpu] = by_cpu.get(cpu, 0) + self_cycles
+        if not self._depth:
+            tel.root_cycles += dur
         tel.spans.append(SpanRecord(
             self.name, labels, self.start_cycle, dur, self_cycles,
             self._depth, exc_type is not None, self._path))
@@ -222,12 +237,20 @@ class Telemetry:
         self.ring.attach(cycles)
         self.ring.on_drop = self._on_ring_drop
         self.enabled = False
+        # The most recent closed spans, for the Chrome trace.
         self.spans: deque[SpanRecord] = deque(maxlen=span_capacity)
+        # Every closed span, folded for the profiler: ancestor path ->
+        # [calls, cycles, self cycles]; self cycles per enclave and per
+        # cpu label; the cycles of root spans.
+        self.frames: dict[tuple[str, ...], list[int]] = {}
+        self.self_by_enclave: dict[str, int] = {}
+        self.self_by_cpu: dict[str, int] = {}
+        self.root_cycles = 0
         self._stack: list[Span] = []
         self._collectors: dict[str, Callable[[], dict]] = {}
         self._paging: dict[str, object] = {}
-        # (name[, sorted-labels]) -> the 7 metric cells a span feeds on
-        # exit; see Span.__exit__.
+        # (name[, sorted-labels]) -> the 4 metric cells a span feeds on
+        # exit plus its enclave and cpu keys; see Span.__exit__.
         self._span_metrics: dict = {}
         # Cycle-domain timeline sampler (repro.telemetry.timeline);
         # attached by the sink or attach_machine, None when off.
@@ -252,6 +275,10 @@ class Telemetry:
         self.registry.clear()
         self._span_metrics.clear()
         self.spans.clear()
+        self.frames.clear()
+        self.self_by_enclave.clear()
+        self.self_by_cpu.clear()
+        self.root_cycles = 0
         self._stack.clear()
         self.ring.clear()
 

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, and log-scale histograms.
+"""The metrics registry: counters and log-scale histograms.
 
 Every metric is keyed by ``(subsystem, name, labels)``, where ``labels``
 is a small dict of dimensions (``enclave=3``, ``cpu=0``, ``func="nop"``)
@@ -85,25 +85,6 @@ class Counter:
         return {"value": self.value}
 
 
-class Gauge:
-    """A value that can move in both directions (pool sizes, depths)."""
-
-    __slots__ = ("value",)
-    kind = "gauge"
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def set(self, value: int | float) -> None:
-        self.value = value
-
-    def add(self, delta: int | float) -> None:
-        self.value += delta
-
-    def snapshot(self) -> dict:
-        return {"value": self.value}
-
-
 class Histogram:
     """A log-scale (power-of-two bucket) histogram.
 
@@ -179,7 +160,7 @@ class MetricsRegistry:
     """All metrics of one machine, interned by (subsystem, name, labels)."""
 
     def __init__(self) -> None:
-        self._metrics: dict[MetricKey, Counter | Gauge | Histogram] = {}
+        self._metrics: dict[MetricKey, Counter | Histogram] = {}
 
     def _intern(self, cls, subsystem: str, name: str,
                 labels: dict[str, object]):
@@ -196,9 +177,6 @@ class MetricsRegistry:
 
     def counter(self, subsystem: str, name: str, **labels) -> Counter:
         return self._intern(Counter, subsystem, name, labels)
-
-    def gauge(self, subsystem: str, name: str, **labels) -> Gauge:
-        return self._intern(Gauge, subsystem, name, labels)
 
     def histogram(self, subsystem: str, name: str, **labels) -> Histogram:
         return self._intern(Histogram, subsystem, name, labels)

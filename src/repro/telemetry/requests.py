@@ -7,7 +7,8 @@ page faults, TLB shootdowns and swap in/out executed on behalf of the
 request are recorded as a *causal segment tree* with cycle-domain
 begin/end stamps.  ``repro.analysis.critpath`` turns the trees into
 critical paths, tail-latency tables and cross-tenant interference
-reports.
+reports, which ``python -m repro.bench report`` prints from the bench
+artifact's ``requests`` block (the document's only copy).
 
 Determinism contract (same bar as the timeline sampler):
 
@@ -29,8 +30,6 @@ The segment kinds, and which of them are flow steps, are declared in
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.hw.cycles import SEGMENT_KINDS
 
@@ -210,27 +209,6 @@ def requests_document(tracers) -> dict | None:
         return None
     return {"version": REQUESTS_VERSION, "kind": REQUESTS_KIND,
             "traces": traces}
-
-
-def write_requests(path, document: dict) -> None:
-    """Schema-validate and write a requests document."""
-    from repro.telemetry.schema import validate_requests
-    validate_requests(document)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_requests(path) -> dict:
-    """Load a requests document — directly, or out of a bench
-    artifact's ``requests`` block."""
-    from repro.telemetry.schema import validate_requests
-    with open(path, "r", encoding="utf-8") as fh:
-        document = json.load(fh)
-    if document.get("kind") != REQUESTS_KIND and "requests" in document:
-        document = document["requests"]     # a bench artifact
-    validate_requests(document)
-    return document
 
 
 # -- Perfetto flow events ----------------------------------------------------

@@ -1,23 +1,19 @@
-"""Schema validation for telemetry snapshot documents.
+"""Schema validation for the telemetry documents.
 
 The container has no ``jsonschema`` package, so this is a small
-hand-rolled structural validator for the format
-:func:`repro.telemetry.export.snapshot_document` emits.  CI's
-``bench-gate`` job validates the snapshot that ``python -m repro.bench
-check --artifacts DIR`` writes::
-
-    python -m repro.telemetry.schema DIR/table1_edge_calls.telemetry.json
+hand-rolled structural validator for the snapshot
+(:func:`repro.telemetry.export.snapshot_document`), timeline and
+requests documents.  The writers validate before writing, and a bench
+artifact's ``timeline``/``requests`` blocks are validated again whenever
+``repro.bench`` writes or loads the artifact
+(:func:`repro.bench.artifact.validate_artifact`).
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-
 from repro.hw.cycles import SEGMENT_KINDS
 
-_METRIC_TYPES = {"counter", "gauge", "histogram"}
+_METRIC_TYPES = {"counter", "histogram"}
 
 
 class SchemaError(ValueError):
@@ -50,7 +46,7 @@ def _check_metric(entry, where: str) -> None:
              f"unknown metric type {entry['type']!r}")
     _require(isinstance(entry.get("labels"), dict), where,
              "missing labels object")
-    if entry["type"] in ("counter", "gauge"):
+    if entry["type"] == "counter":
         _check_number(entry.get("value"), f"{where}.value")
     else:
         _check_number(entry.get("count"), f"{where}.count")
@@ -239,59 +235,3 @@ def validate_requests(document) -> None:
              "expected a non-empty list")
     for i, trace in enumerate(traces):
         _check_trace(trace, f"$.traces[{i}]")
-
-
-def validate_file(path: str | pathlib.Path) -> dict:
-    """Load and validate a document file; returns the parsed document.
-
-    Dispatches on ``kind``: telemetry snapshots, timeline documents and
-    requests documents are all accepted, as are bench artifacts carrying
-    a ``timeline`` or ``requests`` block (the block is what gets
-    validated; ``timeline`` wins when both are present).
-    """
-    document = json.loads(pathlib.Path(path).read_text())
-    if isinstance(document, dict) \
-            and document.get("kind") not in ("hyperenclave-timeline",
-                                             "hyperenclave-requests"):
-        if isinstance(document.get("timeline"), dict):
-            document = document["timeline"]     # a bench artifact
-        elif isinstance(document.get("requests"), dict):
-            document = document["requests"]     # a bench artifact
-    kind = document.get("kind") if isinstance(document, dict) else None
-    if kind == "hyperenclave-timeline":
-        validate_timeline(document)
-    elif kind == "hyperenclave-requests":
-        validate_requests(document)
-    else:
-        validate_snapshot(document)
-    return document
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point: validate one document file, exit non-zero on error."""
-    args = argv if argv is not None else sys.argv[1:]
-    if not args:
-        print("usage: python -m repro.telemetry.schema DOCUMENT.json",
-              file=sys.stderr)
-        return 2
-    try:
-        document = validate_file(args[0])
-    except (OSError, json.JSONDecodeError, SchemaError) as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
-    if document.get("kind") == "hyperenclave-timeline":
-        samples = sum(len(t["samples"]) for t in document["timelines"])
-        print(f"OK: {args[0]} ({len(document['timelines'])} timeline(s), "
-              f"{samples} sample(s))")
-    elif document.get("kind") == "hyperenclave-requests":
-        requests = sum(len(t["requests"]) for t in document["traces"])
-        print(f"OK: {args[0]} ({len(document['traces'])} trace(s), "
-              f"{requests} request(s))")
-    else:
-        print(f"OK: {args[0]} ({len(document['machines'])} machine(s), "
-              f"{document['combined']['total_cycles']:,.0f} cycles)")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -30,16 +30,15 @@ path in ``charge()`` is a single attribute load and branch.
 
 On top of the raw rows the module derives per-tenant rollups and
 *pressure episodes* (contiguous intervals where the swap-out rate
-crosses a threshold, attributed to victim/aggressor tenants), and
-exports three ways: a timeline JSON document, Perfetto counter-track
-events for the Chrome trace, and a stdlib-only HTML report with inline
-SVG sparklines (see ``python -m repro.telemetry timeline``).
+crosses a threshold, attributed to victim/aggressor tenants).  The
+timeline document rides in the bench artifact's ``timeline`` block,
+whose series, rollups and episodes ``python -m repro.bench report``
+prints; the series also land in the Chrome trace as Perfetto counter
+tracks.
 """
 
 from __future__ import annotations
 
-import json
-from html import escape
 from typing import Callable
 
 #: Default sample cadence, in simulated cycles.
@@ -50,6 +49,9 @@ DEFAULT_EPISODE_THRESHOLD = 4.0
 
 TIMELINE_VERSION = 1
 TIMELINE_KIND = "hyperenclave-timeline"
+
+#: The cumulative per-tenant series whose rate defines an episode.
+_SWAP_OUT = "swap.pages_out"
 
 #: Tenant-keyed series folded into :func:`tenant_rollups` (the pair
 #: series ``epc.stolen_frames`` and the cpu-keyed ``vcpu.cycles`` have
@@ -272,27 +274,6 @@ def timeline_document(samplers) -> dict | None:
             "timelines": timelines}
 
 
-def write_timeline(path, document: dict) -> None:
-    """Schema-validate and write a timeline document."""
-    from repro.telemetry.schema import validate_timeline
-    validate_timeline(document)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_timeline(path) -> dict:
-    """Load a timeline document — directly, or out of a bench artifact's
-    ``timeline`` block."""
-    from repro.telemetry.schema import validate_timeline
-    with open(path, "r", encoding="utf-8") as fh:
-        document = json.load(fh)
-    if document.get("kind") != TIMELINE_KIND and "timeline" in document:
-        document = document["timeline"]     # a bench artifact
-    validate_timeline(document)
-    return document
-
-
 # -- series access -----------------------------------------------------------
 
 
@@ -300,22 +281,6 @@ def scalar_series(timeline: dict, name: str) -> list[tuple[int, float]]:
     """``[(cycle, value), ...]`` for one scalar series."""
     return [(s["cycle"], s["series"][name])
             for s in timeline["samples"] if name in s["series"]]
-
-
-def tenant_series(timeline: dict, name: str) -> dict[str, list]:
-    """``{key: [(cycle, value), ...]}`` for one tenant-keyed series."""
-    out: dict[str, list] = {}
-    for sample in timeline["samples"]:
-        for key, value in sample["tenants"].get(name, {}).items():
-            out.setdefault(key, []).append((sample["cycle"], value))
-    return out
-
-
-def rate_series(points: list[tuple[int, float]]) -> list[tuple[int, float]]:
-    """Per-interval deltas of a cumulative series (row i covers the
-    window ending at its cycle)."""
-    return [(points[i][0], points[i][1] - points[i - 1][1])
-            for i in range(1, len(points))]
 
 
 def _tenant_values(sample: dict, name: str) -> dict:
@@ -363,10 +328,10 @@ def pick_steal_pair(steals: dict[str, float]
 # -- pressure episodes -------------------------------------------------------
 
 
-def detect_episodes(timeline: dict, *, series: str = "swap.pages_out",
+def detect_episodes(timeline: dict, *,
                     threshold: float = DEFAULT_EPISODE_THRESHOLD,
                     min_intervals: int = 1) -> list[dict]:
-    """Contiguous intervals where the total ``series`` rate >= threshold.
+    """Contiguous intervals where the total swap-out rate >= threshold.
 
     Each episode reports its cycle span, depth (peak rate), total pages,
     and the victim/aggressor tenants: the victim is the tenant that lost
@@ -380,7 +345,7 @@ def detect_episodes(timeline: dict, *, series: str = "swap.pages_out",
         return episodes
 
     def total(i: int) -> float:
-        return sum(_tenant_values(samples[i], series).values())
+        return sum(_tenant_values(samples[i], _SWAP_OUT).values())
 
     run_start = None
     for i in range(1, len(samples)):
@@ -388,19 +353,17 @@ def detect_episodes(timeline: dict, *, series: str = "swap.pages_out",
             if run_start is None:
                 run_start = i
         elif run_start is not None:
-            episodes.append(_episode(timeline, samples, run_start, i - 1,
-                                     series))
+            episodes.append(_episode(timeline, samples, run_start, i - 1))
             run_start = None
     if run_start is not None:
         episodes.append(_episode(timeline, samples, run_start,
-                                 len(samples) - 1, series))
+                                 len(samples) - 1))
     return [e for e in episodes if e["intervals"] >= min_intervals]
 
 
-def _episode(timeline: dict, samples: list, i0: int, i1: int,
-             series: str) -> dict:
-    rates = [sum(_tenant_values(samples[i], series).values())
-             - sum(_tenant_values(samples[i - 1], series).values())
+def _episode(timeline: dict, samples: list, i0: int, i1: int) -> dict:
+    rates = [sum(_tenant_values(samples[i], _SWAP_OUT).values())
+             - sum(_tenant_values(samples[i - 1], _SWAP_OUT).values())
              for i in range(i0, i1 + 1)]
     start, end = samples[i0 - 1], samples[i1]
 
@@ -409,7 +372,7 @@ def _episode(timeline: dict, samples: list, i0: int, i1: int,
                    if v > 0}
     chosen, victim, aggressor = pick_steal_pair(steal_delta)
     if not chosen:
-        swapped = {k: v for k, v in _delta_map(start, end, series).items()
+        swapped = {k: v for k, v in _delta_map(start, end, _SWAP_OUT).items()
                    if v > 0}
         if swapped:
             victim = max(sorted(swapped), key=lambda k: swapped[k])
@@ -421,7 +384,6 @@ def _episode(timeline: dict, samples: list, i0: int, i1: int,
 
     names = timeline.get("tenants", {})
     return {
-        "series": series,
         "start_cycle": start["cycle"],
         "end_cycle": end["cycle"],
         "intervals": i1 - i0 + 1,
@@ -504,160 +466,3 @@ def timeline_counter_events(timeline: dict, *, pid: int = 1) -> list[dict]:
                 events.append({"ph": "C", "pid": pid, "tid": 0, "ts": ts,
                                "name": name, "args": args})
     return events
-
-
-# -- text report -------------------------------------------------------------
-
-
-def timeline_report(document: dict, *,
-                    threshold: float = DEFAULT_EPISODE_THRESHOLD) -> str:
-    """A plain-text digest of a timeline document."""
-    lines: list[str] = []
-    for timeline in document["timelines"]:
-        samples = timeline["samples"]
-        lines.append(f"timeline [{timeline['label']}]: "
-                     f"{len(samples)} samples every "
-                     f"{timeline['interval']:,} cycles")
-        if not samples:
-            continue
-        lines.append(f"  span: cycle {samples[0]['cycle']:,} .. "
-                     f"{samples[-1]['cycle']:,}")
-        series_names = sorted({name for s in samples for name in s["series"]})
-        for name in series_names:
-            points = scalar_series(timeline, name)
-            values = [v for _, v in points]
-            lines.append(f"  {name:<24} last={values[-1]:>12,.0f}  "
-                         f"min={min(values):>12,.0f}  "
-                         f"max={max(values):>12,.0f}")
-        rollups = tenant_rollups(timeline)
-        for key, roll in rollups.items():
-            lines.append(
-                f"  tenant {roll['tenant']} (enclave {key}): "
-                f"epc peak/mean {roll['epc_pages_peak']}/"
-                f"{roll['epc_pages_mean']} pages, "
-                f"swapped out {roll['pages_swapped_out']} / "
-                f"in {roll['pages_swapped_in']}")
-        episodes = detect_episodes(timeline, threshold=threshold)
-        lines.append(f"  pressure episodes (>= {threshold:g} pages/interval):"
-                     f" {len(episodes)}")
-        for ep in episodes:
-            lines.append(
-                f"    cycle {ep['start_cycle']:,} .. {ep['end_cycle']:,}: "
-                f"{ep['pages']:g} pages over {ep['intervals']} intervals "
-                f"(depth {ep['depth']:g}), victim={ep['victim']} "
-                f"aggressor={ep['aggressor']}")
-    return "\n".join(lines)
-
-
-# -- HTML report -------------------------------------------------------------
-
-_HTML_STYLE = """\
-body { font: 14px/1.45 system-ui, sans-serif; margin: 2em auto;
-       max-width: 64em; color: #1f2937; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.15em; margin-top: 1.6em; }
-table { border-collapse: collapse; margin: .6em 0; }
-th, td { border: 1px solid #d1d5db; padding: .25em .6em;
-         text-align: left; font-variant-numeric: tabular-nums; }
-th { background: #f3f4f6; }
-svg { display: block; }
-.quiet { color: #6b7280; }
-"""
-
-
-def _sparkline(points: list[tuple[int, float]], *, width: int = 260,
-               height: int = 44, pad: int = 4) -> str:
-    values = [v for _, v in points]
-    if not values:
-        return (f'<svg width="{width}" height="{height}"></svg>')
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1
-    steps = max(len(values) - 1, 1)
-    coords = []
-    for i, value in enumerate(values):
-        x = pad + (width - 2 * pad) * i / steps
-        y = pad + (height - 2 * pad) * (1 - (value - lo) / span)
-        coords.append(f"{x:.1f},{y:.1f}")
-    return (f'<svg width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">'
-            f'<polyline fill="none" stroke="#2563eb" stroke-width="1.5" '
-            f'points="{" ".join(coords)}"/></svg>')
-
-
-def _series_row(name: str, points: list[tuple[int, float]]) -> str:
-    values = [v for _, v in points]
-    stats = (f"<td>{min(values):,.0f}</td><td>{max(values):,.0f}</td>"
-             f"<td>{values[-1]:,.0f}</td>" if values
-             else "<td></td><td></td><td></td>")
-    return (f"<tr><td>{escape(name)}</td>{stats}"
-            f"<td>{_sparkline(points)}</td></tr>")
-
-
-def render_html(document: dict, *,
-                threshold: float = DEFAULT_EPISODE_THRESHOLD) -> str:
-    """A self-contained static HTML report (stdlib only, inline SVG)."""
-    parts = ["<!DOCTYPE html>", "<html><head><meta charset=\"utf-8\">",
-             "<title>HyperEnclave timeline report</title>",
-             f"<style>{_HTML_STYLE}</style></head><body>",
-             "<h1>HyperEnclave timeline report</h1>"]
-    for timeline in document["timelines"]:
-        samples = timeline["samples"]
-        parts.append(f"<h2>{escape(str(timeline['label']))}</h2>")
-        parts.append(
-            f"<p class=\"quiet\">{len(samples)} samples every "
-            f"{timeline['interval']:,} simulated cycles.</p>")
-        if not samples:
-            continue
-
-        header = ("<tr><th>series</th><th>min</th><th>max</th>"
-                  "<th>last</th><th>sparkline</th></tr>")
-        rows = [header]
-        for name in sorted({n for s in samples for n in s["series"]}):
-            rows.append(_series_row(name, scalar_series(timeline, name)))
-        names = timeline.get("tenants", {})
-        for name in sorted({n for s in samples for n in s["tenants"]}):
-            for key, points in sorted(tenant_series(timeline, name).items()):
-                display = str(names.get(key, key))
-                rows.append(_series_row(f"{name} [{display}]", points))
-        parts.append("<table>" + "".join(rows) + "</table>")
-
-        parts.append("<h2>Per-tenant rollups</h2>")
-        rows = ["<tr><th>tenant</th><th>world cycles</th>"
-                "<th>EPC peak</th><th>EPC mean</th><th>swapped out</th>"
-                "<th>swapped in</th><th>stolen from</th>"
-                "<th>stolen by</th></tr>"]
-        for key, roll in tenant_rollups(timeline).items():
-            stolen_from = ", ".join(f"{escape(str(a))}: {n:g}"
-                                    for a, n in roll["stolen_from"].items())
-            stolen_by = ", ".join(f"{escape(str(v))}: {n:g}"
-                                  for v, n in roll["stolen_by"].items())
-            rows.append(
-                f"<tr><td>{escape(str(roll['tenant']))} "
-                f"(enclave {escape(key)})</td>"
-                f"<td>{roll['cycles']:,.0f}</td>"
-                f"<td>{roll['epc_pages_peak']:g}</td>"
-                f"<td>{roll['epc_pages_mean']:g}</td>"
-                f"<td>{roll['pages_swapped_out']:g}</td>"
-                f"<td>{roll['pages_swapped_in']:g}</td>"
-                f"<td>{stolen_from}</td><td>{stolen_by}</td></tr>")
-        parts.append("<table>" + "".join(rows) + "</table>")
-
-        episodes = detect_episodes(timeline, threshold=threshold)
-        parts.append(f"<h2>Pressure episodes "
-                     f"(&ge; {threshold:g} pages/interval)</h2>")
-        if not episodes:
-            parts.append("<p class=\"quiet\">none detected</p>")
-        else:
-            rows = ["<tr><th>start cycle</th><th>end cycle</th>"
-                    "<th>intervals</th><th>pages</th><th>depth</th>"
-                    "<th>victim</th><th>aggressor</th></tr>"]
-            for ep in episodes:
-                rows.append(
-                    f"<tr><td>{ep['start_cycle']:,}</td>"
-                    f"<td>{ep['end_cycle']:,}</td>"
-                    f"<td>{ep['intervals']}</td><td>{ep['pages']:g}</td>"
-                    f"<td>{ep['depth']:g}</td>"
-                    f"<td>{escape(str(ep['victim']))}</td>"
-                    f"<td>{escape(str(ep['aggressor']))}</td></tr>")
-            parts.append("<table>" + "".join(rows) + "</table>")
-    parts.append("</body></html>")
-    return "\n".join(parts)

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from repro.analysis.critpath import (CLASSES, critical_path, critpath_class,
-                                     interference_report, interference_text,
-                                     latency_tables, percentile,
-                                     request_breakdown, requests_report,
-                                     slowest_requests)
+                                     interference_report, latency_tables,
+                                     percentile, request_breakdown)
+from repro.bench.report import requests_section
 
 
 def _request(seq=0, name="call", tenant="1", begin=0, end=1000, *,
@@ -130,9 +129,12 @@ class TestInterference:
         assert entry["aggressor"] == "b"
 
     def test_no_steals_reports_none(self):
-        (entry,) = interference_report(_document([_request()]))
+        document = _document([_request()])
+        (entry,) = interference_report(document)
         assert entry["victim"] is None and entry["rows"] == []
-        assert "no EPC steals" in interference_text(_document([_request()]))
+        *_, table = requests_section({"requests": document})
+        assert table.rows == []
+        assert table.empty == "interference [t]: no EPC steals recorded"
 
 
 class TestRenderers:
@@ -141,9 +143,14 @@ class TestRenderers:
                         categories={"swap-out": 4_000},
                         segments=[{"kind": "page_fault", "begin": 100,
                                    "end": 4_100, "segments": []}])
-        document = _document([_request(), slow])
-        report = requests_report(document)
-        assert "2 traced request(s)" in report
-        text = slowest_requests(document, limit=1)
-        assert "t/cpu0/1" in text and "page_fault" in text
-        assert "t/cpu0/0" not in text
+        document = _document([_request(), slow], tenants={"1": "alice"})
+        latency, slowest, _ = requests_section({"requests": document})
+        assert [row[:4] + row[7:8] for row in latency.rows] == [
+            ["t", "alice", "call", "1", "1,000"],
+            ["t", "alice", "sweep", "1", "5,000"]]
+        assert slowest.title == \
+            "slowest 2 of 2 traced requests (simulated cycles):"
+        assert slowest.rows[0] == [
+            "t/cpu0/1", "alice", "5,000", "swap-stall=4,000",
+            "request:sweep (5,000) > page_fault (4,000)"]
+        assert slowest.rows[1][:3] == ["t/cpu0/0", "alice", "1,000"]

@@ -1,11 +1,19 @@
-"""Tests for ``python -m repro.bench report``.
+"""Tests for ``python -m repro.bench report``, the one reader of a run.
 
 The golden files under ``report_golden/`` pin the text and markdown
 digests of the committed Table 1 baseline and of an ``epc_pressure``
 run with ``--timeline --requests``.  Every golden line must appear, in
 order, in the rendered output; the lines the report adds on top of the
-goldens (the hottest profile frame and the paper-vs-measured table) are
-listed explicitly.
+goldens (the top-frames table, the paper-vs-measured table, and for
+``epc_pressure`` the timeline series and per-tenant rollup tables and
+the slowest-requests table) are listed explicitly below, and so are
+the golden lines that changed when those tables moved here
+(``EPC_CHANGED``: the ``max`` column and the swap-stall cycles).
+
+The same ``epc_pressure`` run writes its ``--artifacts`` files, which
+are read back from disk and checked, as is a ``table2_exceptions
+--requests`` run (the exception path writes the ``aex``, ``eresume``
+and ``hypercall`` segment kinds that ``epc_pressure`` never does).
 """
 
 import json
@@ -16,12 +24,43 @@ import pytest
 from repro.bench import load_artifact
 from repro.bench.cli import main as bench_main
 from repro.bench.runner import DEFAULT_BASELINE_DIR
+from repro.telemetry.schema import validate_snapshot
 
 GOLDEN = pathlib.Path(__file__).parent / "report_golden"
 FORMATS = [("text", "txt"), ("markdown", "md")]
 
-TABLE1_HOTTEST = "hottest frame: sdk.ecall (15,566,892 self cycles, " \
-    "2416 calls)"
+TABLE1_TOP = {
+    "text": [
+        "  top 10 frames by self cycles (of 34,959,100 span cycles across "
+        "4 machine(s)):",
+        "        15,566,892  sdk.ecall  (2416 calls)",
+        "         5,144,872  sdk.ecall;world.eenter  (2416 calls)",
+        "         4,687,644  sdk.ecall;world.eexit  (2416 calls)",
+        "         3,156,806  sdk.ecall;sdk.ocall  (1208 calls)",
+        "         2,572,436  sdk.ecall;sdk.ocall;world.eenter  (1208 calls)",
+        "         2,343,822  sdk.ecall;sdk.ocall;world.eexit  (1208 calls)",
+        "         1,421,280  sdk.create_enclave  (4 calls)",
+        "            48,588  sdk.create_enclave;os.mmap  (4 calls)",
+        "             9,032  world.eenter  (6 calls)",
+        "             7,728  world.eexit  (6 calls)",
+    ],
+    "markdown": [
+        "**Top 10 frames by self cycles (of 34,959,100 span cycles across "
+        "4 machine(s)):**",
+        "| self cycles | stack | calls |",
+        "| --- | --- | --- |",
+        "| 15,566,892 | sdk.ecall | 2416 |",
+        "| 5,144,872 | sdk.ecall;world.eenter | 2416 |",
+        "| 4,687,644 | sdk.ecall;world.eexit | 2416 |",
+        "| 3,156,806 | sdk.ecall;sdk.ocall | 1208 |",
+        "| 2,572,436 | sdk.ecall;sdk.ocall;world.eenter | 1208 |",
+        "| 2,343,822 | sdk.ecall;sdk.ocall;world.eexit | 1208 |",
+        "| 1,421,280 | sdk.create_enclave | 4 |",
+        "| 48,588 | sdk.create_enclave;os.mmap | 4 |",
+        "| 9,032 | world.eenter | 6 |",
+        "| 7,728 | world.eexit | 6 |",
+    ],
+}
 TABLE1_PAPER = {
     "text": ["  paper vs measured (Table 1 ECALL cycles):",
              "    row                       paper   measured  match",
@@ -37,8 +76,178 @@ TABLE1_PAPER = {
                  "| P-Enclave | 9,700 | 9,700 | exact |",
                  "| Intel SGX | 14,432 | 14,432 | exact |"],
 }
-EPC_HOTTEST = "hottest frame: sdk.ecall;monitor.pagefault;" \
-    "monitor.swap_in (126,976,000 self cycles, 8192 calls)"
+EPC_ADDED = {
+    "text": [
+        "  top 9 frames by self cycles (of 260,781,635 span cycles across "
+        "1 machine(s)):",
+        "       126,976,000  sdk.ecall;monitor.pagefault;monitor.swap_in "
+        " (8192 calls)",
+        "       114,688,000 "
+        " sdk.ecall;monitor.pagefault;monitor.swap_in;monitor.swap_out "
+        " (8192 calls)",
+        "         9,100,000  sdk.ecall;monitor.pagefault;monitor.swap_out "
+        " (650 calls)",
+        "         5,447,680  sdk.ecall;monitor.pagefault  (12288 calls)",
+        "         4,229,808  sdk.ecall  (48 calls)",
+        "           188,040  sdk.create_enclave  (2 calls)",
+        "            81,792  sdk.ecall;world.eenter  (48 calls)",
+        "            63,312  sdk.ecall;world.eexit  (48 calls)",
+        "             7,003  sdk.create_enclave;os.mmap  (2 calls)",
+        "  timeline [machine-1]: 1043 samples every 250,000 cycles, cycle "
+        "250,000..260,750,000; pressure episodes at >= 4 pages swapped out "
+        "per interval:",
+        "    series                              min            max "
+        "          last",
+        "    cycles.total                    250,000    260,750,000 "
+        "   260,750,000",
+        "    epc.free_frames                       0          3,422 "
+        "             0",
+        "    monitor.hypercalls                  148            148 "
+        "           148",
+        "    tlb.shootdowns                        0          8,841 "
+        "         8,841",
+        "    world.aexes                           0              0 "
+        "             0",
+        "    world.enters                          1             48 "
+        "            48",
+        "    world.exits                           0             47 "
+        "            47",
+        "  per-tenant rollups [machine-1] (EPC in pages):",
+        "    tenant     enclave world cycles EPC peak  EPC mean swapped "
+        "out swapped in  stolen from                    stolen by",
+        "    tenant-a         1       72,552     2117  1786.752 "
+        "       4422       4096  tenant-a: 4094, tenant-b: 328  tenant-a: "
+        "4094, tenant-b: 2",
+        "    tenant-b         2       71,233     1793  1751.719 "
+        "       4419       4095  tenant-a: 2, tenant-b: 4417    tenant-a: "
+        "328, tenant-b: 4417",
+        "  slowest 5 of 48 traced requests (simulated cycles):",
+        "    machine-1/cpu0/16  [tenant-a]  7,611,400 cycles",
+        "      breakdown: enclave-compute=49,920, world-switch=3,347, "
+        "marshalling=6,133, swap-stall=7,552,000",
+        "      critical path: request:sweep (7,611,400) > "
+        "page_fault:0x200000080000 (29,500) > swap_in:0x200000080000 "
+        "(29,500) > swap_out:0x200000182000 (14,000)",
+        "    machine-1/cpu0/17  [tenant-a]  7,611,400 cycles",
+        "      breakdown: enclave-compute=49,920, world-switch=3,347, "
+        "marshalling=6,133, swap-stall=7,552,000",
+        "      critical path: request:sweep (7,611,400) > "
+        "page_fault:0x200000180000 (29,500) > swap_in:0x200000180000 "
+        "(29,500) > swap_out:0x200000283000 (14,000)",
+        "    machine-1/cpu0/18  [tenant-a]  7,611,400 cycles",
+        "      breakdown: enclave-compute=49,920, world-switch=3,347, "
+        "marshalling=6,133, swap-stall=7,552,000",
+        "      critical path: request:sweep (7,611,400) > "
+        "page_fault:0x200000280000 (29,500) > swap_in:0x200000280000 "
+        "(29,500) > swap_out:0x200000383000 (14,000)",
+        "    machine-1/cpu0/19  [tenant-a]  7,611,400 cycles",
+        "      breakdown: enclave-compute=49,920, world-switch=3,347, "
+        "marshalling=6,133, swap-stall=7,552,000",
+        "      critical path: request:sweep (7,611,400) > "
+        "page_fault:0x200000380000 (29,500) > swap_in:0x200000380000 "
+        "(29,500) > swap_out:0x200000483000 (14,000)",
+        "    machine-1/cpu0/20  [tenant-a]  7,611,400 cycles",
+        "      breakdown: enclave-compute=49,920, world-switch=3,347, "
+        "marshalling=6,133, swap-stall=7,552,000",
+        "      critical path: request:sweep (7,611,400) > "
+        "page_fault:0x200000480000 (29,500) > swap_in:0x200000480000 "
+        "(29,500) > swap_out:0x200000583000 (14,000)",
+    ],
+    "markdown": [
+        "**Top 9 frames by self cycles (of 260,781,635 span cycles across "
+        "1 machine(s)):**",
+        "| self cycles | stack | calls |",
+        "| --- | --- | --- |",
+        "| 126,976,000 | sdk.ecall;monitor.pagefault;monitor.swap_in | "
+        "8192 |",
+        "| 114,688,000 | "
+        "sdk.ecall;monitor.pagefault;monitor.swap_in;monitor.swap_out | "
+        "8192 |",
+        "| 9,100,000 | sdk.ecall;monitor.pagefault;monitor.swap_out | 650 |",
+        "| 5,447,680 | sdk.ecall;monitor.pagefault | 12288 |",
+        "| 4,229,808 | sdk.ecall | 48 |",
+        "| 188,040 | sdk.create_enclave | 2 |",
+        "| 81,792 | sdk.ecall;world.eenter | 48 |",
+        "| 63,312 | sdk.ecall;world.eexit | 48 |",
+        "| 7,003 | sdk.create_enclave;os.mmap | 2 |",
+        "**Timeline [machine-1]: 1043 samples every 250,000 cycles, cycle "
+        "250,000..260,750,000; pressure episodes at >= 4 pages swapped out "
+        "per interval:**",
+        "| series | min | max | last |",
+        "| --- | --- | --- | --- |",
+        "| cycles.total | 250,000 | 260,750,000 | 260,750,000 |",
+        "| epc.free_frames | 0 | 3,422 | 0 |",
+        "| monitor.hypercalls | 148 | 148 | 148 |",
+        "| tlb.shootdowns | 0 | 8,841 | 8,841 |",
+        "| world.aexes | 0 | 0 | 0 |",
+        "| world.enters | 1 | 48 | 48 |",
+        "| world.exits | 0 | 47 | 47 |",
+        "**Per-tenant rollups [machine-1] (EPC in pages):**",
+        "| tenant | enclave | world cycles | EPC peak | EPC mean | swapped "
+        "out | swapped in | stolen from | stolen by |",
+        "| --- | --- | --- | --- | --- | --- | --- | --- | --- |",
+        "| tenant-a | 1 | 72,552 | 2117 | 1786.752 | 4422 | 4096 | "
+        "tenant-a: 4094, tenant-b: 328 | tenant-a: 4094, tenant-b: 2 |",
+        "| tenant-b | 2 | 71,233 | 1793 | 1751.719 | 4419 | 4095 | "
+        "tenant-a: 2, tenant-b: 4417 | tenant-a: 328, tenant-b: 4417 |",
+        "**Slowest 5 of 48 traced requests (simulated cycles):**",
+        "| request | tenant | cycles | breakdown | critical path |",
+        "| --- | --- | --- | --- | --- |",
+        "| machine-1/cpu0/16 | tenant-a | 7,611,400 | "
+        "enclave-compute=49,920, world-switch=3,347, marshalling=6,133, "
+        "swap-stall=7,552,000 | request:sweep (7,611,400) > "
+        "page_fault:0x200000080000 (29,500) > swap_in:0x200000080000 "
+        "(29,500) > swap_out:0x200000182000 (14,000) |",
+        "| machine-1/cpu0/17 | tenant-a | 7,611,400 | "
+        "enclave-compute=49,920, world-switch=3,347, marshalling=6,133, "
+        "swap-stall=7,552,000 | request:sweep (7,611,400) > "
+        "page_fault:0x200000180000 (29,500) > swap_in:0x200000180000 "
+        "(29,500) > swap_out:0x200000283000 (14,000) |",
+        "| machine-1/cpu0/18 | tenant-a | 7,611,400 | "
+        "enclave-compute=49,920, world-switch=3,347, marshalling=6,133, "
+        "swap-stall=7,552,000 | request:sweep (7,611,400) > "
+        "page_fault:0x200000280000 (29,500) > swap_in:0x200000280000 "
+        "(29,500) > swap_out:0x200000383000 (14,000) |",
+        "| machine-1/cpu0/19 | tenant-a | 7,611,400 | "
+        "enclave-compute=49,920, world-switch=3,347, marshalling=6,133, "
+        "swap-stall=7,552,000 | request:sweep (7,611,400) > "
+        "page_fault:0x200000380000 (29,500) > swap_in:0x200000380000 "
+        "(29,500) > swap_out:0x200000483000 (14,000) |",
+        "| machine-1/cpu0/20 | tenant-a | 7,611,400 | "
+        "enclave-compute=49,920, world-switch=3,347, marshalling=6,133, "
+        "swap-stall=7,552,000 | request:sweep (7,611,400) > "
+        "page_fault:0x200000480000 (29,500) > swap_in:0x200000480000 "
+        "(29,500) > swap_out:0x200000583000 (14,000) |",
+    ],
+}
+EPC_CHANGED = {
+    "text": [
+        "    trace          tenant     call              count        p50 "
+        "       p95        p99        max  tail cause",
+        "    machine-1      tenant-a   sweep                24  7,611,400 "
+        " 7,611,400  7,611,400  7,611,400  p99 dominated by swap-stall (99%)",
+        "    machine-1      tenant-b   sweep                24  7,611,400 "
+        " 7,611,400  7,611,400  7,611,400  p99 dominated by swap-stall (99%)",
+        "    tenant-a <- tenant-b: 328 frames stolen, 24 request(s) stalled "
+        "for 123,555,840 swap-stall cycles",
+        "    tenant-b <- tenant-a: 2 frames stolen, 24 request(s) stalled "
+        "for 132,655,840 swap-stall cycles",
+    ],
+    "markdown": [
+        "| trace | tenant | call | count | p50 | p95 | p99 | max "
+        "| tail cause |",
+        "| --- | --- | --- | --- | --- | --- | --- | --- | --- |",
+        "| machine-1 | tenant-a | sweep | 24 | 7,611,400 | 7,611,400 "
+        "| 7,611,400 | 7,611,400 | p99 dominated by swap-stall (99%) |",
+        "| machine-1 | tenant-b | sweep | 24 | 7,611,400 | 7,611,400 "
+        "| 7,611,400 | 7,611,400 | p99 dominated by swap-stall (99%) |",
+        "| trace | victim | aggressor | frames stolen | requests stalled "
+        "| swap-stall cycles |",
+        "| --- | --- | --- | --- | --- | --- |",
+        "| machine-1 | tenant-a | tenant-b | 328 | 24 | 123,555,840 |",
+        "| machine-1 | tenant-b | tenant-a | 2 | 24 | 132,655,840 |",
+    ],
+}
 
 
 def _added(expected: list[str], actual: list[str]) -> list[str]:
@@ -59,17 +268,41 @@ def _report(capsys, *argv) -> list[str]:
     return capsys.readouterr().out.splitlines()
 
 
-def _indent(fmt: str, line: str) -> str:
-    return f"  {line}" if fmt == "text" else line
+def _run(directory: pathlib.Path, name: str, *flags: str) -> pathlib.Path:
+    """Run one benchmark with its artifact and ``--artifacts`` files in
+    ``directory``; returns the artifact path."""
+    assert bench_main(["run", name, *flags, "--baseline-dir", str(directory),
+                       "--artifacts", str(directory)]) == 0
+    return directory / f"BENCH_{name}.json"
 
 
 @pytest.fixture(scope="module")
 def epc_artifact(tmp_path_factory):
     """One ``epc_pressure`` run with the timeline and request blocks."""
-    baseline_dir = tmp_path_factory.mktemp("epc")
-    assert bench_main(["run", "epc_pressure", "--timeline", "--requests",
-                       "--baseline-dir", str(baseline_dir)]) == 0
-    return baseline_dir / "BENCH_epc_pressure.json"
+    return _run(tmp_path_factory.mktemp("epc"), "epc_pressure",
+                "--timeline", "--requests")
+
+
+def _check_on_disk(artifact_path: pathlib.Path) -> tuple[dict, set[str]]:
+    """Read a ``--requests`` run's files back from disk and check them;
+    returns the artifact and the trace's event phases."""
+    directory, name = artifact_path.parent, \
+        artifact_path.stem.removeprefix("BENCH_")
+    validate_snapshot(json.loads(
+        (directory / f"{name}.telemetry.json").read_text()))
+    artifact = load_artifact(artifact_path)   # checks both blocks too
+    assert artifact["requests"] is not None
+    events = json.loads((directory / f"{name}.telemetry.trace.json")
+                        .read_text())["traceEvents"]
+    assert events
+    flows = {e["ph"] for e in events if e.get("cat") == "request"}
+    assert {"s", "f"} <= flows
+    assert any(e["ph"] == "M" and e["name"] == "thread_name"
+               for e in events)
+    # The artifact is the only copy of the timeline and request blocks.
+    assert not list(directory.glob("*.timeline.json"))
+    assert not list(directory.glob("*.requests.json"))
+    return artifact, {e["ph"] for e in events}
 
 
 @pytest.fixture
@@ -85,16 +318,38 @@ def table_artifacts(tmp_path):
 def test_committed_table1_baseline(capsys, fmt, ext):
     golden = (GOLDEN / f"table1_edge_calls.{ext}").read_text().splitlines()
     out = _report(capsys, "table1_edge_calls", "--format", fmt)
-    assert _added(golden, out) == \
-        [_indent(fmt, TABLE1_HOTTEST), *TABLE1_PAPER[fmt]]
+    assert _added(golden, out) == [*TABLE1_TOP[fmt], *TABLE1_PAPER[fmt]]
 
 
 @pytest.mark.parametrize("fmt,ext", FORMATS)
 def test_epc_pressure_with_timeline_and_requests(capsys, epc_artifact,
                                                  fmt, ext):
     golden = (GOLDEN / f"epc_pressure.{ext}").read_text().splitlines()
+    assert all(line in golden for line in EPC_CHANGED[fmt])
     out = _report(capsys, str(epc_artifact), "--format", fmt)
-    assert _added(golden, out) == [_indent(fmt, EPC_HOTTEST)]
+    assert _added(golden, out) == EPC_ADDED[fmt]
+
+
+def test_epc_pressure_files_on_disk(epc_artifact):
+    artifact, phases = _check_on_disk(epc_artifact)
+    assert artifact["timeline"] is not None
+    assert "C" in phases          # the timeline's Perfetto counter tracks
+
+
+def test_table2_request_segments_on_disk(tmp_path):
+    artifact, _ = _check_on_disk(
+        _run(tmp_path, "table2_exceptions", "--requests"))
+    kinds = set()
+
+    def walk(segments):
+        for segment in segments:
+            kinds.add(segment["kind"])
+            walk(segment["segments"])
+
+    for trace in artifact["requests"]["traces"]:
+        for request in trace["requests"]:
+            walk(request["segments"])
+    assert {"aex", "eresume", "hypercall"} <= kinds
 
 
 @pytest.mark.parametrize("fmt", ["text", "markdown"])
@@ -154,7 +409,7 @@ def test_no_names_renders_every_committed_baseline(capsys):
     assert "paper vs measured (Table 1 ECALL cycles):" in out
     assert "paper vs measured (Figure 11 normalized latency at 256 MB):" \
         in out
-    assert out.count("hottest frame: ") == \
+    assert out.count(" frames by self cycles (of ") == \
         sum(bool((a["profile"] or {}).get("top_self")) for a in artifacts)
 
 

@@ -14,12 +14,14 @@ from repro.profiler import (FrameDelta, collapsed_lines, diff_profiles,
                             diff_report, machine_profile, parse_collapsed,
                             profile_document, profile_summary, self_total,
                             validate_profile, write_collapsed)
-from repro.profiler.__main__ import main as profiler_main
+from repro.bench.cli import main as bench_main
+from repro.bench.report import profile_section
+from repro.profiler.core import PROFILE_KIND
 from repro.telemetry import Telemetry, UnclosedSpanError
 
 
-def make_tel() -> Telemetry:
-    tel = Telemetry(CycleCounter())
+def make_tel(**kwargs) -> Telemetry:
+    tel = Telemetry(CycleCounter(), **kwargs)
     tel.enable()
     return tel
 
@@ -98,6 +100,26 @@ class TestFrameAggregation:
         stacks = [f["stack"] for f in summary["top_self"]]
         assert stacks == ["ecall;eenter", "ecall;eexit"]
 
+    def test_capped_span_ring_gives_the_full_profile(self):
+        # The ring keeps only the last 8 span records (for the Chrome
+        # trace); the profile still covers all 5 x 4 closed spans.
+        capped, uncapped = make_tel(span_capacity=8), make_tel()
+        for _ in range(5):
+            run_workload(capped)
+            run_workload(uncapped)
+        assert len(capped.spans) == 8
+        profile = profile_document([("m", capped)])
+        assert profile == profile_document([("m", uncapped)])
+        assert profile["machines"][0]["spans_recorded"] == 20
+        assert profile["combined"]["total_span_cycles"] == 5 * 1050
+
+    def test_reset_drops_the_frame_table(self):
+        tel = make_tel()
+        run_workload(tel)
+        tel.reset()
+        run_workload(tel, scale=2)
+        assert machine_profile(tel, "m")["total_span_cycles"] == 2100
+
     def test_profiling_reads_without_charging(self):
         tel = make_tel()
         run_workload(tel)
@@ -136,12 +158,16 @@ class TestCollapsed:
         assert sum(parsed.values()) == 1050
 
     def test_combined_mode_drops_machine_prefix(self):
+        # Collapsed lines are rooted at the machine label; the combined
+        # frame table merges machines, so its stacks carry no label.
         tel = make_tel()
         run_workload(tel)
         doc = profile_document([("m", tel)])
-        parsed = parse_collapsed(
-            "\n".join(collapsed_lines(doc, prefix_machine=False)))
-        assert parsed[("ecall", "eexit")] == 380
+        parsed = parse_collapsed("\n".join(collapsed_lines(doc)))
+        combined = {tuple(f["stack"]): f["self_cycles"]
+                    for f in doc["combined"]["frames"]}
+        assert parsed[("m", "ecall", "eexit")] == 380
+        assert combined[("ecall", "eexit")] == 380
 
     def test_lines_are_flamegraph_shaped(self, tmp_path):
         """Every line must be `frame;frame... <int>` — the exact input
@@ -207,6 +233,9 @@ class TestDiff:
 
 
 class TestProfilerCli:
+    """Profiles are read through ``repro.bench``: ``report`` prints the
+    artifact's top frames and ``diff`` diffs two profile documents."""
+
     def _write_doc(self, tmp_path, name, scale=1):
         tel = make_tel()
         run_workload(tel, scale=scale)
@@ -214,26 +243,31 @@ class TestProfilerCli:
         path.write_text(json.dumps(profile_document([("m", tel)])))
         return path
 
-    def test_report_prints_top_frames(self, tmp_path, capsys):
-        path = self._write_doc(tmp_path, "p.json")
-        assert profiler_main(["report", str(path), "--top", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "total span cycles: 1,050" in out
-        assert "ecall;eenter" in out
+    def test_report_prints_top_frames(self, tmp_path):
+        doc = json.loads(self._write_doc(tmp_path, "p.json").read_text())
+        (table,) = profile_section({"profile": profile_summary(doc, 2)})
+        assert table.title == ("top 2 frames by self cycles (of 1,050 "
+                               "span cycles across 1 machine(s)):")
+        assert table.rows == [["500", "ecall;eenter", "1"],
+                              ["380", "ecall;eexit", "1"]]
 
-    def test_collapse_writes_parseable_file(self, tmp_path, capsys):
-        path = self._write_doc(tmp_path, "p.json")
-        assert profiler_main(["collapse", str(path)]) == 0
-        parsed = parse_collapsed((tmp_path / "p.collapsed").read_text())
-        assert sum(parsed.values()) == 1050
+    def test_collapse_writes_parseable_file(self, tmp_path):
+        doc = json.loads(self._write_doc(tmp_path, "p.json").read_text())
+        path = write_collapsed(tmp_path / "p.collapsed", doc)
+        assert sum(parse_collapsed(path.read_text()).values()) == 1050
 
     def test_diff_exit_codes_track_total_movement(self, tmp_path, capsys):
         base = self._write_doc(tmp_path, "base.json")
         cur = self._write_doc(tmp_path, "cur.json", scale=2)
-        assert profiler_main(["diff", str(base), str(base)]) == 0
-        assert profiler_main(["diff", str(base), str(cur)]) == 1
+        assert bench_main(["diff", str(base), str(base)]) == 0
+        assert "no frame moved a single cycle" in capsys.readouterr().out
+        assert bench_main(["diff", str(base), str(cur)]) == 1
+        out = capsys.readouterr().out
+        assert "total span cycles: 1,050 -> 2,100 (+1,050)" in out
+        assert "ecall;eenter  (self 500 -> 1,000, calls 1 -> 1)" in out
 
     def test_invalid_profile_is_a_usage_error(self, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
-        bogus.write_text("{}")
-        assert profiler_main(["report", str(bogus)]) == 2
+        bogus.write_text(json.dumps({"kind": PROFILE_KIND}))
+        assert bench_main(["diff", str(bogus), str(bogus)]) == 2
+        assert "profile: unsupported version" in capsys.readouterr().err

@@ -48,7 +48,6 @@ class TestProfilerInvariants:
         doc = profile_document(sink.items)
         validate_profile(doc)
         for machine in doc["machines"]:
-            assert not machine["truncated"]
             assert self_total(machine) == machine["total_span_cycles"]
         assert self_total(doc["combined"]) == \
             doc["combined"]["total_span_cycles"]

@@ -1,9 +1,8 @@
-"""Tests for the metrics registry: counters, gauges, histograms."""
+"""Tests for the metrics registry: counters and histograms."""
 
 import pytest
 
-from repro.telemetry.metrics import (Counter, Gauge, Histogram,
-                                     MetricsRegistry)
+from repro.telemetry.metrics import Counter, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -16,14 +15,6 @@ class TestCounter:
     def test_rejects_decrement(self):
         with pytest.raises(ValueError):
             Counter().inc(-1)
-
-
-class TestGauge:
-    def test_set_and_add(self):
-        g = Gauge()
-        g.set(10)
-        g.add(-3)
-        assert g.value == 7
 
 
 class TestHistogram:
@@ -94,17 +85,17 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("sdk", "calls")
         with pytest.raises(TypeError):
-            reg.gauge("sdk", "calls")
+            reg.histogram("sdk", "calls")
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.counter("sdk", "calls", func="nop").inc(3)
-        reg.gauge("os", "procs").set(2)
+        reg.counter("os", "procs").inc(2)
         reg.histogram("world", "lat").observe(100)
         snap = reg.snapshot()
         assert [e["subsystem"] for e in snap] == ["os", "sdk", "world"]
         by_name = {e["name"]: e for e in snap}
         assert by_name["calls"]["labels"] == {"func": "nop"}
         assert by_name["calls"]["value"] == 3
-        assert by_name["procs"]["type"] == "gauge"
+        assert by_name["procs"]["type"] == "counter"
         assert by_name["lat"]["count"] == 1

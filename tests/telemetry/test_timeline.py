@@ -1,4 +1,5 @@
-"""Cycle-domain timeline sampling: boundaries, episodes, exporters.
+"""Cycle-domain timeline sampling: boundaries, episodes, exporters, and
+the timeline tables of ``python -m repro.bench report``.
 
 The sampler's boundary semantics are what make the fast-path A/B sweep
 exact (one row per crossed boundary, probe values batch-invariant), so
@@ -9,21 +10,23 @@ answers.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 
+from repro.bench.artifact import (ARTIFACT_KIND, ARTIFACT_VERSION,
+                                  load_artifact, write_artifact)
+from repro.bench.cli import main as bench_main
+from repro.bench.report import timeline_section
 from repro.hw.cycles import CycleCounter
 from repro.platform import TeePlatform
 from repro.telemetry import sink as telemetry_sink
 from repro.telemetry.schema import SchemaError, validate_timeline
 from repro.telemetry.timeline import (TimelineSampler, detect_episodes,
-                                      load_timeline, rate_series,
-                                      render_html, scalar_series,
-                                      tenant_rollups, tenant_series,
+                                      scalar_series, tenant_rollups,
                                       timeline_counter_events,
-                                      timeline_document, timeline_report,
-                                      write_timeline)
+                                      timeline_document)
 from tests.sdk.conftest import SMALL
 
 
@@ -129,6 +132,18 @@ def _synthetic_timeline() -> dict:
             "tenants": {"1": "alice", "2": "bob"}, "samples": samples}
 
 
+def _artifact(timeline: dict | None = None) -> dict:
+    """A minimal bench artifact carrying a synthetic timeline block."""
+    return {"version": ARTIFACT_VERSION, "artifact_version": ARTIFACT_VERSION,
+            "kind": ARTIFACT_KIND, "name": "synthetic", "title": "two storms",
+            "bench_kind": "ablation", "tolerance": 0.0,
+            "figures": {"x": 1.0}, "metrics": {"x": 1.0},
+            "fingerprints": {},
+            "timeline": {"version": 1, "kind": "hyperenclave-timeline",
+                         "timelines": [timeline or _synthetic_timeline()]},
+            "requests": None}
+
+
 class TestEpisodeDetection:
     def test_finds_both_storms_with_exact_spans(self):
         episodes = detect_episodes(_synthetic_timeline(), threshold=5.0)
@@ -177,9 +192,17 @@ class TestSeriesAndRollups:
         timeline = _synthetic_timeline()
         free = scalar_series(timeline, "epc.free_frames")
         assert free[0] == (100, 0) and len(free) == 10
-        per_tenant = tenant_series(timeline, "swap.pages_out")
-        assert per_tenant["1"][-1] == (1000, 38)
-        assert rate_series(per_tenant["1"])[2] == (400, 10)
+        # The report's series table holds the scalar series; the tenant
+        # series reach it through the per-tenant rollups.
+        series, rollups, _ = timeline_section(_artifact(timeline))
+        assert series.title == ("timeline [synthetic]: 10 samples every "
+                                "100 cycles, cycle 100..1,000; pressure "
+                                "episodes at >= 4 pages swapped out per "
+                                "interval:")
+        assert series.rows == [["epc.free_frames", "0", "0", "0"]]
+        assert [row[:7] for row in rollups.rows] == [
+            ["alice", "1", "0", "100", "80.4", "38", "0"],
+            ["bob", "2", "0", "78", "59.6", "0", "0"]]
 
     def test_rollups_aggregate_per_tenant(self):
         rollups = tenant_rollups(_synthetic_timeline())
@@ -204,32 +227,27 @@ class TestExporters:
         assert swap[0]["args"] == {"alice": 0, "bob": 0}
 
     def test_text_report_names_tenants_and_episodes(self):
-        text = timeline_report(timeline_document([None]) or
-                               {"timelines": [_synthetic_timeline()]},
-                               threshold=5.0)
-        assert "tenant alice" in text
-        assert "victim=alice aggressor=bob" in text
-        assert "episodes" in text
-
-    def test_html_report_is_self_contained(self):
-        html = render_html({"version": 1, "kind": "hyperenclave-timeline",
-                            "timelines": [_synthetic_timeline()]},
-                           threshold=5.0)
-        assert html.startswith("<!DOCTYPE html>")
-        assert "<svg" in html and "<polyline" in html
-        assert "alice" in html and "bob" in html
-        assert "http" not in html          # no external resources
+        assert timeline_document([None]) is None
+        _, rollups, episodes = timeline_section(_artifact())
+        assert [row[-2:] for row in rollups.rows] == [
+            ["bob: 30", "-"], ["-", "alice: 30"]]
+        assert episodes.rows == [
+            ["synthetic", "300", "600", "30", "10", "alice", "bob"],
+            ["synthetic", "800", "900", "8", "8", "alice", "bob"]]
 
     def test_write_load_roundtrip_and_artifact_block(self, tmp_path):
-        document = {"version": 1, "kind": "hyperenclave-timeline",
-                    "timelines": [_synthetic_timeline()]}
-        path = tmp_path / "tl.json"
-        write_timeline(path, document)
-        assert load_timeline(path) == document
-        artifact_path = tmp_path / "artifact.json"
-        artifact_path.write_text(json.dumps({"name": "x",
-                                             "timeline": document}))
-        assert load_timeline(artifact_path) == document
+        # The artifact is the timeline's only file; its block is
+        # schema-checked on write and again on load.
+        artifact = _artifact()
+        path = write_artifact(tmp_path / "BENCH_synthetic.json", artifact)
+        assert load_artifact(path) == artifact
+        bad = copy.deepcopy(artifact)
+        bad["timeline"]["timelines"][0]["samples"][1]["cycle"] = 50
+        with pytest.raises(SchemaError, match="timelines"):
+            write_artifact(tmp_path / "bad.json", bad)
+        path.write_text(json.dumps(bad))
+        with pytest.raises(SchemaError, match="timelines"):
+            load_artifact(path)
 
     def test_schema_rejects_malformed_timelines(self):
         with pytest.raises(SchemaError):
@@ -249,34 +267,22 @@ class TestExporters:
 
 
 class TestCli:
-    def _write(self, tmp_path):
-        path = tmp_path / "tl.json"
-        write_timeline(path, {"version": 1, "kind": "hyperenclave-timeline",
-                              "timelines": [_synthetic_timeline()]})
-        return path
+    """Timelines are read through ``python -m repro.bench report``."""
 
     def test_report_and_episodes_exit_codes(self, tmp_path, capsys):
-        from repro.telemetry.__main__ import main
-        path = self._write(tmp_path)
-        assert main(["timeline", "report", str(path)]) == 0
-        assert main(["timeline", "episodes", str(path),
-                     "--threshold", "5", "--min", "2"]) == 0
-        assert "victim=alice" in capsys.readouterr().out
-        assert main(["timeline", "episodes", str(path),
-                     "--threshold", "5", "--min", "3"]) == 1
-
-    def test_html_writes_next_to_input_by_default(self, tmp_path, capsys):
-        from repro.telemetry.__main__ import main
-        path = self._write(tmp_path)
-        assert main(["timeline", "html", str(path)]) == 0
-        out = tmp_path / "tl.html"
-        assert out.exists() and "<svg" in out.read_text()
-        capsys.readouterr()
+        path = write_artifact(tmp_path / "BENCH_synthetic.json", _artifact())
+        assert bench_main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "per-tenant rollups [synthetic] (EPC in pages):" in out
+        assert "alice -> bob" in out
+        bad = _artifact()
+        bad["timeline"]["timelines"] = []
+        path.write_text(json.dumps(bad))
+        assert bench_main(["report", str(path)]) == 2
+        assert "$.timelines" in capsys.readouterr().err
 
     def test_missing_file_is_a_clean_error(self, tmp_path, capsys):
-        from repro.telemetry.__main__ import main
-        assert main(["timeline", "report",
-                     str(tmp_path / "nope.json")]) == 1
+        assert bench_main(["report", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
 
 

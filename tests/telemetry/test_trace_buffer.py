@@ -114,12 +114,3 @@ class TestTaps:
             ring.record("tick", str(i))
         assert [e.seq for e in seen] == list(range(6))
         assert len(ring) == 2
-
-    def test_untap_stops_delivery(self):
-        ring = make_ring()
-        seen = []
-        ring.tap(seen.append)
-        ring.record("tick", "a")
-        ring.untap(seen.append)
-        ring.record("tick", "b")
-        assert len(seen) == 1

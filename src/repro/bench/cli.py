@@ -1,17 +1,20 @@
 """The bench-harness CLI: ``python -m repro.bench
-run|check|diff|report|list``.
+run|check|replay|diff|report|list``.
 
 * ``run``    — execute benchmarks (default: the gate set) and write
   ``BENCH_<name>.json`` baselines plus, with ``--artifacts``, the
-  telemetry snapshot, Chrome trace, profile and collapsed stacks;
+  telemetry snapshot, Chrome trace, profile and collapsed stacks, and
+  with ``--record``, a flight-recorder journal per benchmark;
 * ``check``  — re-run and gate against the committed baselines; exit 1 on
   any regression (this is CI's ``bench-gate`` job);
+* ``replay`` — re-execute a journal and bisect to the first divergence
+  (exit 0: bit-identical, 1: diverged, 2: error);
 * ``diff``   — compare two artifacts (per-metric deltas plus the top
   profile frame movements), or two ``<name>.profile.json`` profiles
   (every frame's self-cycle delta; exit 1 when the total moved);
 * ``report`` — render artifacts (cycle digest, top frames, paper vs
   measured, per-enclave latency percentiles, timeline and request
-  tables) without running anything;
+  tables), journals or forensic bundles without running anything;
 * ``list``   — show the registry.
 """
 
@@ -26,9 +29,10 @@ from repro.bench.artifact import (artifact_name, artifact_path,
                                   load_artifact, validate_artifact)
 from repro.bench.compare import compare_artifacts, compare_report
 from repro.bench.registry import REGISTRY, resolve
-from repro.bench.report import report_all
+from repro.bench.report import load_record, report_all
 from repro.bench.runner import (DEFAULT_BASELINE_DIR, check_benches,
                                 run_benches)
+from repro.flightrec.journal import Journal
 from repro.profiler.core import PROFILE_KIND
 from repro.profiler.diff import delta_lines, diff_report, rank_deltas
 from repro.telemetry.timeline import DEFAULT_INTERVAL
@@ -51,7 +55,7 @@ def _add_selection(parser) -> None:
                         dest="record_dir",
                         help="record each run's flight-recorder journal "
                              "here (replayable with `python -m "
-                             "repro.flightrec replay`)")
+                             "repro.bench replay`)")
     parser.add_argument("--timeline", action="store_true",
                         help="sample a cycle-domain timeline every "
                              f"{DEFAULT_INTERVAL:,} simulated cycles; adds "
@@ -107,28 +111,35 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    artifacts = []
-    for item in args.artifacts or []:
+    records = []
+    for item in args.records or []:
         path = pathlib.Path(item)
         if not path.exists():
             # Accept bench names too: resolve into the baseline dir.
             (spec,) = resolve([item])
             path = artifact_path(args.baseline_dir, spec.name)
-        artifacts.append(load_artifact(path))
-    if not artifacts:
+        records.append(load_record(path))
+    if not records:
         # Every artifact in the directory, registered ones in registry
         # order first.
         order = {name: i for i, name in enumerate(REGISTRY)}
         paths = pathlib.Path(args.baseline_dir).glob(artifact_name("*"))
-        artifacts = sorted(
+        records = sorted(
             (load_artifact(path) for path in paths),
             key=lambda a: (order.get(a["name"], len(order)), a["name"]))
-    if not artifacts:
+    if not records:
         print(f"no artifacts found under {args.baseline_dir}",
               file=sys.stderr)
         return 2
-    print(report_all(artifacts, args.format))
+    print(report_all(records, args.format))
     return 0
+
+
+def _cmd_replay(args) -> int:
+    from repro.flightrec.replay import replay_journal
+    result = replay_journal(Journal.load(args.journal))
+    print(result.render())
+    return 0 if result.ok else 1
 
 
 def _cmd_diff(args) -> int:
@@ -197,11 +208,20 @@ def main(argv: list[str] | None = None) -> int:
                    help="show every compared metric, not just failures")
     p.set_defaults(fn=_cmd_check)
 
+    p = sub.add_parser("replay",
+                       help="re-execute a flight-recorder journal and "
+                            "bisect to the first divergence (exit 1 when "
+                            "the runs differ)")
+    p.add_argument("journal")
+    p.set_defaults(fn=_cmd_replay)
+
     p = sub.add_parser("report",
-                       help="render artifact digests: cycles, paper vs "
-                            "measured, per-enclave latency percentiles")
-    p.add_argument("artifacts", nargs="*", metavar="NAME-or-PATH",
-                   help="bench names or artifact paths (default: every "
+                       help="render artifact digests (cycles, paper vs "
+                            "measured, per-enclave latency percentiles), "
+                            "journals or forensic bundles")
+    p.add_argument("records", nargs="*", metavar="NAME-or-PATH",
+                   help="bench names, or paths of artifacts, journals "
+                        "or forensic bundles (default: every "
                         "BENCH_*.json in --baseline-dir)")
     p.add_argument("--baseline-dir", default=str(DEFAULT_BASELINE_DIR),
                    metavar="DIR",

@@ -1,4 +1,4 @@
-"""Human-readable digests of ``BENCH_<name>.json`` artifacts.
+"""Human-readable digests of run records.
 
 ``python -m repro.bench report`` renders, per artifact: the cycle
 digest, the top profile frames by self cycles, the paper-vs-measured
@@ -12,6 +12,12 @@ default, so it is one command with no benchmark run, and it is the only
 reader of those blocks.  Host speed is ``perfbench``'s job, not this
 report's.
 
+The same command renders the other two records a run leaves: a
+flight-recorder journal (run identity, counts, and each machine's
+label, cycles, events and final state hash) and a forensic bundle
+(error, state fingerprints, cycles, open spans, trace stats and the
+last events).
+
 Each section builds its rows once as :class:`Table` blocks; one renderer
 emits them as plain text or, with ``--format markdown``, as
 GitHub-flavored markdown tables ready to paste into a PR description or
@@ -20,8 +26,13 @@ job summary.
 
 from __future__ import annotations
 
+import json
+import pathlib
 from dataclasses import dataclass
 
+from repro.bench.artifact import validate_artifact
+from repro.flightrec.forensics import BUNDLE_KIND
+from repro.flightrec.journal import JOURNAL_KIND, Journal
 from repro.hw.cycles import CLASSES
 
 # The paper's headline numbers, for side-by-side rendering.
@@ -288,6 +299,19 @@ def _markdown(table: Table) -> list[str]:
             *("| " + " | ".join(row) + " |" for row in table.rows)]
 
 
+def _render(heading: str, summary: list[str], tables: list[Table],
+            fmt: str) -> str:
+    if fmt == "markdown":
+        out = [f"### {heading}", "", *summary]
+        for table in tables:
+            out.extend(["", *_markdown(table)])
+    else:
+        out = [heading, *(f"  {line}" for line in summary)]
+        for table in tables:
+            out.extend(_text(table))
+    return "\n".join(out)
+
+
 def artifact_report(artifact: dict, fmt: str = "text") -> str:
     """The full digest of one artifact, as ``text`` or ``markdown``."""
     heading = (f"{artifact['name']} — {artifact['title']} "
@@ -295,17 +319,88 @@ def artifact_report(artifact: dict, fmt: str = "text") -> str:
     tables = [*profile_section(artifact), *paper_section(artifact),
               *latency_section(artifact),
               *timeline_section(artifact), *requests_section(artifact)]
-    if fmt == "markdown":
-        out = [f"### {heading}", "", *_summary(artifact)]
-        for table in tables:
-            out.extend(["", *_markdown(table)])
-    else:
-        out = [heading, *(f"  {line}" for line in _summary(artifact))]
-        for table in tables:
-            out.extend(_text(table))
-    return "\n".join(out)
+    return _render(heading, _summary(artifact), tables, fmt)
 
 
-def report_all(artifacts: list[dict], fmt: str = "text") -> str:
-    """Digest every artifact, blank-line separated."""
-    return "\n\n".join(artifact_report(a, fmt) for a in artifacts)
+def journal_report(journal, fmt: str = "text") -> str:
+    """The digest of one flight-recorder journal (chain verified on
+    load)."""
+    header = journal.header
+    costs = header.get("provenance", {}).get("costs_fingerprint")
+    summary = [f"args {header.get('args') or {}}, a checkpoint every "
+               f"{header.get('checkpoint_every')} events, costs {costs}",
+               f"{len(journal.events)} events, {len(journal.checkpoints)} "
+               f"checkpoints (hash chain verified)"]
+    rows = [[m["label"], f"{m['total_cycles']:,.0f}", str(m["events"]),
+             m["state_hash"]] for m in journal.summary.get("machines", [])]
+    return _render(f"journal {header['scenario']}", summary,
+                   [Table("machines:", ["machine", "cycles", "events",
+                                        "state hash"], rows,
+                          "{:<12} {:>14} {:>8}  {}")], fmt)
+
+
+def bundle_report(bundle: dict, fmt: str = "text") -> str:
+    """The digest of one forensic bundle (the state dump stays in the
+    file)."""
+    error = bundle.get("error")
+    # One row per message line: a sanitizer message carries the frame
+    # history, and a table cell holds one line.
+    first, *rest = error["message"].split("\n") if error else [None]
+    cycles = bundle["cycles"]
+    stats = bundle["trace_stats"]
+    events = bundle["events"][-20:]
+    tables = [
+        Table("error:", ["type", "code", "message"],
+              [[error["type"], error.get("code") or "-", first],
+               *(["", "", line] for line in rest)] if error else [],
+              "{}  {}  {}", text_header=False,
+              empty="error: none recorded"),
+        Table("state fingerprints:", ["component", "digest"],
+              [[name, digest] for name, digest
+               in sorted(bundle["state_fingerprint"].items())],
+              "{:<10} {}"),
+        Table("cycles:", ["category", "cycles"],
+              [["total", f"{cycles['total']:,.0f}"],
+               *([name, f"{value:,.0f}"] for name, value
+                 in sorted(cycles["by_category"].items()))],
+              "{:<20} {:>14}"),
+        Table("open spans (outermost first):", ["span"],
+              [[name] for name in bundle["open_spans"]], "{}",
+              text_header=False, empty="open spans: none"),
+        Table("trace ring:", ["recorded", "dropped", "resident",
+                              "capacity"],
+              [[str(stats["recorded"]), str(stats["dropped"]),
+                str(stats["entries"]), str(stats["capacity"])]],
+              "{:>10} {:>10} {:>10} {:>10}"),
+        Table(f"last {len(events)} events:", ["event"],
+              [[event] for event in events], "{}", text_header=False,
+              empty="events: none"),
+    ]
+    return _render(f"forensic bundle {bundle['label']}",
+                   [f"state hash {bundle['state_hash']}"], tables, fmt)
+
+
+def load_record(path: str | pathlib.Path):
+    """Read an artifact, a forensic bundle or a journal (its hash chain
+    verified), by the document's ``kind``."""
+    document = json.loads(pathlib.Path(path).read_text())
+    kind = document.get("kind") if isinstance(document, dict) else None
+    if kind == JOURNAL_KIND:
+        return Journal.from_document(document)
+    if kind != BUNDLE_KIND:
+        validate_artifact(document)
+    return document
+
+
+def record_report(record, fmt: str = "text") -> str:
+    """Digest an artifact, a forensic bundle or a loaded journal."""
+    if isinstance(record, Journal):
+        return journal_report(record, fmt)
+    if record.get("kind") == BUNDLE_KIND:
+        return bundle_report(record, fmt)
+    return artifact_report(record, fmt)
+
+
+def report_all(records: list, fmt: str = "text") -> str:
+    """Digest every record, blank-line separated."""
+    return "\n\n".join(record_report(r, fmt) for r in records)

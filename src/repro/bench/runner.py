@@ -59,10 +59,11 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
     and Chrome trace), ``<name>.profile.json`` (full profile document)
     and ``<name>.collapsed`` (cycle-weighted flamegraph stacks).
 
-    When ``record_dir`` is given, a flight recorder is active for the
-    run and its journal lands at ``<record_dir>/<name>.journal.json`` —
-    replayable with ``python -m repro.flightrec replay``.  Recording is
-    a pure observer, so the artifact's figures are unchanged.
+    When ``record_dir`` is given, a flight recorder rides on the sink
+    and its journal lands at ``<record_dir>/<name>.journal.json`` —
+    replayable with ``python -m repro.bench replay``.  Recording is a
+    pure observer, so the artifact's figures are unchanged, and the
+    journal names machines with the artifact's labels.
 
     When ``timeline_interval`` is given, every machine gets a
     cycle-domain timeline sampler at that cadence; the artifact gains an
@@ -78,31 +79,19 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
     The artifact is the only copy of both blocks; ``python -m
     repro.bench report`` reads them from it.
     """
-    from repro.flightrec import forensics
-    from repro.flightrec import recorder as flightrec_recorder
+    from repro.flightrec.recorder import FlightRecorder
+    from repro.flightrec.scenario import observed
     from repro.profiler import profile_document, write_collapsed
-    from repro.telemetry import sink as telemetry_sink
+    from repro.telemetry.sink import capture
 
     _ensure_benchmarks_importable()
-    rec = None
+    rec = FlightRecorder(f"bench:{spec.name}") \
+        if record_dir is not None else None
+    with capture(timeline_interval, trace_requests=trace_requests) as sink, \
+            observed(rec):
+        figures = spec.run()
+    fingerprints = sink.state_fingerprints()
     journal_path = None
-    with telemetry_sink.capture(timeline_interval,
-                                trace_requests=trace_requests) as sink:
-        if record_dir is not None:
-            rec = flightrec_recorder.FlightRecorder(f"bench:{spec.name}")
-            flightrec_recorder.activate(rec)
-        try:
-            figures = spec.run()
-        except Exception as exc:
-            # A crashed benchmark still leaves evidence: one forensic
-            # bundle per machine (when enabled) before propagating.
-            for label, machine in sink.machines():
-                forensics.emit_for_machine(machine, exc, label=label)
-            raise
-        finally:
-            if rec is not None:
-                flightrec_recorder.deactivate()
-        fingerprints = sink.state_fingerprints()
     if rec is not None:
         journal_path = rec.finish(figures).write(
             pathlib.Path(record_dir) / f"{spec.name}.journal.json")

@@ -1,16 +1,18 @@
 """Forensic bundles: the post-mortem record of a failing run.
 
-When a :class:`SanitizerViolation` is raised, or a recorded scenario
-dies on an unhandled fault, the platform emits one bundle per machine:
-the machine state hash and per-component fingerprint, a deep state dump
+When a :class:`SanitizerViolation` is raised, or a captured run dies on
+an unhandled fault, the platform emits one bundle per machine: the
+machine state hash and per-component fingerprint, a deep state dump
 (CPU context, TLB entries, full page-table walks via the machine's dump
 providers), the telemetry span stack that was open at the time, the last
-N journal events, and a metrics snapshot.  ``python -m repro.flightrec
-inspect <bundle>`` renders it.
+N journal events, and a metrics snapshot.  Bundles are indented JSON, so
+the dump reads in the file itself; ``python -m repro.bench report
+<bundle>`` renders the rest as tables.
 
-Emission is opt-in: it happens only while a flight recorder is active or
-``REPRO_FORENSICS_DIR`` is set (CI sets it so failing jobs upload
-bundles as artifacts).  The happy path pays nothing.
+Emission is opt-in: it happens only while the active telemetry sink
+carries a flight recorder or ``REPRO_FORENSICS_DIR`` is set (CI sets it
+so failing jobs upload bundles as artifacts).  The happy path pays
+nothing.
 """
 
 from __future__ import annotations
@@ -94,44 +96,12 @@ def load_bundle(path: str | pathlib.Path) -> dict:
     return document
 
 
-def render_bundle(document: dict, *, events: int = 20,
-                  verbose: bool = False) -> str:
-    """The ``inspect`` CLI's human-readable rendering."""
-    lines = [f"forensic bundle: {document['label']}"]
-    error = document.get("error")
-    if error:
-        code = f" [{error['code']}]" if error.get("code") else ""
-        lines.append(f"error: {error['type']}{code}: {error['message']}")
-    lines.append(f"state hash: {document['state_hash']}")
-    for name, digest in sorted(document["state_fingerprint"].items()):
-        lines.append(f"  {name:<10} {digest}")
-    cycles = document["cycles"]
-    lines.append(f"cycles: {cycles['total']:,.0f} total")
-    if document["open_spans"]:
-        lines.append("open spans (outermost first):")
-        for name in document["open_spans"]:
-            lines.append(f"  {name}")
-    stats = document["trace_stats"]
-    lines.append(f"trace: {stats['recorded']} recorded, "
-                 f"{stats['dropped']} dropped, "
-                 f"{stats['entries']}/{stats['capacity']} resident")
-    tail = document["events"][-events:]
-    if tail:
-        lines.append(f"last {len(tail)} events:")
-        lines.extend(f"  {e}" for e in tail)
-    if verbose:
-        dump = document.get("dump", {})
-        lines.append("state dump:")
-        lines.append(json.dumps(dump, indent=2, sort_keys=True,
-                                default=str))
-    return "\n".join(lines)
-
-
 # -- emission hooks ----------------------------------------------------------
 
 def _active_recorder():
-    from repro.flightrec import recorder
-    return recorder.current()
+    from repro.telemetry import sink
+    active = sink.current()
+    return None if active is None else active.recorder
 
 
 def emission_enabled() -> bool:
@@ -140,39 +110,35 @@ def emission_enabled() -> bool:
         or bool(os.environ.get(FORENSICS_DIR_ENV))
 
 
-def emit_for_machine(machine, error: BaseException | None = None,
-                     *, label: str = "machine") -> pathlib.Path | None:
+def emit_for_machine(machine, error: BaseException | None = None
+                     ) -> pathlib.Path | None:
     """Write one bundle for ``machine`` if emission is enabled.
 
-    When a recorder is active, the bundle's event tail comes from its
-    lossless journal instead of the (possibly wrapped) trace ring.  The
-    bundle path is attached to the exception as ``forensic_bundle``.
+    The bundle carries the active sink's label for the machine.  When
+    the sink's recorder journals the machine, the event tail comes from
+    the lossless journal instead of the (possibly wrapped) trace ring.
+    The first bundle written for an exception is attached to it as
+    ``forensic_bundle``, and its machine as ``forensic_machine``.
     """
     if not emission_enabled():
         return None
-    events = None
-    rec = _active_recorder()
-    if rec is not None and machine in rec.machines:
-        slot = rec.machines.index(machine)
-        events = [str(e) for e in rec.journal.events
-                  if e.machine == slot][-DEFAULT_EVENT_TAIL:]
-        label = rec.journal.header["machines"][slot]["label"]
+    from repro.telemetry import sink
+    active = sink.current()
+    label, events = "machine", None
+    if active is not None:
+        label = next((name for name, m in active.machines()
+                      if m is machine), label)
+        rec = active.recorder
+        if rec is not None and machine in rec.machines:
+            slot = rec.machines.index(machine)
+            events = [str(e) for e in rec.journal.events
+                      if e.machine == slot][-DEFAULT_EVENT_TAIL:]
     path = write_bundle(build_bundle(machine, error, events=events,
                                      label=label))
-    if error is not None:
+    if error is not None and getattr(error, "forensic_bundle", None) is None:
         try:
             error.forensic_bundle = str(path)
+            error.forensic_machine = machine
         except AttributeError:
             pass                     # exceptions with __slots__
     return path
-
-
-def emit_for_recorder(rec, error: BaseException | None = None
-                      ) -> list[pathlib.Path]:
-    """One bundle per machine the recorder attached (crash path)."""
-    paths = []
-    for machine in rec.machines:
-        path = emit_for_machine(machine, error)
-        if path is not None:
-            paths.append(path)
-    return paths

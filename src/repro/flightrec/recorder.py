@@ -1,8 +1,9 @@
 """The flight recorder: machine attachment, taps, checkpoint cadence.
 
-A :class:`FlightRecorder` is activated process-wide (mirroring
-``repro.telemetry.sink``): every :class:`~repro.hw.machine.Machine` built
-while one is active attaches itself.  Attachment enables the machine's
+A :class:`FlightRecorder` rides on a telemetry sink
+(``with repro.flightrec.scenario.observed(recorder):``): every
+:class:`~repro.hw.machine.Machine` the sink captures is attached once,
+under the sink's label for it.  Attachment enables the machine's
 telemetry (spans and the trace ring observe the simulated clock — they
 never charge cycles) and installs a *tap* on the trace ring, so the
 journal sees every event even after the bounded ring wraps.
@@ -18,8 +19,6 @@ from __future__ import annotations
 from repro.flightrec.journal import Journal, JournalEvent
 
 DEFAULT_CHECKPOINT_EVERY = 1024
-
-_ACTIVE: "FlightRecorder | None" = None
 
 
 def _config_document(config) -> dict:
@@ -54,13 +53,13 @@ class FlightRecorder:
     def machines(self) -> list:
         return list(self._machines)
 
-    def attach_machine(self, machine) -> int:
+    def attach_machine(self, machine, label: str) -> int:
         """Start journaling one machine; returns its slot index."""
         slot = len(self._machines)
         self._machines.append(machine)
         self._since_checkpoint.append(0)
         self.journal.header["machines"].append({
-            "label": f"machine-{slot + 1}",
+            "label": label,
             "config": _config_document(machine.config),
         })
         machine.telemetry.enable()
@@ -79,6 +78,11 @@ class FlightRecorder:
 
         ring.tap(on_event)
         return slot
+
+    def relabel(self, machine, label: str) -> None:
+        """Rename an attached machine in the journal header."""
+        slot = self._machines.index(machine)
+        self.journal.header["machines"][slot]["label"] = label
 
     def finish(self, figures=None) -> Journal:
         """Take final checkpoints and summarize; idempotent."""
@@ -111,44 +115,3 @@ class FlightRecorder:
 def _jsonable_figures(figures):
     from repro.bench.artifact import _jsonable
     return _jsonable(figures)
-
-
-# -- process-wide activation (mirrors repro.telemetry.sink) ------------------
-
-def activate(recorder: FlightRecorder) -> None:
-    """Make ``recorder`` the process-wide active flight recorder."""
-    global _ACTIVE
-    _ACTIVE = recorder
-
-
-def deactivate() -> None:
-    """Clear the process-wide active recorder."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
-def current() -> FlightRecorder | None:
-    """The active recorder, or None when recording is not requested."""
-    return _ACTIVE
-
-
-class record:
-    """Context manager recording the enclosed run::
-
-        with record("bench:table1_edge_calls") as rec:
-            figures = run()
-        rec.finish(figures).write("journal.json")
-    """
-
-    def __init__(self, scenario: str, args: dict | None = None, *,
-                 checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY) -> None:
-        self.recorder = FlightRecorder(scenario, args,
-                                       checkpoint_every=checkpoint_every)
-
-    def __enter__(self) -> FlightRecorder:
-        activate(self.recorder)
-        return self.recorder
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        deactivate()
-        return False

@@ -1,10 +1,11 @@
 """Replay a journal and bisect to the first divergence.
 
 Replay re-executes the journal's scenario under a fresh recorder and
-compares the two journals.  The checkpoint hash chain makes the search
-logarithmic: chain values are cumulative, so equality at checkpoint *k*
-proves the runs agreed on every checkpoint up to *k*, and binary search
-finds the first disagreeing checkpoint.  The event window between it and
+compares the two journals (``python -m repro.bench replay JOURNAL``).
+The checkpoint hash chain makes the search logarithmic: chain values
+are cumulative, so equality at checkpoint *k* proves the runs agreed on
+every checkpoint up to *k*, and binary search finds the first
+disagreeing checkpoint.  The event window between it and
 the previous checkpoint is then scanned event-by-event for the first
 mismatching (seq, cycle, kind, detail, cause) tuple — the exact first
 divergent event.
@@ -210,20 +211,26 @@ def replay_journal(journal: Journal, *, window: int = 8,
                    perturb=None) -> ReplayResult:
     """Re-execute a journal's scenario and locate the first divergence.
 
-    ``perturb`` is an optional context manager (see
-    :mod:`repro.flightrec.perturb`) active during the re-execution —
-    the test hook proving bisection localizes an injected fault.
+    The re-execution is captured like any recorded run
+    (:func:`repro.flightrec.scenario.observed`), but a crash is caught
+    here and kept as ``replay_error`` (a diverged run may crash, and
+    bisection still wants its partial journal), so the crash path of
+    ``observed`` never runs on replay; only a sanitizer violation writes
+    its own bundle.  ``perturb`` is an optional context manager (see
+    :mod:`repro.flightrec.perturb`) active during it — the test hook
+    proving bisection localizes an injected fault.
     """
     import contextlib
 
-    from repro.flightrec.recorder import record
+    from repro.flightrec.recorder import FlightRecorder
+    from repro.flightrec.scenario import observed, resolve
     header = journal.header
-    from repro.flightrec.scenario import resolve
     fn = resolve(header["scenario"])
     error = None
-    with record(header["scenario"], header.get("args"),
-                checkpoint_every=header.get(
-                    "checkpoint_every", 1024)) as rec:
+    rec = FlightRecorder(header["scenario"], header.get("args"),
+                         checkpoint_every=header.get("checkpoint_every",
+                                                     1024))
+    with observed(rec):
         try:
             with (perturb if perturb is not None
                   else contextlib.nullcontext()):

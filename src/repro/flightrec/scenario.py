@@ -1,4 +1,4 @@
-"""Scenario resolution: what a journal re-executes.
+"""Scenario resolution and the one capture path.
 
 A journal header names its scenario by id so replay can re-run the exact
 workload:
@@ -9,16 +9,24 @@ workload:
   :func:`register` (tests use this to record custom workloads).
 
 Scenario functions take one ``args`` dict and return their figures; the
-machines they build attach to the active recorder automatically, so a
-scenario needs no recorder plumbing of its own.
+machines they build register with the active telemetry sink, whose
+flight recorder journals them, so a scenario needs no recorder plumbing
+of its own.  :func:`observed` is the one way a run is captured —
+``python -m repro.bench run``, :func:`run_recorded` and replay all go
+through it — and the one place a crash of a recorded or benchmark run
+leaves forensic bundles.  Replay keeps its own exception handling (a
+diverged re-run may crash, and bisection wants its partial journal),
+so that crash path never runs on replay.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 from repro.flightrec import forensics
 from repro.flightrec.journal import Journal
-from repro.flightrec.recorder import (DEFAULT_CHECKPOINT_EVERY,
-                                      FlightRecorder, record)
+from repro.flightrec.recorder import DEFAULT_CHECKPOINT_EVERY, FlightRecorder
+from repro.telemetry import sink as telemetry_sink
 
 _SCENARIOS: dict[str, object] = {}
 
@@ -35,13 +43,6 @@ def register(name: str, fn) -> None:
 def unregister(name: str) -> None:
     """Remove a programmatic scenario; unknown names are a no-op."""
     _SCENARIOS.pop(name, None)
-
-
-def scenario_ids() -> list[str]:
-    """Every runnable scenario id (bench ones first)."""
-    from repro.bench.registry import REGISTRY
-    return ([f"bench:{name}" for name in REGISTRY]
-            + sorted(_SCENARIOS))
 
 
 def resolve(scenario: str):
@@ -61,20 +62,49 @@ def resolve(scenario: str):
     return fn
 
 
+@contextlib.contextmanager
+def observed(recorder: FlightRecorder | None = None):
+    """Run the enclosed block under a sink with ``recorder`` on it.
+
+    The sink is the active one (so a caller's sampler or tracer sees the
+    run too), else a fresh one made active for the block.  It captures
+    every machine the block builds and ``recorder`` journals each of
+    them.  On an unhandled exception one forensic bundle is written
+    (when emission is enabled) for each machine registered inside the
+    block before the exception propagates; the machine whose bundle the
+    exception already carries (a sanitizer violation writes its own) is
+    skipped.
+    """
+    outer = telemetry_sink.current()
+    sink = outer if outer is not None else telemetry_sink.TelemetrySink()
+    previous = sink.recorder
+    start = len(sink.machines())
+    telemetry_sink.activate(sink)
+    if recorder is not None:
+        sink.recorder = recorder
+    try:
+        yield sink
+    except Exception as exc:
+        done = getattr(exc, "forensic_machine", None)
+        for _, machine in sink.machines()[start:]:
+            if machine is not done:
+                forensics.emit_for_machine(machine, exc)
+        raise
+    finally:
+        sink.recorder = previous
+        telemetry_sink.activate(outer)
+
+
 def run_recorded(scenario: str, args: dict | None = None, *,
                  checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
                  ) -> tuple[Journal, object]:
     """Run one scenario under a fresh recorder; returns (journal, figures).
 
-    On an unhandled exception a forensic bundle is written for every
-    attached machine (honoring ``REPRO_FORENSICS_DIR``) before the
-    exception propagates — a crashed recording still leaves evidence.
+    The run is captured by :func:`observed`, so a crashed recording
+    still leaves forensic evidence.
     """
     fn = resolve(scenario)
-    with record(scenario, args, checkpoint_every=checkpoint_every) as rec:
-        try:
-            figures = fn(dict(args or {}))
-        except Exception as exc:
-            forensics.emit_for_recorder(rec, exc)
-            raise
+    rec = FlightRecorder(scenario, args, checkpoint_every=checkpoint_every)
+    with observed(rec):
+        figures = fn(dict(args or {}))
     return rec.finish(figures), figures

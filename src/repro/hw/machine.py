@@ -102,18 +102,13 @@ class Machine:
             want = sanitize_enabled()
         self.sanitizer = Sanitizer(self) if want else None
         # When a process-wide telemetry sink is active (python -m
-        # repro.bench run|check), every machine registers itself so
-        # no workload needs per-call-site capture plumbing.
+        # repro.bench run|check|replay), every machine registers itself,
+        # so no workload needs per-call-site capture plumbing; the sink
+        # attaches its sampler, tracer and flight recorder.
         from repro.telemetry import sink as telemetry_sink
         active = telemetry_sink.current()
         if active is not None:
             active.auto_register(self.telemetry, machine=self)
-        # Likewise for an active flight recorder (python -m repro.flightrec
-        # record / replay): the machine journals itself on construction.
-        from repro.flightrec import recorder as flightrec_recorder
-        rec = flightrec_recorder.current()
-        if rec is not None:
-            rec.attach_machine(self)
 
     # -- state hashing -------------------------------------------------------
 

@@ -134,8 +134,3 @@ class TraceBuffer:
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
-
-    def dump(self, limit: int = 50) -> str:
-        """The last ``limit`` events, newest last."""
-        tail = list(self._events)[-limit:]
-        return "\n".join(str(e) for e in tail)

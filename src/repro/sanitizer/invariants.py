@@ -32,10 +32,11 @@ def fail(machine, san, code: str, message: str, *,
          frame: int | None = None) -> None:
     """Count the violation in the telemetry registry and raise it.
 
-    When forensics are enabled (a flight recorder is active, or CI set
-    ``REPRO_FORENSICS_DIR``) the violation also emits a forensic bundle
-    capturing the machine state at the moment of failure; its path rides
-    on the exception as ``forensic_bundle``.
+    When forensics are enabled (the active telemetry sink carries a
+    flight recorder, or CI set ``REPRO_FORENSICS_DIR``) the violation
+    also emits a forensic bundle capturing the machine state at the
+    moment of failure; its path rides on the exception as
+    ``forensic_bundle``.
     """
     machine.telemetry.registry.counter("sanitizer", "violations",
                                        code=code).inc()

@@ -52,21 +52,14 @@ class UnclosedSpanError(RuntimeError):
 
 @dataclass(slots=True)
 class SpanRecord:
-    """One completed span (feeds the Chrome trace exporter).
-
-    ``path`` is the exact ancestor stack (root first, this span last) at
-    the moment the span opened — the same key the span's profile frame
-    (:attr:`Telemetry.frames`) is folded under at exit.
-    """
+    """One completed span (feeds the Chrome trace exporter)."""
 
     name: str
     labels: dict
     start_cycle: int
     dur_cycles: int
     self_cycles: int
-    depth: int
     error: bool
-    path: tuple[str, ...] = ()
 
 
 class _NullSpan:
@@ -94,7 +87,7 @@ class Span:
     """
 
     __slots__ = ("_telemetry", "name", "labels", "start_cycle",
-                 "_child_cycles", "_depth", "_path")
+                 "_child_cycles", "_path")
 
     def __init__(self, telemetry: "Telemetry", name: str,
                  labels: dict) -> None:
@@ -106,7 +99,8 @@ class Span:
         tel = self._telemetry
         self._child_cycles = 0
         stack = tel._stack
-        self._depth = len(stack)
+        # The exact ancestor stack (root first, this span last): the key
+        # this span's profile frame is folded under at exit.
         self._path = ((stack[-1]._path + (self.name,)) if stack
                       else (self.name,))
         stack.append(self)
@@ -164,11 +158,11 @@ class Span:
         by_enclave, by_cpu = tel.self_by_enclave, tel.self_by_cpu
         by_enclave[enclave] = by_enclave.get(enclave, 0) + self_cycles
         by_cpu[cpu] = by_cpu.get(cpu, 0) + self_cycles
-        if not self._depth:
+        if len(self._path) == 1:
             tel.root_cycles += dur
         tel.spans.append(SpanRecord(
             self.name, labels, self.start_cycle, dur, self_cycles,
-            self._depth, exc_type is not None, self._path))
+            exc_type is not None))
         return False
 
 

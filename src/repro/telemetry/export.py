@@ -54,6 +54,7 @@ def machine_snapshot(telemetry: Telemetry, label: str = "machine", *,
     """
     open_names = _guard_open_spans(telemetry, label, strict)
     breakdown = telemetry.cycles.breakdown()
+    closed = sum(frame[0] for frame in telemetry.frames.values())
     return {
         "label": label,
         "cycles": {
@@ -63,7 +64,10 @@ def machine_snapshot(telemetry: Telemetry, label: str = "machine", *,
         },
         "metrics": telemetry.registry.snapshot(),
         "hardware": telemetry.hardware_stats(),
-        "spans": {"recorded": len(telemetry.spans),
+        # Every span closed (the profile frames count them all), and how
+        # many fell out of the bounded span deque the Chrome trace reads.
+        "spans": {"recorded": closed,
+                  "dropped": closed - len(telemetry.spans),
                   "open": len(open_names)},
     }
 

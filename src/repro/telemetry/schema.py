@@ -81,7 +81,10 @@ def _check_machine(snap, where: str) -> None:
              "missing hardware object")
     spans = snap.get("spans")
     _require(isinstance(spans, dict), where, "missing spans object")
-    _check_number(spans.get("recorded"), f"{where}.spans.recorded")
+    for key in ("recorded", "dropped", "open"):
+        _check_number(spans.get(key), f"{where}.spans.{key}")
+    _require(spans["dropped"] <= spans["recorded"], f"{where}.spans",
+             "more spans dropped than recorded")
 
 
 def validate_snapshot(document) -> None:

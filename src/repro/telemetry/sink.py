@@ -9,7 +9,12 @@ name (the benchmark conftest labels machines by enclave mode) re-register
 the same hub and simply upgrade its label: registration is idempotent by
 telemetry identity.
 
-This is the backend behind ``python -m repro.bench run|check``.
+The sink is the only process-wide capture hook: a timeline sampler and
+a request tracer (options of the sink) and a flight recorder (put on it
+by ``repro.flightrec.scenario.observed``) are attached to each machine
+when it registers and relabeled with it, so the artifact, the journal
+and a forensic bundle all name a machine the same way.  This is the
+backend behind ``python -m repro.bench run|check``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ class TelemetrySink:
         # When true, every machine registered here gets a request tracer
         # (repro.telemetry.requests).
         self._trace_requests = trace_requests
+        # When set (by repro.flightrec.scenario.observed), a
+        # FlightRecorder that journals every machine registered here.
+        self.recorder = None
 
     def _dedupe(self, label: str) -> str:
         base, n = label, 1
@@ -52,35 +60,35 @@ class TelemetrySink:
         labels beat the auto-generated ``machine-N`` ones) instead of
         duplicating the entry.  Returns the de-duplicated label used.
         """
+        slot = self._index.get(id(telemetry))
+        if slot is not None:
+            self._labels.discard(self._items[slot][0])
+        label = self._dedupe(label)
+        if slot is None:
+            telemetry.enable()
+            self._index[id(telemetry)] = len(self._items)
+            self._items.append((label, telemetry))
+        else:
+            self._items[slot] = (label, telemetry)
         if machine is not None:
             self._machines[id(telemetry)] = machine
             if self._timeline_interval is not None:
                 from repro.telemetry.timeline import attach_machine
-                attach_machine(machine, interval=self._timeline_interval,
-                               label=label)
+                attach_machine(machine, interval=self._timeline_interval)
             if self._trace_requests:
                 from repro.telemetry.requests import \
                     attach_machine as attach_tracer
-                attach_tracer(machine, label=label)
-        slot = self._index.get(id(telemetry))
-        if slot is not None:
-            old_label, _ = self._items[slot]
-            self._labels.discard(old_label)
-            label = self._dedupe(label)
-            self._items[slot] = (label, telemetry)
-            if telemetry.timeline is not None:
-                telemetry.timeline.label = label
-            if telemetry.requests is not None:
-                telemetry.requests.label = label
-            return label
-        label = self._dedupe(label)
-        telemetry.enable()
-        self._index[id(telemetry)] = len(self._items)
-        self._items.append((label, telemetry))
+                attach_tracer(machine)
+            if self.recorder is not None \
+                    and machine not in self.recorder.machines:
+                self.recorder.attach_machine(machine, label)
         if telemetry.timeline is not None:
             telemetry.timeline.label = label
         if telemetry.requests is not None:
             telemetry.requests.label = label
+        machine = self._machines.get(id(telemetry))
+        if self.recorder is not None and machine in self.recorder.machines:
+            self.recorder.relabel(machine, label)
         return label
 
     def auto_register(self, telemetry: Telemetry, machine=None) -> str:
@@ -165,16 +173,10 @@ class TelemetrySink:
         return write_telemetry(snapshot_path, self._items)
 
 
-def activate(sink: TelemetrySink) -> None:
-    """Make ``sink`` the process-wide active sink."""
+def activate(sink: TelemetrySink | None) -> None:
+    """Make ``sink`` the process-wide active sink (None clears it)."""
     global _ACTIVE
     _ACTIVE = sink
-
-
-def deactivate() -> None:
-    """Clear the active sink."""
-    global _ACTIVE
-    _ACTIVE = None
 
 
 def current() -> TelemetrySink | None:
@@ -188,17 +190,21 @@ class capture:
         with sink.capture() as s:
             run_experiment()
         document = s.document()
+
+    The sink that was active before is active again afterwards.
     """
 
     def __init__(self, timeline_interval: int | None = None,
                  trace_requests: bool = False) -> None:
         self.sink = TelemetrySink(timeline_interval=timeline_interval,
                                   trace_requests=trace_requests)
+        self._outer: TelemetrySink | None = None
 
     def __enter__(self) -> TelemetrySink:
+        self._outer = current()
         activate(self.sink)
         return self.sink
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        deactivate()
+        activate(self._outer)
         return False

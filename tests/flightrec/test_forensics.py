@@ -1,6 +1,7 @@
 """Crash forensics: a SanitizerViolation leaves an inspectable bundle.
 
-Emission is opt-in (active recorder or ``REPRO_FORENSICS_DIR``); the
+Emission is opt-in (a recorder on the active sink, or
+``REPRO_FORENSICS_DIR``); the
 bundle carries enough to debug post-mortem without re-running — state
 hash + per-component fingerprints, CPU/TLB/page-table dump, the open
 span stack, the last journal events, and a metrics snapshot.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.report import bundle_report
 from repro.flightrec import forensics
 from repro.flightrec.scenario import run_recorded
 from repro.hw.machine import Machine, MachineConfig
@@ -89,12 +91,12 @@ class TestBundleContents:
 
     def test_render_is_human_readable(self, bundle):
         _, document = bundle
-        text = forensics.render_bundle(document)
-        assert "SanitizerViolation" in text
-        assert "state hash:" in text
+        text = bundle_report(document)
+        assert "SanitizerViolation" in text and SAN_MEASURE in text
+        assert f"state hash {document['state_hash']}" in text
         assert "last" in text and "events:" in text
-        verbose = forensics.render_bundle(document, verbose=True)
-        assert "state dump:" in verbose
+        assert "| component | digest |" in bundle_report(document,
+                                                         "markdown")
 
 
 class TestCrashedScenario:
@@ -120,3 +122,58 @@ class TestCrashedScenario:
         # journal and the label from the journal header.
         assert document["label"].startswith("machine-")
         assert document["events"]
+
+    def test_violation_writes_one_bundle_per_machine(self, tmp_path,
+                                                     monkeypatch):
+        from repro.flightrec import scenario as flightrec_scenario
+        monkeypatch.setenv(forensics.FORENSICS_DIR_ENV, str(tmp_path))
+        machines = []
+
+        def violating(args):
+            machines.append(Machine(SANITIZED_CONFIG))     # bystander
+            machine = Machine(SANITIZED_CONFIG)
+            machines.append(machine)
+            boot = measured_late_launch(
+                machine, monitor_private_size=32 * 1024 * 1024)
+            _provoke_violation(machine, boot.monitor)
+
+        flightrec_scenario.register("test:violation", violating)
+        try:
+            with pytest.raises(SanitizerViolation) as exc:
+                run_recorded("test:violation", {})
+        finally:
+            flightrec_scenario.unregister("test:violation")
+        bundles = [forensics.load_bundle(path)
+                   for path in sorted(tmp_path.glob("forensic-*.json"))]
+        assert sorted(b["label"] for b in bundles) == \
+            ["machine-1", "machine-2"]
+        carried = forensics.load_bundle(exc.value.forensic_bundle)
+        assert carried["label"] == "machine-2"
+        assert carried["state_hash"] == machines[1].state_hash()
+        assert carried["error"]["code"] == SAN_MEASURE
+
+    def test_crash_inside_a_capture_skips_its_earlier_machines(
+            self, tmp_path, monkeypatch):
+        from repro.flightrec import scenario as flightrec_scenario
+        from repro.telemetry import sink as telemetry_sink
+        monkeypatch.setenv(forensics.FORENSICS_DIR_ENV, str(tmp_path))
+        machines = []
+
+        def crashing(args):
+            machines.append(Machine(SANITIZED_CONFIG))
+            raise RuntimeError("scenario blew up")
+
+        flightrec_scenario.register("test:crash-late", crashing)
+        try:
+            with telemetry_sink.capture() as sink:
+                earlier = Machine(SANITIZED_CONFIG)
+                with pytest.raises(RuntimeError) as exc:
+                    run_recorded("test:crash-late", {})
+        finally:
+            flightrec_scenario.unregister("test:crash-late")
+        assert [m for _, m in sink.machines()] == [earlier, machines[0]]
+        bundles = [forensics.load_bundle(path)
+                   for path in sorted(tmp_path.glob("forensic-*.json"))]
+        assert [b["label"] for b in bundles] == ["machine-2"]
+        carried = forensics.load_bundle(exc.value.forensic_bundle)
+        assert carried["state_hash"] == machines[0].state_hash()

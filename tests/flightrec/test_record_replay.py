@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.flightrec import recorder as flightrec_recorder
 from repro.flightrec.journal import Journal
 from repro.flightrec.perturb import perturb_cycles
 from repro.flightrec.replay import replay_journal
 from repro.flightrec.scenario import ScenarioError, run_recorded
+from repro.telemetry import sink as telemetry_sink
 from tests.flightrec.conftest import demo_lifecycle
 
 
@@ -79,7 +79,7 @@ class TestRecording:
             run_recorded("test:no-such-scenario", {})
 
     def test_recorder_deactivated_after_run(self, recorded):
-        assert flightrec_recorder.current() is None
+        assert telemetry_sink.current() is None
 
 
 class TestReplay:

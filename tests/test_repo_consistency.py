@@ -43,11 +43,16 @@ def test_every_public_class_and_function_documented():
 
 DOCS = [ROOT / "DESIGN.md", ROOT / "README.md",
         *sorted((ROOT / "docs").glob("*.md"))]
+# Where commands are written down for someone to run.
+COMMAND_DOCS = [*DOCS, ROOT / ".github" / "workflows" / "ci.yml"]
 
 # `python -m repro.<pkg> <sub>` or `repro.<pkg> <sub>|<sub>` in a doc.
 CLI_MENTION = re.compile(
     r"(?:python -m |`)repro\.([a-z_]+) "
     r"((?:[a-z][a-z-]*\|)*[a-z][a-z-]*)(?![\w/.-])")
+
+# Every `python -m repro.<dotted>`, whatever follows it.
+ENTRY_POINT = re.compile(r"python -m repro\.([a-z_]+(?:\.[a-z_]+)*)")
 
 
 def _cli_accepts(package: str, command: str, monkeypatch) -> bool:
@@ -65,9 +70,31 @@ def _cli_accepts(package: str, command: str, monkeypatch) -> bool:
     return False
 
 
+def _is_entry_point(dotted: str) -> bool:
+    """Whether ``python -m repro.<dotted>`` runs an entry point.
+
+    runpy exits 0 on any importable module, so a mention of a module
+    whose command line was deleted would still "pass" when run.
+    """
+    path = SRC.joinpath(*dotted.split("."))
+    if (path / "__main__.py").exists():
+        return True
+    module = path.with_suffix(".py")
+    return module.exists() and \
+        'if __name__ == "__main__":' in module.read_text()
+
+
+def test_every_python_m_mention_is_an_entry_point():
+    stale = sorted({f"{doc.name}: python -m repro.{dotted}"
+                    for doc in COMMAND_DOCS
+                    for dotted in ENTRY_POINT.findall(doc.read_text())
+                    if not _is_entry_point(dotted)})
+    assert not stale, stale
+
+
 def test_design_md_references_existing_modules(monkeypatch, capsys):
     missing, commands = [], set()
-    for doc in DOCS:
+    for doc in COMMAND_DOCS:
         text = doc.read_text()
         for dotted in set(re.findall(r"`repro\.([a-z_.]+)`", text)):
             parts = dotted.split(".")

@@ -187,7 +187,7 @@ class RustMonitor:
 
     # ------------------------------------------------------------------ boot --
 
-    def initialize_keys(self, sealed_root_key: bytes | None = None) -> bytes:
+    def initialize_keys(self, sealed_root_key: bytes | None = None) -> bytes:  # repro-lint: disable=SC003 -- boot-time key derivation before any guest exists; no hypercall round-trip to charge
         """Create or unseal K_root, derive the attestation key, extend the
         hapk into the TPM, and flood the boot PCRs (Sec 3.3).
 
@@ -208,7 +208,7 @@ class RustMonitor:
             tpm.extend(idx, FLOOD_DIGEST)
         return sealed
 
-    def demote_primary_os(self) -> None:
+    def demote_primary_os(self) -> None:  # repro-lint: disable=SC003 -- one-shot boot transition before any measured op sequence starts
         """Drop the primary OS into the normal VM and arm DMA protection."""
         self.machine.iommu.enable()
         self.os_demoted = True
@@ -277,7 +277,7 @@ class RustMonitor:
 
     # ----------------------------------------------------- normal VM policing --
 
-    def check_normal_access(self, pa: int, length: int = 1) -> None:
+    def check_normal_access(self, pa: int, length: int = 1) -> None:  # repro-lint: disable=SC003 -- models the hardware NPT walk, free in the monitor's cycle model; the caller's memory touch pays the cost
         """R-1: normal-mode software may not touch reserved/enclave frames.
 
         The hardware analogue is an NPT violation; the OS simulation calls
@@ -518,7 +518,7 @@ class RustMonitor:
 
     # ------------------------------------------------------- verification ------
 
-    def audit_invariants(self) -> None:
+    def audit_invariants(self) -> None:  # repro-lint: disable=SC003 -- verification harness outside the guest cycle model, never called on a measured path
         """Check the monitor's global security invariants.
 
         The paper reports formal verification of RustMonitor as work in

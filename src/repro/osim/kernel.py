@@ -118,7 +118,11 @@ class Kernel:
     def exit(self, process: Process) -> None:
         for vma in process.vmas:
             for pa in vma.frames:
+                # The untrusted OS manages its own normal memory; the
+                # monitor isolates EPC through NPT, not through this pool.
+                # repro-lint: disable=SC006 -- the OS's own normal memory
                 self.frame_pool.free(pa)
+        # repro-lint: disable=SC006 -- the OS tears down its own page table
         process.pt.destroy()
         if self.machine.sanitizer is not None:
             self.machine.sanitizer.unregister_untrusted_pt(process.pt)
@@ -167,8 +171,10 @@ class Kernel:
             if populate:
                 flags = PageTableFlags.URW if writable else PageTableFlags.UR
                 for i in range(size // PAGE_SIZE):
+                    # repro-lint: disable=SC006 -- the OS's own normal memory
                     pa = self.frame_pool.alloc()
                     vma.frames.append(pa)
+                    # repro-lint: disable=SC006 -- a guest PTE; NPT guards EPC
                     process.pt.map(start + i * PAGE_SIZE, pa, flags)
                 # Guest PTE fills + page zeroing are the dominant cost.
                 self.machine.cycles.charge(180 * (size // PAGE_SIZE),
@@ -181,7 +187,9 @@ class Kernel:
         if vma.pinned:
             raise OsError("cannot munmap a pinned region")
         for i, pa in enumerate(vma.frames):
+            # repro-lint: disable=SC006 -- a guest PTE; NPT guards EPC
             process.pt.unmap(vma.start + i * PAGE_SIZE)
+            # repro-lint: disable=SC006 -- the OS's own normal memory
             self.frame_pool.free(pa)
         process.vmas.remove(vma)
 
@@ -204,9 +212,11 @@ class Kernel:
         if write and not vma.writable:
             raise PageFault(va, write=True, present=True)
         page_va = va & ~(PAGE_SIZE - 1)
+        # repro-lint: disable=SC006 -- the OS's own normal memory
         pa = self.frame_pool.alloc()
         vma.frames.append(pa)
         flags = PageTableFlags.URW if vma.writable else PageTableFlags.UR
+        # repro-lint: disable=SC006 -- a guest PTE; NPT guards EPC
         process.pt.map(page_va, pa, flags)
         self.machine.cycles.charge(costs.DRAM_CYCLES + 800, "os-fault")
         self._charge_npt_fill()

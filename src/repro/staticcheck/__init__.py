@@ -17,7 +17,7 @@ determinism (SC001/SC002)
     under ``src/repro`` reads a host clock (host time is perfbench's).
 
 charge coverage (SC003/SC005/SC009)
-    Every configured public ``RustMonitor`` / hw entry point must reach
+    Every listed public ``RustMonitor`` / hw entry point must reach
     a ``_charge_hypercall`` / ``CycleCounter.charge`` /
     ``Cpu.charge_steps`` site over precisely resolved calls, with
     uncharged exit paths reported separately.  Every literal charge
@@ -38,27 +38,23 @@ hygiene (SC007/SC008)
     Telemetry spans are context-managed or returned; no bare
     ``except:`` in the trusted monitor/hw layers.
 
-Run it with ``python -m repro.staticcheck src/repro`` (text, JSON or
-SARIF output).  Findings are gated against a committed baseline so CI
-fails only on *new* violations; suppression pragmas read
+Run it with ``python -m repro.staticcheck src/repro`` (text or SARIF
+output); it exits 1 on any unsuppressed finding.  The one way to accept
+a finding is a justified pragma at the code it waives,
 ``# repro-lint: disable=SCnnn -- why``.  See ``docs/STATIC_ANALYSIS.md``.
 """
 
 from __future__ import annotations
 
 from repro.staticcheck.analyzer import analyze
-from repro.staticcheck.baseline import Baseline, BaselineDelta
-from repro.staticcheck.config import StaticcheckConfig, load_staticcheck_config
+from repro.staticcheck.config import StaticcheckConfig
 from repro.staticcheck.findings import ALL_SC_RULES, StaticFinding
 from repro.staticcheck.project import Project
 
 __all__ = [
     "ALL_SC_RULES",
-    "Baseline",
-    "BaselineDelta",
     "Project",
     "StaticFinding",
     "StaticcheckConfig",
     "analyze",
-    "load_staticcheck_config",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 
+from repro.cliexit import run_cli
 from repro.staticcheck.cli import main
 
-sys.exit(main())
+sys.exit(run_cli(main))

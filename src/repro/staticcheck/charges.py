@@ -1,12 +1,15 @@
 """SC003/SC005/SC009: charge-coverage and charge-category passes.
 
-SC003: every configured public entry point (``RustMonitor`` hypercalls,
-the world-switch engine, the memory-subsystem hot methods) must *reach*
-a cycle-charge site — ``_charge_hypercall``, ``CycleCounter.charge`` or
-``Cpu.charge_steps`` — through a chain of precisely resolved calls
-(its own body, ``self.``/``super()`` helpers, module functions).
+SC003: every public entry point named in ``config.CHARGE_ENTRY_POINTS``
+(``RustMonitor`` hypercalls, the world-switch engine, the
+memory-subsystem hot methods) must *reach* a cycle-charge site —
+``_charge_hypercall``, ``CycleCounter.charge`` or ``Cpu.charge_steps``
+— through a chain of precisely resolved calls (its own body,
+``self.``/``super()`` helpers, module functions).
 Name-based dispatch edges do not count: a fan-out guess that happens to
-hit a charging method proves nothing about the entry point.
+hit a charging method proves nothing about the entry point.  An entry
+point that never charges by design carries an end-of-line
+``# repro-lint: disable=SC003 -- why`` on its ``def`` line.
 
 SC005 is the all-paths refinement: an entry point that does charge
 somewhere may still have an exit path that returns a real value without
@@ -27,7 +30,7 @@ from fnmatch import fnmatch
 
 from repro.hw.cycles import category_entry
 from repro.staticcheck.callgraph import CHARGE_ATTRS, FunctionFacts
-from repro.staticcheck.config import StaticcheckConfig
+from repro.staticcheck.config import CHARGE_ENTRY_POINTS, StaticcheckConfig
 from repro.staticcheck.findings import StaticFinding
 from repro.staticcheck.project import FunctionInfo, Project
 from repro.staticcheck.reach import bfs_reachable, chain_to
@@ -42,19 +45,9 @@ def _entry_points(project: Project,
         if config.path_excluded(info.path):
             continue
         if any(fnmatch(qualname, pattern)
-               for pattern in config.charge_entry_points):
+               for pattern in CHARGE_ENTRY_POINTS):
             entries.append(info)
     return entries
-
-
-def _exemption_for(info: FunctionInfo,
-                   config: StaticcheckConfig) -> str | None:
-    short = f"{info.class_name}.{info.name}" if info.class_name \
-        else info.name
-    for pattern, why in config.charge_exemptions.items():
-        if fnmatch(short, pattern) or fnmatch(info.qualname, pattern):
-            return why
-    return None
 
 
 def run(project: Project, facts: dict[str, FunctionFacts],
@@ -64,8 +57,6 @@ def run(project: Project, facts: dict[str, FunctionFacts],
     walker = _MustChargeIndex(project, facts)
 
     for info in _entry_points(project, config):
-        if _exemption_for(info, config) is not None:
-            continue
         parents = bfs_reachable([info.qualname], facts, precise_only=True)
         charge_holder = next(
             (q for q in parents

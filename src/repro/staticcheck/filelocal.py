@@ -6,9 +6,9 @@ SC001 (file-local arm)
     traversal, so each host-time read carries its own justified pragma.
 SC006 (file-local arm)
     A direct ``PhysicalMemory`` primitive call (``<x>.phys.read(...)``
-    and friends) in any ``taint-sources`` file, barrier files included:
-    a barrier marshals through :mod:`repro.hw.memaccess`, never around
-    it.
+    and friends) in any ``config.TAINT_SOURCES`` file, barrier files
+    included: a barrier marshals through :mod:`repro.hw.memaccess`,
+    never around it.
 SC007
     A telemetry ``.span(...)`` or ``.site(...)`` must be a ``with``
     context expression or be returned to a caller who will enter it; an
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.staticcheck.config import StaticcheckConfig
+from repro.staticcheck.config import TAINT_SOURCES, StaticcheckConfig
 from repro.staticcheck.determinism import classify
 from repro.staticcheck.findings import StaticFinding
 from repro.staticcheck.project import (ModuleInfo, Project, dotted_of,
@@ -45,7 +45,7 @@ def run(project: Project,
     for module in project.modules.values():
         if config.path_excluded(module.path):
             continue
-        for node, rule, sink, message in _hits(module, config):
+        for node, rule, sink, message in _hits(module):
             symbol = project.symbol_at(module, node.lineno)
             findings.append(StaticFinding(
                 rule=rule, path=module.path, line=node.lineno,
@@ -54,10 +54,10 @@ def run(project: Project,
     return findings
 
 
-def _hits(module: ModuleInfo, config: StaticcheckConfig):
+def _hits(module: ModuleInfo):
     """(node, rule, sink, message) for each violation in one file."""
     aliases = import_aliases(module)
-    untrusted = any(f in module.path for f in config.taint_sources)
+    untrusted = any(f in module.path for f in TAINT_SOURCES)
     trusted = any(f in module.path for f in TRUSTED_FRAGMENTS)
     called: dict[int, bool] = {}
     managed: set[int] = set()

@@ -4,8 +4,8 @@ A :class:`StaticFinding` is one rule hit at a file and line, with the
 *call chain* that witnesses the violation — the path through the
 conservative call graph from a charged root (or untrusted origin) to
 the forbidden sink; file-local hits carry a one-hop chain.
-Fingerprints deliberately exclude line numbers so the committed
-baseline survives unrelated edits to the same file.
+Fingerprints deliberately exclude line numbers, so a SARIF consumer
+tracks one finding across unrelated edits to the same file.
 """
 
 from __future__ import annotations
@@ -41,27 +41,9 @@ class StaticFinding:
     justification: str | None = None
 
     def fingerprint(self) -> str:
-        """A line-number-free stable identity for baseline matching."""
+        """Line-number-free stable identity (SARIF partialFingerprints)."""
         text = "\x1f".join((self.rule, self.path, self.symbol, self.sink))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-    def as_dict(self) -> dict:
-        """JSON-report form."""
-        out = {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "symbol": self.symbol,
-            "message": self.message,
-            "chain": list(self.chain),
-            "fingerprint": self.fingerprint(),
-            "suppressed": self.suppressed,
-        }
-        if self.sink:
-            out["sink"] = self.sink
-        if self.justification is not None:
-            out["justification"] = self.justification
-        return out
 
     def render(self) -> str:
         """Human-readable block: location line plus the call chain."""

@@ -1,89 +1,43 @@
-"""Report rendering: text for humans, JSON for tooling, SARIF for CI.
+"""Report rendering: text for humans, SARIF for CI.
 
 SARIF output follows the 2.1.0 schema closely enough for GitHub code
-scanning: one run, one driver with the SC rule table, one result per
-finding with the witnessing call chain folded into the message and the
-baseline fingerprint under ``partialFingerprints``.  Baselined
-findings are emitted at level ``note`` so only *new* findings surface
-as errors.
+scanning: one run, one driver with the SC rule table, one ``error``
+result per unsuppressed finding with the witnessing call chain folded
+into the message and the line-free fingerprint under
+``partialFingerprints``.  Suppressed findings are left out of both
+reports; the pragma at the code records why.
 """
 
 from __future__ import annotations
 
 import json
 
-from repro.staticcheck.baseline import BaselineDelta
 from repro.staticcheck.findings import ALL_SC_RULES, StaticFinding
 
 _SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
                  "master/Schemata/sarif-schema-2.1.0.json")
 
 
-def render_text(findings: list[StaticFinding],
-                delta: BaselineDelta | None = None) -> str:
-    """Human-readable report: new findings first, then the gate tally."""
-    new_fps = {f.fingerprint() for f in delta.new} if delta else None
-    lines: list[str] = []
-    for finding in findings:
-        if finding.suppressed:
-            continue
-        marker = ""
-        if new_fps is not None and finding.fingerprint() not in new_fps:
-            marker = " [baselined]"
-        block = finding.render()
-        if marker:
-            head, _, rest = block.partition("\n")
-            block = head + marker + ("\n" + rest if rest else "")
-        lines.append(block)
-    if delta is not None:
-        for entry in delta.stale:
-            lines.append(
-                f"stale baseline entry {entry['fingerprint']}: "
-                f"{entry['rule']} {entry['symbol']} ({entry['path']}) "
-                f"no longer fires — remove it from the baseline")
-        lines.append(
-            f"staticcheck: {len(delta.new)} new, {delta.matched} "
-            f"baselined, {len(delta.stale)} stale")
-    else:
-        active = sum(1 for f in findings if not f.suppressed)
-        lines.append(f"staticcheck: {active} finding(s)")
+def render_text(findings: list[StaticFinding]) -> str:
+    """Human-readable report: each unsuppressed finding, then the tally."""
+    active = [f for f in findings if not f.suppressed]
+    lines = [finding.render() for finding in active]
+    lines.append(f"staticcheck: {len(active)} finding(s)")
     return "\n".join(lines)
 
 
-def render_json(findings: list[StaticFinding],
-                delta: BaselineDelta | None = None) -> str:
-    """Machine-readable report mirroring the text output."""
-    doc: dict = {
-        "findings": [f.as_dict() for f in findings],
-    }
-    if delta is not None:
-        doc["gate"] = {
-            "new": [f.fingerprint() for f in delta.new],
-            "stale": [e["fingerprint"] for e in delta.stale],
-            "matched": delta.matched,
-            "clean": delta.clean,
-        }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def render_sarif(findings: list[StaticFinding],
-                 delta: BaselineDelta | None = None) -> str:
+def render_sarif(findings: list[StaticFinding]) -> str:
     """SARIF 2.1.0 document for the CI artifact upload."""
-    new_fps = {f.fingerprint() for f in delta.new} if delta else None
     results = []
     for finding in findings:
         if finding.suppressed:
             continue
-        if new_fps is None or finding.fingerprint() in new_fps:
-            level = "error"
-        else:
-            level = "note"
         text = finding.message
         if finding.chain:
             text += " | call chain: " + " -> ".join(finding.chain)
         results.append({
             "ruleId": finding.rule,
-            "level": level,
+            "level": "error",
             "message": {"text": text},
             "locations": [{
                 "physicalLocation": {

@@ -8,9 +8,9 @@ bridges, ``memaccess.copy_in``/``copy_out`` range checks, or a public
 ``RustMonitor`` hypercall entry (which sanitizes before acting).
 
 This pass walks the *precise* call graph from every function defined
-under a ``taint-sources`` path.  Traversal stops at barrier functions
-(files listed in ``taint-barriers``) and at public methods of the
-monitor classes — those are the sanctioned crossings.  If the walk
+under a ``TAINT_SOURCES`` path.  Traversal stops at barrier functions
+(the ``TAINT_BARRIERS`` files) and at public methods of the monitor
+classes — those are the sanctioned crossings.  If the walk
 still reaches a trusted sink (raw physical memory, the frame pool,
 page tables, enclave page mutation, a private ``RustMonitor`` helper),
 untrusted data has a path around the barrier and the finding prints
@@ -24,7 +24,7 @@ reported when the receiver text names the sink object (``phys``,
 without the fan-out explosion.
 
 SC006's file-local arm (a direct ``PhysicalMemory`` primitive call in
-any ``taint-sources`` file, barriers included) lives in
+any ``TAINT_SOURCES`` file, barriers included) lives in
 :mod:`repro.staticcheck.filelocal`.
 """
 
@@ -33,7 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.staticcheck.callgraph import FunctionFacts
-from repro.staticcheck.config import StaticcheckConfig
+from repro.staticcheck.config import (TAINT_BARRIERS, TAINT_SOURCES,
+                                      StaticcheckConfig)
 from repro.staticcheck.findings import StaticFinding
 from repro.staticcheck.project import FunctionInfo, Project
 from repro.staticcheck.reach import bfs_reachable, chain_to
@@ -58,7 +59,7 @@ _SINK_SPECS = (
                         "write_u64", "zero_frame", "set_owner"}),
              ("phys",), "raw physical memory"),
     SinkSpec("FramePool", frozenset({"alloc", "free"}),
-             ("pool", "frame"), "EPC frame pool"),
+             ("pool", "frame"), "frame pool"),
     SinkSpec("PageTable",
              frozenset({"map", "unmap", "destroy", "set_flags"}),
              ("page_table", "pt", "npt", "ept"), "page tables"),
@@ -98,8 +99,8 @@ def _sink_hints(name: str) -> tuple[str, ...]:
     return ()
 
 
-def _is_barrier(info: FunctionInfo, config: StaticcheckConfig) -> bool:
-    if any(fragment in info.path for fragment in config.taint_barriers):
+def _is_barrier(info: FunctionInfo) -> bool:
+    if any(fragment in info.path for fragment in TAINT_BARRIERS):
         return True
     return info.class_name in _BARRIER_CLASSES and info.is_public
 
@@ -108,16 +109,14 @@ def run(project: Project, facts: dict[str, FunctionFacts],
         config: StaticcheckConfig) -> list[StaticFinding]:
     """Run the taint pass; returns unsorted findings."""
     sinks = _build_sinks(project)
-    for extra in config.taint_sinks:
-        sinks.setdefault(extra, "configured sink")
 
     roots = []
     for qualname, info in project.functions.items():
         if config.path_excluded(info.path):
             continue
-        if not any(f in info.path for f in config.taint_sources):
+        if not any(f in info.path for f in TAINT_SOURCES):
             continue
-        if _is_barrier(info, config):
+        if _is_barrier(info):
             continue
         roots.append(qualname)
 
@@ -126,7 +125,7 @@ def run(project: Project, facts: dict[str, FunctionFacts],
     def descend(qualname: str) -> bool:
         info = project.functions.get(qualname)
         return qualname not in sinks and info is not None \
-            and not _is_barrier(info, config)
+            and not _is_barrier(info)
 
     parents = bfs_reachable(roots, facts, descend, precise_only=True)
 

@@ -17,7 +17,10 @@ and ``hypercall`` segment kinds that ``epc_pressure`` never does).
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -421,3 +424,19 @@ def test_empty_directory_is_an_error(tmp_path, capsys):
 def test_missing_artifact_path_is_an_error(tmp_path, capsys):
     assert bench_main(["report", str(tmp_path / "nope.json")]) == 2
     assert "unknown benchmark" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_zero_quietly():
+    """``python -m repro.bench report | head -1``: a reader that leaves
+    early is a normal end of output, not an error."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)                      # gone before the first write
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.bench", "report"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (0, "")

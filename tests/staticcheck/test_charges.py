@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from repro.staticcheck.config import StaticcheckConfig
-
 MONITOR_HEADER = '''
     """Fixture monitor."""
 
@@ -51,16 +49,22 @@ class TestSC003:
         '''))
         assert by_rule(found, "SC003") == []
 
-    def test_exemption_from_config(self, run_passes):
-        found = run_passes(
-            monitor_with('''
-        def boot_only(self):
-            """Boot-time, exempt."""
+    def test_def_line_pragma_waives_only_its_entry_point(self, run_passes):
+        found = run_passes(monitor_with('''
+        def boot_only(self):  # repro-lint: disable=SC003 -- fixture: boot
+            """Boot-time, waived at its def line."""
             return 1
-            '''),
-            StaticcheckConfig(charge_exempt=(
-                "RustMonitor.boot_only -- fixture: boot-time setup",)))
-        assert by_rule(found, "SC003") == []
+
+        def also_uncharged(self):
+            """Same class, no pragma: still an SC003."""
+            return 2
+        '''))
+        waived = [f for f in found if f.rule == "SC003" and f.suppressed]
+        assert [(f.symbol, f.justification) for f in waived] == [
+            ("repro.monitor.rustmonitor:RustMonitor.boot_only",
+             "fixture: boot")]
+        assert [f.symbol for f in by_rule(found, "SC003")] == \
+            ["repro.monitor.rustmonitor:RustMonitor.also_uncharged"]
 
     def test_private_methods_and_properties_skipped(self, run_passes):
         found = run_passes(monitor_with('''

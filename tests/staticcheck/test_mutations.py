@@ -15,20 +15,14 @@ import pytest
 
 from repro.staticcheck.analyzer import analyze
 from repro.staticcheck.cli import main
-from repro.staticcheck.config import load_staticcheck_config
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC_REPRO = ROOT / "src" / "repro"
 
 
-def repo_config():
-    """The repo's own [tool.repro-staticcheck] settings."""
-    return load_staticcheck_config(ROOT / "pyproject.toml")
-
-
 def run_with_overlay(overlay: dict[str, str]):
     """Analyze the real tree with injected sources."""
-    return analyze([SRC_REPRO], repo_config(), overlay)
+    return analyze([SRC_REPRO], overlay=overlay)
 
 
 class TestInjectedViolations:
@@ -129,7 +123,7 @@ class TestInjectedViolations:
         assert hits[0].sink == "category 'swap-inn'"
 
     def test_unmutated_tree_has_no_such_findings(self):
-        found = analyze([SRC_REPRO], repo_config())
+        found = analyze([SRC_REPRO])
         assert not any("mutated" in f.symbol for f in found)
 
 
@@ -242,14 +236,32 @@ class TestRetiredLintProbes:
                         finding.render()
 
 
+class TestPragmasAreLineExact:
+    def test_second_frame_alloc_in_mmap_is_caught(self, clean_fingerprints):
+        """A pragma waives its own call only: one more frame-pool
+        allocation in ``Kernel.mmap`` is a new SC006 although a waived
+        one sits two lines above.  A key without the line, such as the
+        fingerprint, cannot tell the two apart."""
+        target = SRC_REPRO / "osim" / "kernel.py"
+        source = target.read_text()
+        anchor = "                    vma.frames.append(pa)\n"
+        assert source.count(anchor) == 1
+        found = run_with_overlay({target.as_posix(): source.replace(
+            anchor, anchor + "                    self.frame_pool.alloc()\n")})
+        new = [f for f in found if not f.suppressed]
+        assert [(f.rule, f.sink) for f in new] == \
+            [("SC006", "repro.hw.phys:FramePool.alloc")]
+        assert new[0].chain == ["repro.osim.kernel:Kernel.mmap",
+                                "repro.hw.phys:FramePool.alloc"]
+        assert new[0].fingerprint() in clean_fingerprints
+
+
 class TestEndToEndExitCodes:
     def test_cli_flips_zero_to_one_on_mutation(self, tmp_path,
                                                monkeypatch, capsys):
         shutil.copytree(SRC_REPRO, tmp_path / "src" / "repro",
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp_path / "pyproject.toml")
-        shutil.copy(ROOT / "staticcheck-baseline.json",
-                    tmp_path / "staticcheck-baseline.json")
         monkeypatch.chdir(tmp_path)
 
         assert main(["src/repro"]) == 0

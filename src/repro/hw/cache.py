@@ -12,12 +12,18 @@ the cyclic-sweep all-miss case where residual entries are always evicted
 before being reached) and falling back to an inlined per-line loop
 otherwise.  Counters, dirty bits, and the LRU order come out
 bit-identical to per-line :meth:`Llc.access_ex` calls.
+
+The cache remembers (``Llc._span``) when its content is exactly one
+ascending run of lines in LRU order, which every full-cover all-hit range
+and every all-miss sweep that evicts the whole cache leave behind.  A range
+equal to that run is then all-hit and leaves the order as it is, so it
+costs O(1) instead of a membership and an order scan; any other mutation
+forgets the run.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from operator import eq
 
 from repro.hw import costs
 
@@ -29,7 +35,8 @@ SWEEP_PROOF_RATIO = 4
 class Llc:
     """LRU cache of line ids (line id = physical/abstract address // 64)."""
 
-    __slots__ = ("line_size", "capacity_lines", "_lines", "hits", "misses")
+    __slots__ = ("line_size", "capacity_lines", "_lines", "_span", "hits",
+                 "misses")
 
     def __init__(self, size_bytes: int = costs.LLC_SIZE,
                  line_size: int = costs.CACHE_LINE) -> None:
@@ -38,6 +45,9 @@ class Llc:
         self.line_size = line_size
         self.capacity_lines = size_bytes // line_size
         self._lines: OrderedDict[int, bool] = OrderedDict()  # line -> dirty
+        # (first, last) while ``_lines`` is exactly ``range(first, last + 1)``
+        # in ascending LRU order; None otherwise.
+        self._span: tuple[int, int] | None = None
         self.hits = 0
         self.misses = 0
 
@@ -53,6 +63,7 @@ class Llc:
         a dirty line leaving the LLC must be re-encrypted (and, for MEE,
         re-MACed with a counter-tree update).
         """
+        self._span = None
         dirty = self._lines.get(line_id)
         if dirty is not None:
             self._lines.move_to_end(line_id)
@@ -99,8 +110,17 @@ class Llc:
         engine needs to charge exactly.  State and counters match a
         per-line :meth:`access_ex` loop bit for bit.
         """
-        lines = self._lines
         n = last - first + 1
+        if self._span == (first, last):
+            # Exactly the cached run: all-hit, and the per-line loop moves
+            # each line to the end in the order it already has.
+            self.hits += n
+            if write:
+                self._lines = OrderedDict.fromkeys(range(first, last + 1),
+                                                   True)
+            return n, 0, 0, []
+        self._span = None
+        lines = self._lines
         if n == 1:
             hit, evicted_dirty = self.access_ex(first, write=write)
             if hit:
@@ -116,14 +136,14 @@ class Llc:
             self.hits += n
             if len(lines) == n:
                 # The range covers every cached line: the final LRU order
-                # is simply ascending.  A read keeps every dirty bit, so
-                # on a cache already in that order it changes nothing;
-                # otherwise rebuild at C speed.
+                # is simply ascending, rebuilt at C speed.  A read keeps
+                # every dirty bit.
                 if write:
                     self._lines = OrderedDict.fromkeys(rng, True)
-                elif not all(map(eq, lines, rng)):
+                else:
                     self._lines = OrderedDict(
                         zip(rng, map(lines.__getitem__, rng)))
+                self._span = (first, last)
             else:
                 mte = lines.move_to_end
                 if write:
@@ -151,6 +171,8 @@ class Llc:
             dirty_evictions = 0
             if evictions <= 0:
                 lines.update(dict.fromkeys(rng, write))
+                if not size0:
+                    self._span = (first, last)
             elif evictions >= size0:
                 # Every old entry is evicted, plus the first
                 # ``evictions - size0`` lines of the sweep itself.
@@ -159,6 +181,7 @@ class Llc:
                     dirty_evictions += evictions - size0
                 self._lines = OrderedDict.fromkeys(
                     range(last - cap + 1, last + 1), write)
+                self._span = (last - cap + 1, last)
             else:
                 popitem = lines.popitem
                 for _ in range(evictions):
@@ -206,12 +229,19 @@ class Llc:
 
     def flush_line(self, line_id: int) -> None:
         """CLFLUSH: drop one line (the Figure-7 benchmark uses this)."""
+        self._span = None
         self._lines.pop(line_id, None)
 
     def flush_range(self, start: int, length: int) -> None:
-        """CLFLUSH over a byte range of line-addressable memory."""
+        """CLFLUSH over a byte range of line-addressable memory.
+
+        A range of zero (or negative) bytes flushes nothing.
+        """
+        if length <= 0:
+            return
+        self._span = None
         first = start // self.line_size
-        last = (start + max(length - 1, 0)) // self.line_size
+        last = (start + length - 1) // self.line_size
         if last - first + 1 > 4 * len(self._lines):
             # Sparse cache, huge range: walk the resident lines instead.
             for line in [l for l in self._lines if first <= l <= last]:
@@ -221,6 +251,7 @@ class Llc:
             self._lines.pop(line, None)
 
     def flush_all(self) -> None:
+        self._span = None
         self._lines.clear()
 
     def stats(self) -> dict[str, int]:

@@ -60,6 +60,15 @@ def test_flush_range_covers_partial_lines():
     assert llc.contains(5)
 
 
+@pytest.mark.parametrize("length", [0, -64])
+def test_flush_range_of_no_bytes_flushes_nothing(length):
+    llc = Llc(4096)
+    for line in range(9, 12):
+        llc.access(line)
+    llc.flush_range(640, length)        # byte 640 is in line 10
+    assert [llc.contains(line) for line in range(9, 12)] == [True] * 3
+
+
 def test_flush_all():
     llc = Llc(1024)
     llc.access(1)

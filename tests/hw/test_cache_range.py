@@ -4,7 +4,8 @@ The bulk kernel only tries the all-miss sweep proof, which scans every
 cached line, when the cache holds at most ``SWEEP_PROOF_RATIO`` lines per
 line of the range.  Small half-cached ranges on a big cache go straight
 to the exact per-line loop; large cyclic sweeps still take the O(1)
-all-miss branch.
+all-miss branch.  A range equal to the one ascending run the cache holds
+(``Llc._span``) returns at once, and every other mutation forgets the run.
 """
 
 import copy
@@ -135,7 +136,7 @@ def _full_cover_llc(first: int, n: int, *, ascending: bool) -> Llc:
 
 
 @pytest.mark.parametrize("ascending, write", [
-    (True, False),                      # web's steady state: a no-op read
+    (True, False),                      # web's first read of its document
     (False, False),
     (True, True),
     (False, True),
@@ -155,3 +156,48 @@ def test_all_hit_range_covering_every_cached_line(ascending, write):
     assert got == expected == (n, 0, 0, [])
     assert _observables(llc) == _observables(clone)
     assert list(llc._lines) == list(range(first, first + n))
+    assert llc._span == (first, first + n - 1)
+
+
+def _bulk(llc: Llc, first: int, last: int, write: bool):
+    return llc.access_range(first, last, write=write)
+
+
+#: One mutation between full covers, run as ``op(llc, range_op, first,
+#: last)`` where ``range_op`` is ``_bulk`` on the cache under test and
+#: ``_reference`` on its per-line clone.
+DISTURBANCES = {
+    "access_ex": lambda c, rng, f, l: c.access_ex(f + 3, write=True),
+    "sub-range-read": lambda c, rng, f, l: rng(c, f + 2, f + 9, False),
+    "suffix-write": lambda c, rng, f, l: rng(c, l - 7, l, True),
+    "flush_line": lambda c, rng, f, l: c.flush_line(f + 4),
+    "flush_range": lambda c, rng, f, l: c.flush_range((f + 4) * 64, 128),
+    "flush_all": lambda c, rng, f, l: c.flush_all(),
+}
+
+
+@pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
+@pytest.mark.parametrize("disturbance", sorted(DISTURBANCES))
+def test_repeated_full_cover_across_a_mutation(disturbance, write):
+    """Web's steady state: the same full-cover range on every request.
+    From the second cover on it takes the remembered run (a write still
+    dirties every line); a mutation in between must make the next cover
+    recompute, not replay."""
+    first, n = 7000, 256
+    last = first + n - 1
+    llc = _full_cover_llc(first, n, ascending=False)
+    clone = copy.deepcopy(llc)
+
+    def read_cover(c, rng):
+        return rng(c, first, last, False)
+
+    def cover(c, rng):
+        return rng(c, first, last, write)
+
+    def disturb(c, rng):
+        return DISTURBANCES[disturbance](c, rng, first, last)
+
+    for step in (read_cover, cover, cover, disturb, cover, cover):
+        assert step(llc, _bulk) == step(clone, _reference)
+        assert _observables(llc) == _observables(clone)
+    assert llc._span == (first, last)

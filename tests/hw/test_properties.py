@@ -10,6 +10,116 @@ from repro.hw.cache import Llc
 from repro.hw.tlb import Tlb
 
 
+class _TextbookLru:
+    """Per-line LRU: the oracle for every ``Llc`` operation."""
+
+    def __init__(self, capacity_lines: int) -> None:
+        self.capacity_lines = capacity_lines
+        self.lines: OrderedDict[int, bool] = OrderedDict()
+        self.hits = self.misses = 0
+
+    def access(self, line: int, write: bool) -> tuple[bool, bool]:
+        if line in self.lines:
+            self.lines.move_to_end(line)
+            if write:
+                self.lines[line] = True
+            self.hits += 1
+            return True, False
+        self.misses += 1
+        self.lines[line] = write
+        if len(self.lines) > self.capacity_lines:
+            return False, self.lines.popitem(last=False)[1]
+        return False, False
+
+    def access_range(self, first: int, last: int, write: bool):
+        hits = misses = dirty_evictions = 0
+        runs: list[tuple[int, int]] = []
+        for line in range(first, last + 1):
+            hit, evicted_dirty = self.access(line, write)
+            if hit:
+                hits += 1
+                continue
+            misses += 1
+            dirty_evictions += evicted_dirty
+            if runs and runs[-1][1] == line:
+                runs[-1] = (runs[-1][0], line + 1)
+            else:
+                runs.append((line, line + 1))
+        return hits, misses, dirty_evictions, runs
+
+    def flush_range(self, start: int, length: int) -> None:
+        if length > 0:
+            for line in range(start // 64, (start + length - 1) // 64 + 1):
+                self.lines.pop(line, None)
+
+
+_LINES = 40
+
+#: One ``Llc`` operation each.  ``cover`` reads or writes ``[min, max]``
+#: of the cached lines (a full-cover all-hit range whenever the cache is
+#: one run), ``sub`` a range inside it, ``sweep`` at least a cache's worth
+#: of lines, which refills the cache through the all-miss branch, and
+#: ``again`` the last range once more, as web does on every request.
+_LLC_OPS = st.one_of(
+    st.tuples(st.just("range"), st.integers(0, _LINES),
+              st.integers(0, 12), st.booleans()),
+    st.tuples(st.just("cover"), st.booleans()),
+    st.tuples(st.just("again"), st.booleans()),
+    st.tuples(st.just("sub"), st.integers(0, 63), st.integers(0, 63),
+              st.booleans()),
+    st.tuples(st.just("sweep"), st.integers(0, _LINES),
+              st.integers(0, 8), st.booleans()),
+    st.tuples(st.just("ex"), st.integers(0, _LINES), st.booleans()),
+    st.tuples(st.just("flush_line"), st.integers(0, _LINES)),
+    st.tuples(st.just("flush_range"), st.integers(0, 64 * _LINES),
+              st.integers(-64, 64 * 6)),
+    st.tuples(st.just("flush_all")),
+)
+
+
+def _apply(op, llc: Llc, ref: _TextbookLru, ranges: list):
+    """Run ``op`` on both; return both results (None for flushes).
+    ``ranges`` collects the ``(first, last)`` of every range op."""
+    kind = op[0]
+    if kind == "ex":
+        _, line, write = op
+        return llc.access_ex(line, write=write), ref.access(line, write)
+    if kind == "flush_line":
+        llc.flush_line(op[1])
+        ref.lines.pop(op[1], None)
+        return None, None
+    if kind == "flush_range":
+        llc.flush_range(op[1], op[2])
+        ref.flush_range(op[1], op[2])
+        return None, None
+    if kind == "flush_all":
+        llc.flush_all()
+        ref.lines.clear()
+        return None, None
+    if kind == "range":
+        _, first, extra, write = op
+        last = first + extra
+    elif kind == "sweep":
+        _, first, extra, write = op
+        last = first + ref.capacity_lines - 1 + extra
+    elif kind == "again":
+        if not ranges:
+            return None, None
+        (first, last), write = ranges[-1], op[1]
+    elif not ref.lines:
+        return None, None
+    else:
+        lo, hi = min(ref.lines), max(ref.lines)
+        write = op[-1]
+        first, last = lo, hi
+        if kind == "sub":
+            first, last = sorted((lo + op[1] % (hi - lo + 1),
+                                  lo + op[2] % (hi - lo + 1)))
+    ranges.append((first, last))
+    return (llc.access_range(first, last, write=write),
+            ref.access_range(first, last, write))
+
+
 class TestLlcAgainstReferenceModel:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 50), st.booleans()),
@@ -18,21 +128,34 @@ class TestLlcAgainstReferenceModel:
     def test_matches_naive_lru(self, accesses, capacity_lines):
         """The LLC must behave exactly like a textbook LRU."""
         llc = Llc(capacity_lines * 64)
-        reference: OrderedDict[int, bool] = OrderedDict()
+        reference = _TextbookLru(capacity_lines)
         for line, write in accesses:
-            expect_hit = line in reference
-            if expect_hit:
-                reference.move_to_end(line)
-                if write:
-                    reference[line] = True
-            else:
-                reference[line] = write
-                if len(reference) > capacity_lines:
-                    reference.popitem(last=False)
+            expect_hit, _ = reference.access(line, write)
             hit, _ = llc.access_ex(line, write=write)
             assert hit == expect_hit
-        assert set(reference) == {
+        assert set(reference.lines) == {
             line for line in range(51) if llc.contains(line)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_LLC_OPS, max_size=40),
+           st.integers(min_value=1, max_value=16))
+    def test_every_operation_matches_naive_lru(self, ops, capacity_lines):
+        """Range, per-line and flush operations in any order: each
+        returns what the per-line LRU returns and leaves the same
+        counters, LRU order and dirty bits."""
+        llc = Llc(capacity_lines * 64)
+        reference = _TextbookLru(capacity_lines)
+        ranges: list[tuple[int, int]] = []
+        for op in ops:
+            got, expected = _apply(op, llc, reference, ranges)
+            assert got == expected, op
+            assert (llc.hits, llc.misses) == (reference.hits,
+                                              reference.misses), op
+            assert list(llc._lines.items()) == \
+                list(reference.lines.items()), op
+            # The remembered run, if any, is exactly the cache content.
+            assert llc._span is None or list(llc._lines) == list(
+                range(llc._span[0], llc._span[1] + 1)), op
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=300),

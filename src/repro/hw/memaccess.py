@@ -7,6 +7,11 @@ by the caller.  The callback owns policy: page-table walks, demand
 paging, monitor policing, enclave access control.  Keeping the raw
 ``phys.read``/``phys.write`` calls here (hardware layer) is what
 staticcheck rule SC006 enforces.
+
+A page costs one ``translate`` call and one frame copy: a multi-page
+read is :meth:`PhysicalMemory.read_pages`, which runs the page loop
+beside the frames, and every page of a write is a single-frame
+:meth:`PhysicalMemory.write`.
 """
 
 from __future__ import annotations
@@ -27,34 +32,24 @@ def copy_in(phys: PhysicalMemory, translate: Callable[[int], int],
     if va % PAGE_SIZE + size <= PAGE_SIZE:
         # One page (or nothing): a single read is the one copy.
         return phys.read(translate(va), size) if size > 0 else b""
-    # Fill one zeroed buffer page by page.  Each page is copied right
-    # after its own translate, not through a view of its frame: the next
-    # translate may write memory in place (an A/D-bit update, a fault
-    # handler fixing up enclave memory).  Never-written frames stay zero.
-    out = bytearray(size)
-    read_into = phys.read_into
-    chunk = PAGE_SIZE - va % PAGE_SIZE     # the first page runs to its end
-    done = 0
-    while done < size:
-        if chunk > size - done:
-            chunk = size - done
-        read_into(translate(va), out, done, chunk)
-        va += chunk
-        done += chunk
-        chunk = PAGE_SIZE
-    return bytes(out)
+    return phys.read_pages(translate, va, size)
 
 
 def copy_out(phys: PhysicalMemory, translate: Callable[[int], int],
              va: int, data: bytes) -> None:
     """Write ``data`` starting at virtual address ``va`` (same contract
     as :func:`copy_in`; ``translate`` should perform write checks)."""
+    # Each page is one sub-view of ``data`` handed to phys.write's
+    # single-frame path, right after its own translate.
     view = memoryview(data)
-    while view:
-        pa = translate(va)
-        chunk = min(len(view), PAGE_SIZE - (va % PAGE_SIZE))
-        # Hand phys.write the sub-view directly — it slices further
-        # internally; no per-page bytes materialization.
-        phys.write(pa, view[:chunk])
+    write = phys.write
+    size = len(view)
+    chunk = PAGE_SIZE - va % PAGE_SIZE     # the first page runs to its end
+    done = 0
+    while done < size:
+        if chunk > size - done:
+            chunk = size - done
+        write(translate(va), view[done:done + chunk])
         va += chunk
-        view = view[chunk:]
+        done += chunk
+        chunk = PAGE_SIZE

@@ -76,11 +76,13 @@ def _flags_of(pte: int) -> PageTableFlags:
 
 
 class Translation:
-    """Result of a successful walk.
+    """Result of a successful walk: shared and read-only.
 
-    A plain ``__slots__`` class: every copied page builds one, and a
-    frozen dataclass's ``__init__`` (one ``object.__setattr__`` per
-    field) costs about three times as much.
+    A translation-cache hit on a page-aligned VA returns the one object
+    its :class:`PageTable` built when the walk filled the cache, so
+    callers read ``pa``/``flags``/``refs`` and never assign to them.  A
+    plain ``__slots__`` class: a frozen dataclass's ``__init__`` (one
+    ``object.__setattr__`` per field) costs about three times as much.
     """
 
     __slots__ = ("pa", "flags", "refs")
@@ -164,12 +166,13 @@ class PageTable:
         # monitor/enclave-frame reachability.
         self.asid = asid
         self.untrusted = False
-        # Page VA -> leaf PTE as it stands in memory, for pages a walk
-        # with set_accessed=True has translated.  Every frame of this
-        # table is registered in phys.table_caches, and phys clears this
-        # dict on any write to one of them, so an entry is always the
-        # PTE a walk would read now.
-        self._tcache: dict[int, int] = {}
+        # Page VA -> (leaf PTE as it stands in memory, the Translation
+        # of the page's base byte), for pages a walk with
+        # set_accessed=True has translated.  Every frame of this table is
+        # registered in phys.table_caches, and phys clears this dict on
+        # any write to one of them, so an entry is always the PTE a walk
+        # would read now.
+        self._tcache: dict[int, tuple[int, Translation]] = {}
         self.root_pa = frame_alloc()
         self._table_frames: set[int] = {self.root_pa}
         self._register(self.root_pa)
@@ -249,10 +252,12 @@ class PageTable:
         walk could neither fault nor write: its cached PTE already has
         ACCESSED (and DIRTY, for a write) set and passes the permission
         checks.  Everything else walks.  A hit advances the stats exactly
-        as the walk it stands in for would.
+        as the walk it stands in for would, and on a page-aligned ``va``
+        returns the cached base :class:`Translation` itself.
         """
-        pte = self._tcache.get(va & ~_OFFSET)
-        if pte is not None:
+        cached = self._tcache.get(va & ~_OFFSET)
+        if cached is not None:
+            pte, base = cached
             need = (_A | _D | _W) if write else _A
             if user:
                 need |= _U
@@ -261,8 +266,10 @@ class PageTable:
                 if stats is not None:
                     stats.walks += 1
                     stats.refs += LEVELS
-                return Translation((pte & _ADDR_MASK) | (va & _OFFSET),
-                                   _FLAGS[pte & _FLAG_BITS], LEVELS)
+                offset = va & _OFFSET
+                if offset:
+                    return Translation(base.pa | offset, base.flags, LEVELS)
+                return base
         stats = self.stats
         if stats is None:
             return self._walk(va, write=write, user=user, fetch=fetch,
@@ -314,8 +321,8 @@ class PageTable:
                     and owner(t2 >> PAGE_SHIFT) is mine
                     and owner(t1 >> PAGE_SHIFT) is mine
                     and owner(t0 >> PAGE_SHIFT) is mine):
-                _flags_of(new)          # a hit looks its flags up directly
-                mine[va & ~_OFFSET] = new
+                mine[va & ~_OFFSET] = (
+                    new, Translation(new & _ADDR_MASK, _flags_of(new), LEVELS))
         return result
 
     # -- internals -------------------------------------------------------------

@@ -5,6 +5,12 @@ Physical memory is an array of 4 KB frames, lazily materialized as
 (primary-OS-managed), monitor (RustMonitor's reserved region) or enclave
 (with an enclave id).  Ownership is what the paper's security requirements
 R-1..R-3 are about; the MMU, the monitor, and the IOMMU consult it.
+
+The frame store is private to this module.  ``read`` and ``write`` take
+one slice of one frame when the range fits in it, and ``read_pages``
+runs :func:`repro.hw.memaccess.copy_in`'s page loop here, beside the
+frames, so a copied page costs the caller's ``translate`` and one slice
+copy.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Callable
 
 from repro.errors import PhysicalMemoryError
 
@@ -203,27 +210,73 @@ class PhysicalMemory:
             written += chunk
         return bytes(out)
 
-    def read_into(self, pa: int, out: bytearray, start: int,
-                  length: int) -> None:
-        """Copy ``length`` bytes at ``pa``, all in one frame, into
-        ``out[start:]``.
+    def read_pages(self, translate: Callable[[int], int], va: int,
+                   size: int) -> bytes:
+        """Read ``size`` bytes at virtual address ``va``, page by page.
 
-        A frame that was never written is skipped, not copied: ``out``
-        must already hold zeroes there (a fresh ``bytearray``).
+        ``translate`` maps a VA to the PA of the same byte and is called
+        once per page, in ascending order; each page's bytes are copied
+        right after its own translate and before the next, so a callback
+        that writes memory (an A/D-bit update, a fault handler fixing up
+        a page) is seen exactly where it lands.  A translated range that
+        crosses a frame or leaves physical memory raises
+        :class:`PhysicalMemoryError`.  This is the one page loop
+        :func:`repro.hw.memaccess.copy_in` runs: a whole page costs the
+        callback and one slice copy, no other call.
         """
-        offset = pa & (PAGE_SIZE - 1)
-        if offset + length > PAGE_SIZE:
-            raise PhysicalMemoryError(
-                f"read_into of {length} bytes at {pa:#x} crosses a frame")
-        self._check_range(pa, length)
-        page = self._frames.get(pa >> PAGE_SHIFT)
-        if page is not None:
-            out[start:start + length] = \
-                memoryview(page)[offset:offset + length]
+        if size < 0:
+            raise PhysicalMemoryError("negative length")
+        out = bytearray(size)           # never-written frames stay zero
+        frames = self._frames
+        limit = self.size
+        chunk = PAGE_SIZE - (va & (PAGE_SIZE - 1))   # first page to its end
+        done = 0
+        while done < size:
+            if chunk > size - done:
+                chunk = size - done
+            pa = translate(va)
+            offset = pa & (PAGE_SIZE - 1)
+            if offset + chunk > PAGE_SIZE:
+                raise PhysicalMemoryError(
+                    f"copy of {chunk} bytes at {pa:#x} crosses a frame")
+            if not 0 <= pa <= limit - chunk:
+                raise PhysicalMemoryError(
+                    f"physical range [{pa:#x}, {pa + chunk:#x}) "
+                    f"out of bounds")
+            page = frames.get(pa >> PAGE_SHIFT)
+            if page is not None:
+                if chunk == PAGE_SIZE:
+                    out[done:done + PAGE_SIZE] = page
+                else:
+                    out[done:done + chunk] = page[offset:offset + chunk]
+            va += chunk
+            done += chunk
+            chunk = PAGE_SIZE
+        return bytes(out)
 
     def write(self, pa: int, data: bytes) -> None:
         """Write ``data`` at physical address ``pa``."""
-        self._check_range(pa, len(data))
+        length = len(data)
+        offset = pa & (PAGE_SIZE - 1)
+        if offset + length <= PAGE_SIZE:
+            # Single-frame write (every page of memaccess.copy_out): the
+            # bounds check of _check_range, then one slice assignment.
+            if not 0 <= pa <= self.size - length:
+                raise PhysicalMemoryError(
+                    f"physical range [{pa:#x}, {pa + length:#x}) "
+                    f"out of bounds")
+            if not length:
+                return                  # nothing written, no frame made
+            frame = pa >> PAGE_SHIFT
+            cache = self.table_caches.get(frame)
+            if cache:
+                cache.clear()
+            page = self._frames.get(frame)
+            if page is None:
+                page = self._frames[frame] = bytearray(PAGE_SIZE)
+            page[offset:offset + length] = data
+            return
+        self._check_range(pa, length)
         view = memoryview(data)
         while view:
             frame, offset = divmod(pa, PAGE_SIZE)

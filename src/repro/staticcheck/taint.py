@@ -55,7 +55,7 @@ class SinkSpec:
 
 _SINK_SPECS = (
     SinkSpec("PhysicalMemory",
-             frozenset({"read", "read_into", "write", "read_u64",
+             frozenset({"read", "read_pages", "write", "read_u64",
                         "write_u64", "zero_frame", "set_owner"}),
              ("phys",), "raw physical memory"),
     SinkSpec("FramePool", frozenset({"alloc", "free"}),

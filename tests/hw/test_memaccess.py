@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.errors import PhysicalMemoryError
 from repro.hw import memaccess
 from repro.hw.phys import PAGE_SIZE, PhysicalMemory
 
@@ -105,3 +106,54 @@ def test_a_page_rewritten_by_a_later_translate_keeps_its_read_bytes():
     assert got == expected
     assert space.phys.read(first_frame_pa + PAGE_SIZE - 100, 100) \
         == b"\xAA" * 100
+
+
+def test_a_page_written_by_an_earlier_translate_is_read_as_written():
+    # A callback that rewrites the page after its own (a fault handler
+    # committing ahead) is seen: each page is copied after its translate.
+    space = Space(8)
+    va, size = PAGE_SIZE - 100, 3 * PAGE_SIZE
+
+    def writing_translate(page_va: int) -> int:
+        pa = space.translate(page_va)
+        following = page_va // PAGE_SIZE + 1
+        space.phys.write(space.frames[following] * PAGE_SIZE,
+                         bytes([following]) * PAGE_SIZE)
+        return pa
+
+    got = memaccess.copy_in(space.phys, writing_translate, va, size)
+    assert got == (bytes(space.flat[va:PAGE_SIZE]) + b"\x01" * PAGE_SIZE
+                   + b"\x02" * PAGE_SIZE + b"\x03" * (size - 100
+                                                      - 2 * PAGE_SIZE))
+
+
+# (va, size) with a multi-page copy whose pages are partial, full,
+# partial; ``bad`` is the index of the page whose translate leaves memory.
+_OUT_OF_RANGE = [(PAGE_SIZE - 100, PAGE_SIZE + 200, 0),     # partial first
+                 (PAGE_SIZE - 100, PAGE_SIZE + 200, 2),     # partial last
+                 (0, 3 * PAGE_SIZE, 1),                     # full page
+                 (PAGE_SIZE, 200, 0)]                       # single page
+
+
+@pytest.mark.parametrize("direction", ["copy_in", "copy_out"])
+@pytest.mark.parametrize("shift", [FRAMES * PAGE_SIZE,       # past the end
+                                   (FRAMES + 1) * PAGE_SIZE,
+                                   -FRAMES * PAGE_SIZE])     # negative
+@pytest.mark.parametrize("va,size,bad", _OUT_OF_RANGE)
+def test_a_translate_outside_memory_raises(direction, shift, va, size, bad):
+    space = Space(9)
+    first = va // PAGE_SIZE
+
+    def translate(page_va: int) -> int:
+        pa = space.translate(page_va)
+        if page_va // PAGE_SIZE - first == bad:
+            pa += shift
+        return pa
+
+    with pytest.raises(PhysicalMemoryError, match="out of bounds"):
+        if direction == "copy_in":
+            memaccess.copy_in(space.phys, translate, va, size)
+        else:
+            memaccess.copy_out(space.phys, translate, va, b"\x77" * size)
+    assert [v // PAGE_SIZE - first for v in space.calls] == \
+        list(range(bad + 1))

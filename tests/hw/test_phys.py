@@ -37,28 +37,38 @@ def test_negative_length_rejected(phys):
         phys.read(0, -1)
 
 
-def test_read_into_copies_one_frame_at_an_offset(phys):
+def test_read_pages_copies_one_frame_at_an_offset(phys):
     phys.write(0x2010, b"abcdef")
-    out = bytearray(10)
-    phys.read_into(0x2010, out, 2, 6)
-    assert out == b"\x00\x00abcdef\x00\x00"
+    assert phys.read_pages(lambda va: va + 0x1000, 0x100E, 10) \
+        == b"\x00\x00abcdef\x00\x00"
 
 
-def test_read_into_skips_a_never_written_frame(phys):
-    # The caller's buffer is left as it was: it must start zeroed.
-    out = bytearray(b"\xff" * 8)
-    phys.read_into(0x9000, out, 0, 8)
-    assert out == b"\xff" * 8
+def test_read_pages_reads_a_never_written_frame_as_zero(phys):
+    frames = {0: 0x5000, 1: 0x9000, 2: 0x3000}      # 0x9000 never written
+    phys.write(0x5000, b"\x11" * PAGE_SIZE)
+    phys.write(0x3000, b"\x33" * PAGE_SIZE)
+    got = phys.read_pages(
+        lambda va: frames[va // PAGE_SIZE] + va % PAGE_SIZE,
+        PAGE_SIZE - 2, PAGE_SIZE + 4)
+    assert got == b"\x11" * 2 + bytes(PAGE_SIZE) + b"\x33" * 2
 
 
-def test_read_into_rejects_a_frame_crossing_or_out_of_range(phys):
-    out = bytearray(PAGE_SIZE)
+def test_read_pages_rejects_a_frame_crossing_or_out_of_range(phys):
     with pytest.raises(PhysicalMemoryError, match="crosses a frame"):
-        phys.read_into(PAGE_SIZE - 4, out, 0, 8)
-    with pytest.raises(PhysicalMemoryError):
-        phys.read_into(phys.size, out, 0, 1)
-    with pytest.raises(PhysicalMemoryError):
-        phys.read_into(0, out, 0, -1)
+        phys.read_pages(lambda va: PAGE_SIZE - 4, 0, 8)
+    with pytest.raises(PhysicalMemoryError, match="out of bounds"):
+        phys.read_pages(lambda va: phys.size, 0, 1)
+    with pytest.raises(PhysicalMemoryError, match="negative length"):
+        phys.read_pages(lambda va: va, 0, -1)
+
+
+def test_zero_length_write_at_the_end_of_memory_makes_no_frame(phys):
+    phys.write(phys.size, b"")
+    # No public view tells an absent frame from a zeroed one, so look
+    # at the frame store itself.
+    assert not phys._frames
+    with pytest.raises(PhysicalMemoryError, match="out of bounds"):
+        phys.write(phys.size + 1, b"")
 
 
 def test_u64_helpers(phys):

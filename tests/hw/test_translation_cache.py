@@ -229,6 +229,16 @@ def test_cached_tables_match_the_uncached_oracle(steps):
         op = _concrete(cached, step)
         assert cached.apply(op) == oracle.apply(op), op
         assert cached.state() == oracle.state(), op
+        for pt in cached.tables:
+            _assert_bases_match_their_ptes(pt)
+
+
+def _assert_bases_match_their_ptes(pt: PageTable) -> None:
+    """Each cached base is the page-base translation of its cached PTE."""
+    for page_va, (pte, base) in pt._tcache.items():
+        assert (base.pa, base.flags, base.refs) == (
+            pte & _ADDR_MASK, F(pte & ~_ADDR_MASK & (2 ** 64 - 1)),
+            LEVELS), hex(page_va)
 
 
 def test_every_translate_combination_matches_the_oracle():
@@ -385,3 +395,83 @@ def test_is_mapped_leaves_the_pte_bytes_alone(pt, phys):
     assert phys.read_u64(entry) == before
     assert not before & F.ACCESSED
     assert phys.state_digest() == digest
+
+
+# -- the cached page-base Translation -----------------------------------------
+
+
+def _oracle_translation(va: int, flags=F.URW, write=False) -> Translation:
+    """What the uncached walk returns for ``va`` mapped to PA with
+    ``flags``, after an earlier walk has set ACCESSED (and DIRTY)."""
+    world = World(OracleTable)
+    pt = world.tables[0]
+    pt.map(va & ~(PAGE_SIZE - 1), PA, flags)
+    pt.translate(va, write=write)
+    return pt.translate(va, write=write)
+
+
+def test_two_aligned_hits_return_the_identical_translation(pt):
+    pt.map(VA, PA, F.URW)
+    first = _warm(pt)
+    second = pt.translate(VA)
+    assert second is first
+    assert first == _oracle_translation(VA)
+    assert (first.pa, first.refs) == (PA, LEVELS)
+    _assert_bases_match_their_ptes(pt)
+
+
+def test_an_unaligned_hit_carries_its_offset(pt):
+    pt.map(VA, PA, F.URW)
+    base = _warm(pt)
+    hit = pt.translate(VA + 0x123)
+    assert hit is not base
+    assert hit == _oracle_translation(VA + 0x123)
+    assert hit.pa == PA + 0x123 and hit.flags == base.flags
+    assert pt.translate(VA) is base          # the base is left as it was
+    assert base.pa == PA
+
+
+def test_unmap_then_map_drops_the_cached_translation(pt):
+    pt.map(VA, PA, F.URW)
+    old = _warm(pt)
+    pt.unmap(VA)
+    assert not pt._tcache
+    pt.map(VA, PA2, F.UR)
+    new = _warm(pt)
+    assert new is not old
+    assert (new.pa, new.flags) == (PA2, F.UR | F.ACCESSED)
+    assert (old.pa, old.flags) == (PA, F.URW | F.ACCESSED)
+
+
+def test_protect_drops_the_cached_translation(pt):
+    pt.map(VA, PA, F.URW)
+    old = _warm(pt)
+    pt.protect(VA, F.UR)
+    assert not pt._tcache
+    new = _warm(pt)
+    assert new is not old
+    assert (new.pa, new.flags) == (PA, F.UR | F.ACCESSED)
+    assert old.flags == F.URW | F.ACCESSED
+
+
+def test_raw_leaf_write_drops_the_cached_translation(pt, phys):
+    pt.map(VA, PA, F.URW)
+    old = _warm(pt)
+    phys.write_u64(pt._find_entry(VA), PA2 | int(F.URX | F.ACCESSED))
+    assert not pt._tcache
+    new = _warm(pt)
+    assert new is not old
+    assert (new.pa, new.flags) == (PA2, F.URX | F.ACCESSED)
+
+
+def test_the_walks_own_dirty_write_drops_the_cached_translation(pt):
+    pt.map(VA, PA, F.URW)
+    old = _warm(pt)
+    assert not old.flags & F.DIRTY
+    pt.translate(VA, write=True)            # walks: sets D in the PTE
+    new = pt.translate(VA)
+    assert new is not old
+    assert new.flags == F.URW | F.ACCESSED | F.DIRTY
+    assert new == _oracle_translation(VA, write=True)
+    assert not old.flags & F.DIRTY          # a handed-out base never moves
+    _assert_bases_match_their_ptes(pt)

@@ -129,7 +129,7 @@ class TestInjectedViolations:
 
 #: One violation per retired repro-lint rule (R001-R005), plus a wall
 #: clock in the SDK's marshalling charge, a bare ``tel.site(...)``, a
-#: direct ``PhysicalMemory.read_into`` in the tRTS, a mistyped
+#: direct ``PhysicalMemory.read_pages`` in the tRTS, a mistyped
 #: world-switch category and an unwaived repeat of a waived call:
 #: (file under src/repro, anchor, replacement, the SC rule that must
 #: catch it).
@@ -152,12 +152,11 @@ PROBES = {
         "                    vma.frames.append(pa)\n"
         "                    self.frame_pool.alloc()\n",
         "SC006"),
-    "phys-read-into-in-trts": (
+    "phys-read-pages-in-trts": (
         "sdk/trts.py",
         "        return memaccess.copy_in(self._machine.phys, "
         "self._translate_read,\n",
-        "        out = bytearray(size)\n"
-        "        self._machine.phys.read_into(va, out, 0, size)\n"
+        "        self._machine.phys.read_pages(int, va, size)\n"
         "        return memaccess.copy_in(self._machine.phys, "
         "self._translate_read,\n",
         "SC006"),

@@ -12,7 +12,7 @@ baseline, reporting per-page costs.
 
 from __future__ import annotations
 
-from repro.analysis.tables import TextTable, fmt_cycles
+from repro.hw import costs
 from repro.monitor.structs import EnclaveConfig, EnclaveMode, PagePerm
 from repro.platform import TeePlatform
 from repro.sdk.image import EnclaveImage
@@ -81,28 +81,14 @@ def run_experiment():
             "SGX2 EDMM": measure(EnclaveMode.SGX)}
 
 
-def test_ablation_edmm(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    table = TextTable(
-        title="Ablation: EDMM per-page costs (cycles)",
-        headers=["operation", "HyperEnclave (GU)", "SGX2 EDMM", "ratio"])
-    for op in ("grow", "protect", "trim"):
-        he = results["HyperEnclave (GU)"][op]
-        sgx = results["SGX2 EDMM"][op]
-        table.add_row(op, fmt_cycles(he), fmt_cycles(sgx),
-                      f"{sgx / he:.1f}x")
-    table.show()
-    benchmark.extra_info.update(
-        {f"{k}/{op}": v for k, r in results.items() for op, v in r.items()})
-
+def check(figures) -> None:
+    """The EDMM ablation's claims over the artifact's figures."""
     # The paper's claim: EDMM without driver round trips and EACCEPTs is
     # much cheaper on every operation.
     for op in ("grow", "protect", "trim"):
-        he = results["HyperEnclave (GU)"][op]
-        sgx = results["SGX2 EDMM"][op]
+        he = figures["HyperEnclave (GU)"][op]
+        sgx = figures["SGX2 EDMM"][op]
         assert sgx > 2 * he, (op, he, sgx)
     # Growth specifically: monitor demand paging is a single trap.
-    assert results["HyperEnclave (GU)"]["grow"] == sum(
-        c for _, c in __import__("repro.hw.costs",
-                                 fromlist=["x"]).DEMAND_PAGING_PF_STEPS)
+    assert figures["HyperEnclave (GU)"]["grow"] == sum(
+        c for _, c in costs.DEMAND_PAGING_PF_STEPS)

@@ -9,7 +9,6 @@ paper's argument for configurable reserved memory (Sec 7.4 / Fig 8b).
 
 from __future__ import annotations
 
-from repro.analysis.tables import series
 from repro.apps.membench import measure_latency
 
 WORKING_SET = 256 * 1024 * 1024
@@ -27,21 +26,10 @@ def run_experiment():
     return latencies, unconstrained
 
 
-def test_ablation_epc_capacity(benchmark):
-    latencies, unconstrained = benchmark.pedantic(run_experiment, rounds=1,
-                                                  iterations=1)
-
-    table = series(
-        "Ablation: random-access latency over a 256 MB working set vs "
-        "protected-memory capacity (cycles/access)",
-        [f"{mb}MB" for mb in CAPACITIES_MB],
-        {"SGX-style paged EPC": latencies,
-         "HyperEnclave reserved (no paging)":
-             [unconstrained] * len(CAPACITIES_MB)},
-        x_label="capacity")
-    table.show()
-    benchmark.extra_info["cliff_ratio"] = latencies[0] / latencies[-1]
-
+def check(figures) -> None:
+    """The EPC-capacity claims over the artifact's figures."""
+    latencies = figures["latencies"]
+    unconstrained = figures["hyperenclave_flat"]
     # Latency falls monotonically as capacity covers more of the set...
     assert all(a >= b * 0.98 for a, b in zip(latencies, latencies[1:]))
     # ...collapses once capacity >= working set (no faults at 256/512MB)...

@@ -11,9 +11,7 @@ making the crossovers explicit.
 
 from __future__ import annotations
 
-from repro.analysis.tables import TextTable
 from repro.hw import costs
-from repro.monitor.structs import EnclaveMode
 
 OCALL_RATES = [0, 1, 4, 16, 64]        # OCALLs per 100k compute cycles
 FAULT_RATES = [0, 1, 4, 16, 64]        # GC faults per 100k compute cycles
@@ -47,28 +45,19 @@ def run_experiment():
     return grid
 
 
-def test_ablation_mode_crossover(benchmark):
-    grid = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    table = TextTable(
-        title="Ablation: winning mode by workload mix "
-              "(rows: OCALLs/100k cycles, cols: GC faults/100k cycles)",
-        headers=["ocalls\\faults", *[str(f) for f in FAULT_RATES]])
-    for ocalls in OCALL_RATES:
-        table.add_row(ocalls, *[grid[(ocalls, f)]["winner"].upper()
-                                for f in FAULT_RATES])
-    table.show()
-    benchmark.extra_info["pure_compute_winner"] = grid[(0, 0)]["winner"]
-
+def check(figures) -> None:
+    """The mode-crossover claims over the artifact's figures (grid keys
+    are written as ``"(ocalls, faults)"``)."""
+    grid = figures
     # Pure compute: HU wins on ties broken by cheapest switches — every
     # mode is within noise, but edge calls decide the rest of the grid.
     # I/O-heavy, no faults: HU (cheapest OCALLs, Table 1).
-    assert grid[(64, 0)]["winner"] == "hu"
+    assert grid["(64, 0)"]["winner"] == "hu"
     # Exception-heavy, no I/O: P (in-enclave page faults, Table 2).
-    assert grid[(0, 64)]["winner"] == "p"
+    assert grid["(0, 64)"]["winner"] == "p"
     # Heavily mixed: P's fault advantage (1.5k/fault) beats its OCALL
     # penalty (1.1k/call) only when faults outnumber calls.
-    assert grid[(64, 64)]["winner"] in ("hu", "p")
+    assert grid["(64, 64)"]["winner"] in ("hu", "p")
     # The paper's conclusion: no single mode wins everywhere.
     winners = {cell["winner"] for cell in grid.values()}
     assert len(winners) >= 2

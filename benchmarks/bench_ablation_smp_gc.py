@@ -10,7 +10,6 @@ therefore grows with the machine (the paper's box has 128 logical cores).
 
 from __future__ import annotations
 
-from repro.analysis.tables import series
 from repro.hw.machine import Machine, MachineConfig
 from repro.hw.phys import PAGE_SIZE
 from repro.monitor.boot import measured_late_launch
@@ -80,23 +79,15 @@ def run_experiment():
     }
 
 
-def test_ablation_smp_gc(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    table = series(
-        "Ablation: GC write-barrier cost per page (cycles) vs CPU count",
-        CPU_COUNTS, results, x_label="cpus")
-    table.show()
-    ratios = [g / p for g, p in zip(results["GU-Enclave"],
-                                    results["P-Enclave"])]
-    benchmark.extra_info.update(
-        {f"gu_over_p@{n}": r for n, r in zip(CPU_COUNTS, ratios)})
-
+def check(figures) -> None:
+    """The SMP GC claims over the artifact's figures."""
+    ratios = [g / p for g, p in zip(figures["GU-Enclave"],
+                                    figures["P-Enclave"])]
     # P-Enclave per-page cost is CPU-count independent...
-    p_costs = results["P-Enclave"]
+    p_costs = figures["P-Enclave"]
     assert max(p_costs) - min(p_costs) < 0.05 * p_costs[0]
     # ...GU grows with cores (two shootdowns per barrier round trip)...
-    gu = results["GU-Enclave"]
+    gu = figures["GU-Enclave"]
     assert gu[0] < gu[1] < gu[-1]
     # ...so the P advantage widens: ~1.5x per epoch-page at 1 CPU (the
     # pure fault is 2.35x, Table 2; the epoch adds shared revoke/write

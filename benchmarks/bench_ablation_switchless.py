@@ -10,7 +10,6 @@ core).
 
 from __future__ import annotations
 
-from repro.analysis.tables import TextTable, fmt_cycles
 from repro.hw import costs
 from repro.monitor.structs import EnclaveMode
 
@@ -53,32 +52,17 @@ def run_experiment():
     return {label: measure_mode(mode) for label, mode in MODES}
 
 
-def test_ablation_switchless(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    table = TextTable(
-        title="Ablation: OCALL latency, world-switch vs switchless (cycles)",
-        headers=["platform", "regular OCALL", "switchless OCALL",
-                 "speedup"])
-    for label, _ in MODES:
-        r = results[label]
-        table.add_row(label, fmt_cycles(r["regular"]),
-                      fmt_cycles(r["switchless"]),
-                      f"{r['regular'] / r['switchless']:.1f}x")
-    table.show()
-    benchmark.extra_info.update(
-        {f"{label}/{k}": v for label, r in results.items()
-         for k, v in r.items()})
-
+def check(figures) -> None:
+    """The switchless ablation's claims over the artifact's figures."""
     expected = (costs.SWITCHLESS_ENQUEUE_CYCLES
                 + costs.SWITCHLESS_POLL_INTERVAL_CYCLES / 2
                 + costs.SWITCHLESS_COMPLETE_CYCLES)
     for label, _ in MODES:
-        r = results[label]
+        r = figures[label]
         # Regular OCALLs land on Table 1; switchless is mode-independent.
         assert r["switchless"] == expected, label
         assert r["regular"] / r["switchless"] > 5, label
     # SGX gains the most: its world switch is the most expensive.
-    gains = {label: results[label]["regular"] / results[label]["switchless"]
+    gains = {label: figures[label]["regular"] / figures[label]["switchless"]
              for label, _ in MODES}
     assert gains["Intel SGX"] == max(gains.values())

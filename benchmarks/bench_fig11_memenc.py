@@ -13,9 +13,7 @@ reaching ~45x (seq) and ~1000x (random), while HyperEnclave stays flat
 
 from __future__ import annotations
 
-from repro.analysis.tables import series
-from repro.apps.membench import (BUFFER_SIZES, latency_curve,
-                                 normalized_overhead)
+from repro.apps.membench import BUFFER_SIZES, latency_curve
 from repro.hw import costs
 
 LLC_INDEX = next(i for i, s in enumerate(BUFFER_SIZES)
@@ -35,20 +33,10 @@ def run_experiment():
     return curves
 
 
-def test_fig11_memory_encryption(benchmark):
-    curves = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    normalized = {name: normalized_overhead(points)
-                  for name, points in curves.items()}
-    table = series(
-        "Figure 11: per-access latency normalized to the 16 KB point",
-        [f"{s // 1024}KB" if s < 1 << 20 else f"{s >> 20}MB"
-         for s in BUFFER_SIZES],
-        normalized, x_label="buffer")
-    table.show()
-    benchmark.extra_info.update(
-        {f"{name}@max": values[-1] for name, values in normalized.items()})
-
+def check(figures) -> None:
+    """Figure 11's claims over the artifact's figures (the registry
+    normalizes each curve to its 16 KB point)."""
+    normalized = figures["normalized"]
     # Inside the LLC: flat for everyone.
     for name, values in normalized.items():
         for v in values[:LLC_INDEX]:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import statistics
 
-from repro.analysis.tables import TextTable, series
 from repro.monitor.structs import EnclaveMode
 from repro.platform import TeePlatform
 
@@ -86,23 +85,9 @@ def run_experiment():
     return overheads
 
 
-def test_fig7_marshalling_overhead(benchmark):
-    overheads = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    for kind in ("ecall", "ocall"):
-        table = series(
-            f"Figure 7 ({kind.upper()}s): marshalling-buffer overhead "
-            f"(fraction) vs payload size",
-            SIZES,
-            {direction: overheads[kind][direction]
-             for direction in ("in", "out", "in&out")},
-            x_label="bytes")
-        table.show()
-    benchmark.extra_info.update({
-        f"{kind}/{direction}@16K": overheads[kind][direction][-1]
-        for kind in overheads for direction in overheads[kind]})
-
-    ecall = overheads["ecall"]
+def check(figures) -> None:
+    """Figure 7's claims over the artifact's figures."""
+    ecall = figures["ecall"]
     # ECALL overhead grows with size...
     for direction in ("in", "out", "in&out"):
         assert ecall[direction][-1] > ecall[direction][0]
@@ -114,5 +99,5 @@ def test_fig7_marshalling_overhead(benchmark):
 
     # OCALL overhead is negligible at every size (the ocalloc design).
     for direction in ("in", "out", "in&out"):
-        for value in overheads["ocall"][direction]:
+        for value in figures["ocall"][direction]:
             assert abs(value) < 0.03, (direction, value)

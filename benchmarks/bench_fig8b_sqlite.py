@@ -11,7 +11,6 @@ exactly like the paper's setup.
 
 from __future__ import annotations
 
-from repro.analysis.tables import series
 from repro.apps.litedb import LiteDb
 from repro.apps.ycsb import load_phase, workload_a
 from repro.monitor.structs import EnclaveConfig, EnclaveMode
@@ -124,20 +123,9 @@ def run_experiment():
     return throughput
 
 
-def test_fig8b_sqlite_ycsb(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    db_sizes_mb = [n * (VALUE_SIZE + 64) / 1e6 for n in RECORD_COUNTS]
-    table = series(
-        "Figure 8b: litedb YCSB-A throughput relative to baseline",
-        [f"{n // 1000}k (~{mb:.0f}MB)"
-         for n, mb in zip(RECORD_COUNTS, db_sizes_mb)],
-        results, x_label="records")
-    table.show()
-    benchmark.extra_info.update(
-        {f"{k}@{n}": v for k, vs in results.items()
-         for n, v in zip(RECORD_COUNTS, vs)})
-
+def check(figures) -> None:
+    """Figure 8b's claims over the artifact's figures."""
+    results = figures
     # HyperEnclave: < ~5% overhead at every size, both modes.
     for mode in ("GU-Enclave", "HU-Enclave"):
         for value in results[mode]:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import random
 
-from repro.analysis.tables import TextTable, fmt_ratio, series
 from repro.apps.driver import aex_roundtrip_cycles, OS_INTERRUPT_CYCLES, \
     latency_throughput_curve
 from repro.apps.kvserver import (KV_PORT, RespServer, encode_command,
                                  make_kv_enclave_image)
-from repro.apps.ycsb import record_key, workload_a, ZipfianGenerator
+from repro.apps.ycsb import record_key, workload_a
 from repro.libos.native import NativeLibos
 from repro.libos.occlum import register_libos_ocalls
 from repro.monitor.structs import EnclaveMode
@@ -122,39 +121,14 @@ def run_experiment():
     return service, curves
 
 
-def test_fig8d_redis(benchmark):
-    service, curves = benchmark.pedantic(run_experiment, rounds=1,
-                                         iterations=1)
-
-    # Latency-throughput curves (the paper's figure).
-    xs = list(range(1, 11))
-    table = series(
-        "Figure 8d: latency (cycles) at rising load (10%..95% of each "
-        "platform's saturation)",
-        xs,
-        {name: [lat for _, lat in curve] for name, curve in curves.items()},
-        x_label="load step")
-    table.show()
-
-    max_throughput = {name: 1e6 / s for name, s in service.items()}
-    rel = {name: max_throughput[name] / max_throughput["baseline"]
-           for name in service}
-    summary = TextTable(
-        title="Figure 8d summary: max throughput relative to baseline",
-        headers=["platform", "service cycles/op", "relative max throughput"])
-    for name in ("baseline", "HU-Enclave", "GU-Enclave", "SGX"):
-        summary.add_row(name, f"{service[name]:,.0f}", fmt_ratio(rel[name]))
-    summary.show()
-
-    benchmark.extra_info.update(
-        {f"relmax/{k}": v for k, v in rel.items()})
-
+def check(figures) -> None:
+    """Figure 8d's claims over the artifact's figures."""
+    rel = figures["relative_max_throughput"]
     # Paper: HU 89%, GU 72%, SGX 48% of baseline max throughput.
     assert rel["HU-Enclave"] > rel["GU-Enclave"] > rel["SGX"]
     assert 0.75 < rel["HU-Enclave"] < 0.97
     assert 0.60 < rel["GU-Enclave"] < 0.90
     assert 0.35 < rel["SGX"] < 0.70
     # Latency curves rise with load on every platform.
-    for name, curve in curves.items():
-        lats = [lat for _, lat in curve]
+    for name, lats in figures["latency"].items():
         assert lats == sorted(lats), name

@@ -12,8 +12,7 @@ ticks that now take a VM exit.
 
 from __future__ import annotations
 
-from repro.analysis.tables import TextTable, fmt_ratio
-from repro.apps.lmbench import ALL_OPS, cycles_to_us, run_suite
+from repro.apps.lmbench import ALL_OPS, run_suite
 from repro.apps.speccpu import KERNELS as SPEC_KERNELS
 from repro.hw import costs
 from repro.platform import TeePlatform
@@ -73,40 +72,14 @@ def run_experiment():
     }
 
 
-def test_tab3_fig10_virtualization(benchmark):
-    r = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    table = TextTable(
-        title="Table 3: LMBench, native vs normal VM (microseconds)",
-        headers=["op", "native (us)", "normal VM (us)", "overhead"])
-    lm_overheads = {}
-    for name in ALL_OPS:
-        native, vm = r["lmbench_native"][name], r["lmbench_vm"][name]
-        lm_overheads[name] = vm / native - 1
-        table.add_row(name, f"{cycles_to_us(native):.4f}",
-                      f"{cycles_to_us(vm):.4f}",
-                      f"{lm_overheads[name] * 100:.2f}%")
-    table.show()
-
-    fig10 = TextTable(
-        title="Figure 10: SPEC-CPU-like kernels, normal-VM overhead",
-        headers=["kernel", "overhead"])
-    spec_overheads = {}
-    for name in sorted(SPEC_KERNELS):
-        native, vm = r["spec_native"][name], r["spec_vm"][name]
-        spec_overheads[name] = vm / native - 1
-        fig10.add_row(name, f"{spec_overheads[name] * 100:.2f}%")
-    fig10.show()
-
+def check(figures) -> None:
+    """Table 3 and Figure 10's claims over the artifact's figures."""
+    r = figures
+    lm_overheads = {name: r["lmbench_vm"][name] / r["lmbench_native"][name]
+                    - 1 for name in ALL_OPS}
+    spec_overheads = {name: r["spec_vm"][name] / r["spec_native"][name] - 1
+                      for name in sorted(SPEC_KERNELS)}
     kbuild_overhead = r["kbuild_vm"] / r["kbuild_native"] - 1
-    print(f"\nKernel build: native {r['kbuild_native']:,.0f} cycles, "
-          f"normal VM {r['kbuild_vm']:,.0f} cycles "
-          f"(overhead {kbuild_overhead * 100:.2f}%)")
-
-    benchmark.extra_info.update(
-        {f"lmbench/{k}": v for k, v in lm_overheads.items()})
-    benchmark.extra_info.update(
-        {f"spec/{k}": v for k, v in spec_overheads.items()})
 
     # Paper: virtualization overhead < 1% in most benchmarks; allow a
     # couple of memory-management-heavy micro-ops to reach a few percent.

@@ -20,7 +20,6 @@ measured at the world-switch engine, which the paper could not do on SGX
 
 from __future__ import annotations
 
-from repro.analysis.tables import TextTable, fmt_cycles
 from repro.hw import costs
 from repro.monitor.structs import EnclaveMode
 
@@ -72,27 +71,11 @@ def run_experiment() -> dict[str, dict[str, float | None]]:
     return {label: measure_mode(mode) for label, mode in MODES}
 
 
-def test_table1_edge_calls(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    table = TextTable(
-        title="Table 1: Latency of SGX primitives (CPU cycles)",
-        headers=["platform", "EENTER", "EEXIT", "ECALL", "OCALL"])
-    for label, _ in MODES:
-        r = results[label]
-        table.add_row(
-            label,
-            "-" if r["eenter"] is None else fmt_cycles(r["eenter"]),
-            "-" if r["eexit"] is None else fmt_cycles(r["eexit"]),
-            fmt_cycles(r["ecall"]), fmt_cycles(r["ocall"]))
-    table.show()
-    benchmark.extra_info.update(
-        {f"{label}/{metric}": value
-         for label, r in results.items() for metric, value in r.items()})
-
+def check(figures) -> None:
+    """Table 1's claims over the artifact's figures."""
     # The itemized cost model must land exactly on the paper's numbers.
     for label, mode in MODES:
-        r = results[label]
+        r = figures[label]
         assert r["ecall"] == costs.ecall_expected(mode.value), label
         assert r["ocall"] == costs.ocall_expected(mode.value), label
         if r["eenter"] is not None:
@@ -100,8 +83,7 @@ def test_table1_edge_calls(benchmark):
             assert r["eexit"] == costs.SWITCH_COSTS[mode.value].eexit_total
 
     # Paper claims: HU optimal; P slower than GU; all beat SGX.
-    assert results["HU-Enclave"]["ecall"] < results["GU-Enclave"]["ecall"] \
-        < results["P-Enclave"]["ecall"] < results["Intel SGX"]["ecall"]
-    assert results["HU-Enclave"]["ocall"] < results["GU-Enclave"]["ocall"] \
-        < results["P-Enclave"]["ocall"] < results["Intel SGX"]["ocall"]
-
+    assert figures["HU-Enclave"]["ecall"] < figures["GU-Enclave"]["ecall"] \
+        < figures["P-Enclave"]["ecall"] < figures["Intel SGX"]["ecall"]
+    assert figures["HU-Enclave"]["ocall"] < figures["GU-Enclave"]["ocall"] \
+        < figures["P-Enclave"]["ocall"] < figures["Intel SGX"]["ocall"]

@@ -20,8 +20,6 @@ on SGX1: no permission changes after EINIT; we reproduce the "-".)
 
 from __future__ import annotations
 
-from repro.analysis.tables import TextTable, fmt_cycles
-from repro.hw import costs
 from repro.monitor.structs import (EnclaveConfig, EnclaveMode, PagePerm)
 from repro.platform import TeePlatform
 from repro.sdk.image import EnclaveImage
@@ -109,31 +107,17 @@ def run_experiment():
                                 ("P-Enclave", EnclaveMode.P))}
 
 
-def test_table2_exceptions(benchmark):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    table = TextTable(
-        title="Table 2: cycles handling #UD / #PF inside enclaves",
-        headers=["exception", "Intel SGX", "GU-Enclave", "P-Enclave"])
-    table.add_row("#UD", *(fmt_cycles(results[p]["ud"])
-                           for p in ("Intel SGX", "GU-Enclave",
-                                     "P-Enclave")))
-    table.add_row("#PF", "-",
-                  fmt_cycles(results["GU-Enclave"]["pf"]),
-                  fmt_cycles(results["P-Enclave"]["pf"]))
-    table.show()
-    benchmark.extra_info.update(
-        {f"{p}/{m}": v for p, r in results.items() for m, v in r.items()})
-
+def check(figures) -> None:
+    """Table 2's claims over the artifact's figures."""
     # Calibrated exact matches.
-    assert results["Intel SGX"]["ud"] == 28561
-    assert results["GU-Enclave"]["ud"] == 17490
-    assert results["P-Enclave"]["ud"] == 258
-    assert results["GU-Enclave"]["pf"] == 2660
-    assert results["P-Enclave"]["pf"] == 1132
+    assert figures["Intel SGX"]["ud"] == 28561
+    assert figures["GU-Enclave"]["ud"] == 17490
+    assert figures["P-Enclave"]["ud"] == 258
+    assert figures["GU-Enclave"]["pf"] == 2660
+    assert figures["P-Enclave"]["pf"] == 1132
 
     # Paper claims: P ~68x faster than GU, ~110x faster than SGX on #UD;
     # ~2.3x faster than GU on the GC #PF.
-    assert 60 < results["GU-Enclave"]["ud"] / results["P-Enclave"]["ud"] < 75
-    assert 100 < results["Intel SGX"]["ud"] / results["P-Enclave"]["ud"] < 120
-    assert 2.2 < results["GU-Enclave"]["pf"] / results["P-Enclave"]["pf"] < 2.5
+    assert 60 < figures["GU-Enclave"]["ud"] / figures["P-Enclave"]["ud"] < 75
+    assert 100 < figures["Intel SGX"]["ud"] / figures["P-Enclave"]["ud"] < 120
+    assert 2.2 < figures["GU-Enclave"]["pf"] / figures["P-Enclave"]["pf"] < 2.5

@@ -1,16 +1,16 @@
-"""Shared benchmark fixtures and helpers.
+"""Shared benchmark helpers.
 
-Every benchmark regenerates one paper table or figure: it runs the full
-simulation, prints the table (visible with ``pytest -s``), records the
-key numbers in ``benchmark.extra_info``, and asserts the paper's *shape*
-(orderings, ratio bands) — per DESIGN.md we validate shapes, not absolute
-numbers, except for the microbenchmarks whose cost itemizations are
-calibrated to land exactly.
+Every ``bench_<name>.py`` module regenerates one paper table or figure:
+``run_experiment()`` runs the full simulation and ``check(figures)``
+asserts the paper's *shape* (orderings, ratio bands, cliffs) over the
+figures as ``BENCH_<name>.json`` records them — per DESIGN.md we
+validate shapes, not absolute numbers, except for the microbenchmarks
+whose cost itemizations are calibrated to land exactly.
 
-The tests write no files.  The result record is
-``benchmarks/baselines/BENCH_*.json``, written by ``python -m repro.bench
-run`` from the same ``run_experiment()`` functions and gated by
-``python -m repro.bench check`` in CI.
+``python -m repro.bench run NAME`` runs both and writes the artifact;
+``python -m repro.bench check`` re-runs the gate set against the
+committed ``benchmarks/baselines/BENCH_*.json`` and checks its claims;
+``python -m repro.bench report`` prints the figures.
 """
 
 from __future__ import annotations

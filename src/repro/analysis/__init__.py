@@ -1,5 +1,1 @@
-"""Result formatting for the benchmark harness."""
-
-from repro.analysis.tables import TextTable, fmt_cycles, fmt_ratio, series
-
-__all__ = ["TextTable", "fmt_cycles", "fmt_ratio", "series"]
+"""Request critical paths and tail latency (:mod:`.critpath`)."""

@@ -4,9 +4,10 @@ run|check|replay|diff|report|list``.
 * ``run``    — execute benchmarks (default: the gate set) and write
   ``BENCH_<name>.json`` baselines plus, with ``--artifacts``, the
   telemetry snapshot, Chrome trace, profile and collapsed stacks, and
-  with ``--record``, a flight-recorder journal per benchmark;
+  with ``--record``, a flight-recorder journal per benchmark; exit 1
+  on a failed paper claim (the module's ``check(figures)``);
 * ``check``  — re-run and gate against the committed baselines; exit 1 on
-  any regression (this is CI's ``bench-gate`` job);
+  any regression or failed claim (this is CI's ``bench-gate`` job);
 * ``replay`` — re-execute a journal and bisect to the first divergence
   (exit 0: bit-identical, 1: diverged, 2: error);
 * ``diff``   — compare two artifacts (per-metric deltas plus the top
@@ -84,15 +85,17 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args) -> int:
     specs = resolve(args.benchmarks, all_benches=args.all_benches)
-    run_benches(specs, baseline_dir=args.baseline_dir,
-                artifacts_dir=args.artifacts,
-                profile=not args.no_profile,
-                record_dir=args.record_dir,
-                timeline_interval=_timeline_interval(args),
-                trace_requests=args.trace_requests)
+    outputs = run_benches(
+        specs, baseline_dir=args.baseline_dir, artifacts_dir=args.artifacts,
+        profile=not args.no_profile, record_dir=args.record_dir,
+        timeline_interval=_timeline_interval(args),
+        trace_requests=args.trace_requests)
     print(f"wrote {len(specs)} baseline artifact(s) to "
           f"{args.baseline_dir}")
-    return 0
+    failed = [output.spec.name for output in outputs if output.claim]
+    if failed:
+        print(f"PAPER CLAIMS FAILED: {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 def _cmd_check(args) -> int:

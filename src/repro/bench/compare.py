@@ -82,6 +82,7 @@ class CompareResult:
     tolerance: float
     deltas: list[MetricDelta] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    claim_ok: bool = True       # False: a paper claim failed (see notes)
 
     @property
     def failures(self) -> list[MetricDelta]:
@@ -89,11 +90,11 @@ class CompareResult:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failures and self.claim_ok
 
     def as_dict(self) -> dict:
         return {
-            "name": self.name, "ok": self.ok,
+            "name": self.name, "ok": self.ok, "claim_ok": self.claim_ok,
             "tolerance": self.tolerance, "notes": self.notes,
             "checked": len(self.deltas),
             "failures": [{
@@ -159,7 +160,8 @@ def compare_report(results: list[CompareResult], *,
     """Plain-text gate report over every compared benchmark."""
     out = []
     for result in results:
-        verdict = "ok" if result.ok else "REGRESSED"
+        verdict = "ok" if result.ok else \
+            "REGRESSED" if result.failures else "CLAIM FAILED"
         out.append(f"[{verdict}] {result.name}: "
                    f"{len(result.deltas)} metric(s) checked, "
                    f"{len(result.failures)} outside the "

@@ -1,7 +1,8 @@
 """The benchmark registry: one spec per paper table/figure/ablation.
 
 Each ``benchmarks/bench_*.py`` module exposes a module-level
-``run_experiment()``; a :class:`BenchSpec` names it, classifies it
+``run_experiment()`` and ``check(figures)``, the paper's claims over the
+figures as written; a :class:`BenchSpec` names it, classifies it
 (``exact`` cost-model calibrations get a zero tolerance band, ``shape``
 figures and ``ablation`` extensions a small relative one) and knows how
 to turn the raw experiment output into the JSON-ready *figures* dict
@@ -47,11 +48,15 @@ def _fig8c_figures(module, raw) -> dict:
 
 
 def _fig8d_figures(module, raw) -> dict:
-    service, _curves = raw
+    service, curves = raw
     max_throughput = {name: 1e6 / s for name, s in service.items()}
     rel = {name: max_throughput[name] / max_throughput["baseline"]
            for name in service}
-    return {"service_cycles": service, "relative_max_throughput": rel}
+    return {"service_cycles": service, "relative_max_throughput": rel,
+            "throughput": {name: [x for x, _ in curve]
+                           for name, curve in curves.items()},
+            "latency": {name: [y for _, y in curve]
+                        for name, curve in curves.items()}}
 
 
 def _fig11_figures(module, raw) -> dict:
@@ -95,6 +100,10 @@ class BenchSpec:
         """Run the experiment and shape its output into figure values."""
         module = self.load()
         return self.figures(module, module.run_experiment())
+
+    def check(self, figures: dict) -> None:
+        """Assert the paper's claims over an artifact's ``figures``."""
+        self.load().check(figures)
 
 
 _SPECS = [

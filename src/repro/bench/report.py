@@ -1,16 +1,16 @@
 """Human-readable digests of run records.
 
 ``python -m repro.bench report`` renders, per artifact: the cycle
-digest, the top profile frames by self cycles, the paper-vs-measured
-lines for the paper's headline tables and figures, the per-enclave
-latency percentile table (p50/p95/p99 in simulated cycles,
-Stress-SGX-style), plus, when the artifact carries them, the timeline
-tables (series, per-tenant rollups, pressure episodes) and the request
-tables (per-call latency, the slowest requests with their critical
-paths, cross-tenant interference).  It reads committed baselines by
-default, so it is one command with no benchmark run, and it is the only
-reader of those blocks.  Host speed is ``perfbench``'s job, not this
-report's.
+digest, the figures (one row per series), the top profile frames by
+self cycles, the paper-vs-measured lines for the paper's headline
+tables and figures, the per-enclave latency percentile table
+(p50/p95/p99 in simulated cycles, Stress-SGX-style), plus, when the
+artifact carries them, the timeline tables (series, per-tenant rollups,
+pressure episodes) and the request tables (per-call latency, the
+slowest requests with their critical paths, cross-tenant
+interference).  It reads committed baselines by default, so it is one
+command with no benchmark run, and it is the only reader of those
+blocks.  Host speed is ``perfbench``'s job, not this report's.
 
 The same command renders the other two records a run leaves: a
 flight-recorder journal (run identity, counts, and each machine's
@@ -70,6 +70,34 @@ def _fmt_cycles(value: float | None) -> str:
     if value is None:
         return "-"
     return f"{value:,.0f}"
+
+
+def _series_rows(path: str, value, rows: list[list[str]]) -> None:
+    """Append one row per numeric series below ``path``: the numbers of
+    a list, the numeric fields of a dict, or a lone top-level number."""
+    is_dict = isinstance(value, dict)
+    cells = []
+    for key, sub in value.items() if is_dict else enumerate(value):
+        name = f"{path}.{key}" if path else key
+        if isinstance(sub, (dict, list)):
+            _series_rows(name, sub, rows)
+        elif isinstance(sub, (int, float)) and not isinstance(sub, bool):
+            cell = f"{sub:,.0f}" if abs(sub) >= 1000 else f"{sub:.4g}"
+            if not path:
+                rows.append([name, cell])
+            else:
+                cells.append(f"{key}={cell}" if is_dict else cell)
+    if cells:
+        rows.append([path, "; ".join(cells)])
+
+
+def figures_section(artifact: dict) -> list[Table]:
+    """The artifact's figures, one row per numeric series."""
+    rows: list[list[str]] = []
+    _series_rows("", artifact["figures"], rows)
+    width = max((len(name) for name, _ in rows), default=0)
+    return [Table("figures:", ["series", "values"], rows,
+                  f"{{:<{width}}}  {{}}")]
 
 
 def _exact_rows(figures: dict, paper: dict, key: str) -> list[list[str]]:
@@ -316,8 +344,8 @@ def artifact_report(artifact: dict, fmt: str = "text") -> str:
     """The full digest of one artifact, as ``text`` or ``markdown``."""
     heading = (f"{artifact['name']} — {artifact['title']} "
                f"[{artifact['bench_kind']}]")
-    tables = [*profile_section(artifact), *paper_section(artifact),
-              *latency_section(artifact),
+    tables = [*figures_section(artifact), *profile_section(artifact),
+              *paper_section(artifact), *latency_section(artifact),
               *timeline_section(artifact), *requests_section(artifact)]
     return _render(heading, _summary(artifact), tables, fmt)
 

@@ -13,14 +13,18 @@ bare run — the gate compares like with like.
 
 from __future__ import annotations
 
+import ast
 import json
+import linecache
 import pathlib
 import sys
+import traceback
 from dataclasses import dataclass
 
 from repro.bench.artifact import (artifact_path, build_artifact,
                                   load_artifact, write_artifact)
-from repro.bench.compare import CompareResult, compare_artifacts
+from repro.bench.compare import (CompareResult, MetricDelta,
+                                 compare_artifacts)
 from repro.bench.registry import BenchSpec
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[3]
@@ -45,6 +49,27 @@ class RunOutput:
     telemetry_doc: dict | None
     profile_doc: dict | None
     written: list[pathlib.Path]
+    claim: str | None = None       # the paper claim that failed, if any
+
+
+def claim_failure(spec: BenchSpec, figures: dict) -> str | None:
+    """``None`` when ``spec``'s paper claims hold over an artifact's
+    ``figures``, else the failed assert's source (plus its message)."""
+    if not __debug__:        # -O strips asserts: every claim would pass
+        return "not checked: python -O strips assert statements"
+    try:
+        spec.check(figures)
+    except AssertionError as exc:
+        # The failing line may be inside a multi-line assert: render it all.
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        lines = linecache.getlines(where.filename)
+        node = next(node for node in ast.walk(ast.parse("".join(lines)))
+                    if isinstance(node, ast.Assert)
+                    and node.lineno <= where.lineno <= node.end_lineno)
+        source = " ".join(line.strip(" \\\n") for line
+                          in lines[node.lineno - 1:node.end_lineno])
+        return f"{source} [{exc}]" if str(exc) else source
+    return None
 
 
 def run_one(spec: BenchSpec, *, profile: bool = True,
@@ -105,6 +130,8 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
     artifact = build_artifact(spec, figures, telemetry_doc, profile_doc,
                               fingerprints, timeline_doc=timeline_doc,
                               requests_doc=requests_doc)
+    # The figures as written: a live run and a baseline check alike.
+    claim = claim_failure(spec, artifact["figures"])
 
     written: list[pathlib.Path] = []
     if artifacts_dir is not None:
@@ -124,7 +151,7 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
         written.append(journal_path)
     return RunOutput(spec=spec, artifact=artifact,
                      telemetry_doc=telemetry_doc, profile_doc=profile_doc,
-                     written=written)
+                     written=written, claim=claim)
 
 
 def run_benches(specs: list[BenchSpec], *,
@@ -146,8 +173,10 @@ def run_benches(specs: list[BenchSpec], *,
         path = write_artifact(
             artifact_path(baseline_dir, spec.name), output.artifact)
         output.written.insert(0, path)
+        verdict = f"paper claim FAILED: {output.claim}" if output.claim \
+            else "paper claims hold"
         log(f"  wrote {path} "
-            f"({len(output.artifact['metrics'])} metrics)")
+            f"({len(output.artifact['metrics'])} metrics; {verdict})")
         outputs.append(output)
     return outputs
 
@@ -160,7 +189,7 @@ def check_benches(specs: list[BenchSpec], *,
                   timeline_interval: int | None = None,
                   trace_requests: bool = False,
                   log=print) -> list[CompareResult]:
-    """Re-run every spec and gate it against its committed baseline.
+    """Re-run every spec; gate it on its committed baseline and claims.
 
     A missing baseline is itself a gate failure — it means a benchmark
     joined the gate set without `python -m repro.bench run` being
@@ -174,8 +203,9 @@ def check_benches(specs: list[BenchSpec], *,
             result.notes.append(
                 f"no committed baseline at {base_path}; generate one with "
                 f"`python -m repro.bench run {spec.name}`")
-            result.deltas.append(
-                __missing_baseline_delta(spec))
+            result.deltas.append(MetricDelta(
+                metric="<baseline>", baseline=None, current=None,
+                tolerance=spec.tolerance))
             results.append(result)
             continue
         log(f"checking {spec.name} against {base_path} ...")
@@ -184,11 +214,9 @@ def check_benches(specs: list[BenchSpec], *,
                          record_dir=record_dir,
                          timeline_interval=timeline_interval,
                          trace_requests=trace_requests)
-        results.append(compare_artifacts(baseline, output.artifact))
+        result = compare_artifacts(baseline, output.artifact)
+        if output.claim is not None:
+            result.claim_ok = False
+            result.notes.append(f"paper claim failed: {output.claim}")
+        results.append(result)
     return results
-
-
-def __missing_baseline_delta(spec: BenchSpec):
-    from repro.bench.compare import MetricDelta
-    return MetricDelta(metric="<baseline>", baseline=None, current=None,
-                       tolerance=spec.tolerance)

@@ -61,7 +61,6 @@ def machine_profile(telemetry: Telemetry, label: str = "machine", *,
         "frames": [FrameStats(path, *frames[path]).as_dict()
                    for path in sorted(frames)],
         "by_enclave": dict(telemetry.self_by_enclave),
-        "by_cpu": dict(telemetry.self_by_cpu),
     }
 
 

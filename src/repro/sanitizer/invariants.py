@@ -153,12 +153,14 @@ def check_npt(monitor, san) -> None:
 def check_lockstep(machine, san, *, full: bool = False) -> None:
     """Shadow ownership must mirror the real frame-owner table.
 
-    Per-op, only frames dirtied since the last check are compared;
-    ``full=True`` (audits) compares the entire table.
+    Per-op, only frames dirtied since the last check are compared, each
+    read through ``owner_of`` (region tags included); ``full=True``
+    (audits) compares the entire table.
     """
     shadow = san.shadow
-    real = machine.phys.owned_frames()
+    phys = machine.phys
     if full:
+        real = phys.owned_frames()
         if real != shadow.owners:
             for frame in sorted(set(shadow.owners) | set(real)):
                 if shadow.owners.get(frame) != real.get(frame):
@@ -170,10 +172,13 @@ def check_lockstep(machine, san, *, full: bool = False) -> None:
         shadow.dirty.clear()
         return
     for frame in shadow.dirty:
-        if shadow.owners.get(frame) != real.get(frame):
+        owner = phys.owner_of(frame * PAGE_SIZE)
+        if owner.kind is OwnerKind.FREE:
+            owner = None
+        if shadow.owners.get(frame) != owner:
             fail(machine, san, SAN_SHADOW,
                  f"shadow divergence at frame {frame:#x}: real owner "
-                 f"{_render(real.get(frame))}, shadow "
+                 f"{_render(owner)}, shadow "
                  f"{_render(shadow.owners.get(frame))}", frame=frame)
     shadow.dirty.clear()
 

@@ -35,8 +35,6 @@ DEFAULT_DETERMINISM_EXCLUDE = (
     "repro/telemetry/export.py", "repro/telemetry/schema.py",
     "repro/telemetry/sink.py", "repro/telemetry/__init__.py",
     "repro/profiler/", "repro/flightrec/", "repro/bench/",
-    "repro/analysis/tables.py",
-    "repro/analysis/__init__.py",
     "repro/sanitizer/", "repro/staticcheck/",
 )
 

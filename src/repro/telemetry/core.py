@@ -137,10 +137,9 @@ class Span:
                 reg.counter(subsystem, short + ".self_cycles", **labels),
                 reg.histogram(subsystem, short + ".cycles_hist", **labels),
                 str(labels.get("enclave", "-")),
-                str(labels.get("cpu", 0)),
             )
             tel._span_metrics[key] = metrics
-        calls, cyc, self_cyc, cyc_hist, enclave, cpu = metrics
+        calls, cyc, self_cyc, cyc_hist, enclave = metrics
         # Direct cell mutation: all increments here are non-negative by
         # construction (max() above), matching Counter.inc semantics.
         calls.value += 1
@@ -155,9 +154,8 @@ class Span:
         frame[0] += 1
         frame[1] += dur
         frame[2] += self_cycles
-        by_enclave, by_cpu = tel.self_by_enclave, tel.self_by_cpu
+        by_enclave = tel.self_by_enclave
         by_enclave[enclave] = by_enclave.get(enclave, 0) + self_cycles
-        by_cpu[cpu] = by_cpu.get(cpu, 0) + self_cycles
         if len(self._path) == 1:
             tel.root_cycles += dur
         tel.spans.append(SpanRecord(
@@ -234,17 +232,16 @@ class Telemetry:
         # The most recent closed spans, for the Chrome trace.
         self.spans: deque[SpanRecord] = deque(maxlen=span_capacity)
         # Every closed span, folded for the profiler: ancestor path ->
-        # [calls, cycles, self cycles]; self cycles per enclave and per
-        # cpu label; the cycles of root spans.
+        # [calls, cycles, self cycles]; self cycles per enclave label;
+        # the cycles of root spans.
         self.frames: dict[tuple[str, ...], list[int]] = {}
         self.self_by_enclave: dict[str, int] = {}
-        self.self_by_cpu: dict[str, int] = {}
         self.root_cycles = 0
         self._stack: list[Span] = []
         self._collectors: dict[str, Callable[[], dict]] = {}
         self._paging: dict[str, object] = {}
         # (name[, sorted-labels]) -> the 4 metric cells a span feeds on
-        # exit plus its enclave and cpu keys; see Span.__exit__.
+        # exit plus its enclave key; see Span.__exit__.
         self._span_metrics: dict = {}
         # Cycle-domain timeline sampler (repro.telemetry.timeline);
         # attached by the sink or attach_machine, None when off.
@@ -271,7 +268,6 @@ class Telemetry:
         self.spans.clear()
         self.frames.clear()
         self.self_by_enclave.clear()
-        self.self_by_cpu.clear()
         self.root_cycles = 0
         self._stack.clear()
         self.ring.clear()

@@ -440,3 +440,19 @@ def test_closed_stdout_exits_zero_quietly():
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_figures_table_has_one_row_per_series():
+    from repro.bench.report import figures_section
+    artifact = {"figures": {
+        "sizes": [64, 16384], "ecall": {"in": [0.01, 0.0812]},
+        "(64, 0)": {"winner": "hu", "hu": 104120.0}, "flat": 2.5,
+        "Intel SGX": {"eenter": None, "ecall": 14432.0},
+        "spec_vm": {"600.perlbench_s": 64117.0}}}
+    (table,) = figures_section(artifact)
+    assert table.rows == [["sizes", "64; 16,384"],
+                          ["ecall.in", "0.01; 0.0812"],
+                          ["(64, 0)", "hu=104,120"],
+                          ["flat", "2.5"],
+                          ["Intel SGX", "ecall=14,432"],
+                          ["spec_vm", "600.perlbench_s=64,117"]]

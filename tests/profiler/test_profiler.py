@@ -77,7 +77,6 @@ class TestFrameAggregation:
         # Child spans carry no enclave label -> bucket "-".
         assert profile["by_enclave"] == {"1": 140, "-": 880, "2": 30}
         assert sum(profile["by_enclave"].values()) == 1050
-        assert profile["by_cpu"] == {"0": 1050}
 
     def test_document_combines_machines(self):
         tel_a, tel_b = make_tel(), make_tel()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.hw.paging import PageTableFlags
-from repro.hw.phys import NORMAL, PAGE_SIZE
+from repro.hw.phys import FREE, MONITOR, NORMAL, PAGE_SIZE
 from repro.monitor.enclave import ENCLAVE_BASE_VA, perms_to_flags
 from repro.monitor.structs import PagePerm
 from repro.osim.kernel import Kernel
@@ -118,6 +118,33 @@ def test_ownership_bypass_diverges_shadow(sanitized_platform):
     machine.phys._owners[10] = NORMAL
     with pytest.raises(SanitizerViolation) as exc:
         boot.monitor.audit_invariants()
+    assert exc.value.code == SAN_SHADOW
+
+
+@pytest.mark.parametrize("owner, message", [
+    # A freed frame inside the region carries an explicit FREE entry;
+    # dropping it makes the region tag show through again, which only a
+    # check that reads region tags can see.
+    (FREE, "real owner monitor, shadow free"),
+    (NORMAL, "real owner monitor, shadow normal"),
+])
+def test_region_frame_bypass_caught_per_op(sanitized_platform, owner,
+                                           message):
+    """A frame inside a region-tagged range whose own owner entry is
+    dropped behind ``set_owner`` (so the region tag shows through) is
+    caught by the per-op lockstep check, not only by the full audit
+    (SAN-SHADOW)."""
+    machine, boot = sanitized_platform
+    san = machine.phys.sanitizer
+    start, end, region_owner = machine.phys._regions[0]
+    assert region_owner == MONITOR and end - start > 8
+    frame = start + 7
+    machine.phys.set_owner(frame * PAGE_SIZE, owner)
+    san.after_monitor_op(boot.monitor, "test")      # in lockstep
+    machine.phys.set_owner(frame * PAGE_SIZE, owner)  # dirty again
+    del machine.phys._owners[frame]
+    with pytest.raises(SanitizerViolation, match=message) as exc:
+        san.after_monitor_op(boot.monitor, "test")
     assert exc.value.code == SAN_SHADOW
 
 

@@ -124,6 +124,21 @@ def test_every_benchmark_is_documented():
         assert bench.name in docs, f"{bench.name} missing from docs"
 
 
+def test_benchmarks_run_and_check_through_repro_bench():
+    """Each registered module has the two functions `repro.bench` calls,
+    and no benchmark module keeps a second, pytest harness."""
+    from repro.bench.registry import REGISTRY
+    for name, spec in REGISTRY.items():
+        module = spec.load()
+        assert callable(getattr(module, "run_experiment", None)), name
+        assert callable(getattr(module, "check", None)), name
+    for bench in sorted((ROOT / "benchmarks").glob("bench_*.py")):
+        tests = [node.name for node in ast.parse(bench.read_text()).body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name.startswith("test_")]
+        assert not tests, (bench.name, tests)
+
+
 def test_readme_examples_exist():
     readme = (ROOT / "README.md").read_text()
     for name in re.findall(r"`examples/([a-z_]+\.py)`", readme):

@@ -10,10 +10,12 @@ core).
 
 from __future__ import annotations
 
+import statistics
+
 from repro.hw import costs
 from repro.monitor.structs import EnclaveMode
 
-from .conftest import load_platform_and_handle, median_cycles
+from .conftest import load_platform_and_handle
 
 MODES = [("HU-Enclave", EnclaveMode.HU), ("GU-Enclave", EnclaveMode.GU),
          ("P-Enclave", EnclaveMode.P), ("Intel SGX", EnclaveMode.SGX)]
@@ -23,25 +25,27 @@ ITERATIONS = 101
 def measure_mode(mode: EnclaveMode) -> dict[str, float]:
     platform, handle = load_platform_and_handle(mode)
     machine = platform.machine
-    measured = {}
+    samples: list[int] = []
 
     def entry(ctx):
         with machine.cycles.measure() as span:
             ctx.ocall("ocall_nop")
-        measured["cycles"] = span.elapsed
+        samples.append(span.elapsed)
         return 0
 
     handle.image.trusted_funcs["nop"] = lambda ctx: entry(ctx)
 
-    def one_ocall():
-        handle.proxies.nop()
-        return measured["cycles"]
+    def median_ocall() -> float:
+        """The median OCALL, timed inside the ECALL that makes it."""
+        handle.proxies.nop()                  # warm
+        samples.clear()
+        for _ in range(ITERATIONS):
+            handle.proxies.nop()
+        return statistics.median(samples)
 
-    regular = median_cycles(machine, one_ocall, ITERATIONS)
-    regular = measured["cycles"]
+    regular = median_ocall()
     handle.enable_switchless()
-    handle.proxies.nop()
-    switchless = measured["cycles"]
+    switchless = median_ocall()
     worker_cycles = handle.switchless_worker_cycles
     handle.destroy()
     return {"regular": regular, "switchless": switchless,

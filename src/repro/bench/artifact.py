@@ -8,7 +8,9 @@ One artifact per benchmark run, containing
   dot-path, plus the telemetry digest (``telemetry.total_cycles``,
   ``telemetry.by_subsystem.*``) and ``profile.total_span_cycles`` — the
   exact set the regression gate compares with tolerance bands,
-* ``telemetry`` / ``profile`` — the cycle digest and top-frame summary,
+* ``telemetry`` — the cycle digest,
+* ``profile`` — the exact cycle profile (:mod:`repro.profiler`): every
+  machine's frame table plus the combined one; no side file copies it,
 * ``timeline`` / ``requests`` — the full timeline and request-trace
   documents of a ``--timeline``/``--requests`` run (never gated; no
   side file copies them),
@@ -30,9 +32,8 @@ import subprocess
 
 from repro.telemetry.schema import validate_requests, validate_timeline
 
-# Version 2 added the explicit ``artifact_version`` field and the
-# ``latency`` block (per-enclave p50/p95/p99 cycle summaries).
-ARTIFACT_VERSION = 2
+# Version 3: ``profile`` is the full frame table.
+ARTIFACT_VERSION = 3
 ARTIFACT_KIND = "hyperenclave-bench"
 
 
@@ -147,22 +148,23 @@ def latency_block(telemetry_doc: dict) -> dict | None:
 
 
 def build_artifact(spec, figures, telemetry_doc: dict | None,
-                   profile_doc: dict | None,
+                   profile: dict | None,
                    fingerprints: dict[str, str] | None = None, *,
                    timeline_doc: dict | None = None,
                    requests_doc: dict | None = None) -> dict:
     """Assemble one ``BENCH_<name>.json`` document.
 
-    ``fingerprints`` maps machine labels to ``Machine.state_hash()``
-    values; the gate compares them with *exact equality* (no tolerance
-    band), turning the bench gate into a cross-run determinism gate.
+    ``profile`` (:func:`repro.profiler.profile_document`) is stored
+    whole; only its combined total, ``profile.total_span_cycles``,
+    gates.  ``fingerprints`` maps machine labels to
+    ``Machine.state_hash()`` values; the gate compares them with *exact
+    equality* (no tolerance band), turning the bench gate into a
+    cross-run determinism gate.
     ``timeline_doc`` (``--timeline``) and ``requests_doc``
     (``--requests``) ride along informationally: the gate compares only
     ``metrics`` and ``fingerprints``, so neither block ever gates and
     baselines recorded without them stay green.
     """
-    from repro.profiler import profile_summary
-
     figures = _jsonable(figures)
     metrics = flatten_metrics(figures)
 
@@ -182,15 +184,12 @@ def build_artifact(spec, figures, telemetry_doc: dict | None,
         if latency is not None:
             metrics.update(flatten_metrics(latency, "latency"))
 
-    profile_digest = None
-    if profile_doc is not None and profile_doc["machines"]:
-        profile_digest = profile_summary(profile_doc)
+    if profile is not None:
         metrics["profile.total_span_cycles"] = \
-            float(profile_digest["total_span_cycles"])
+            float(profile["combined"]["total_span_cycles"])
 
     return {
         "version": ARTIFACT_VERSION,
-        "artifact_version": ARTIFACT_VERSION,
         "kind": ARTIFACT_KIND,
         "name": spec.name,
         "title": spec.title,
@@ -202,7 +201,7 @@ def build_artifact(spec, figures, telemetry_doc: dict | None,
         "fingerprints": dict(fingerprints) if fingerprints else {},
         "telemetry": telemetry_digest,
         "latency": latency,
-        "profile": profile_digest,
+        "profile": profile,
         "timeline": timeline_doc,
         "requests": requests_doc,
     }
@@ -235,13 +234,36 @@ def validate_artifact(document) -> None:
         if not isinstance(value, str):
             raise ValueError(
                 f"artifact: non-string fingerprint {key!r}")
-    # The informational blocks are the only copy of the timeline and
-    # request documents, so they are held to their own schemas here,
-    # on every write and every load.
+    # The artifact is the only copy of the profile, timeline and request
+    # documents, so they are held to their schemas here, on every write
+    # and every load.
+    if document.get("profile") is not None:
+        _check_profile(document["profile"])
     if document.get("timeline") is not None:
         validate_timeline(document["timeline"])
     if document.get("requests") is not None:
         validate_requests(document["requests"])
+
+
+def _check_profile(profile) -> None:
+    """Raise ``ValueError`` unless ``profile`` is a profile block."""
+    if not isinstance(profile, dict) \
+            or not isinstance(profile.get("machines"), list):
+        raise ValueError("artifact: profile missing machines list")
+    combined = profile.get("combined")
+    if not isinstance(combined, dict) \
+            or not isinstance(combined.get("frames"), list):
+        raise ValueError("artifact: profile missing combined.frames")
+    for section in profile["machines"] + [combined]:
+        for frame in section["frames"]:
+            stack = frame.get("stack")
+            if not isinstance(stack, list) or not stack:
+                raise ValueError(
+                    f"artifact: profile frame has bad stack {stack!r}")
+            for field in ("calls", "cycles", "self_cycles"):
+                if not isinstance(frame.get(field), (int, float)):
+                    raise ValueError(
+                        f"artifact: profile frame {stack} missing {field}")
 
 
 def write_artifact(path: str | pathlib.Path, document: dict

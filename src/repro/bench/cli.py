@@ -2,17 +2,17 @@
 run|check|replay|diff|report|list``.
 
 * ``run``    — execute benchmarks (default: the gate set) and write
-  ``BENCH_<name>.json`` baselines plus, with ``--artifacts``, the
-  telemetry snapshot, Chrome trace, profile and collapsed stacks, and
+  ``BENCH_<name>.json`` baselines (the exact cycle profile included)
+  plus, with ``--artifacts``, the telemetry snapshot, Chrome trace and
+  collapsed stacks, and
   with ``--record``, a flight-recorder journal per benchmark; exit 1
   on a failed paper claim (the module's ``check(figures)``);
 * ``check``  — re-run and gate against the committed baselines; exit 1 on
   any regression or failed claim (this is CI's ``bench-gate`` job);
 * ``replay`` — re-execute a journal and bisect to the first divergence
   (exit 0: bit-identical, 1: diverged, 2: error);
-* ``diff``   — compare two artifacts (per-metric deltas plus the top
-  profile frame movements), or two ``<name>.profile.json`` profiles
-  (every frame's self-cycle delta; exit 1 when the total moved);
+* ``diff``   — compare two artifacts: per-metric deltas plus the frames
+  whose self cycles moved most (exit 1 when the gate would fail);
 * ``report`` — render artifacts (cycle digest, top frames, paper vs
   measured, per-enclave latency percentiles, timeline and request
   tables), journals or forensic bundles without running anything;
@@ -26,16 +26,14 @@ import json
 import pathlib
 import sys
 
-from repro.bench.artifact import (artifact_name, artifact_path,
-                                  load_artifact, validate_artifact)
+from repro.bench.artifact import artifact_name, artifact_path, load_artifact
 from repro.bench.compare import compare_artifacts, compare_report
 from repro.bench.registry import REGISTRY, resolve
 from repro.bench.report import load_record, report_all
 from repro.bench.runner import (DEFAULT_BASELINE_DIR, check_benches,
                                 run_benches)
 from repro.flightrec.journal import Journal
-from repro.profiler.core import PROFILE_KIND
-from repro.profiler.diff import delta_lines, diff_report, rank_deltas
+from repro.profiler import diff_report
 from repro.telemetry.timeline import DEFAULT_INTERVAL
 
 
@@ -49,9 +47,7 @@ def _add_selection(parser) -> None:
                         help="where BENCH_<name>.json baselines live")
     parser.add_argument("--artifacts", default=None, metavar="DIR",
                         help="also write telemetry snapshot + Chrome trace "
-                             "+ profile + collapsed stacks here")
-    parser.add_argument("--no-profile", action="store_true",
-                        help="skip building cycle profiles")
+                             "+ collapsed stacks here")
     parser.add_argument("--record", default=None, metavar="DIR",
                         dest="record_dir",
                         help="record each run's flight-recorder journal "
@@ -87,7 +83,7 @@ def _cmd_run(args) -> int:
     specs = resolve(args.benchmarks, all_benches=args.all_benches)
     outputs = run_benches(
         specs, baseline_dir=args.baseline_dir, artifacts_dir=args.artifacts,
-        profile=not args.no_profile, record_dir=args.record_dir,
+        record_dir=args.record_dir,
         timeline_interval=_timeline_interval(args),
         trace_requests=args.trace_requests)
     print(f"wrote {len(specs)} baseline artifact(s) to "
@@ -102,7 +98,6 @@ def _cmd_check(args) -> int:
     specs = resolve(args.benchmarks, all_benches=args.all_benches)
     results = check_benches(specs, baseline_dir=args.baseline_dir,
                             artifacts_dir=args.artifacts,
-                            profile=not args.no_profile,
                             record_dir=args.record_dir,
                             timeline_interval=_timeline_interval(args),
                             trace_requests=args.trace_requests)
@@ -146,43 +141,13 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    baseline, current = (json.loads(pathlib.Path(path).read_text())
+    baseline, current = (load_artifact(path)
                          for path in (args.base, args.current))
-    if all(isinstance(doc, dict) and doc.get("kind") == PROFILE_KIND
-           for doc in (baseline, current)):
-        # Two full profiles (<name>.profile.json): every frame is there,
-        # so the diff ranks them all and gates on the total.
-        print(diff_report(baseline, current, args.top))
-        moved = baseline["combined"]["total_span_cycles"] != \
-            current["combined"]["total_span_cycles"]
-        return 1 if moved else 0
-    validate_artifact(baseline)
-    validate_artifact(current)
     result = compare_artifacts(baseline, current)
     print(compare_report([result], verbose=args.verbose))
-    base_profile = baseline.get("profile")
-    cur_profile = current.get("profile")
-    if base_profile and cur_profile:
-        # top_self is a top-N summary: a stack absent from one side is
-        # below that side's cut, not at zero, so only stacks on both
-        # sides get a number.
-        base = {tuple(f["stack"].split(";")): f
-                for f in base_profile["top_self"]}
-        cur = {tuple(f["stack"].split(";")): f
-               for f in cur_profile["top_self"]}
-        both = base.keys() & cur.keys()
-        moved = delta_lines(rank_deltas({s: base[s] for s in both},
-                                        {s: cur[s] for s in both}),
-                            args.top)
-        if moved:
-            print("\ntop profile frame deltas (self cycles):")
-            print("\n".join(moved))
-        for label, stacks in (("entered", cur.keys() - base.keys()),
-                              ("left", base.keys() - cur.keys())):
-            if stacks:
-                print(f"\nstacks that {label} the top-N summary:")
-                for stack in sorted(stacks):
-                    print(f"  {';'.join(stack)}")
+    if baseline.get("profile") and current.get("profile"):
+        print("\n" + diff_report(baseline["profile"], current["profile"],
+                                  args.top))
     return 0 if result.ok else 1
 
 
@@ -236,9 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("diff",
-                       help="compare two BENCH_*.json artifacts, or two "
-                            "<name>.profile.json profiles (exit 1 when "
-                            "the profile totals moved)")
+                       help="compare two BENCH_*.json artifacts: metric "
+                            "deltas and the frames whose self cycles "
+                            "moved (exit 1 when the gate would fail)")
     p.add_argument("base")
     p.add_argument("current")
     p.add_argument("--top", type=int, default=10, metavar="N")

@@ -112,14 +112,16 @@ def _exact_rows(figures: dict, paper: dict, key: str) -> list[list[str]]:
 def profile_section(artifact: dict) -> list[Table]:
     """The profile's top frames by self cycles (nothing when unprofiled)."""
     profile = artifact.get("profile")
-    if not profile or not profile.get("top_self"):
+    if not profile or not profile["combined"]["frames"]:
         return []
-    top = profile["top_self"]
+    combined = profile["combined"]
+    top = sorted(combined["frames"],
+                 key=lambda f: (-f["self_cycles"], f["stack"]))[:10]
     return [Table(f"top {len(top)} frames by self cycles (of "
-                  f"{profile['total_span_cycles']:,} span cycles across "
-                  f"{profile['machines']} machine(s)):",
+                  f"{combined['total_span_cycles']:,} span cycles across "
+                  f"{len(profile['machines'])} machine(s)):",
                   ["self cycles", "stack", "calls"],
-                  [[f"{frame['self_cycles']:,}", frame["stack"],
+                  [[f"{frame['self_cycles']:,}", ";".join(frame["stack"]),
                     str(frame["calls"])] for frame in top],
                   "{:>14}  {}  ({} calls)", text_header=False)]
 
@@ -298,7 +300,7 @@ def requests_section(artifact: dict) -> list[Table]:
 
 def _summary(artifact: dict) -> list[str]:
     """The lines under an artifact's heading: size and cycles."""
-    out = [f"artifact_version {artifact['artifact_version']}, "
+    out = [f"version {artifact['version']}, "
            f"{len(artifact['metrics'])} gated metric(s), "
            f"tolerance {artifact['tolerance']:.1%}"]
     telemetry = artifact.get("telemetry")

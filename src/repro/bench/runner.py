@@ -14,7 +14,6 @@ bare run — the gate compares like with like.
 from __future__ import annotations
 
 import ast
-import json
 import linecache
 import pathlib
 import sys
@@ -47,7 +46,6 @@ class RunOutput:
     spec: BenchSpec
     artifact: dict
     telemetry_doc: dict | None
-    profile_doc: dict | None
     written: list[pathlib.Path]
     claim: str | None = None       # the paper claim that failed, if any
 
@@ -72,17 +70,18 @@ def claim_failure(spec: BenchSpec, figures: dict) -> str | None:
     return None
 
 
-def run_one(spec: BenchSpec, *, profile: bool = True,
+def run_one(spec: BenchSpec, *,
             artifacts_dir: str | pathlib.Path | None = None,
             record_dir: str | pathlib.Path | None = None,
             timeline_interval: int | None = None,
             trace_requests: bool = False) -> RunOutput:
     """Run one benchmark under a fresh telemetry sink; build its artifact.
 
+    The artifact's ``profile`` block is the run's exact cycle profile.
     When ``artifacts_dir`` is given, the side artifacts land there:
     ``<name>.telemetry.json`` + ``<name>.telemetry.trace.json`` (snapshot
-    and Chrome trace), ``<name>.profile.json`` (full profile document)
-    and ``<name>.collapsed`` (cycle-weighted flamegraph stacks).
+    and Chrome trace) and ``<name>.collapsed`` (the profile as
+    cycle-weighted flamegraph stacks).
 
     When ``record_dir`` is given, a flight recorder rides on the sink
     and its journal lands at ``<record_dir>/<name>.journal.json`` —
@@ -101,8 +100,8 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
     informational ``requests`` block.  Tracing charges nothing —
     figures and fingerprints are bit-identical to an untraced run.
 
-    The artifact is the only copy of both blocks; ``python -m
-    repro.bench report`` reads them from it.
+    The artifact is the only copy of the profile, timeline and requests
+    blocks; ``python -m repro.bench report`` reads them from it.
     """
     from repro.flightrec.recorder import FlightRecorder
     from repro.flightrec.scenario import observed
@@ -122,12 +121,11 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
             pathlib.Path(record_dir) / f"{spec.name}.journal.json")
 
     telemetry_doc = sink.document() if sink.items else None
-    profile_doc = profile_document(sink.items) \
-        if profile and sink.items else None
+    profile = profile_document(sink.items) if sink.items else None
     timeline_doc = sink.timeline_document() \
         if timeline_interval is not None else None
     requests_doc = sink.requests_document() if trace_requests else None
-    artifact = build_artifact(spec, figures, telemetry_doc, profile_doc,
+    artifact = build_artifact(spec, figures, telemetry_doc, profile,
                               fingerprints, timeline_doc=timeline_doc,
                               requests_doc=requests_doc)
     # The figures as written: a live run and a baseline check alike.
@@ -140,24 +138,18 @@ def run_one(spec: BenchSpec, *, profile: bool = True,
         if sink.items:
             written.extend(
                 sink.write(artifacts_dir / f"{spec.name}.telemetry.json"))
-        if profile_doc is not None:
-            profile_path = artifacts_dir / f"{spec.name}.profile.json"
-            profile_path.write_text(
-                json.dumps(profile_doc, indent=2, sort_keys=True))
-            written.append(profile_path)
+        if profile is not None:
             written.append(write_collapsed(
-                artifacts_dir / f"{spec.name}.collapsed", profile_doc))
+                artifacts_dir / f"{spec.name}.collapsed", profile))
     if journal_path is not None:
         written.append(journal_path)
     return RunOutput(spec=spec, artifact=artifact,
-                     telemetry_doc=telemetry_doc, profile_doc=profile_doc,
-                     written=written, claim=claim)
+                     telemetry_doc=telemetry_doc, written=written, claim=claim)
 
 
 def run_benches(specs: list[BenchSpec], *,
                 baseline_dir: str | pathlib.Path = DEFAULT_BASELINE_DIR,
                 artifacts_dir: str | pathlib.Path | None = None,
-                profile: bool = True,
                 record_dir: str | pathlib.Path | None = None,
                 timeline_interval: int | None = None,
                 trace_requests: bool = False,
@@ -166,7 +158,7 @@ def run_benches(specs: list[BenchSpec], *,
     outputs = []
     for spec in specs:
         log(f"running {spec.name} ({spec.title}) ...")
-        output = run_one(spec, profile=profile, artifacts_dir=artifacts_dir,
+        output = run_one(spec, artifacts_dir=artifacts_dir,
                          record_dir=record_dir,
                          timeline_interval=timeline_interval,
                          trace_requests=trace_requests)
@@ -184,8 +176,7 @@ def run_benches(specs: list[BenchSpec], *,
 def check_benches(specs: list[BenchSpec], *,
                   baseline_dir: str | pathlib.Path = DEFAULT_BASELINE_DIR,
                   artifacts_dir: str | pathlib.Path | None = None,
-                  profile: bool = True,
-                  record_dir: str | pathlib.Path | None = None,
+                    record_dir: str | pathlib.Path | None = None,
                   timeline_interval: int | None = None,
                   trace_requests: bool = False,
                   log=print) -> list[CompareResult]:
@@ -210,7 +201,7 @@ def check_benches(specs: list[BenchSpec], *,
             continue
         log(f"checking {spec.name} against {base_path} ...")
         baseline = load_artifact(base_path)
-        output = run_one(spec, profile=profile, artifacts_dir=artifacts_dir,
+        output = run_one(spec, artifacts_dir=artifacts_dir,
                          record_dir=record_dir,
                          timeline_interval=timeline_interval,
                          trace_requests=trace_requests)

@@ -34,7 +34,7 @@ DEFAULT_DETERMINISM_EXCLUDE = (
     "repro/telemetry/core.py", "repro/telemetry/metrics.py",
     "repro/telemetry/export.py", "repro/telemetry/schema.py",
     "repro/telemetry/sink.py", "repro/telemetry/__init__.py",
-    "repro/profiler/", "repro/flightrec/", "repro/bench/",
+    "repro/profiler.py", "repro/flightrec/", "repro/bench/",
     "repro/sanitizer/", "repro/staticcheck/",
 )
 

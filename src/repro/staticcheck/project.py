@@ -330,8 +330,8 @@ class Project:
                       _depth: int = 0) -> FunctionInfo | ClassInfo | None:
         """Project symbol for a canonical dotted path, if any.
 
-        Follows re-export chains (``from repro.profiler.core import
-        profile_document`` re-exported by ``repro.profiler``) up to a
+        Follows re-export chains (``from repro.telemetry.export import
+        snapshot_document`` re-exported by ``repro.telemetry``) up to a
         small depth.  Returns ``None`` for external or unknown names.
         """
         if _depth > 4:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-import warnings
 
 from repro.telemetry.core import (Telemetry, UnclosedSpanError,
                                   cycles_by_subsystem)
@@ -22,37 +21,23 @@ SNAPSHOT_VERSION = 1
 SNAPSHOT_KIND = "hyperenclave-telemetry"
 
 
-def _guard_open_spans(telemetry: Telemetry, label: str,
-                      strict: bool) -> list[str]:
-    """Refuse (or warn about) exporting while spans are still open.
+# -- JSON snapshot -----------------------------------------------------------
 
-    An open span has not yet attributed its cycles to its parent, so a
-    snapshot taken now would carry wrong self-cycle numbers — the
-    runtime counterpart of staticcheck rule SC007.
+def machine_snapshot(telemetry: Telemetry, label: str = "machine") -> dict:
+    """One machine's telemetry as a JSON-ready dict.
+
+    Raises :class:`UnclosedSpanError` if any span is still open: it has
+    not yet attributed its cycles to its parent, so a snapshot taken now
+    would carry wrong self-cycle numbers — the runtime counterpart of
+    staticcheck rule SC007.
     """
     open_names = telemetry.open_span_names()
     if open_names:
-        message = (f"telemetry export for {label!r} with "
-                   f"{len(open_names)} span(s) still open: "
-                   f"{' > '.join(open_names)}; self-cycle attribution "
-                   f"would be wrong (close every span before exporting)")
-        if strict:
-            raise UnclosedSpanError(message)
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
-    return open_names
-
-
-# -- JSON snapshot -----------------------------------------------------------
-
-def machine_snapshot(telemetry: Telemetry, label: str = "machine", *,
-                     strict: bool = True) -> dict:
-    """One machine's telemetry as a JSON-ready dict.
-
-    Raises :class:`UnclosedSpanError` if any span is still open; pass
-    ``strict=False`` to downgrade to a ``RuntimeWarning`` naming the
-    open spans.
-    """
-    open_names = _guard_open_spans(telemetry, label, strict)
+        raise UnclosedSpanError(
+            f"telemetry export for {label!r} with {len(open_names)} "
+            f"span(s) still open: {' > '.join(open_names)}; self-cycle "
+            f"attribution would be wrong (close every span before "
+            f"exporting)")
     breakdown = telemetry.cycles.breakdown()
     closed = sum(frame[0] for frame in telemetry.frames.values())
     return {
@@ -67,20 +52,17 @@ def machine_snapshot(telemetry: Telemetry, label: str = "machine", *,
         # Every span closed (the profile frames count them all), and how
         # many fell out of the bounded span deque the Chrome trace reads.
         "spans": {"recorded": closed,
-                  "dropped": closed - len(telemetry.spans),
-                  "open": len(open_names)},
+                  "dropped": closed - len(telemetry.spans)},
     }
 
 
-def snapshot_document(items: list[tuple[str, Telemetry]], *,
-                      strict: bool = True) -> dict:
+def snapshot_document(items: list[tuple[str, Telemetry]]) -> dict:
     """The full snapshot: per-machine sections plus combined totals.
 
     ``combined.by_subsystem`` sums exactly to ``combined.total_cycles``
     because the category -> subsystem mapping is total.
     """
-    machines = [machine_snapshot(tel, label, strict=strict)
-                for label, tel in items]
+    machines = [machine_snapshot(tel, label) for label, tel in items]
     total = 0
     by_subsystem: dict[str, int | float] = {}
     for snap in machines:

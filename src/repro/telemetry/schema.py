@@ -81,7 +81,7 @@ def _check_machine(snap, where: str) -> None:
              "missing hardware object")
     spans = snap.get("spans")
     _require(isinstance(spans, dict), where, "missing spans object")
-    for key in ("recorded", "dropped", "open"):
+    for key in ("recorded", "dropped"):
         _check_number(spans.get(key), f"{where}.spans.{key}")
     _require(spans["dropped"] <= spans["recorded"], f"{where}.spans",
              "more spans dropped than recorded")

@@ -164,9 +164,9 @@ class TelemetrySink:
         from repro.telemetry.requests import requests_document
         return requests_document(self.request_tracers())
 
-    def document(self, *, strict: bool = True) -> dict:
+    def document(self) -> dict:
         """The snapshot document for everything registered so far."""
-        return snapshot_document(self._items, strict=strict)
+        return snapshot_document(self._items)
 
     def write(self, snapshot_path) -> tuple:
         """Write snapshot + Chrome trace; returns both paths."""

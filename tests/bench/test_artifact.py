@@ -12,6 +12,7 @@ from repro.bench import (ARTIFACT_KIND, ARTIFACT_VERSION, REGISTRY,
                          validate_artifact, write_artifact)
 from repro.bench.compare import FingerprintDelta, MetricDelta
 from repro.hw.cycles import CycleCounter
+from repro.profiler import profile_document
 from repro.telemetry import Telemetry
 from repro.telemetry.export import snapshot_document
 
@@ -99,6 +100,72 @@ def sim_telemetry() -> dict:
                 with tel.span("world.eenter", enclave=enclave):
                     tel.cycles.charge(1200, "eenter:hu")
     return snapshot_document([("m", tel)])
+
+
+def profiled_artifact() -> dict:
+    tel = Telemetry(CycleCounter())
+    tel.enable()
+    with tel.span("sdk.ecall"):
+        tel.cycles.charge(100, "sdk-ecall")
+        with tel.span("world.eenter"):
+            tel.cycles.charge(500, "eenter:hu")
+    return build_artifact(FAKE, {"score": 1.0}, None,
+                          profile_document([("m", tel)]))
+
+
+def _drop_machines(profile):
+    del profile["machines"]
+
+
+def _drop_combined_frames(profile):
+    del profile["combined"]["frames"]
+
+
+def _empty_stack(profile):
+    profile["combined"]["frames"][0]["stack"] = []
+
+
+def _string_stack(profile):
+    profile["machines"][0]["frames"][0]["stack"] = "sdk.ecall"
+
+
+def _dropper(field):
+    def drop(profile):
+        del profile["machines"][0]["frames"][-1][field]
+    return drop
+
+
+class TestProfileBlock:
+    """The artifact's ``profile`` block is the only copy of the profile,
+    so ``validate_artifact`` holds it to its shape on every write and
+    load."""
+
+    def test_full_frame_table_is_stored(self):
+        artifact = profiled_artifact()
+        validate_artifact(artifact)
+        profile = artifact["profile"]
+        assert set(profile) == {"machines", "combined"}
+        (machine,) = profile["machines"]
+        assert set(machine) == {"label", "total_span_cycles",
+                                "spans_recorded", "frames", "by_enclave"}
+        assert [f["stack"] for f in profile["combined"]["frames"]] == \
+            [["sdk.ecall"], ["sdk.ecall", "world.eenter"]]
+        assert artifact["metrics"]["profile.total_span_cycles"] == 600.0
+
+    @pytest.mark.parametrize("breakage, message", [
+        (_drop_machines, "missing machines list"),
+        (_drop_combined_frames, "missing combined.frames"),
+        (_empty_stack, "bad stack"),
+        (_string_stack, "bad stack"),
+        (_dropper("calls"), "missing calls"),
+        (_dropper("cycles"), "missing cycles"),
+        (_dropper("self_cycles"), "missing self_cycles"),
+    ])
+    def test_validate_rejects_a_bad_profile(self, breakage, message):
+        artifact = profiled_artifact()
+        breakage(artifact["profile"])
+        with pytest.raises(ValueError, match=message):
+            validate_artifact(artifact)
 
 
 class TestLatencyBlock:

@@ -69,8 +69,7 @@ def test_failed_claim_fails_run_and_check(tmp_path, monkeypatch, capsys):
         return figures
 
     monkeypatch.setattr(table1, "run_experiment", one_cycle_off)
-    argv = ["table1_edge_calls", "--baseline-dir", str(tmp_path),
-            "--no-profile"]
+    argv = ["table1_edge_calls", "--baseline-dir", str(tmp_path)]
     assert bench_main(["run", *argv]) == 1
     out = capsys.readouterr().out
     assert f"paper claim FAILED: {TABLE1_HU_ECALL}" in out

@@ -17,7 +17,7 @@ from repro.bench.runner import (DEFAULT_BASELINE_DIR, check_benches,
                                 run_benches)
 from repro.hw import costs
 from repro.hw.costs import WorldSwitchCosts
-from repro.profiler import parse_collapsed
+from repro.profiler import parse_collapsed, self_total
 
 TABLE1 = REGISTRY["table1_edge_calls"]
 TABLE2 = REGISTRY["table2_exceptions"]
@@ -62,7 +62,22 @@ class TestRunOne:
         assert artifact["telemetry"]["machines"] >= 4   # one per mode
         assert artifact["metrics"]["telemetry.total_cycles"] > 0
         assert artifact["metrics"]["profile.total_span_cycles"] > 0
-        assert artifact["profile"]["top_self"]
+        assert artifact["profile"]["combined"]["frames"]
+
+    def test_profile_accounting_is_exact(self, table1_run):
+        # The whole frame table rides in the artifact, so the exact
+        # profiler's invariant holds on the record itself: self cycles
+        # sum to the root-span cycles, per machine and combined.
+        _, _, output = table1_run
+        profile = output.artifact["profile"]
+        total = output.artifact["metrics"]["profile.total_span_cycles"]
+        assert len(profile["machines"]) >= 4
+        assert self_total(profile["combined"]) == total == \
+            profile["combined"]["total_span_cycles"]
+        for machine in profile["machines"]:
+            assert self_total(machine) == machine["total_span_cycles"] > 0
+        assert sum(m["total_span_cycles"] for m in profile["machines"]) \
+            == total
 
     def test_side_artifacts_are_loadable(self, table1_run):
         _, artifacts_dir, output = table1_run
@@ -76,7 +91,11 @@ class TestRunOne:
         collapsed = parse_collapsed(
             (artifacts_dir / "table1_edge_calls.collapsed").read_text())
         assert sum(collapsed.values()) == \
-            output.profile_doc["combined"]["total_span_cycles"]
+            output.artifact["profile"]["combined"]["total_span_cycles"]
+        # The artifact is the profile's only copy.
+        assert sorted(path.name for path in artifacts_dir.iterdir()) == [
+            "table1_edge_calls.collapsed", "table1_edge_calls.telemetry.json",
+            "table1_edge_calls.telemetry.trace.json"]
 
 
 class TestGate:
@@ -159,13 +178,11 @@ class TestFingerprints:
         from repro.bench.runner import run_one
         from repro.flightrec.journal import Journal
         _, _, bare = table1_run
-        recorded = run_one(TABLE1, profile=False, record_dir=tmp_path)
+        recorded = run_one(TABLE1, record_dir=tmp_path)
         assert recorded.artifact["metrics"]["HU-Enclave.ecall"] == \
             costs.ecall_expected("hu")
-        for metric, value in bare.artifact["metrics"].items():
-            if metric.startswith("profile."):
-                continue            # profiling disabled on the rerun
-            assert recorded.artifact["metrics"][metric] == value, metric
+        assert recorded.artifact["metrics"] == bare.artifact["metrics"]
+        assert recorded.artifact["profile"] == bare.artifact["profile"]
         assert recorded.artifact["fingerprints"] == \
             bare.artifact["fingerprints"]
         journal = Journal.load(tmp_path / "table1_edge_calls.journal.json")
@@ -217,32 +234,33 @@ class TestCli:
         assert bench_main(["diff", str(base), str(cur)]) == 1
         assert "REGRESSED" in capsys.readouterr().out
 
-    def test_diff_gives_no_delta_to_a_stack_outside_one_top_n(
-            self, tmp_path, capsys):
-        # Push the baseline's last top_self frame just below the current
-        # artifact's cut: it left the summary, it did not drop to zero.
+    def test_diff_ranks_a_one_sided_frame_from_zero(self, tmp_path,
+                                                     capsys):
+        # The profile block is the full frame table, so a stack present
+        # on one side only spent no cycles on the other: it is ranked
+        # with 0 there, as any other frame that moved.
         base_path = DEFAULT_BASELINE_DIR / "BENCH_table1_edge_calls.json"
         base = load_artifact(base_path)
-        top = base["profile"]["top_self"]
-        assert len(top) == 10
         current = json.loads(json.dumps(base))
-        dropped = current["profile"]["top_self"].pop()
-        current["profile"]["top_self"].append(
-            {"stack": "sdk.ecall;newcomer", "calls": 1,
-             "self_cycles": dropped["self_cycles"] + 1})
-        current["profile"]["top_self"][0]["self_cycles"] += 5
+        frames = current["profile"]["combined"]["frames"]
+        gone = frames.pop()
+        frames.append({"stack": ["sdk.ecall", "newcomer"], "calls": 3,
+                       "cycles": 1_000_000_000,
+                       "self_cycles": 1_000_000_000})
         cur_path = tmp_path / "BENCH_table1_edge_calls.json"
         cur_path.write_text(json.dumps(current))
         assert bench_main(["diff", str(base_path), str(cur_path)]) == 0
         out = capsys.readouterr().out
-        deltas = out.split("top profile frame deltas (self cycles):")[1]
-        assert f"+5  {top[0]['stack']}  " in deltas
-        assert "-> 0)" not in out
-        assert "(0 ->" not in out
-        entered = out.split("stacks that entered the top-N summary:")[1]
-        assert entered.split("\n")[1] == "  sdk.ecall;newcomer"
-        left = out.split("stacks that left the top-N summary:")[1]
-        assert left.split("\n")[1] == f"  {dropped['stack']}"
+        deltas = out.split("Profile diff: top self-cycle deltas")[1]
+        lines = [line for line in deltas.splitlines() if "(self " in line]
+        assert lines[0] == ("  +1,000,000,000  sdk.ecall;newcomer  "
+                            "(self 0 -> 1,000,000,000, calls 0 -> 3)")
+        gone_line = (f"  {-gone['self_cycles']:>+14,}  "
+                     f"{';'.join(gone['stack'])}  "
+                     f"(self {gone['self_cycles']:,} -> 0, "
+                     f"calls {gone['calls']} -> 0)")
+        assert gone_line in lines
+        assert "top-N" not in out
 
     def test_unknown_bench_is_a_usage_error(self, capsys):
         assert bench_main(["run", "no_such_bench"]) == 2

@@ -413,7 +413,8 @@ def test_no_names_renders_every_committed_baseline(capsys):
     assert "paper vs measured (Figure 11 normalized latency at 256 MB):" \
         in out
     assert out.count(" frames by self cycles (of ") == \
-        sum(bool((a["profile"] or {}).get("top_self")) for a in artifacts)
+        sum(bool(a["profile"] and a["profile"]["combined"]["frames"])
+            for a in artifacts)
 
 
 def test_empty_directory_is_an_error(tmp_path, capsys):

@@ -29,7 +29,7 @@ def journal_path(lifecycle_scenario, tmp_path):
 class TestRecord:
     def test_record_writes_journal(self, tmp_path, capsys):
         journals = tmp_path / "journals"
-        assert main(["run", "table1_edge_calls", "--no-profile",
+        assert main(["run", "table1_edge_calls",
                      "--record", str(journals),
                      "--baseline-dir", str(tmp_path / "baselines")]) == 0
         path = journals / "table1_edge_calls.journal.json"

@@ -1,22 +1,23 @@
 """Unit tests for the exact cycle-attribution profiler.
 
 Synthetic span trees with hand-computable cycle charges pin the frame
-aggregation (calls, inclusive vs self cycles), the per-enclave/per-CPU
-breakdowns, the collapsed-stack round-trip, and the diff ranking.
+aggregation (calls, inclusive vs self cycles), the per-enclave
+breakdown, the collapsed-stack round-trip, and the diff ranking.
 """
 
 import json
 
 import pytest
 
-from repro.hw.cycles import CycleCounter
-from repro.profiler import (FrameDelta, collapsed_lines, diff_profiles,
-                            diff_report, machine_profile, parse_collapsed,
-                            profile_document, profile_summary, self_total,
-                            validate_profile, write_collapsed)
+from repro.bench.artifact import build_artifact, write_artifact
 from repro.bench.cli import main as bench_main
+from repro.bench.registry import REGISTRY
 from repro.bench.report import profile_section
-from repro.profiler.core import PROFILE_KIND
+from repro.hw.cycles import CycleCounter
+from repro.profiler import (FrameDelta, collapsed_lines, diff_report,
+                            machine_profile, parse_collapsed,
+                            profile_document, rank_deltas, self_total,
+                            write_collapsed)
 from repro.telemetry import Telemetry, UnclosedSpanError
 
 
@@ -83,7 +84,6 @@ class TestFrameAggregation:
         run_workload(tel_a)
         run_workload(tel_b, scale=2)
         doc = profile_document([("a", tel_a), ("b", tel_b)])
-        validate_profile(doc)
         assert doc["combined"]["total_span_cycles"] == 1050 * 3
         combined = {tuple(f["stack"]): f for f in doc["combined"]["frames"]}
         assert combined[("ecall", "eenter")]["self_cycles"] == 1500
@@ -91,13 +91,15 @@ class TestFrameAggregation:
         assert self_total(doc["combined"]) == 1050 * 3
 
     def test_summary_ranks_by_self_cycles(self):
+        # The report's top-frames table is the one summary of a profile:
+        # frames by self cycles, descending, ties by stack.
         tel = make_tel()
         run_workload(tel)
-        summary = profile_summary(profile_document([("m", tel)]), n=2)
-        assert summary["total_span_cycles"] == 1050
-        assert summary["machines"] == 1
-        stacks = [f["stack"] for f in summary["top_self"]]
-        assert stacks == ["ecall;eenter", "ecall;eexit"]
+        with tel.span("tie"):
+            tel.cycles.charge(30, "crypto")
+        (table,) = profile_section({"profile": profile_document([("m", tel)])})
+        assert [row[1] for row in table.rows] == [
+            "ecall;eenter", "ecall;eexit", "ecall", "attest", "tie"]
 
     def test_capped_span_ring_gives_the_full_profile(self):
         # The ring keeps only the last 8 span records (for the Chrome
@@ -137,14 +139,6 @@ class TestUnclosedSpans:
             machine_profile(tel, "m")
         outer.__exit__(None, None, None)
         machine_profile(tel, "m")   # closed: no longer raises
-
-    def test_lenient_profile_reports_open_names(self):
-        tel = make_tel()
-        span = tel.span("pending")
-        span.__enter__()
-        profile = machine_profile(tel, "m", strict=False)
-        assert profile["open_spans"] == ["pending"]
-        span.__exit__(None, None, None)
 
 
 class TestCollapsed:
@@ -205,7 +199,7 @@ class TestDiff:
 
     def test_largest_delta_first(self):
         base, cur = self._docs()
-        deltas = diff_profiles(base, cur)
+        deltas = rank_deltas(base, cur)
         assert deltas[0].stack == ("ecall", "eenter")
         assert deltas[0].delta == 500
         assert all(abs(a.delta) >= abs(b.delta)
@@ -213,9 +207,12 @@ class TestDiff:
 
     def test_frames_missing_on_one_side_count_from_zero(self):
         base, cur = self._docs()
-        table = {d.stack: d for d in diff_profiles(base, cur)}
+        table = {d.stack: d for d in rank_deltas(base, cur)}
         assert table[("new_phase",)].base_self == 0
         assert table[("new_phase",)].delta == 7
+        gone = {d.stack: d for d in rank_deltas(cur, base)}[("new_phase",)]
+        assert (gone.base_self, gone.cur_self, gone.delta) == (7, 0, -7)
+        assert (gone.base_calls, gone.cur_calls) == (1, 0)
         only_base = FrameDelta(("gone",), base_self=9, cur_self=0,
                                base_calls=1, cur_calls=0)
         assert only_base.delta == -9
@@ -233,40 +230,54 @@ class TestDiff:
 
 class TestProfilerCli:
     """Profiles are read through ``repro.bench``: ``report`` prints the
-    artifact's top frames and ``diff`` diffs two profile documents."""
+    artifact's top frames and ``diff`` diffs two artifacts' profiles."""
 
-    def _write_doc(self, tmp_path, name, scale=1):
+    def _write_artifact(self, tmp_path, name, scale=1):
         tel = make_tel()
         run_workload(tel, scale=scale)
-        path = tmp_path / name
-        path.write_text(json.dumps(profile_document([("m", tel)])))
-        return path
+        artifact = build_artifact(
+            REGISTRY["table1_edge_calls"], {"x": 1.0}, None,
+            profile_document([("m", tel)]))
+        return write_artifact(tmp_path / name, artifact)
 
     def test_report_prints_top_frames(self, tmp_path):
-        doc = json.loads(self._write_doc(tmp_path, "p.json").read_text())
-        (table,) = profile_section({"profile": profile_summary(doc, 2)})
-        assert table.title == ("top 2 frames by self cycles (of 1,050 "
+        doc = json.loads(self._write_artifact(tmp_path, "a.json").read_text())
+        (table,) = profile_section(doc)
+        assert table.title == ("top 4 frames by self cycles (of 1,050 "
                                "span cycles across 1 machine(s)):")
-        assert table.rows == [["500", "ecall;eenter", "1"],
-                              ["380", "ecall;eexit", "1"]]
+        assert table.rows[:2] == [["500", "ecall;eenter", "1"],
+                                  ["380", "ecall;eexit", "1"]]
+
+    def test_report_shows_at_most_ten_frames(self):
+        tel = make_tel()
+        for i in range(12):
+            with tel.span(f"f{i:02}"):
+                tel.cycles.charge(100 + i, "other")
+        (table,) = profile_section({"profile": profile_document([("m", tel)])})
+        assert table.title.startswith("top 10 frames by self cycles (of ")
+        assert [row[1] for row in table.rows] == \
+            [f"f{i:02}" for i in range(11, 1, -1)]
 
     def test_collapse_writes_parseable_file(self, tmp_path):
-        doc = json.loads(self._write_doc(tmp_path, "p.json").read_text())
-        path = write_collapsed(tmp_path / "p.collapsed", doc)
+        doc = json.loads(self._write_artifact(tmp_path, "a.json").read_text())
+        path = write_collapsed(tmp_path / "p.collapsed", doc["profile"])
         assert sum(parse_collapsed(path.read_text()).values()) == 1050
 
     def test_diff_exit_codes_track_total_movement(self, tmp_path, capsys):
-        base = self._write_doc(tmp_path, "base.json")
-        cur = self._write_doc(tmp_path, "cur.json", scale=2)
+        base = self._write_artifact(tmp_path, "base.json")
+        cur = self._write_artifact(tmp_path, "cur.json", scale=2)
         assert bench_main(["diff", str(base), str(base)]) == 0
         assert "no frame moved a single cycle" in capsys.readouterr().out
         assert bench_main(["diff", str(base), str(cur)]) == 1
         out = capsys.readouterr().out
+        assert "profile.total_span_cycles" in out
         assert "total span cycles: 1,050 -> 2,100 (+1,050)" in out
         assert "ecall;eenter  (self 500 -> 1,000, calls 1 -> 1)" in out
 
     def test_invalid_profile_is_a_usage_error(self, tmp_path, capsys):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"kind": PROFILE_KIND}))
-        assert bench_main(["diff", str(bogus), str(bogus)]) == 2
-        assert "profile: unsupported version" in capsys.readouterr().err
+        path = self._write_artifact(tmp_path, "bogus.json")
+        bogus = json.loads(path.read_text())
+        bogus["profile"]["combined"]["frames"][0].pop("self_cycles")
+        path.write_text(json.dumps(bogus))
+        assert bench_main(["diff", str(path), str(path)]) == 2
+        assert "missing self_cycles" in capsys.readouterr().err

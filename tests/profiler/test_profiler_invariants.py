@@ -11,7 +11,7 @@
 
 from repro.platform import TeePlatform
 from repro.profiler import (parse_collapsed, profile_document, self_total,
-                            validate_profile, write_collapsed)
+                            write_collapsed)
 from repro.telemetry import sink as telemetry_sink
 
 from tests.sdk.conftest import SMALL, demo_image
@@ -46,7 +46,6 @@ class TestProfilerInvariants:
         with telemetry_sink.capture() as sink:
             _lifecycle([])
         doc = profile_document(sink.items)
-        validate_profile(doc)
         for machine in doc["machines"]:
             assert self_total(machine) == machine["total_span_cycles"]
         assert self_total(doc["combined"]) == \

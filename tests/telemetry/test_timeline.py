@@ -134,8 +134,8 @@ def _synthetic_timeline() -> dict:
 
 def _artifact(timeline: dict | None = None) -> dict:
     """A minimal bench artifact carrying a synthetic timeline block."""
-    return {"version": ARTIFACT_VERSION, "artifact_version": ARTIFACT_VERSION,
-            "kind": ARTIFACT_KIND, "name": "synthetic", "title": "two storms",
+    return {"version": ARTIFACT_VERSION, "kind": ARTIFACT_KIND,
+            "name": "synthetic", "title": "two storms",
             "bench_kind": "ablation", "tolerance": 0.0,
             "figures": {"x": 1.0}, "metrics": {"x": 1.0},
             "fingerprints": {},

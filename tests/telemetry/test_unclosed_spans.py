@@ -2,9 +2,8 @@
 
 The static side of this contract is staticcheck rule SC007 (spans must
 be context-managed); this is the runtime counterpart: a span left open when
-a snapshot/profile is taken means unattributed cycles, so strict exports
-raise :class:`~repro.telemetry.UnclosedSpanError` naming the open spans,
-and lenient exports warn and report the open count.
+a snapshot/profile is taken means unattributed cycles, so exports raise
+:class:`~repro.telemetry.UnclosedSpanError` naming the open spans.
 """
 
 import pytest
@@ -47,18 +46,11 @@ class TestUnclosedSpanDetection:
         inner.__exit__(None, None, None)
         outer.__exit__(None, None, None)
 
-    def test_lenient_snapshot_warns_and_counts_open(self, tel):
-        span = _open(tel, "pending")
-        with pytest.warns(RuntimeWarning, match="pending"):
-            snap = machine_snapshot(tel, "m", strict=False)
-        assert snap["spans"]["open"] == 1
-        span.__exit__(None, None, None)
-
     def test_closed_spans_export_cleanly(self, tel):
         with tel.span("done"):
             tel.cycles.charge(10, "sdk-ecall")
         snap = machine_snapshot(tel, "m")
-        assert snap["spans"] == {"recorded": 1, "dropped": 0, "open": 0}
+        assert snap["spans"] == {"recorded": 1, "dropped": 0}
 
     def test_spans_beyond_the_deque_count_as_dropped(self):
         # The snapshot counts every closed span, not the bounded deque
@@ -71,7 +63,7 @@ class TestUnclosedSpanDetection:
                     tel.cycles.charge(10, "sdk-ecall")
         snap = machine_snapshot(tel, "m")
         assert len(tel.spans) == 8
-        assert snap["spans"] == {"recorded": 20, "dropped": 12, "open": 0}
+        assert snap["spans"] == {"recorded": 20, "dropped": 12}
         validate_snapshot(snapshot_document([("m", tel)]))
 
     def test_error_is_a_runtime_error(self):

@@ -1,4 +1,4 @@
-"""Timeline scenario: two tenants contending for a tiny EPC pool.
+"""EPC interference: two tenants contending for a tiny EPC pool.
 
 Two GU enclaves ("tenant-a", "tenant-b") each own a working set of
 :data:`WORKING_SET_PAGES` pages; together the sets exceed the ~14 MB
@@ -8,12 +8,11 @@ real ``sweep`` ECALLs (one per :data:`CHUNK_PAGES`-page chunk), so the
 scenario exercises the whole edge-call stack: under a request tracer
 (``python -m repro.bench run epc_pressure --requests``) every chunk is
 a traced request whose causal tree shows the page-fault/swap storms it
-hit; under a timeline sampler (``--timeline``) the same run yields the
-canonical pressure trace with per-interval (victim, aggressor) episode
-attribution.  ``python -m repro.bench report`` prints both from the
-artifact — the timeline series, rollups and episode table, then the
-request latency, slowest-request and cross-tenant interference tables
-— and the two attributions agree by construction.
+hit and the (victim, aggressor) frames it stole.  ``python -m
+repro.bench report`` prints the request latency, slowest-request and
+cross-tenant interference tables from the artifact; the interference
+rows add up to the ``cross_tenant_steals`` figure, the monitor's own
+count.
 
 The figures are deterministic fault/steal counts — no host time — so
 the scenario doubles as an ordinary (non-gated) ablation benchmark.
@@ -68,10 +67,9 @@ def _build_tenant(platform, name):
     eid = handle.enclave_id
     platform.monitor.reserve_region(eid, BASE_VA,
                                     WORKING_SET_PAGES * PAGE_SIZE)
-    telemetry = platform.machine.telemetry
-    for observer in (telemetry.timeline, telemetry.requests):
-        if observer is not None:
-            observer.name_tenant(eid, name)
+    tracer = platform.machine.telemetry.requests
+    if tracer is not None:
+        tracer.name_tenant(eid, name)
     return handle, eid
 
 
@@ -117,3 +115,5 @@ def check(figures) -> None:
     # the other, so cross-tenant steals dominate the reclaim traffic.
     assert r["cross_tenant_steals"] > 0
     assert r["swap_outs_tenant_a"] > 0 and r["swap_outs_tenant_b"] > 0
+    # The combined working sets exhaust the pool: no frame is left free.
+    assert r["epc_free_frames_end"] == 0

@@ -16,10 +16,7 @@ module holds the staticcheck SC001 determinism bar alongside the
 tracer that feeds it.
 
 Categories fold into classes through the one registry,
-:data:`repro.hw.cycles.CATEGORIES`.  The victim/aggressor choice is the
-timeline pressure-episode detector's own
-(:func:`repro.telemetry.timeline.pick_steal_pair`), so the two reports
-always agree.
+:data:`repro.hw.cycles.CATEGORIES`.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ import math
 
 # CLASSES is re-exported: perfbench/layers.py imports it from here.
 from repro.hw.cycles import CLASSES, critpath_class  # noqa: F401
-from repro.telemetry.timeline import pick_steal_pair, steal_pair
 
 # -- per-request analysis ----------------------------------------------------
 
@@ -143,12 +139,42 @@ def latency_tables(document: dict) -> list[dict]:
 # -- cross-tenant interference -----------------------------------------------
 
 
+def steal_pair(key: str) -> tuple[str, str]:
+    """``(victim, aggressor)`` of a ``victim->aggressor`` steal key."""
+    victim, sep, aggressor = key.partition("->")
+    return (victim, aggressor if sep else victim)
+
+
+def pick_steal_pair(steals: dict[str, float]
+                    ) -> tuple[dict[str, float], str | None, str | None]:
+    """``(chosen, victim, aggressor)`` for a map of steal counts.
+
+    Cross-tenant steals name the contention pair; self-steals (an
+    enclave thrashing its own working set) only decide when no other
+    tenant was involved.  In the ``chosen`` steals the victim lost the
+    most frames and the aggressor took the most; ties break via
+    ``max(sorted(...))``.
+    """
+    chosen = {k: v for k, v in steals.items()
+              if steal_pair(k)[0] != steal_pair(k)[1]} or steals
+    if not chosen:
+        return chosen, None, None
+    stolen_from: dict[str, float] = {}
+    stolen_by: dict[str, float] = {}
+    for key, count in chosen.items():
+        v, a = steal_pair(key)
+        stolen_from[v] = stolen_from.get(v, 0) + count
+        stolen_by[a] = stolen_by.get(a, 0) + count
+    return (chosen,
+            max(sorted(stolen_from), key=lambda k: stolen_from[k]),
+            max(sorted(stolen_by), key=lambda k: stolen_by[k]))
+
+
 def interference_report(document: dict) -> list[dict]:
     """Which tenant's EPC steals stalled whose requests.
 
     One entry per trace: the folded steal pairs, the overall
-    victim/aggressor (chosen by the timeline episode detector's
-    :func:`~repro.telemetry.timeline.pick_steal_pair`), and per-pair
+    victim/aggressor (chosen by :func:`pick_steal_pair`), and per-pair
     rows counting the victim's stalled requests and swap-stall
     cycles.
     """

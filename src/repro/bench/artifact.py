@@ -11,9 +11,8 @@ One artifact per benchmark run, containing
 * ``telemetry`` — the cycle digest,
 * ``profile`` — the exact cycle profile (:mod:`repro.profiler`): every
   machine's frame table plus the combined one; no side file copies it,
-* ``timeline`` / ``requests`` — the full timeline and request-trace
-  documents of a ``--timeline``/``--requests`` run (never gated; no
-  side file copies them),
+* ``requests`` — the full request-trace document of a ``--requests``
+  run (never gated; no side file copies it),
 * ``provenance`` — cost-model fingerprint, python version, git commit.
 
 Everything in ``metrics`` is a deterministic function of the simulation
@@ -30,10 +29,11 @@ import json
 import pathlib
 import subprocess
 
-from repro.telemetry.schema import validate_requests, validate_timeline
+from repro.telemetry.schema import validate_requests
 
-# Version 3: ``profile`` is the full frame table.
-ARTIFACT_VERSION = 3
+# Version 4 dropped the sampled EPC series block; version 3 made
+# ``profile`` the full frame table.
+ARTIFACT_VERSION = 4
 ARTIFACT_KIND = "hyperenclave-bench"
 
 
@@ -150,7 +150,6 @@ def latency_block(telemetry_doc: dict) -> dict | None:
 def build_artifact(spec, figures, telemetry_doc: dict | None,
                    profile: dict | None,
                    fingerprints: dict[str, str] | None = None, *,
-                   timeline_doc: dict | None = None,
                    requests_doc: dict | None = None) -> dict:
     """Assemble one ``BENCH_<name>.json`` document.
 
@@ -160,10 +159,9 @@ def build_artifact(spec, figures, telemetry_doc: dict | None,
     ``Machine.state_hash()`` values; the gate compares them with *exact
     equality* (no tolerance band), turning the bench gate into a
     cross-run determinism gate.
-    ``timeline_doc`` (``--timeline``) and ``requests_doc``
-    (``--requests``) ride along informationally: the gate compares only
-    ``metrics`` and ``fingerprints``, so neither block ever gates and
-    baselines recorded without them stay green.
+    ``requests_doc`` (``--requests``) rides along informationally: the
+    gate compares only ``metrics`` and ``fingerprints``, so the block
+    never gates and baselines recorded without it stay green.
     """
     figures = _jsonable(figures)
     metrics = flatten_metrics(figures)
@@ -202,7 +200,6 @@ def build_artifact(spec, figures, telemetry_doc: dict | None,
         "telemetry": telemetry_digest,
         "latency": latency,
         "profile": profile,
-        "timeline": timeline_doc,
         "requests": requests_doc,
     }
 
@@ -234,13 +231,11 @@ def validate_artifact(document) -> None:
         if not isinstance(value, str):
             raise ValueError(
                 f"artifact: non-string fingerprint {key!r}")
-    # The artifact is the only copy of the profile, timeline and request
+    # The artifact is the only copy of the profile and request
     # documents, so they are held to their schemas here, on every write
     # and every load.
     if document.get("profile") is not None:
         _check_profile(document["profile"])
-    if document.get("timeline") is not None:
-        validate_timeline(document["timeline"])
     if document.get("requests") is not None:
         validate_requests(document["requests"])
 

@@ -14,8 +14,8 @@ run|check|replay|diff|report|list``.
 * ``diff``   — compare two artifacts: per-metric deltas plus the frames
   whose self cycles moved most (exit 1 when the gate would fail);
 * ``report`` — render artifacts (cycle digest, top frames, paper vs
-  measured, per-enclave latency percentiles, timeline and request
-  tables), journals or forensic bundles without running anything;
+  measured, per-enclave latency percentiles, request tables), journals
+  or forensic bundles without running anything;
 * ``list``   — show the registry.
 """
 
@@ -34,7 +34,6 @@ from repro.bench.runner import (DEFAULT_BASELINE_DIR, check_benches,
                                 run_benches)
 from repro.flightrec.journal import Journal
 from repro.profiler import diff_report
-from repro.telemetry.timeline import DEFAULT_INTERVAL
 
 
 def _add_selection(parser) -> None:
@@ -53,21 +52,12 @@ def _add_selection(parser) -> None:
                         help="record each run's flight-recorder journal "
                              "here (replayable with `python -m "
                              "repro.bench replay`)")
-    parser.add_argument("--timeline", action="store_true",
-                        help="sample a cycle-domain timeline every "
-                             f"{DEFAULT_INTERVAL:,} simulated cycles; adds "
-                             "an informational `timeline` block to the "
-                             "artifact")
     parser.add_argument("--requests", action="store_true",
                         dest="trace_requests",
                         help="trace every top-level ecall as a request "
                              "(repro.telemetry.requests); adds an "
                              "informational `requests` block to the "
                              "artifact")
-
-
-def _timeline_interval(args) -> int | None:
-    return DEFAULT_INTERVAL if args.timeline else None
 
 
 def _cmd_list(args) -> int:
@@ -83,9 +73,7 @@ def _cmd_run(args) -> int:
     specs = resolve(args.benchmarks, all_benches=args.all_benches)
     outputs = run_benches(
         specs, baseline_dir=args.baseline_dir, artifacts_dir=args.artifacts,
-        record_dir=args.record_dir,
-        timeline_interval=_timeline_interval(args),
-        trace_requests=args.trace_requests)
+        record_dir=args.record_dir, trace_requests=args.trace_requests)
     print(f"wrote {len(specs)} baseline artifact(s) to "
           f"{args.baseline_dir}")
     failed = [output.spec.name for output in outputs if output.claim]
@@ -99,7 +87,6 @@ def _cmd_check(args) -> int:
     results = check_benches(specs, baseline_dir=args.baseline_dir,
                             artifacts_dir=args.artifacts,
                             record_dir=args.record_dir,
-                            timeline_interval=_timeline_interval(args),
                             trace_requests=args.trace_requests)
     if args.json:
         print(json.dumps([r.as_dict() for r in results], indent=2))

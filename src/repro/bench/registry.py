@@ -141,8 +141,8 @@ _SPECS = [
     BenchSpec("ablation_smp_gc", "Ablation: SMP GC shootdowns",
               "ablation", figures=_smp_gc_figures),
     BenchSpec("epc_pressure",
-              "Timeline: two tenants contending for a tiny EPC pool",
-              "ablation"),
+              "EPC interference: two tenants contending for a tiny EPC "
+              "pool", "ablation"),
 ]
 
 REGISTRY: dict[str, BenchSpec] = {spec.name: spec for spec in _SPECS}

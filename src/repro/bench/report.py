@@ -5,8 +5,7 @@ digest, the figures (one row per series), the top profile frames by
 self cycles, the paper-vs-measured lines for the paper's headline
 tables and figures, the per-enclave latency percentile table
 (p50/p95/p99 in simulated cycles, Stress-SGX-style), plus, when the
-artifact carries them, the timeline tables (series, per-tenant rollups,
-pressure episodes) and the request tables (per-call latency, the
+artifact carries them, the request tables (per-call latency, the
 slowest requests with their critical paths, cross-tenant
 interference).  It reads committed baselines by default, so it is one
 command with no benchmark run, and it is the only reader of those
@@ -173,72 +172,6 @@ def latency_section(artifact: dict) -> list[Table]:
                   empty="latency: no per-enclave span histograms recorded")]
 
 
-def _series_table(timeline: dict) -> Table:
-    from repro.telemetry.timeline import (DEFAULT_EPISODE_THRESHOLD,
-                                          scalar_series)
-    samples = timeline["samples"]
-    title = (f"timeline [{timeline['label']}]: {len(samples)} samples "
-             f"every {timeline['interval']:,} cycles")
-    if samples:
-        title += (f", cycle {samples[0]['cycle']:,}.."
-                  f"{samples[-1]['cycle']:,}; pressure episodes at >= "
-                  f"{DEFAULT_EPISODE_THRESHOLD:g} pages swapped out per "
-                  f"interval")
-    rows = []
-    for name in sorted({name for s in samples for name in s["series"]}):
-        values = [value for _, value in scalar_series(timeline, name)]
-        rows.append([name, f"{min(values):,.0f}", f"{max(values):,.0f}",
-                     f"{values[-1]:,.0f}"])
-    return Table(f"{title}:", ["series", "min", "max", "last"], rows,
-                 "{:<24} {:>14} {:>14} {:>14}", empty=title)
-
-
-def _pairs(counts: dict) -> str:
-    return ", ".join(f"{name}: {n:g}" for name, n in counts.items()) or "-"
-
-
-def _rollup_table(timeline: dict) -> Table:
-    from repro.telemetry.timeline import tenant_rollups
-    rows = [[roll["tenant"], key, f"{roll['cycles']:,.0f}",
-             f"{roll['epc_pages_peak']:g}", str(roll["epc_pages_mean"]),
-             f"{roll['pages_swapped_out']:g}",
-             f"{roll['pages_swapped_in']:g}",
-             _pairs(roll["stolen_from"]), _pairs(roll["stolen_by"])]
-            for key, roll in tenant_rollups(timeline).items()]
-    return Table(f"per-tenant rollups [{timeline['label']}] (EPC in pages):",
-                 ["tenant", "enclave", "world cycles", "EPC peak",
-                  "EPC mean", "swapped out", "swapped in", "stolen from",
-                  "stolen by"], rows,
-                 "{:<10} {:>7} {:>12} {:>8} {:>9} {:>11} {:>10}  "
-                 "{:<30} {}")
-
-
-def timeline_section(artifact: dict) -> list[Table]:
-    """Per timeline its series and per-tenant rollups, then the
-    pressure-episode table (nothing when untimed)."""
-    timeline_doc = artifact.get("timeline")
-    if not timeline_doc:
-        return []
-    from repro.telemetry.timeline import detect_episodes
-    timelines = timeline_doc.get("timelines", [])
-    out = []
-    for timeline in timelines:
-        out.append(_series_table(timeline))
-        if timeline["samples"]:
-            out.append(_rollup_table(timeline))
-    rows = [[timeline["label"], f"{ep['start_cycle']:,}",
-             f"{ep['end_cycle']:,}", f"{ep['pages']:g}", f"{ep['depth']:g}",
-             ep["victim"], ep["aggressor"]]
-            for timeline in timelines
-            for ep in detect_episodes(timeline)]
-    if rows:
-        out.append(Table("EPC pressure episodes (from the timeline block):",
-                         ["machine", "start cycle", "end cycle", "pages",
-                          "depth", "victim", "aggressor"], rows,
-                         "{:<14} {:>14} {:>14} {:>7} {:>7}  {} -> {}"))
-    return out
-
-
 def _slowest_table(requests_doc: dict) -> Table:
     from repro.analysis.critpath import slowest_requests
     total = sum(len(trace["requests"]) for trace in requests_doc["traces"])
@@ -348,7 +281,7 @@ def artifact_report(artifact: dict, fmt: str = "text") -> str:
                f"[{artifact['bench_kind']}]")
     tables = [*figures_section(artifact), *profile_section(artifact),
               *paper_section(artifact), *latency_section(artifact),
-              *timeline_section(artifact), *requests_section(artifact)]
+              *requests_section(artifact)]
     return _render(heading, _summary(artifact), tables, fmt)
 
 

@@ -45,7 +45,6 @@ class RunOutput:
 
     spec: BenchSpec
     artifact: dict
-    telemetry_doc: dict | None
     written: list[pathlib.Path]
     claim: str | None = None       # the paper claim that failed, if any
 
@@ -73,7 +72,6 @@ def claim_failure(spec: BenchSpec, figures: dict) -> str | None:
 def run_one(spec: BenchSpec, *,
             artifacts_dir: str | pathlib.Path | None = None,
             record_dir: str | pathlib.Path | None = None,
-            timeline_interval: int | None = None,
             trace_requests: bool = False) -> RunOutput:
     """Run one benchmark under a fresh telemetry sink; build its artifact.
 
@@ -89,19 +87,14 @@ def run_one(spec: BenchSpec, *,
     pure observer, so the artifact's figures are unchanged, and the
     journal names machines with the artifact's labels.
 
-    When ``timeline_interval`` is given, every machine gets a
-    cycle-domain timeline sampler at that cadence; the artifact gains an
-    informational ``timeline`` block (never gated).  Sampling is a pure
-    observer too: figures and fingerprints are unchanged.
-
     When ``trace_requests`` is true, every machine gets a request tracer
     (``repro.telemetry.requests``): each top-level ecall becomes a
     traced request with a causal segment tree.  The artifact gains an
     informational ``requests`` block.  Tracing charges nothing —
     figures and fingerprints are bit-identical to an untraced run.
 
-    The artifact is the only copy of the profile, timeline and requests
-    blocks; ``python -m repro.bench report`` reads them from it.
+    The artifact is the only copy of the profile and requests blocks;
+    ``python -m repro.bench report`` reads them from it.
     """
     from repro.flightrec.recorder import FlightRecorder
     from repro.flightrec.scenario import observed
@@ -111,8 +104,7 @@ def run_one(spec: BenchSpec, *,
     _ensure_benchmarks_importable()
     rec = FlightRecorder(f"bench:{spec.name}") \
         if record_dir is not None else None
-    with capture(timeline_interval, trace_requests=trace_requests) as sink, \
-            observed(rec):
+    with capture(trace_requests) as sink, observed(rec):
         figures = spec.run()
     fingerprints = sink.state_fingerprints()
     journal_path = None
@@ -122,12 +114,9 @@ def run_one(spec: BenchSpec, *,
 
     telemetry_doc = sink.document() if sink.items else None
     profile = profile_document(sink.items) if sink.items else None
-    timeline_doc = sink.timeline_document() \
-        if timeline_interval is not None else None
     requests_doc = sink.requests_document() if trace_requests else None
     artifact = build_artifact(spec, figures, telemetry_doc, profile,
-                              fingerprints, timeline_doc=timeline_doc,
-                              requests_doc=requests_doc)
+                              fingerprints, requests_doc=requests_doc)
     # The figures as written: a live run and a baseline check alike.
     claim = claim_failure(spec, artifact["figures"])
 
@@ -143,15 +132,14 @@ def run_one(spec: BenchSpec, *,
                 artifacts_dir / f"{spec.name}.collapsed", profile))
     if journal_path is not None:
         written.append(journal_path)
-    return RunOutput(spec=spec, artifact=artifact,
-                     telemetry_doc=telemetry_doc, written=written, claim=claim)
+    return RunOutput(spec=spec, artifact=artifact, written=written,
+                     claim=claim)
 
 
 def run_benches(specs: list[BenchSpec], *,
                 baseline_dir: str | pathlib.Path = DEFAULT_BASELINE_DIR,
                 artifacts_dir: str | pathlib.Path | None = None,
                 record_dir: str | pathlib.Path | None = None,
-                timeline_interval: int | None = None,
                 trace_requests: bool = False,
                 log=print) -> list[RunOutput]:
     """Run every spec, writing ``BENCH_<name>.json`` baselines."""
@@ -160,7 +148,6 @@ def run_benches(specs: list[BenchSpec], *,
         log(f"running {spec.name} ({spec.title}) ...")
         output = run_one(spec, artifacts_dir=artifacts_dir,
                          record_dir=record_dir,
-                         timeline_interval=timeline_interval,
                          trace_requests=trace_requests)
         path = write_artifact(
             artifact_path(baseline_dir, spec.name), output.artifact)
@@ -176,8 +163,7 @@ def run_benches(specs: list[BenchSpec], *,
 def check_benches(specs: list[BenchSpec], *,
                   baseline_dir: str | pathlib.Path = DEFAULT_BASELINE_DIR,
                   artifacts_dir: str | pathlib.Path | None = None,
-                    record_dir: str | pathlib.Path | None = None,
-                  timeline_interval: int | None = None,
+                  record_dir: str | pathlib.Path | None = None,
                   trace_requests: bool = False,
                   log=print) -> list[CompareResult]:
     """Re-run every spec; gate it on its committed baseline and claims.
@@ -203,7 +189,6 @@ def check_benches(specs: list[BenchSpec], *,
         baseline = load_artifact(base_path)
         output = run_one(spec, artifacts_dir=artifacts_dir,
                          record_dir=record_dir,
-                         timeline_interval=timeline_interval,
                          trace_requests=trace_requests)
         result = compare_artifacts(baseline, output.artifact)
         if output.claim is not None:

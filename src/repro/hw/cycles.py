@@ -160,14 +160,11 @@ def critpath_class(category: str) -> str:
 class CycleCounter:
     """A monotonically increasing cycle counter with per-category totals."""
 
-    __slots__ = ("total", "by_category", "_timeline")
+    __slots__ = ("total", "by_category")
 
     def __init__(self) -> None:
         self.total: int = 0
         self.by_category: dict[str, int] = defaultdict(int)
-        # Optional cycle-domain timeline sampler (repro.telemetry.
-        # timeline); None keeps the disabled path to one load + branch.
-        self._timeline = None
 
     def charge(self, cycles: float, category: str) -> None:
         """Add ``cycles`` to the running total under ``category``."""
@@ -175,9 +172,6 @@ class CycleCounter:
             raise ValueError(f"negative cycle charge: {cycles}")
         self.total += cycles
         self.by_category[category] += cycles
-        timeline = self._timeline
-        if timeline is not None and self.total >= timeline.next_cycle:
-            timeline.on_charge(self.total)
 
     def read(self) -> int:
         """Current total as an integral stamp, like RDTSC.

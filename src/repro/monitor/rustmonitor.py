@@ -105,21 +105,16 @@ class RustMonitor:
         self.swap_store = UntrustedSwapStore()
         self._swap_states: dict[int, EnclaveSwapState] = {}
         # (victim_enclave_id, aggressor_enclave_id) -> frames reclaimed
-        # under pool pressure.  Observability bookkeeping only: kept out
-        # of _state_for_hash so attaching a timeline never moves the
-        # state-hash baselines.
+        # under pool pressure.  Observability bookkeeping only (the
+        # epc_pressure figures and perfbench read it): kept out of
+        # _state_for_hash, so the state-hash baselines do not depend on
+        # it.
         self.epc_steals: dict[tuple[int, int], int] = {}
 
         # Fold monitor state into Machine.state_hash() checkpoints, and
         # give forensic bundles a deep page-table dump on demand.
         machine.state_providers["monitor"] = self._state_for_hash
         machine.dump_providers["monitor"] = self._state_dump
-
-        # A cycle-domain timeline sampler attached before monitor boot
-        # gets the EPC/swap/world series registered here.
-        if machine.telemetry.timeline is not None:
-            from repro.telemetry.timeline import register_monitor_probes
-            register_monitor_probes(machine.telemetry.timeline, self)
 
     def _state_for_hash(self) -> dict:
         """Monitor-owned state for ``Machine.state_fingerprint()``.
@@ -619,8 +614,8 @@ class RustMonitor:
         """Pool pressure: evict a REG page from the fullest enclave.
 
         ``for_enclave`` is the allocation that triggered the reclaim;
-        the (victim, aggressor) pair feeds the per-tenant steal
-        attribution in the timeline telemetry.
+        the (victim, aggressor) pair is counted in ``epc_steals`` and,
+        under a request tracer, in the open request's ``steals``.
         """
         candidates = [e for e in self.enclaves.values()
                       if e.state is EnclaveState.INITIALIZED]

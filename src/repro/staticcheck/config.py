@@ -12,13 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 # SC001 roots: the cycle-charged layers, plus the observers that sit on
-# the charged path.  The timeline sampler runs inside
-# CycleCounter.charge, the request tracer stamps trace ids at SDK and
+# the charged path.  The request tracer stamps trace ids at SDK and
 # monitor hook sites, and the critical-path analyzer promises
 # bit-identical reports.
 DEFAULT_DETERMINISM_ROOTS = (
     "repro/hw/", "repro/monitor/", "repro/osim/",
-    "repro/telemetry/timeline.py",
     "repro/telemetry/requests.py",
     "repro/analysis/critpath.py",
 )

@@ -17,11 +17,7 @@ from repro.telemetry.export import (chrome_trace_document,
                                     snapshot_document, trace_path_for,
                                     write_telemetry)
 from repro.telemetry.schema import (SchemaError, validate_requests,
-                                    validate_snapshot, validate_timeline)
-from repro.telemetry.timeline import (TimelineSampler, attach_machine,
-                                      detach_machine, detect_episodes,
-                                      register_monitor_probes,
-                                      tenant_rollups, timeline_document)
+                                    validate_snapshot)
 from repro.telemetry.requests import (RequestTracer, request_flow_events,
                                       requests_document)
 
@@ -34,9 +30,5 @@ __all__ = [
     "snapshot_document", "trace_path_for",
     "write_telemetry",
     "SchemaError", "validate_requests", "validate_snapshot",
-    "validate_timeline",
-    "TimelineSampler", "attach_machine", "detach_machine",
-    "detect_episodes", "register_monitor_probes",
-    "tenant_rollups", "timeline_document",
     "RequestTracer", "request_flow_events", "requests_document",
 ]

@@ -243,11 +243,8 @@ class Telemetry:
         # (name[, sorted-labels]) -> the 4 metric cells a span feeds on
         # exit plus its enclave key; see Span.__exit__.
         self._span_metrics: dict = {}
-        # Cycle-domain timeline sampler (repro.telemetry.timeline);
-        # attached by the sink or attach_machine, None when off.
-        self.timeline = None
-        # Request tracer (repro.telemetry.requests); same attach
-        # discipline, None when off.
+        # Request tracer (repro.telemetry.requests); attached by the
+        # sink or attach_machine, None when off.
         self.requests = None
 
     # -- lifecycle -----------------------------------------------------------

@@ -175,12 +175,6 @@ def chrome_trace_events(telemetry: Telemetry, *, pid: int = 1,
         events.append({"ph": "M", "name": "thread_name", "pid": pid,
                        "tid": tid, "args": {"name": f"vcpu{tid}"}})
     events.extend(span_events)
-    # A machine with an attached timeline sampler contributes Perfetto
-    # counter tracks on the same cycle timebase.
-    sampler = getattr(telemetry, "timeline", None)
-    if sampler is not None and sampler.samples:
-        from repro.telemetry.timeline import timeline_counter_events
-        events.extend(timeline_counter_events(sampler.document(), pid=pid))
     # A machine with a request tracer contributes flow events linking
     # each request's ecall -> ocall -> resume spans.
     tracer = getattr(telemetry, "requests", None)

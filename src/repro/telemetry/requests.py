@@ -10,7 +10,7 @@ critical paths, tail-latency tables and cross-tenant interference
 reports, which ``python -m repro.bench report`` prints from the bench
 artifact's ``requests`` block (the document's only copy).
 
-Determinism contract (same bar as the timeline sampler):
+Determinism contract (the bar of every observer on the charged path):
 
 * Trace ids derive from ``(machine label, vcpu, monotonic per-vCPU
   counter)`` — never host time, so ids are bit-identical across runs,

@@ -2,11 +2,10 @@
 
 The container has no ``jsonschema`` package, so this is a small
 hand-rolled structural validator for the snapshot
-(:func:`repro.telemetry.export.snapshot_document`), timeline and
-requests documents.  The writers validate before writing, and a bench
-artifact's ``timeline``/``requests`` blocks are validated again whenever
-``repro.bench`` writes or loads the artifact
-(:func:`repro.bench.artifact.validate_artifact`).
+(:func:`repro.telemetry.export.snapshot_document`) and requests
+documents.  The writers validate before writing, and a bench artifact's
+``requests`` block is validated again whenever ``repro.bench`` writes or
+loads the artifact (:func:`repro.bench.artifact.validate_artifact`).
 """
 
 from __future__ import annotations
@@ -112,57 +111,6 @@ def validate_snapshot(document) -> None:
     _require(abs(subtotal - total) <= max(0.01 * total, 1e-6),
              "$.combined.by_subsystem",
              f"sums to {subtotal}, more than 1% off total {total}")
-
-
-def _check_sample(sample, where: str, previous_cycle) -> None:
-    _require(isinstance(sample, dict), where, "expected an object")
-    _check_number(sample.get("cycle"), f"{where}.cycle")
-    if previous_cycle is not None:
-        _require(sample["cycle"] > previous_cycle, f"{where}.cycle",
-                 f"cycles must be strictly increasing "
-                 f"({sample['cycle']} after {previous_cycle})")
-    _check_cycle_map(sample.get("series"), f"{where}.series")
-    tenants = sample.get("tenants")
-    _require(isinstance(tenants, dict), where, "missing tenants object")
-    for name, values in tenants.items():
-        _require(isinstance(name, str), f"{where}.tenants",
-                 f"non-string series name {name!r}")
-        _check_cycle_map(values, f"{where}.tenants.{name}")
-
-
-def _check_timeline(timeline, where: str) -> None:
-    _require(isinstance(timeline, dict), where, "expected an object")
-    _require(isinstance(timeline.get("label"), str), where, "missing label")
-    _check_number(timeline.get("interval"), f"{where}.interval")
-    _require(timeline["interval"] > 0, f"{where}.interval",
-             f"interval must be positive, got {timeline['interval']!r}")
-    tenants = timeline.get("tenants")
-    _require(isinstance(tenants, dict), where, "missing tenants object")
-    for key, name in tenants.items():
-        _require(isinstance(key, str) and isinstance(name, str),
-                 f"{where}.tenants", f"expected str -> str, got "
-                 f"{key!r}: {name!r}")
-    samples = timeline.get("samples")
-    _require(isinstance(samples, list), where, "missing samples list")
-    previous = None
-    for i, sample in enumerate(samples):
-        _check_sample(sample, f"{where}.samples[{i}]", previous)
-        previous = sample["cycle"]
-
-
-def validate_timeline(document) -> None:
-    """Raise :class:`SchemaError` unless ``document`` is a valid timeline
-    document (:func:`repro.telemetry.timeline.timeline_document`)."""
-    _require(isinstance(document, dict), "$", "expected an object")
-    _require(document.get("version") == 1, "$.version",
-             f"unsupported version {document.get('version')!r}")
-    _require(document.get("kind") == "hyperenclave-timeline", "$.kind",
-             f"unexpected kind {document.get('kind')!r}")
-    timelines = document.get("timelines")
-    _require(isinstance(timelines, list) and timelines, "$.timelines",
-             "expected a non-empty list")
-    for i, timeline in enumerate(timelines):
-        _check_timeline(timeline, f"$.timelines[{i}]")
 
 
 def _check_segment(segment, where: str) -> None:

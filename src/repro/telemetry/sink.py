@@ -9,9 +9,9 @@ name (the benchmark conftest labels machines by enclave mode) re-register
 the same hub and simply upgrade its label: registration is idempotent by
 telemetry identity.
 
-The sink is the only process-wide capture hook: a timeline sampler and
-a request tracer (options of the sink) and a flight recorder (put on it
-by ``repro.flightrec.scenario.observed``) are attached to each machine
+The sink is the only process-wide capture hook: a request tracer (an
+option of the sink) and a flight recorder (put on it by
+``repro.flightrec.scenario.observed``) are attached to each machine
 when it registers and relabeled with it, so the artifact, the journal
 and a forensic bundle all name a machine the same way.  This is the
 backend behind ``python -m repro.bench run|check``.
@@ -28,15 +28,11 @@ _ACTIVE: "TelemetrySink | None" = None
 class TelemetrySink:
     """Collects the telemetry hubs of every machine a run creates."""
 
-    def __init__(self, *, timeline_interval: int | None = None,
-                 trace_requests: bool = False) -> None:
+    def __init__(self, *, trace_requests: bool = False) -> None:
         self._items: list[tuple[str, Telemetry]] = []
         self._labels: set[str] = set()
         self._index: dict[int, int] = {}    # id(telemetry) -> items index
         self._machines: dict[int, object] = {}  # id(telemetry) -> Machine
-        # When set, every machine registered here gets a cycle-domain
-        # timeline sampler at this cadence (repro.telemetry.timeline).
-        self._timeline_interval = timeline_interval
         # When true, every machine registered here gets a request tracer
         # (repro.telemetry.requests).
         self._trace_requests = trace_requests
@@ -72,9 +68,6 @@ class TelemetrySink:
             self._items[slot] = (label, telemetry)
         if machine is not None:
             self._machines[id(telemetry)] = machine
-            if self._timeline_interval is not None:
-                from repro.telemetry.timeline import attach_machine
-                attach_machine(machine, interval=self._timeline_interval)
             if self._trace_requests:
                 from repro.telemetry.requests import \
                     attach_machine as attach_tracer
@@ -82,8 +75,6 @@ class TelemetrySink:
             if self.recorder is not None \
                     and machine not in self.recorder.machines:
                 self.recorder.attach_machine(machine, label)
-        if telemetry.timeline is not None:
-            telemetry.timeline.label = label
         if telemetry.requests is not None:
             telemetry.requests.label = label
         machine = self._machines.get(id(telemetry))
@@ -109,9 +100,6 @@ class TelemetrySink:
         label, _ = self._items.pop(slot)
         self._labels.discard(label)
         machine = self._machines.pop(id(telemetry), None)
-        if machine is not None and self._timeline_interval is not None:
-            from repro.telemetry.timeline import detach_machine
-            detach_machine(machine)
         if machine is not None and self._trace_requests:
             from repro.telemetry.requests import \
                 detach_machine as detach_tracer
@@ -143,16 +131,6 @@ class TelemetrySink:
     def items(self) -> list[tuple[str, Telemetry]]:
         """The registered ``(label, telemetry)`` pairs, in creation order."""
         return list(self._items)
-
-    def timelines(self) -> list:
-        """The attached timeline samplers, in registration order."""
-        return [telemetry.timeline for _, telemetry in self._items
-                if telemetry.timeline is not None]
-
-    def timeline_document(self) -> dict | None:
-        """The timeline JSON document, or None when nothing sampled."""
-        from repro.telemetry.timeline import timeline_document
-        return timeline_document(self.timelines())
 
     def request_tracers(self) -> list:
         """The attached request tracers, in registration order."""
@@ -194,10 +172,8 @@ class capture:
     The sink that was active before is active again afterwards.
     """
 
-    def __init__(self, timeline_interval: int | None = None,
-                 trace_requests: bool = False) -> None:
-        self.sink = TelemetrySink(timeline_interval=timeline_interval,
-                                  trace_requests=trace_requests)
+    def __init__(self, trace_requests: bool = False) -> None:
+        self.sink = TelemetrySink(trace_requests=trace_requests)
         self._outer: TelemetrySink | None = None
 
     def __enter__(self) -> TelemetrySink:

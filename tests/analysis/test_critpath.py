@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from repro.analysis.critpath import (CLASSES, critical_path, critpath_class,
                                      interference_report, latency_tables,
-                                     percentile, request_breakdown)
+                                     percentile, pick_steal_pair,
+                                     request_breakdown)
 from repro.bench.report import requests_section
 
 
@@ -119,14 +120,25 @@ class TestInterference:
                        "victim_requests_stalled": 1,
                        "victim_swap_stall_cycles": 400}
 
-    def test_tie_breaks_match_the_timeline_episode_rules(self):
+    def test_tie_breaks_on_the_smallest_tenant_key(self):
         # Equal counts: max(sorted(...)) keeps the first maximal entry,
-        # i.e. the lexically smallest key — same rule as the timeline
-        # episode detector, so the two reports agree on ties.
+        # i.e. the lexically smallest key, so ties never depend on the
+        # order steals were recorded in.
         requests = [_request(steals={"a->b": 3, "c->b": 3})]
         (entry,) = interference_report(_document(requests))
         assert entry["victim"] == "a"
         assert entry["aggressor"] == "b"
+
+    def test_self_steals_alone_name_the_thrashing_tenant(self):
+        chosen, victim, aggressor = pick_steal_pair({"1->1": 30})
+        assert chosen == {"1->1": 30}
+        assert (victim, aggressor) == ("1", "1")
+
+    def test_cross_steals_outweigh_larger_self_steals(self):
+        chosen, victim, aggressor = pick_steal_pair(
+            {"1->1": 50, "2->2": 40, "1->2": 10})
+        assert chosen == {"1->2": 10}
+        assert (victim, aggressor) == ("1", "2")
 
     def test_no_steals_reports_none(self):
         document = _document([_request()])

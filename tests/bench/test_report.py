@@ -2,13 +2,12 @@
 
 The golden files under ``report_golden/`` pin the text and markdown
 digests of the committed Table 1 baseline and of an ``epc_pressure``
-run with ``--timeline --requests``.  Every golden line must appear, in
-order, in the rendered output; the lines the report adds on top of the
-goldens (the top-frames table, the paper-vs-measured table, and for
-``epc_pressure`` the timeline series and per-tenant rollup tables and
-the slowest-requests table) are listed explicitly below, and so are
-the golden lines that changed when those tables moved here
-(``EPC_CHANGED``: the ``max`` column and the swap-stall cycles).
+run with ``--requests``.  Every golden line must appear, in order, in
+the rendered output; the lines the report adds on top of the goldens
+(the top-frames table, the paper-vs-measured table, and for
+``epc_pressure`` the slowest-requests table) are listed explicitly
+below, and so are the golden lines that changed when those tables moved
+here (``EPC_CHANGED``: the ``max`` column and the swap-stall cycles).
 
 The same ``epc_pressure`` run writes its ``--artifacts`` files, which
 are read back from disk and checked, as is a ``table2_exceptions
@@ -24,6 +23,7 @@ import sys
 
 import pytest
 
+from repro.analysis.critpath import interference_report
 from repro.bench import load_artifact
 from repro.bench.cli import main as bench_main
 from repro.bench.runner import DEFAULT_BASELINE_DIR
@@ -96,34 +96,6 @@ EPC_ADDED = {
         "            81,792  sdk.ecall;world.eenter  (48 calls)",
         "            63,312  sdk.ecall;world.eexit  (48 calls)",
         "             7,003  sdk.create_enclave;os.mmap  (2 calls)",
-        "  timeline [machine-1]: 1043 samples every 250,000 cycles, cycle "
-        "250,000..260,750,000; pressure episodes at >= 4 pages swapped out "
-        "per interval:",
-        "    series                              min            max "
-        "          last",
-        "    cycles.total                    250,000    260,750,000 "
-        "   260,750,000",
-        "    epc.free_frames                       0          3,422 "
-        "             0",
-        "    monitor.hypercalls                  148            148 "
-        "           148",
-        "    tlb.shootdowns                        0          8,841 "
-        "         8,841",
-        "    world.aexes                           0              0 "
-        "             0",
-        "    world.enters                          1             48 "
-        "            48",
-        "    world.exits                           0             47 "
-        "            47",
-        "  per-tenant rollups [machine-1] (EPC in pages):",
-        "    tenant     enclave world cycles EPC peak  EPC mean swapped "
-        "out swapped in  stolen from                    stolen by",
-        "    tenant-a         1       72,552     2117  1786.752 "
-        "       4422       4096  tenant-a: 4094, tenant-b: 328  tenant-a: "
-        "4094, tenant-b: 2",
-        "    tenant-b         2       71,233     1793  1751.719 "
-        "       4419       4095  tenant-a: 2, tenant-b: 4417    tenant-a: "
-        "328, tenant-b: 4417",
         "  slowest 5 of 48 traced requests (simulated cycles):",
         "    machine-1/cpu0/16  [tenant-a]  7,611,400 cycles",
         "      breakdown: enclave-compute=49,920, world-switch=3,347, "
@@ -173,26 +145,6 @@ EPC_ADDED = {
         "| 81,792 | sdk.ecall;world.eenter | 48 |",
         "| 63,312 | sdk.ecall;world.eexit | 48 |",
         "| 7,003 | sdk.create_enclave;os.mmap | 2 |",
-        "**Timeline [machine-1]: 1043 samples every 250,000 cycles, cycle "
-        "250,000..260,750,000; pressure episodes at >= 4 pages swapped out "
-        "per interval:**",
-        "| series | min | max | last |",
-        "| --- | --- | --- | --- |",
-        "| cycles.total | 250,000 | 260,750,000 | 260,750,000 |",
-        "| epc.free_frames | 0 | 3,422 | 0 |",
-        "| monitor.hypercalls | 148 | 148 | 148 |",
-        "| tlb.shootdowns | 0 | 8,841 | 8,841 |",
-        "| world.aexes | 0 | 0 | 0 |",
-        "| world.enters | 1 | 48 | 48 |",
-        "| world.exits | 0 | 47 | 47 |",
-        "**Per-tenant rollups [machine-1] (EPC in pages):**",
-        "| tenant | enclave | world cycles | EPC peak | EPC mean | swapped "
-        "out | swapped in | stolen from | stolen by |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- | --- |",
-        "| tenant-a | 1 | 72,552 | 2117 | 1786.752 | 4422 | 4096 | "
-        "tenant-a: 4094, tenant-b: 328 | tenant-a: 4094, tenant-b: 2 |",
-        "| tenant-b | 2 | 71,233 | 1793 | 1751.719 | 4419 | 4095 | "
-        "tenant-a: 2, tenant-b: 4417 | tenant-a: 328, tenant-b: 4417 |",
         "**Slowest 5 of 48 traced requests (simulated cycles):**",
         "| request | tenant | cycles | breakdown | critical path |",
         "| --- | --- | --- | --- | --- |",
@@ -281,9 +233,9 @@ def _run(directory: pathlib.Path, name: str, *flags: str) -> pathlib.Path:
 
 @pytest.fixture(scope="module")
 def epc_artifact(tmp_path_factory):
-    """One ``epc_pressure`` run with the timeline and request blocks."""
+    """One ``epc_pressure`` run with the request block."""
     return _run(tmp_path_factory.mktemp("epc"), "epc_pressure",
-                "--timeline", "--requests")
+                "--requests")
 
 
 def _check_on_disk(artifact_path: pathlib.Path) -> tuple[dict, set[str]]:
@@ -302,8 +254,7 @@ def _check_on_disk(artifact_path: pathlib.Path) -> tuple[dict, set[str]]:
     assert {"s", "f"} <= flows
     assert any(e["ph"] == "M" and e["name"] == "thread_name"
                for e in events)
-    # The artifact is the only copy of the timeline and request blocks.
-    assert not list(directory.glob("*.timeline.json"))
+    # The artifact is the only copy of the request block.
     assert not list(directory.glob("*.requests.json"))
     return artifact, {e["ph"] for e in events}
 
@@ -325,8 +276,7 @@ def test_committed_table1_baseline(capsys, fmt, ext):
 
 
 @pytest.mark.parametrize("fmt,ext", FORMATS)
-def test_epc_pressure_with_timeline_and_requests(capsys, epc_artifact,
-                                                 fmt, ext):
+def test_epc_pressure_with_requests(capsys, epc_artifact, fmt, ext):
     golden = (GOLDEN / f"epc_pressure.{ext}").read_text().splitlines()
     assert all(line in golden for line in EPC_CHANGED[fmt])
     out = _report(capsys, str(epc_artifact), "--format", fmt)
@@ -335,8 +285,18 @@ def test_epc_pressure_with_timeline_and_requests(capsys, epc_artifact,
 
 def test_epc_pressure_files_on_disk(epc_artifact):
     artifact, phases = _check_on_disk(epc_artifact)
-    assert artifact["timeline"] is not None
-    assert "C" in phases          # the timeline's Perfetto counter tracks
+    assert artifact["requests"]["traces"][0]["requests"]
+    assert "C" not in phases      # spans and request flows only
+
+
+def test_interference_rows_add_up_to_the_monitor_count(epc_artifact):
+    """The traced steals are the monitor's own ``epc_steals``: the
+    cross-tenant rows sum to the ``cross_tenant_steals`` figure."""
+    artifact = load_artifact(epc_artifact)
+    (entry,) = interference_report(artifact["requests"])
+    cross = sum(row["frames_stolen"] for row in entry["rows"]
+                if row["victim"] != row["aggressor"])
+    assert cross == artifact["figures"]["cross_tenant_steals"] == 330
 
 
 def test_table2_request_segments_on_disk(tmp_path):

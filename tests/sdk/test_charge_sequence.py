@@ -2,12 +2,13 @@
 
 Every ``CycleCounter.charge`` call is recorded in order, as
 ``(category, cycles)``, by patching the method on the class the way
-:class:`repro.flightrec.perturb.perturb_cycles` does.  The timeline
-sampler fires on charge boundaries, so a speedup of the ECALL/OCALL
-paths must keep not just the totals but every call, its category, its
-amount and its position.  The sha256 literals below were computed
-before the world-switch costs and marshalling plans were resolved once
-per enclave; they must not change.
+:class:`repro.flightrec.perturb.perturb_cycles` does.  The request
+tracer's per-request category deltas are read between charges, and
+``perturb_cycles`` targets a charge by its position, so a speedup of
+the ECALL/OCALL paths must keep not just the totals but every call, its
+category, its amount and its position.  The sha256 literals below were
+computed before the world-switch costs and marshalling plans were
+resolved once per enclave; they must not change.
 """
 
 from __future__ import annotations

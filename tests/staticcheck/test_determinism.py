@@ -161,27 +161,26 @@ class TestSC001:
         assert hits[0].suppressed
         assert hits[0].justification == "fixture waiver"
 
-    def test_timeline_sampler_is_a_root_despite_telemetry_exclude(
-            self, run_passes):
-        # Mirrors the repository's pyproject override: the timeline
-        # sampler runs on the charged path (CycleCounter.charge calls
-        # it), so repro/telemetry/timeline.py is a determinism root
-        # even though the rest of telemetry/ is excluded observer code.
+    def test_request_tracer_root_beats_telemetry_exclude(self, run_passes):
+        # Mirrors the repository's policy: the request tracer stamps
+        # trace ids at SDK and monitor hook sites on the charged path,
+        # so repro/telemetry/requests.py is a determinism root even
+        # though the rest of telemetry/ is excluded observer code.
         config = StaticcheckConfig(
             determinism_roots=("repro/hw/", "repro/monitor/",
                                "repro/osim/",
-                               "repro/telemetry/timeline.py"),
+                               "repro/telemetry/requests.py"),
             determinism_exclude=("repro/telemetry/core.py",
                                  "repro/telemetry/export.py",
                                  "repro/profiler/"))
         files = {
-            "telemetry/timeline.py": '''
+            "telemetry/requests.py": '''
                 """Fixture."""
                 import time
 
-                def on_charge(total):
-                    """A sampler that cheats with host time."""
-                    return time.monotonic() + total
+                def trace_id(seq):
+                    """A tracer that cheats with host time."""
+                    return time.monotonic() + seq
                 ''',
             "telemetry/export.py": '''
                 """Fixture."""
@@ -195,7 +194,7 @@ class TestSC001:
         }
         hits = by_rule(run_passes(files, config), "SC001")
         assert [f.sink for f in hits] == ["time.monotonic"]
-        assert hits[0].symbol == "repro.telemetry.timeline:on_charge"
+        assert hits[0].symbol == "repro.telemetry.requests:trace_id"
         assert "wall clock" in hits[0].message
 
     def test_disable_rule_via_config(self, run_passes):

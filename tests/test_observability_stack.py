@@ -110,38 +110,3 @@ class TestZeroPerturbationTable1:
         assert (tmp_path / "table1_edge_calls.collapsed").exists()
         assert not (tmp_path / "table1_edge_calls.wall.collapsed").exists()
         assert (tmp_path / "table1_edge_calls.journal.json").exists()
-
-    def test_table1_bit_identical_with_timeline_sampling(self, tmp_path):
-        """The timeline pin: sampling on moves nothing but the artifact.
-
-        Cycles, gated metrics, state-hash fingerprints, and the recorded
-        flight-recorder journal must be bit-identical with the sampler
-        active; only the informational ``timeline`` block (never gated)
-        may appear.
-        """
-        from repro.bench.registry import REGISTRY
-        from repro.bench.runner import run_one
-        from repro.flightrec.journal import Journal
-
-        spec = REGISTRY["table1_edge_calls"]
-        bare_dir = tmp_path / "bare"
-        sampled_dir = tmp_path / "sampled"
-        bare = run_one(spec, record_dir=bare_dir)
-        sampled = run_one(spec, record_dir=sampled_dir,
-                          timeline_interval=250_000)
-
-        assert bare.artifact["fingerprints"] and \
-            sampled.artifact["fingerprints"] == bare.artifact["fingerprints"]
-        for metric, value in bare.artifact["metrics"].items():
-            assert sampled.artifact["metrics"][metric] == value, metric
-        assert bare.artifact["timeline"] is None
-        timeline = sampled.artifact["timeline"]
-        assert timeline is not None and timeline["timelines"][0]["samples"]
-
-        journal_name = "table1_edge_calls.journal.json"
-        a = Journal.load(bare_dir / journal_name)
-        b = Journal.load(sampled_dir / journal_name)
-        assert [e.as_list() for e in a.events] == \
-            [e.as_list() for e in b.events]
-        assert [c.chain for c in a.checkpoints] == \
-            [c.chain for c in b.checkpoints]

@@ -118,6 +118,33 @@ def test_design_md_references_existing_modules(monkeypatch, capsys):
     assert not missing, missing
 
 
+# A documented command line, `python -m repro.<pkg> <sub> ...`, up to a
+# comment, pipe or backtick, across `\`-continued lines.
+CLI_LINE = re.compile(r"python -m repro\.([a-z_]+) ([a-z][a-z-]*)(?![\w/.-])"
+                      r"((?:[^\n#|`\\]|\\\n)*)")
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+
+
+def test_documented_flags_are_accepted(monkeypatch, capsys):
+    """Every ``--flag`` on a documented command line is an option of
+    that subcommand: its ``--help`` lists it."""
+    helps, rejected = {}, set()
+    for doc in COMMAND_DOCS:
+        for package, command, rest in CLI_LINE.findall(doc.read_text()):
+            if (package, command) not in helps:
+                capsys.readouterr()
+                accepted = _cli_accepts(package, command, monkeypatch)
+                helps[package, command] = \
+                    capsys.readouterr().out if accepted else ""
+            rejected.update(
+                f"{doc.name}: python -m repro.{package} {command} {flag}"
+                for flag in FLAG.findall(rest)
+                if not re.search(rf"(?<![\w-]){flag}(?![\w-])",
+                                 helps[package, command]))
+    assert helps
+    assert not rejected, sorted(rejected)
+
+
 def test_every_benchmark_is_documented():
     docs = (ROOT / "DESIGN.md").read_text() + (ROOT / "README.md").read_text()
     for bench in (ROOT / "benchmarks").glob("bench_*.py"):

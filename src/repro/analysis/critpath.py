@@ -23,8 +23,14 @@ from __future__ import annotations
 
 import math
 
+from repro.hw.cycles import CLASSES, critpath_class
+
 # CLASSES is re-exported: perfbench/layers.py imports it from here.
-from repro.hw.cycles import CLASSES, critpath_class  # noqa: F401
+__all__ = [
+    "CLASSES", "critical_path", "critpath_class", "interference_report",
+    "latency_tables", "percentile", "pick_steal_pair", "request_breakdown",
+    "request_duration", "slowest_requests", "steal_pair",
+]
 
 # -- per-request analysis ----------------------------------------------------
 

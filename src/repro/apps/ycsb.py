@@ -7,7 +7,6 @@ standard Gray et al. rejection-free construction YCSB itself uses.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator

@@ -15,7 +15,6 @@ own page tables (policed by the NPT) and crafted hypercall arguments.
 from __future__ import annotations
 
 from repro.attacks.results import AttackResult, run_attack
-from repro.errors import SecurityViolation
 from repro.hw.paging import PageTableFlags
 from repro.hw.phys import PAGE_SIZE
 

@@ -11,10 +11,10 @@ and needs no third-party packages.
 from __future__ import annotations
 
 import hashlib
+import hmac as _hmac
 import struct
 
-from repro.crypto.hashes import (DIGEST_SIZE, constant_time_eq, hmac_sha256,
-                                 sha256)
+from repro.crypto.hashes import DIGEST_SIZE, constant_time_eq, sha256
 from repro.errors import SealError
 
 NONCE_SIZE = 16
@@ -63,40 +63,66 @@ def _split_keys(key: bytes) -> tuple[bytes, bytes]:
     return enc, mac
 
 
+def _tag(keyed, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
+    """The tag over ``nonce || aad || ciphertext``, from a copy of ``keyed``."""
+    mac = keyed.copy()
+    mac.update(nonce)
+    mac.update(aad)
+    mac.update(ciphertext)
+    return mac.digest()
+
+
 class AeadSession:
-    """One AEAD key split once, plus the pads of blobs not yet opened.
+    """One AEAD key split once, plus the blobs sealed but not yet opened.
 
     A caller that seals and later opens many blobs under one key (the
     EPC swap path) passes a session to :func:`aead_encrypt` and
     :func:`aead_decrypt` instead of re-deriving the encryption and MAC
-    keys on every call.  Encrypting also holds the blob's pad under its
-    nonce; decrypting takes it back, but only after the tag verified, so
-    a blob that opens is exactly the one that was sealed and its pad is
-    the one that was held.  Every other case computes the pad from
-    scratch.
+    keys on every call; each tag starts from a copy of one keyed HMAC
+    state.  Encrypting also holds ``(aad, blob, plaintext)`` under the
+    blob's nonce.  Decrypting a blob and AAD byte-equal to the held ones
+    returns the held plaintext and releases the entry: the cipher is
+    deterministic, so the tag would verify and the XOR would give those
+    bytes.  Every other blob takes the full path (tag first, then a pad
+    from scratch) and leaves the held entry alone.
 
-    A pad is key-equivalent secret material: it stays inside the
-    session, which has no serialization and whose ``repr`` shows only
-    how many pads it holds.
+    A held plaintext is secret: it stays inside the session, which has
+    no serialization and whose ``repr`` shows only how many blobs it
+    holds.
     """
 
     def __init__(self, key: bytes) -> None:
         self.keys = _split_keys(key)                   # (enc_key, mac_key)
-        self._pads: dict[bytes, tuple[int, int]] = {}  # nonce -> (len, pad)
+        self._mac = _hmac.new(self.keys[1], digestmod=hashlib.sha256)
+        # nonce -> (aad, blob, plaintext)
+        self._sealed: dict[bytes, tuple[bytes, bytes, bytes]] = {}
 
     def __repr__(self) -> str:
-        return f"AeadSession(held_pads={self.held_pads})"
+        return f"AeadSession(held_blobs={self.held_blobs})"
 
     @property
-    def held_pads(self) -> int:
-        return len(self._pads)
+    def held_blobs(self) -> int:
+        return len(self._sealed)
 
-    def _hold(self, nonce: bytes, n: int, pad: int) -> None:
-        self._pads[nonce] = (n, pad)
+    def _hold(self, nonce: bytes, aad: bytes, blob: bytes,
+              plaintext: bytes) -> None:
+        self._sealed[nonce] = (aad, blob, plaintext)
 
-    def _take(self, nonce: bytes, n: int) -> int | None:
-        held = self._pads.pop(nonce, None)
-        return held[1] if held is not None and held[0] == n else None
+    def _take(self, nonce: bytes, aad: bytes, blob: bytes) -> bytes | None:
+        """The held plaintext of exactly this blob and AAD, released."""
+        held = self._sealed.get(nonce)
+        if held is None or held[1] != blob or held[0] != aad:
+            return None
+        del self._sealed[nonce]
+        return held[2]
+
+
+def _key_state(key: bytes, session: AeadSession | None):
+    """``(enc_key, keyed MAC state)``: the session's, or split from ``key``."""
+    if session is not None:
+        return session.keys[0], session._mac
+    enc_key, mac_key = _split_keys(key)
+    return enc_key, _hmac.new(mac_key, digestmod=hashlib.sha256)
 
 
 def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes,
@@ -105,41 +131,40 @@ def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes,
     """Encrypt-then-MAC.  Returns ``nonce || ciphertext || tag``.
 
     ``session``, if given, must be ``AeadSession(key)``; it supplies the
-    split keys and holds the pad until the blob is opened.
+    split keys and holds the blob until it is opened.
     """
     if len(nonce) != NONCE_SIZE:
         raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
-    enc_key, mac_key = _split_keys(key) if session is None else session.keys
-    n = len(plaintext)
-    pad = _pad(enc_key, nonce, n)
-    ciphertext = _xor(plaintext, pad)
-    tag = hmac_sha256(mac_key, nonce, aad, ciphertext)
+    enc_key, keyed = _key_state(key, session)
+    ciphertext = _xor(plaintext, _pad(enc_key, nonce, len(plaintext)))
+    blob = nonce + ciphertext + _tag(keyed, nonce, aad, ciphertext)
     if session is not None:
-        session._hold(nonce, n, pad)
-    return nonce + ciphertext + tag
+        # A held value must not change after the seal: ``bytes()`` copies
+        # a caller's mutable buffer and passes ``bytes`` through as is.
+        session._hold(nonce, bytes(aad), blob, bytes(plaintext))
+    return blob
 
 
 def aead_decrypt(key: bytes, blob: bytes, aad: bytes = b"", *,
                  session: AeadSession | None = None) -> bytes:
     """Verify the tag and decrypt; raises :class:`SealError` on tamper.
 
-    With a ``session`` (``AeadSession(key)``), a verified blob reuses
-    and releases the pad held since it was sealed.
+    With a ``session`` (``AeadSession(key)``), the blob it sealed under
+    the same AAD opens to the held plaintext and is released.
     """
     if len(blob) < NONCE_SIZE + TAG_SIZE:
         raise SealError("sealed blob too short")
     nonce = blob[:NONCE_SIZE]
+    if session is not None:
+        plaintext = session._take(nonce, aad, blob)
+        if plaintext is not None:
+            return plaintext
+    enc_key, keyed = _key_state(key, session)
     ciphertext = blob[NONCE_SIZE:-TAG_SIZE]
-    tag = blob[-TAG_SIZE:]
-    enc_key, mac_key = _split_keys(key) if session is None else session.keys
-    expected = hmac_sha256(mac_key, nonce, aad, ciphertext)
-    if not constant_time_eq(tag, expected):
+    if not constant_time_eq(blob[-TAG_SIZE:],
+                            _tag(keyed, nonce, aad, ciphertext)):
         raise SealError("authentication tag mismatch")
-    n = len(ciphertext)
-    pad = session._take(nonce, n) if session is not None else None
-    if pad is None:
-        pad = _pad(enc_key, nonce, n)
-    return _xor(ciphertext, pad)
+    return _xor(ciphertext, _pad(enc_key, nonce, len(ciphertext)))
 
 
 class Drbg:

@@ -22,7 +22,7 @@ the test-suite calls it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # ---------------------------------------------------------------------------
 # Trap mechanism primitives (paper Sec 4.2: hypercall ~880, syscall ~120).

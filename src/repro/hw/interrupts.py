@@ -9,7 +9,7 @@ their own in-enclave handlers (Sec 4.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 # x86 exception vectors we model.

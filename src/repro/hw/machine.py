@@ -9,7 +9,7 @@ memory encryption, and a TPM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hw import costs
 from repro.hw.cache import Llc

@@ -7,7 +7,7 @@ socket operation is a normal syscall with no world switches.
 
 from __future__ import annotations
 
-from repro.errors import OsError, SdkError
+from repro.errors import SdkError
 from repro.libos.base import Libos
 from repro.osim.kernel import Kernel
 from repro.osim.net import Loopback

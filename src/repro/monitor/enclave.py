@@ -9,7 +9,7 @@ never sees any of it (Sec 3.2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import EnclaveError, PageFault, SecurityViolation
 from repro.hw.paging import PageTable, PageTableFlags

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.hashes import hkdf, hmac_sha256, sha256
+from repro.crypto.hashes import hmac_sha256, sha256
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey, cached_keypair
 from repro.errors import (EnclaveError, MonitorError, PageFault,
                           SecurityViolation, TpmError)
@@ -643,14 +643,14 @@ class RustMonitor:
         return False
 
     def _alloc_epc_frame(self, enclave_id: int) -> int:
-        """Allocate from the pool, reclaiming via swap when exhausted."""
-        from repro.errors import PhysicalMemoryError
-        try:
-            return self.epc_pool.alloc(enclave_owner(enclave_id))
-        except PhysicalMemoryError:
-            if not self._reclaim_one_page(enclave_id):
-                raise
-            return self.epc_pool.alloc(enclave_owner(enclave_id))
+        """Allocate from the pool, reclaiming via swap when exhausted.
+
+        With nothing to reclaim, the pool's own ``PhysicalMemoryError``
+        propagates.
+        """
+        if not self.epc_pool.free_pages:
+            self._reclaim_one_page(enclave_id)
+        return self.epc_pool.alloc(enclave_owner(enclave_id))
 
     def debug_read(self, enclave_id: int, va: int, size: int) -> bytes:
         """Debugger access to enclave memory (EDBGRD analog).

@@ -14,9 +14,12 @@ neither tamper with, substitute, nor replay a blob:
 
 Swap-in happens transparently on the enclave's next page fault.  The
 swap key is split into its encryption and MAC keys once per enclave, and
-each swapped-out page's keystream pad stays in the enclave's
-:class:`~repro.crypto.cipher.AeadSession` until the page's swap-in opens
-the blob (after the tag verified) or EREMOVE drops the swap state.
+each swapped-out page's sealed blob, AAD and content stay in the
+enclave's :class:`~repro.crypto.cipher.AeadSession` until the page's
+swap-in opens that very blob or EREMOVE drops the swap state.  A swap-in
+whose blob and AAD are byte-equal to the held ones gets the held content
+back without a tag check or a pad; any other blob (tampered,
+substituted, stale) is verified in full and fails as above.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ class EnclaveSwapState:
 
     def __init__(self, swap_key: bytes) -> None:
         self.key = swap_key
-        # Split keys, and the pad of each page in ``records`` until its
-        # swap-in: no pad outlives its record.
+        # Split keys, and the sealed blob of each page in ``records``
+        # until its swap-in: no held blob outlives its record.
         self.session = AeadSession(swap_key)
         self.records: dict[int, SwappedPageRecord] = {}   # page VA -> rec
         self._version = 0

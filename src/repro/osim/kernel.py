@@ -9,7 +9,6 @@ memory; every access it mediates is subject to the monitor's NPT check.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable
 
 from repro.errors import OsError, PageFault
 from repro.hw import costs, memaccess

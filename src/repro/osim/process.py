@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.errors import OsError, PageFault
-from repro.hw.paging import PageTable, PageTableFlags
+from repro.errors import OsError
+from repro.hw.paging import PageTable
 from repro.hw.phys import PAGE_SIZE
 
 # Classic layout constants.

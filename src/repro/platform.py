@@ -17,15 +17,14 @@ Benchmarks build one of each and run identical workload code on all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.crypto.rsa import RsaKeyPair, cached_keypair
 from repro.errors import SdkError
-from repro.hw import costs
 from repro.hw.machine import Machine, MachineConfig
 from repro.hw.memmodel import MemorySubsystem
 from repro.monitor.boot import BootResult, measured_late_launch
-from repro.monitor.structs import EnclaveConfig, EnclaveMode
+from repro.monitor.structs import EnclaveMode
 from repro.osim.kernel import Kernel
 from repro.osim.kmod import HyperEnclaveDevice
 from repro.osim.net import Loopback

@@ -16,12 +16,9 @@ app->msbuf->enclave, ``[out]`` data enclave->msbuf->app, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import SdkError, SecurityViolation
 from repro.hw import costs
 from repro.hw.memmodel import EpcModel, MemorySubsystem
-from repro.hw.phys import PAGE_SIZE
 from repro.monitor.structs import EnclaveMode, PagePerm, PageType
 from repro.osim.kmod import Ioctl
 from repro.sdk.edl import Direction, FuncSpec

@@ -34,9 +34,10 @@ boundary taint (SC006)
     file-local arm flags direct ``PhysicalMemory`` primitive calls in
     every untrusted file, barriers included.
 
-hygiene (SC007/SC008)
+hygiene (SC007/SC008/SC010)
     Telemetry spans are context-managed or returned; no bare
-    ``except:`` in the trusted monitor/hw layers.
+    ``except:`` in the trusted monitor/hw layers; no unused module-level
+    import outside an ``__init__.py`` or ``__all__``.
 
 Run it with ``python -m repro.staticcheck src/repro`` (text or SARIF
 output); it exits 1 on any unsuppressed finding.  The one way to accept

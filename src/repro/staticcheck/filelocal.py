@@ -17,6 +17,10 @@ SC008
     No bare ``except:`` in the trusted layers (``repro.monitor``,
     ``repro.hw``): swallowing ``SecurityViolation`` would turn a caught
     attack into silent corruption.
+SC010
+    A module-level import whose name the module never uses, outside
+    ``__init__.py`` files (which re-export) and names listed in the
+    module's ``__all__``.
 
 A hit the flow passes already reported at the same line is dropped by
 the analyzer, so each violation is reported once.
@@ -59,6 +63,8 @@ def _hits(module: ModuleInfo):
     aliases = import_aliases(module)
     untrusted = any(f in module.path for f in TAINT_SOURCES)
     trusted = any(f in module.path for f in TRUSTED_FRAGMENTS)
+    if not module.path.endswith("__init__.py"):
+        yield from _unused_imports(module.tree)
     called: dict[int, bool] = {}
     managed: set[int] = set()
     for node in ast.walk(module.tree):
@@ -100,3 +106,26 @@ def _hits(module: ModuleInfo):
                     f"direct PhysicalMemory.{attr}() from an untrusted "
                     f"layer; go through repro.hw.memaccess with a "
                     f"translate callback")
+
+
+def _unused_imports(tree: ast.Module):
+    """SC010 hits: module-level imports bound to a name nothing reads."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(n.value for n in ast.walk(node.value)
+                        if isinstance(n, ast.Constant)
+                        and isinstance(n.value, str))
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                (isinstance(node, ast.ImportFrom)
+                 and node.module == "__future__"):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in used:
+                yield node, "SC010", name, (
+                    f"{name} is imported but never used; delete the "
+                    f"import (an __init__.py or __all__ re-exports)")

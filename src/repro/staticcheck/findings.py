@@ -23,6 +23,7 @@ ALL_SC_RULES: dict[str, str] = {
     "SC007": "telemetry span neither context-managed nor returned",
     "SC008": "bare except in a trusted layer",
     "SC009": "charge category not declared in the registry",
+    "SC010": "module-level import never used",
 }
 
 

@@ -1,10 +1,10 @@
-"""Flight-recorder replay across the swap path's pad memo.
+"""Flight-recorder replay across the swap path's sealed-blob memo.
 
 A journal of the page-swap ablation recorded with every swap-in
-computing its pad from scratch must replay with zero divergence when
-swap-ins reuse the pad held since swap-out, and the reverse.  The memo
-is bypassed by keeping ``AeadSession`` from holding any pad; the program
-has no switch.
+verifying its tag and computing its pad from scratch must replay with
+zero divergence when swap-ins open the blob held since swap-out from the
+memo, and the reverse.  The memo is bypassed by keeping ``AeadSession``
+from holding any blob; the program has no switch.
 """
 
 from __future__ import annotations

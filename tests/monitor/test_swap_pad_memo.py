@@ -1,10 +1,12 @@
-"""Differential test: the swap path with its pad memo against without it.
+"""Differential test: the swap path with its sealed-blob memo against
+without it.
 
-Swap-out holds each page's keystream pad in the enclave's
-``AeadSession`` and the page's swap-in reuses it once the tag verified.
-The memo is bypassed by monkeypatching ``AeadSession._hold`` to keep
-nothing, so every swap-in computes its pad from scratch; the program has
-no switch.  Both runs drive the same tiny-EPC sweep, interleaved with the
+Swap-out holds each page's blob, AAD and content in the enclave's
+``AeadSession``, and the page's swap-in returns the held content when
+the blob and AAD it opens are byte-equal to the held ones.  The memo is
+bypassed by monkeypatching ``AeadSession._hold`` to keep nothing, so
+every swap-in verifies the tag and computes its pad from scratch; the
+program has no switch.  Both runs drive the same tiny-EPC sweep, interleaved with the
 untrusted store's attacks (tamper, substitution, stale-version replay),
 and must write the same blobs, reach the same machine state hashes, read
 back the same page contents and raise the same ``SecurityViolation``s.
@@ -61,8 +63,8 @@ class _Sweep:
     def va(self, i: int) -> int:
         return self.base + i * PAGE_SIZE
 
-    def check_pads(self) -> None:
-        assert self.state.session.held_pads <= len(self.state.records)
+    def check_held(self) -> None:
+        assert self.state.session.held_blobs <= len(self.state.records)
 
     def write(self, i: int, generation: int) -> None:
         """Fault the page in if needed, then overwrite it."""
@@ -72,7 +74,7 @@ class _Sweep:
         data = _content(i, generation)
         self.machine.phys.write(self.enclave.translate(va, write=True), data)
         self.shadow[i] = data
-        self.check_pads()
+        self.check_held()
 
     def read(self, i: int) -> None:
         """Fault the page in if swapped; record and check its content."""
@@ -82,11 +84,11 @@ class _Sweep:
         data = self.machine.phys.read(self.enclave.translate(va), PAGE_SIZE)
         assert data == self.shadow[i]
         self.trace.append(("read", i, hashlib.sha256(data).hexdigest()))
-        self.check_pads()
+        self.check_held()
 
     def rejected(self, i: int) -> None:
         """A fault on page ``i`` must fail the integrity check."""
-        held = self.state.session.held_pads
+        held = self.state.session.held_blobs
         try:
             self.monitor.handle_enclave_page_fault(self.eid, self.va(i))
         except SecurityViolation as exc:
@@ -94,8 +96,8 @@ class _Sweep:
         else:
             pytest.fail(f"page {i}: a forged blob was accepted")
         assert self.va(i) in self.state.records
-        assert self.state.session.held_pads == held
-        self.check_pads()
+        assert self.state.session.held_blobs == held
+        self.check_held()
 
     def snapshot(self, label: str) -> None:
         blobs = hashlib.sha256()
@@ -142,16 +144,16 @@ def _script(sweep: _Sweep, *, memo: bool) -> list:
     sweep.snapshot("filled")
     victims = sweep.swapped()
     assert len(victims) >= 8
-    assert state.session.held_pads == (len(state.records) if memo else 0)
+    assert state.session.held_blobs == (len(state.records) if memo else 0)
 
     # Tamper with the ciphertext, the tag and the nonce: each fails on the
-    # tag with the page's pad still held, and the genuine blob still opens.
+    # tag with the page's blob still held, and the genuine blob still opens.
     for page, byte_index in zip(victims[:3], (40, -1, 0)):
         token = sweep.token(page)
         genuine = store.get(token)
         store.tamper(token, byte_index)
         sweep.rejected(page)
-        assert (genuine[:cipher.NONCE_SIZE] in state.session._pads) == memo
+        assert (genuine[:cipher.NONCE_SIZE] in state.session._sealed) == memo
         store._blobs[token] = genuine
         sweep.read(page)
     sweep.snapshot("tampered")
@@ -189,14 +191,22 @@ def _script(sweep: _Sweep, *, memo: bool) -> list:
     sweep.snapshot("resweep")
     assert len(state.records) >= EXTRA_PAGES
 
-    # No held pad shows up in a forensic bundle (state hash, fingerprint
-    # and dump included) or in the session's repr.
-    held = state.session.held_pads
+    # No held page content, nor the pad it was sealed with, shows up in a
+    # forensic bundle (state hash, fingerprint and dump included) or in
+    # the session's repr, whether rendered as hex or as a bytes repr.
+    held = state.session.held_blobs
     assert held == (len(state.records) if memo else 0)
     dump = json.dumps(build_bundle(sweep.machine), default=str)
-    for _, pad in state.session._pads.values():
-        assert pad.to_bytes(PAGE_SIZE, "little").hex()[:64] not in dump
-    assert repr(state.session) == f"AeadSession(held_pads={held})"
+    session_repr = repr(state.session)
+    for _, blob, plaintext in state.session._sealed.values():
+        ciphertext = blob[cipher.NONCE_SIZE:-cipher.TAG_SIZE]
+        pad = bytes(c ^ p for c, p in zip(ciphertext, plaintext))
+        for secret in (plaintext[:32], pad[:32]):
+            hexed, shown = secret.hex(), str(secret)[2:-1]
+            assert hexed not in dump
+            assert json.dumps(shown)[1:-1] not in dump
+            assert hexed not in session_repr and shown not in session_repr
+    assert session_repr == f"AeadSession(held_blobs={held})"
 
     # EREMOVE drops the swap state with its session; nothing keeps it.
     session_ref = weakref.ref(state.session)

@@ -122,6 +122,22 @@ class TestInjectedViolations:
         assert hits[0].symbol == "repro.monitor.swap:_mutated_typo"
         assert hits[0].sink == "category 'swap-inn'"
 
+    def test_unused_import_is_caught_outside_reexports(self):
+        """An unused ``import math`` is one SC010 in a plain module and
+        none in an ``__init__.py``; ``critpath``'s ``__all__`` already
+        keeps its re-exported ``CLASSES`` clean in the live tree."""
+        plain = SRC_REPRO / "apps" / "ycsb.py"
+        package = SRC_REPRO / "hw" / "__init__.py"
+        found = run_with_overlay({
+            plain.as_posix(): plain.read_text().replace(
+                "import random\n", "import math\nimport random\n"),
+            package.as_posix(): "import math\n" + package.read_text(),
+        })
+        hits = [f for f in found if f.rule == "SC010"]
+        assert [(f.path, f.sink, f.suppressed) for f in hits] == [
+            (plain.as_posix(), "math", False)]
+        assert hits[0].symbol == "repro.apps.ycsb"
+
     def test_unmutated_tree_has_no_such_findings(self):
         found = analyze([SRC_REPRO])
         assert not any("mutated" in f.symbol for f in found)

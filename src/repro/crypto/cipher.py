@@ -63,13 +63,9 @@ def _split_keys(key: bytes) -> tuple[bytes, bytes]:
     return enc, mac
 
 
-def _tag(keyed, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-    """The tag over ``nonce || aad || ciphertext``, from a copy of ``keyed``."""
-    mac = keyed.copy()
-    mac.update(nonce)
-    mac.update(aad)
-    mac.update(ciphertext)
-    return mac.digest()
+def _tag(mac_key: bytes, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
+    """HMAC-SHA-256 over ``nonce || aad || ciphertext``, in one C call."""
+    return _hmac.digest(mac_key, b"".join((nonce, aad, ciphertext)), "sha256")
 
 
 class AeadSession:
@@ -78,13 +74,12 @@ class AeadSession:
     A caller that seals and later opens many blobs under one key (the
     EPC swap path) passes a session to :func:`aead_encrypt` and
     :func:`aead_decrypt` instead of re-deriving the encryption and MAC
-    keys on every call; each tag starts from a copy of one keyed HMAC
-    state.  Encrypting also holds ``(aad, blob, plaintext)`` under the
-    blob's nonce.  Decrypting a blob and AAD byte-equal to the held ones
-    returns the held plaintext and releases the entry: the cipher is
-    deterministic, so the tag would verify and the XOR would give those
-    bytes.  Every other blob takes the full path (tag first, then a pad
-    from scratch) and leaves the held entry alone.
+    keys on every call.  Encrypting also holds ``(aad, blob, plaintext)``
+    under the blob's nonce.  Decrypting a blob and AAD byte-equal to the
+    held ones returns the held plaintext and releases the entry: the
+    cipher is deterministic, so the tag would verify and the XOR would
+    give those bytes.  Every other blob takes the full path (tag first,
+    then a pad from scratch) and leaves the held entry alone.
 
     A held plaintext is secret: it stays inside the session, which has
     no serialization and whose ``repr`` shows only how many blobs it
@@ -93,7 +88,6 @@ class AeadSession:
 
     def __init__(self, key: bytes) -> None:
         self.keys = _split_keys(key)                   # (enc_key, mac_key)
-        self._mac = _hmac.new(self.keys[1], digestmod=hashlib.sha256)
         # nonce -> (aad, blob, plaintext)
         self._sealed: dict[bytes, tuple[bytes, bytes, bytes]] = {}
 
@@ -117,12 +111,12 @@ class AeadSession:
         return held[2]
 
 
-def _key_state(key: bytes, session: AeadSession | None):
-    """``(enc_key, keyed MAC state)``: the session's, or split from ``key``."""
+def _key_state(key: bytes, session: AeadSession | None
+               ) -> tuple[bytes, bytes]:
+    """``(enc_key, mac_key)``: the session's, or split from ``key``."""
     if session is not None:
-        return session.keys[0], session._mac
-    enc_key, mac_key = _split_keys(key)
-    return enc_key, _hmac.new(mac_key, digestmod=hashlib.sha256)
+        return session.keys
+    return _split_keys(key)
 
 
 def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes,
@@ -135,9 +129,9 @@ def aead_encrypt(key: bytes, nonce: bytes, plaintext: bytes,
     """
     if len(nonce) != NONCE_SIZE:
         raise ValueError(f"nonce must be {NONCE_SIZE} bytes")
-    enc_key, keyed = _key_state(key, session)
+    enc_key, mac_key = _key_state(key, session)
     ciphertext = _xor(plaintext, _pad(enc_key, nonce, len(plaintext)))
-    blob = nonce + ciphertext + _tag(keyed, nonce, aad, ciphertext)
+    blob = nonce + ciphertext + _tag(mac_key, nonce, aad, ciphertext)
     if session is not None:
         # A held value must not change after the seal: ``bytes()`` copies
         # a caller's mutable buffer and passes ``bytes`` through as is.
@@ -159,10 +153,10 @@ def aead_decrypt(key: bytes, blob: bytes, aad: bytes = b"", *,
         plaintext = session._take(nonce, aad, blob)
         if plaintext is not None:
             return plaintext
-    enc_key, keyed = _key_state(key, session)
+    enc_key, mac_key = _key_state(key, session)
     ciphertext = blob[NONCE_SIZE:-TAG_SIZE]
     if not constant_time_eq(blob[-TAG_SIZE:],
-                            _tag(keyed, nonce, aad, ciphertext)):
+                            _tag(mac_key, nonce, aad, ciphertext)):
         raise SealError("authentication tag mismatch")
     return _xor(ciphertext, _pad(enc_key, nonce, len(ciphertext)))
 

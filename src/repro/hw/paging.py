@@ -11,7 +11,13 @@ cost difference physically comes from.
 Walks charge no simulated cycles, so the host-side shortcuts here are
 free to skip work as long as every result, fault, counter and PTE byte
 is the one a full walk would give: the walk uses plain int masks, and
-each table keeps an exact translation cache (see :meth:`PageTable.translate`).
+each table keeps two exact caches.  The leaf-table memo maps each 2 MB
+region to the leaf table its three upper entries lead to, so a walk,
+``map`` or ``unmap`` reads only the leaf PTE (a paging-structure cache,
+Intel SDM Vol. 3 §4.10.3).  The translation cache maps a page to its
+leaf PTE and base translation (see :meth:`PageTable.translate`).  A
+write to an upper table frame (root or intermediate) drops both; a
+write to a leaf table frame drops only the translation cache.
 """
 
 from __future__ import annotations
@@ -60,6 +66,8 @@ _VA_LIMIT = 1 << VA_BITS
 _SLOT = (ENTRIES_PER_TABLE - 1) * ENTRY_SIZE
 _SHIFT3, _SHIFT2, _SHIFT1, _SHIFT0 = 36, 27, 18, 9
 _UPPER_SHIFTS = (_SHIFT3, _SHIFT2, _SHIFT1)
+# ``va >> _REGION_SHIFT`` names va's 2 MB region: the three upper indexes.
+_REGION_SHIFT = 21
 
 # Flag bits -> PageTableFlags, filled on first use (building an IntFlag
 # member costs about a microsecond; the enum keeps every value it has
@@ -106,6 +114,27 @@ class Translation:
     def __repr__(self) -> str:
         return (f"Translation(pa={self.pa!r}, flags={self.flags!r}, "
                 f"refs={self.refs!r})")
+
+
+class _UpperCaches:
+    """The ``phys.table_caches`` value of a table's upper frames.
+
+    A write to the root or an intermediate table can change where any
+    walk of the table leads, so it drops the leaf-table memo and the
+    translation cache together.  Always truthy: phys clears it on every
+    write to such a frame.
+    """
+
+    __slots__ = ("leaves", "tcache")
+
+    def __init__(self, leaves: dict[int, int],
+                 tcache: dict[int, tuple[int, Translation]]) -> None:
+        self.leaves = leaves
+        self.tcache = tcache
+
+    def clear(self) -> None:
+        self.leaves.clear()
+        self.tcache.clear()
 
 
 @dataclass
@@ -166,16 +195,27 @@ class PageTable:
         # monitor/enclave-frame reachability.
         self.asid = asid
         self.untrusted = False
+        # Every frame of this table is registered in phys.table_caches:
+        # a leaf table under _tcache, the root and the intermediate
+        # tables under _upper, and phys clears that value on any write
+        # to the frame.
+        #
         # Page VA -> (leaf PTE as it stands in memory, the Translation
         # of the page's base byte), for pages a walk with
-        # set_accessed=True has translated.  Every frame of this table is
-        # registered in phys.table_caches, and phys clears this dict on
-        # any write to one of them, so an entry is always the PTE a walk
+        # set_accessed=True has translated through upper entries in
+        # _leaves and a leaf table of this table's own.  Any write to one
+        # of its frames clears it, so an entry is always the PTE a walk
         # would read now.
         self._tcache: dict[int, tuple[int, Translation]] = {}
+        # va >> _REGION_SHIFT -> PA of the leaf table that the three
+        # upper entries lead to, for regions whose three upper tables
+        # are all this table's upper frames.  Any write to one of those
+        # clears it, so an entry is always what the upper reads give now.
+        self._leaves: dict[int, int] = {}
+        self._upper = _UpperCaches(self._leaves, self._tcache)
         self.root_pa = frame_alloc()
         self._table_frames: set[int] = {self.root_pa}
-        self._register(self.root_pa)
+        self._register(self.root_pa, upper=True)
 
     # -- mapping management --------------------------------------------------
 
@@ -288,22 +328,11 @@ class PageTable:
               fetch: bool, set_accessed: bool) -> Translation:
         if not 0 <= va < _VA_LIMIT:
             raise PageFault(va, present=False)
-        read = self.phys.read_u64
-        t3 = self.root_pa
-        entry = read(t3 + ((va >> _SHIFT3) & _SLOT))
-        if not entry & _P:
+        t0 = self._leaf_table(va)
+        if t0 is None:
             raise _not_present(va, write, user, fetch)
-        t2 = entry & _ADDR_MASK
-        entry = read(t2 + ((va >> _SHIFT2) & _SLOT))
-        if not entry & _P:
-            raise _not_present(va, write, user, fetch)
-        t1 = entry & _ADDR_MASK
-        entry = read(t1 + ((va >> _SHIFT1) & _SLOT))
-        if not entry & _P:
-            raise _not_present(va, write, user, fetch)
-        t0 = entry & _ADDR_MASK
         pte_pa = t0 + ((va >> _SHIFT0) & _SLOT)
-        pte = read(pte_pa)
+        pte = self.phys.read_u64(pte_pa)
         if not pte & _P:
             raise _not_present(va, write, user, fetch)
         _check_permissions(va, pte, write, user, fetch)
@@ -314,54 +343,95 @@ class PageTable:
             if new != pte:
                 self.phys.write_u64(pte_pa, new)
             # Cache only a walk whose four tables all clear this cache
-            # when written; a PTE an attacker pointed elsewhere does not.
+            # when written: upper entries still memoized after the A/D
+            # write, and a leaf table of this table's own.  A PTE an
+            # attacker pointed elsewhere is walked every time.
             mine = self._tcache
-            owner = self.phys.table_caches.get
-            if (owner(t3 >> PAGE_SHIFT) is mine
-                    and owner(t2 >> PAGE_SHIFT) is mine
-                    and owner(t1 >> PAGE_SHIFT) is mine
-                    and owner(t0 >> PAGE_SHIFT) is mine):
+            if (va >> _REGION_SHIFT in self._leaves
+                    and self.phys.table_caches.get(t0 >> PAGE_SHIFT)
+                    is mine):
                 mine[va & ~_OFFSET] = (
                     new, Translation(new & _ADDR_MASK, _flags_of(new), LEVELS))
         return result
 
     # -- internals -------------------------------------------------------------
 
-    def _register(self, frame_pa: int) -> None:
-        """Route writes to table frame ``frame_pa`` to this table's cache."""
+    def _register(self, frame_pa: int, *, upper: bool) -> None:
+        """Route writes to table frame ``frame_pa`` to this table's caches.
+
+        A write to an ``upper`` frame (the root or an intermediate table)
+        drops the leaf-table memo and the translation cache; a write to a
+        leaf table drops the translation cache only.
+        """
         caches = self.phys.table_caches
         frame = frame_pa >> PAGE_SHIFT
         previous = caches.get(frame)
         if previous is not None:
             previous.clear()
-        caches[frame] = self._tcache
+        caches[frame] = self._upper if upper else self._tcache
+
+    def _leaf_table(self, va: int) -> int | None:
+        """PA of ``va``'s leaf table; None if an upper entry is not present.
+
+        A region in the memo costs one dict lookup.  Otherwise the three
+        upper entries are read, and the result is memoized when all three
+        tables read are this table's upper frames, whose writes clear
+        the memo.
+        """
+        region = va >> _REGION_SHIFT
+        t0 = self._leaves.get(region)
+        if t0 is not None:
+            return t0
+        read = self.phys.read_u64
+        t3 = self.root_pa
+        entry = read(t3 + ((va >> _SHIFT3) & _SLOT))
+        if not entry & _P:
+            return None
+        t2 = entry & _ADDR_MASK
+        entry = read(t2 + ((va >> _SHIFT2) & _SLOT))
+        if not entry & _P:
+            return None
+        t1 = entry & _ADDR_MASK
+        entry = read(t1 + ((va >> _SHIFT1) & _SLOT))
+        if not entry & _P:
+            return None
+        t0 = entry & _ADDR_MASK
+        upper = self._upper
+        owner = self.phys.table_caches.get
+        if (owner(t3 >> PAGE_SHIFT) is upper
+                and owner(t2 >> PAGE_SHIFT) is upper
+                and owner(t1 >> PAGE_SHIFT) is upper):
+            self._leaves[region] = t0
+        return t0
 
     def _ensure_entry(self, va: int) -> int:
         """Walk down, allocating intermediate tables; return the leaf PTE PA."""
-        table_pa = self.root_pa
-        for shift in _UPPER_SHIFTS:
-            entry_pa = table_pa + ((va >> shift) & _SLOT)
-            entry = self.phys.read_u64(entry_pa)
-            if not entry & _P:
-                new_table = self._alloc()
-                self._table_frames.add(new_table)
-                self._register(new_table)
-                # Intermediate entries: present+writable+user; leaf flags rule.
-                self.phys.write_u64(entry_pa, new_table | _P | _W | _U)
-                table_pa = new_table
-            else:
-                table_pa = entry & _ADDR_MASK
+        table_pa = self._leaf_table(va)
+        if table_pa is None:
+            # An upper entry is missing.  This walk writes upper frames,
+            # so it memoizes nothing; the next lookup reads and fills.
+            table_pa = self.root_pa
+            for shift in _UPPER_SHIFTS:
+                entry_pa = table_pa + ((va >> shift) & _SLOT)
+                entry = self.phys.read_u64(entry_pa)
+                if not entry & _P:
+                    new_table = self._alloc()
+                    self._table_frames.add(new_table)
+                    self._register(new_table, upper=shift != _SHIFT1)
+                    # Intermediate entries: present+writable+user; leaf
+                    # flags rule.
+                    self.phys.write_u64(entry_pa, new_table | _P | _W | _U)
+                    table_pa = new_table
+                else:
+                    table_pa = entry & _ADDR_MASK
         return table_pa + ((va >> _SHIFT0) & _SLOT)
 
     def _find_entry(self, va: int) -> int | None:
         """Return the leaf PTE PA for ``va`` or None if tables are missing."""
         self._check_canonical(va)
-        table_pa = self.root_pa
-        for shift in _UPPER_SHIFTS:
-            entry = self.phys.read_u64(table_pa + ((va >> shift) & _SLOT))
-            if not entry & _P:
-                return None
-            table_pa = entry & _ADDR_MASK
+        table_pa = self._leaf_table(va)
+        if table_pa is None:
+            return None
         return table_pa + ((va >> _SHIFT0) & _SLOT)
 
     def destroy(self) -> None:
@@ -370,9 +440,10 @@ class PageTable:
             return
         caches = self.phys.table_caches
         for frame in self._table_frames:
-            if caches.get(frame >> PAGE_SHIFT) is self._tcache:
+            registered = caches.get(frame >> PAGE_SHIFT)
+            if registered is self._tcache or registered is self._upper:
                 del caches[frame >> PAGE_SHIFT]
-        self._tcache.clear()
+        self._upper.clear()
         for frame in sorted(self._table_frames, reverse=True):
             self._free(frame)
         self._table_frames.clear()

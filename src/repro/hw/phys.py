@@ -19,7 +19,7 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable
+from typing import Any, Callable
 
 from repro.errors import PhysicalMemoryError
 
@@ -59,9 +59,19 @@ NORMAL = Owner(OwnerKind.NORMAL)
 MONITOR = Owner(OwnerKind.MONITOR)
 
 
+# Enclave id -> its one Owner tag: every EPC allocation tags a frame,
+# and building a validated frozen dataclass each time costs more than
+# the lookup.  One entry per enclave id ever used.
+_ENCLAVE_OWNERS: dict[int, Owner] = {}
+
+
 def enclave_owner(enclave_id: int) -> Owner:
     """Owner tag for a frame belonging to enclave ``enclave_id``."""
-    return Owner(OwnerKind.ENCLAVE, enclave_id)
+    owner = _ENCLAVE_OWNERS.get(enclave_id)
+    if owner is None:
+        owner = _ENCLAVE_OWNERS[enclave_id] = Owner(OwnerKind.ENCLAVE,
+                                                    enclave_id)
+    return owner
 
 
 class PhysicalMemory:
@@ -85,11 +95,12 @@ class PhysicalMemory:
         # Set by repro.sanitizer when REPRO_SANITIZE=1; every ownership
         # transition is mirrored into its shadow model.
         self.sanitizer = None
-        # Frame number -> translation cache of the page table whose
-        # entries live in that frame (see repro.hw.paging.PageTable).
-        # write, write_u64 and zero_frame clear it whenever they touch the
-        # frame, so no cached translation outlives the PTE it copies.
-        self.table_caches: dict[int, dict] = {}
+        # Frame number -> the caches (anything with ``clear()``) of the
+        # page table whose entries live in that frame (see
+        # repro.hw.paging.PageTable).  write, write_u64 and zero_frame
+        # clear them whenever they touch the frame, so no cached walk
+        # outlives the entries it copies.
+        self.table_caches: dict[int, Any] = {}
 
     # -- ownership ---------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Flight-recorder replay across the translation cache.
 
 A journal recorded with every page walk done in full must replay with
-zero divergence when translations come from the per-table cache, and
-the reverse.  The cache is bypassed by keeping tables from registering
-their frames, so no walk is ever cached; the program has no switch.
+zero divergence when translations come from the per-table caches, and
+the reverse.  Both caches (the translation cache and the leaf-table
+memo) are bypassed by keeping tables from registering their frames, so
+no walk is ever cached or memoized; the program has no switch.
 """
 
 from __future__ import annotations
@@ -19,13 +20,16 @@ from repro.hw.paging import PageTable
 
 @contextlib.contextmanager
 def _counting_walks(monkeypatch, *, cached: bool):
-    """Count translate calls and full walks; bypass the cache if asked."""
-    counts = {"translates": 0, "walks": 0}
+    """Count translate calls and full walks; bypass both caches if asked."""
+    counts = {"translates": 0, "walks": 0, "memoized": 0}
     translate, walk = PageTable.translate, PageTable._walk
 
     def counted_translate(self, *args, **kwargs):
         counts["translates"] += 1
-        return translate(self, *args, **kwargs)
+        try:
+            return translate(self, *args, **kwargs)
+        finally:
+            counts["memoized"] += bool(self._leaves)
 
     def counted_walk(self, *args, **kwargs):
         counts["walks"] += 1
@@ -35,12 +39,15 @@ def _counting_walks(monkeypatch, *, cached: bool):
         patch.setattr(PageTable, "translate", counted_translate)
         patch.setattr(PageTable, "_walk", counted_walk)
         if not cached:
-            patch.setattr(PageTable, "_register", lambda self, frame_pa: None)
+            patch.setattr(PageTable, "_register",
+                          lambda self, frame_pa, *, upper: None)
         yield counts
     if cached:
         assert counts["walks"] < counts["translates"], counts
+        assert counts["memoized"], counts
     else:
         assert counts["walks"] == counts["translates"], counts
+        assert not counts["memoized"], counts
 
 
 @pytest.mark.parametrize("record_cached,replay_cached", [

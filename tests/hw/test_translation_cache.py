@@ -1,10 +1,12 @@
-"""The int-mask walk and per-table translation cache are exact.
+"""The int-mask walk, the translation cache and the leaf-table memo are exact.
 
 A differential property test runs the same random sequence of table
 edits, raw physical writes, DMA and translations against the real
-``PageTable`` and against an oracle table that walks every time with the
-original ``IntFlag`` code, and compares every result, fault, counter and
-byte of memory.  Targeted tests pin each way a write must invalidate.
+``PageTable`` and against an oracle table that reads every level every
+time with the original ``IntFlag`` code, and compares every result,
+fault, counter and byte of memory; after each step every memoized leaf
+table must be where a fresh read of the upper entries leads.  Targeted
+tests pin each way a write must invalidate.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from hypothesis import strategies as st
 
 from repro.errors import PageFault
 from repro.hw.iommu import Iommu
-from repro.hw.paging import (_ADDR_MASK, ENTRY_SIZE, ENTRIES_PER_TABLE,
-                             LEVELS, PageTable, PageTableFlags, PagingStats,
+from repro.hw.paging import (_ADDR_MASK, _REGION_SHIFT as REGION_SHIFT,
+                             ENTRY_SIZE, ENTRIES_PER_TABLE, LEVELS,
+                             PageTable, PageTableFlags, PagingStats,
                              Translation)
 from repro.hw.phys import NORMAL, PAGE_SIZE, FramePool, PhysicalMemory
 
@@ -39,7 +42,13 @@ def _index(va: int, level: int) -> int:
 
 
 class OracleTable(PageTable):
-    """The walk as it was before the rewrite: IntFlag masks, no cache."""
+    """The walk as it was before the rewrite: IntFlag masks, no caches.
+
+    ``map``/``unmap``/``protect`` read the upper entries every time too.
+    """
+
+    def _leaf_table(self, va):
+        return _path(self, va).get(0)
 
     def translate(self, va, *, write=False, user=True, fetch=False,
                   set_accessed=True):
@@ -146,6 +155,25 @@ class World:
                 self.phys.state_digest())
 
 
+def _path(pt: PageTable, va: int) -> dict[int, int]:
+    """The table at each level of ``va``'s walk (level 3 = root), read
+    now with no memo, down to the first entry that is not present."""
+    path = {3: pt.root_pa}
+    for level in (3, 2, 1):
+        entry = pt.phys.read_u64(path[level] + _index(va, level) * ENTRY_SIZE)
+        if not entry & PageTableFlags.PRESENT:
+            break
+        path[level - 1] = entry & _ADDR_MASK
+    return path
+
+
+def _assert_leaves_match_a_fresh_read(pt: PageTable) -> None:
+    """Each memoized leaf table is where the upper entries lead now."""
+    for region, leaf in pt._leaves.items():
+        assert _path(pt, region << REGION_SHIFT).get(0) == leaf, \
+            hex(region << REGION_SHIFT)
+
+
 def _table_frames_by_level(pt: PageTable) -> dict[int, list[int]]:
     """Table frames reachable from the root, keyed by level."""
     found = {LEVELS - 1: [pt.root_pa]}
@@ -231,6 +259,7 @@ def test_cached_tables_match_the_uncached_oracle(steps):
         assert cached.state() == oracle.state(), op
         for pt in cached.tables:
             _assert_bases_match_their_ptes(pt)
+            _assert_leaves_match_a_fresh_read(pt)
 
 
 def _assert_bases_match_their_ptes(pt: PageTable) -> None:
@@ -256,6 +285,7 @@ def test_every_translate_combination_matches_the_oracle():
                 assert cached.apply(op) == oracle.apply(op), (round_, op)
         assert cached.state() == oracle.state()
     assert cached.tables[0]._tcache, "no translation was cached"
+    assert cached.tables[0]._leaves, "no leaf table was memoized"
 
 
 # -- targeted invalidation tests ---------------------------------------------
@@ -341,9 +371,9 @@ def test_destroy_then_frame_reuse_by_a_new_table(phys, pool, pt):
     _warm(pt)
     frames = set(pt._table_frames)
     pt.destroy()
-    assert not pt._tcache
-    assert all(phys.table_caches.get(f // PAGE_SIZE) is not pt._tcache
-               for f in frames)
+    assert not pt._tcache and not pt._leaves
+    registered = [phys.table_caches.get(f // PAGE_SIZE) for f in frames]
+    assert not any(r is pt._tcache or r is pt._upper for r in registered)
     other = PageTable(phys, pool.alloc, pool.free)
     other.map(VA, PA2, F.URW)
     assert set(other._table_frames) == frames      # LIFO reuse
@@ -475,3 +505,142 @@ def test_the_walks_own_dirty_write_drops_the_cached_translation(pt):
     assert new == _oracle_translation(VA, write=True)
     assert not old.flags & F.DIRTY          # a handed-out base never moves
     _assert_bases_match_their_ptes(pt)
+
+
+# -- the leaf-table memo ------------------------------------------------------
+
+
+REGION = VA >> REGION_SHIFT
+
+
+def _stray_path(pool, phys, pa):
+    """A level-1 table and a leaf table outside any page table, mapping
+    VA to ``pa``; returns ``(level1, leaf)``."""
+    level1, leaf = pool.alloc(), pool.alloc()
+    phys.write_u64(level1 + _index(VA, 1) * ENTRY_SIZE, leaf | int(F.URW))
+    phys.write_u64(leaf + _index(VA, 0) * ENTRY_SIZE, pa | int(F.URW))
+    return level1, leaf
+
+
+def test_frames_are_registered_by_kind(pt, phys):
+    pt.map(VA, PA, F.URW)
+    levels = _table_frames_by_level(pt)
+    caches = phys.table_caches
+    for level in (3, 2, 1):
+        for frame in levels[level]:
+            assert caches[frame // PAGE_SIZE] is pt._upper, level
+    assert len(levels[0]) == 1
+    assert caches[levels[0][0] // PAGE_SIZE] is pt._tcache
+    assert set(pt._table_frames) == {f for fs in levels.values() for f in fs}
+
+
+def test_a_fault_in_a_memoized_region_reads_only_leaf_ptes(pt, phys,
+                                                            monkeypatch):
+    pt.map(VA, PA, F.URW)
+    _warm(pt)
+    reads = []
+    read = phys.read_u64
+    monkeypatch.setattr(phys, "read_u64",
+                        lambda pa: reads.append(pa) or read(pa))
+    leaf = _path(pt, VA)[0]
+    reads.clear()
+    # The swap pattern: evict (unmap), fault on the page, commit (map),
+    # retry the access.
+    pt.unmap(VA)
+    with pytest.raises(PageFault):
+        pt.translate(VA)
+    pt.map(VA, PA2, F.URW)
+    assert pt.translate(VA).pa == PA2
+    assert len(reads) == 3
+    assert all(pa & ~(PAGE_SIZE - 1) == leaf for pa in reads)
+    assert pt._leaves == {REGION: leaf}
+
+
+def test_a_leaf_pte_write_keeps_the_memo(pt, phys):
+    pt.map(VA, PA, F.URW)
+    _warm(pt)
+    leaves = dict(pt._leaves)
+    assert REGION in leaves
+    phys.write_u64(pt._find_entry(VA), PA2 | int(F.URW))
+    assert not pt._tcache
+    assert pt._leaves == leaves
+    pt.unmap(VA)
+    pt.map(VA, PA, F.UR)
+    pt.protect(VA, F.URW)
+    assert pt._leaves == leaves
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_repointing_an_upper_entry_drops_the_memo(pt, phys, pool, level):
+    pt.map(VA, PA, F.URW)
+    _warm(pt)
+    old_leaf = pt._leaves[REGION]
+    stray1, stray0 = _stray_path(pool, phys, PA2)
+    phys.write_u64(_path(pt, VA)[level] + _index(VA, level) * ENTRY_SIZE,
+                   (stray0 if level == 1 else stray1) | int(F.URW))
+    assert not pt._leaves and not pt._tcache
+    stray_pte = stray0 + _index(VA, 0) * ENTRY_SIZE
+    assert pt.translate(VA).pa == PA2                   # translate follows
+    assert pt.unmap(VA) == PA2                          # unmap follows
+    assert phys.read_u64(stray_pte) == 0
+    pt.map(VA, PA, F.UR)                                # map follows
+    assert phys.read_u64(stray_pte) == PA | int(F.UR)
+    assert phys.read_u64(old_leaf + _index(VA, 0) * ENTRY_SIZE) & _ADDR_MASK \
+        == PA                                           # old leaf untouched
+    _assert_leaves_match_a_fresh_read(pt)
+
+
+def test_an_upper_entry_aimed_at_a_foreign_table_is_never_memoized(
+        pt, phys, pool):
+    pt.map(VA, PA, F.URW)
+    stray1, _ = _stray_path(pool, phys, PA2)
+    phys.write_u64(_path(pt, VA)[2] + _index(VA, 2) * ENTRY_SIZE,
+                   stray1 | int(F.URW))
+    assert pt.translate(VA).pa == PA2
+    assert pt._find_entry(VA) is not None
+    assert REGION not in pt._leaves and VA not in pt._tcache
+    # A write to the foreign table clears nothing, so nothing may rely on
+    # what it held.
+    _, other_leaf = _stray_path(pool, phys, PA)
+    phys.write_u64(stray1 + _index(VA, 1) * ENTRY_SIZE,
+                   other_leaf | int(F.URW))
+    assert pt.translate(VA).pa == PA
+
+
+def test_an_upper_entry_aimed_at_an_own_leaf_table_is_never_memoized(
+        pt, phys, pool):
+    pt.map(VA, PA, F.URW)
+    path = _path(pt, VA)
+    leaf, level2 = path[0], path[2]
+    _, stray0 = _stray_path(pool, phys, PA2)
+    # Read as a level-1 table, the leaf's entry for VA leads to stray0.
+    phys.write_u64(leaf + _index(VA, 1) * ENTRY_SIZE, stray0 | int(F.URW))
+    phys.write_u64(level2 + _index(VA, 2) * ENTRY_SIZE, leaf | int(F.URW))
+    assert pt.translate(VA).pa == PA2
+    assert REGION not in pt._leaves and VA not in pt._tcache
+    # A leaf-frame write clears only the translation cache; the walk
+    # must still see it.
+    _, other = _stray_path(pool, phys, PA)
+    phys.write_u64(leaf + _index(VA, 1) * ENTRY_SIZE, other | int(F.URW))
+    assert pt.translate(VA).pa == PA
+
+
+def test_re_registering_a_frame_clears_the_old_tables_memo(phys, pool, pt):
+    far = 0x7FFF_FFFF_F000              # shares only the root with VA
+    pt.map(VA, PA, F.URW)
+    pt.map(far, PA2, F.URW)
+    _warm(pt)
+    _warm(pt, far)
+    other = PageTable(phys, pool.alloc, pool.free)
+    other._register(_path(pt, VA)[1], upper=False)
+    assert not pt._leaves and not pt._tcache
+    # VA's level-1 table now clears another table's caches: VA's region
+    # is walked in full from here on; the other region is memoized again.
+    assert pt.translate(VA).pa == PA and pt.translate(far).pa == PA2
+    assert pt._leaves == {far >> REGION_SHIFT: _path(pt, far)[0]}
+    # A leaf frame that moves drops the translation cache; the memo
+    # records where upper entries lead, not what a leaf table holds.
+    other._register(_path(pt, far)[0], upper=True)
+    assert not pt._tcache and far >> REGION_SHIFT in pt._leaves
+    assert pt.translate(far).pa == PA2 and far not in pt._tcache
+

@@ -66,6 +66,10 @@ def check(figures) -> None:
         # Regular OCALLs land on Table 1; switchless is mode-independent.
         assert r["switchless"] == expected, label
         assert r["regular"] / r["switchless"] > 5, label
+        # The price: the worker core spins through every switchless
+        # ECALL, so it burns more than the OCALLs it saves cycles on.
+        assert r["worker"] > 0, label
+        assert r["worker"] > ITERATIONS * r["switchless"], label
     # SGX gains the most: its world switch is the most expensive.
     gains = {label: figures[label]["regular"] / figures[label]["switchless"]
              for label, _ in MODES}

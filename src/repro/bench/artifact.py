@@ -5,15 +5,22 @@ One artifact per benchmark run, containing
 * ``figures`` — the JSON-ready figure values, shaped by the registry's
   figure function (series plus the x-axis they are plotted over),
 * ``metrics`` — every numeric leaf of ``figures`` flattened to a
-  dot-path, plus the telemetry digest (``telemetry.total_cycles``,
-  ``telemetry.by_subsystem.*``) and ``profile.total_span_cycles`` — the
-  exact set the regression gate compares with tolerance bands,
-* ``telemetry`` — the cycle digest,
-* ``profile`` — the exact cycle profile (:mod:`repro.profiler`): every
-  machine's frame table plus the combined one; no side file copies it,
+  dot-path, plus what the records give the gate: the cycle digest
+  (``telemetry.total_cycles``, ``telemetry.by_subsystem.*``), the
+  per-enclave latency percentiles (``latency.*``) and
+  ``profile.total_span_cycles`` — the exact set the regression gate
+  compares with tolerance bands,
+* ``machines`` — one record per simulated machine
+  (:func:`repro.telemetry.export.machine_record`): cycles by category,
+  metrics registry, hardware collectors, span counts and frame table,
+* ``profile`` — the combined frame table (:mod:`repro.profiler`),
 * ``requests`` — the full request-trace document of a ``--requests``
   run (never gated; no side file copies it),
 * ``provenance`` — cost-model fingerprint, python version, git commit.
+
+The records and the request document have no side file: the artifact is
+their only copy, and :func:`validate_artifact` checks them on every
+write and load.
 
 Everything in ``metrics`` is a deterministic function of the simulation
 (staticcheck SC001 bans wall clocks and unseeded randomness there), so a
@@ -29,11 +36,13 @@ import json
 import pathlib
 import subprocess
 
-from repro.telemetry.schema import validate_requests
+from repro.profiler import combined_profile
+from repro.telemetry.export import combined_cycles, latency_summaries
+from repro.telemetry.schema import (check_frames, check_record,
+                                    validate_requests)
 
-# Version 4 dropped the sampled EPC series block; version 3 made
-# ``profile`` the full frame table.
-ARTIFACT_VERSION = 4
+# The layout version: ``validate_artifact`` refuses any other.
+ARTIFACT_VERSION = 5
 ARTIFACT_KIND = "hyperenclave-bench"
 
 
@@ -135,27 +144,15 @@ def provenance() -> dict:
 
 # -- artifact assembly -------------------------------------------------------
 
-def latency_block(telemetry_doc: dict) -> dict | None:
-    """Per-enclave p50/p95/p99 cycle latencies for the edge-call spans.
-
-    Deterministic (cycle domain), so these metrics sit under the normal
-    tolerance band — including the zero band of the exact tables.
-    """
-    from repro.telemetry.export import latency_summaries
-
-    summary = latency_summaries(telemetry_doc)
-    return summary or None
-
-
-def build_artifact(spec, figures, telemetry_doc: dict | None,
-                   profile: dict | None,
+def build_artifact(spec, figures, records: list[dict] = (),
                    fingerprints: dict[str, str] | None = None, *,
                    requests_doc: dict | None = None) -> dict:
     """Assemble one ``BENCH_<name>.json`` document.
 
-    ``profile`` (:func:`repro.profiler.profile_document`) is stored
-    whole; only its combined total, ``profile.total_span_cycles``,
-    gates.  ``fingerprints`` maps machine labels to
+    ``records`` (:func:`repro.telemetry.export.machine_records`) are
+    stored whole; the gate reads the cycle digest, the latency
+    percentiles and the combined ``profile.total_span_cycles`` derived
+    from them.  ``fingerprints`` maps machine labels to
     ``Machine.state_hash()`` values; the gate compares them with *exact
     equality* (no tolerance band), turning the bench gate into a
     cross-run determinism gate.
@@ -165,26 +162,17 @@ def build_artifact(spec, figures, telemetry_doc: dict | None,
     """
     figures = _jsonable(figures)
     metrics = flatten_metrics(figures)
-
-    telemetry_digest = None
-    latency = None
-    if telemetry_doc is not None and telemetry_doc["machines"]:
-        combined = telemetry_doc["combined"]
-        telemetry_digest = {
-            "machines": len(telemetry_doc["machines"]),
-            "total_cycles": combined["total_cycles"],
-            "by_subsystem": combined["by_subsystem"],
-        }
-        metrics["telemetry.total_cycles"] = float(combined["total_cycles"])
-        for sub, cycles in combined["by_subsystem"].items():
-            metrics[f"telemetry.by_subsystem.{sub}"] = float(cycles)
-        latency = latency_block(telemetry_doc)
-        if latency is not None:
-            metrics.update(flatten_metrics(latency, "latency"))
-
-    if profile is not None:
+    profile = None
+    if records:
+        cycles = combined_cycles(records)
+        metrics["telemetry.total_cycles"] = float(cycles["total"])
+        for sub, value in cycles["by_subsystem"].items():
+            metrics[f"telemetry.by_subsystem.{sub}"] = float(value)
+        metrics.update(flatten_metrics(latency_summaries(records),
+                                       "latency"))
+        profile = combined_profile(records)
         metrics["profile.total_span_cycles"] = \
-            float(profile["combined"]["total_span_cycles"])
+            float(profile["total_span_cycles"])
 
     return {
         "version": ARTIFACT_VERSION,
@@ -197,8 +185,7 @@ def build_artifact(spec, figures, telemetry_doc: dict | None,
         "figures": figures,
         "metrics": metrics,
         "fingerprints": dict(fingerprints) if fingerprints else {},
-        "telemetry": telemetry_digest,
-        "latency": latency,
+        "machines": list(records),
         "profile": profile,
         "requests": requests_doc,
     }
@@ -231,34 +218,18 @@ def validate_artifact(document) -> None:
         if not isinstance(value, str):
             raise ValueError(
                 f"artifact: non-string fingerprint {key!r}")
-    # The artifact is the only copy of the profile and request
-    # documents, so they are held to their schemas here, on every write
-    # and every load.
-    if document.get("profile") is not None:
-        _check_profile(document["profile"])
+    machines = document.get("machines")
+    if not isinstance(machines, list):
+        raise ValueError("artifact: missing machines list")
+    for i, record in enumerate(machines):
+        check_record(record, f"artifact.machines[{i}]")
+    profile = document.get("profile")
+    if profile is not None:
+        if not isinstance(profile, dict):
+            raise ValueError("artifact: profile must be an object")
+        check_frames(profile.get("frames"), "artifact.profile.frames")
     if document.get("requests") is not None:
         validate_requests(document["requests"])
-
-
-def _check_profile(profile) -> None:
-    """Raise ``ValueError`` unless ``profile`` is a profile block."""
-    if not isinstance(profile, dict) \
-            or not isinstance(profile.get("machines"), list):
-        raise ValueError("artifact: profile missing machines list")
-    combined = profile.get("combined")
-    if not isinstance(combined, dict) \
-            or not isinstance(combined.get("frames"), list):
-        raise ValueError("artifact: profile missing combined.frames")
-    for section in profile["machines"] + [combined]:
-        for frame in section["frames"]:
-            stack = frame.get("stack")
-            if not isinstance(stack, list) or not stack:
-                raise ValueError(
-                    f"artifact: profile frame has bad stack {stack!r}")
-            for field in ("calls", "cycles", "self_cycles"):
-                if not isinstance(frame.get(field), (int, float)):
-                    raise ValueError(
-                        f"artifact: profile frame {stack} missing {field}")
 
 
 def write_artifact(path: str | pathlib.Path, document: dict

@@ -2,9 +2,9 @@
 run|check|replay|diff|report|list``.
 
 * ``run``    — execute benchmarks (default: the gate set) and write
-  ``BENCH_<name>.json`` baselines (the exact cycle profile included)
-  plus, with ``--artifacts``, the telemetry snapshot, Chrome trace and
-  collapsed stacks, and
+  ``BENCH_<name>.json`` baselines (one record per machine, the exact
+  cycle profile included) plus, with ``--artifacts``, the Chrome trace
+  and collapsed stacks, and
   with ``--record``, a flight-recorder journal per benchmark; exit 1
   on a failed paper claim (the module's ``check(figures)``);
 * ``check``  — re-run and gate against the committed baselines; exit 1 on
@@ -45,8 +45,8 @@ def _add_selection(parser) -> None:
                         metavar="DIR",
                         help="where BENCH_<name>.json baselines live")
     parser.add_argument("--artifacts", default=None, metavar="DIR",
-                        help="also write telemetry snapshot + Chrome trace "
-                             "+ collapsed stacks here")
+                        help="also write the Chrome trace + collapsed "
+                             "stacks here")
     parser.add_argument("--record", default=None, metavar="DIR",
                         dest="record_dir",
                         help="record each run's flight-recorder journal "

@@ -14,8 +14,8 @@ blocks.  Host speed is ``perfbench``'s job, not this report's.
 The same command renders the other two records a run leaves: a
 flight-recorder journal (run identity, counts, and each machine's
 label, cycles, events and final state hash) and a forensic bundle
-(error, state fingerprints, cycles, open spans, trace stats and the
-last events).
+(error, state fingerprints, cycles, open spans, the trace ring's stats
+and the last events).
 
 Each section builds its rows once as :class:`Table` blocks; one renderer
 emits them as plain text or, with ``--format markdown``, as
@@ -30,9 +30,10 @@ import pathlib
 from dataclasses import dataclass
 
 from repro.bench.artifact import validate_artifact
-from repro.flightrec.forensics import BUNDLE_KIND
+from repro.flightrec.forensics import BUNDLE_KIND, validate_bundle
 from repro.flightrec.journal import JOURNAL_KIND, Journal
 from repro.hw.cycles import CLASSES
+from repro.telemetry.export import combined_cycles, latency_summaries
 
 # The paper's headline numbers, for side-by-side rendering.
 PAPER = {
@@ -111,14 +112,13 @@ def _exact_rows(figures: dict, paper: dict, key: str) -> list[list[str]]:
 def profile_section(artifact: dict) -> list[Table]:
     """The profile's top frames by self cycles (nothing when unprofiled)."""
     profile = artifact.get("profile")
-    if not profile or not profile["combined"]["frames"]:
+    if not profile or not profile["frames"]:
         return []
-    combined = profile["combined"]
-    top = sorted(combined["frames"],
+    top = sorted(profile["frames"],
                  key=lambda f: (-f["self_cycles"], f["stack"]))[:10]
     return [Table(f"top {len(top)} frames by self cycles (of "
-                  f"{combined['total_span_cycles']:,} span cycles across "
-                  f"{len(profile['machines'])} machine(s)):",
+                  f"{profile['total_span_cycles']:,} span cycles across "
+                  f"{len(artifact['machines'])} machine(s)):",
                   ["self cycles", "stack", "calls"],
                   [[f"{frame['self_cycles']:,}", ";".join(frame["stack"]),
                     str(frame["calls"])] for frame in top],
@@ -156,9 +156,10 @@ def paper_section(artifact: dict) -> list[Table]:
 
 
 def latency_section(artifact: dict) -> list[Table]:
-    """The per-enclave latency percentile table."""
+    """The per-enclave latency percentile table, from the records."""
     rows = []
-    for machine, enclaves in sorted((artifact.get("latency") or {}).items()):
+    for machine, enclaves in sorted(
+            latency_summaries(artifact["machines"]).items()):
         for enclave, spans in sorted(enclaves.items()):
             for span, row in sorted(spans.items()):
                 rows.append([machine, str(enclave), span, str(row["count"]),
@@ -236,10 +237,11 @@ def _summary(artifact: dict) -> list[str]:
     out = [f"version {artifact['version']}, "
            f"{len(artifact['metrics'])} gated metric(s), "
            f"tolerance {artifact['tolerance']:.1%}"]
-    telemetry = artifact.get("telemetry")
-    if telemetry:
-        out.append(f"simulated cycles: {telemetry['total_cycles']:,.0f} "
-                   f"across {telemetry['machines']} machine(s)")
+    machines = artifact["machines"]
+    if machines:
+        total = combined_cycles(machines)["total"]
+        out.append(f"simulated cycles: {total:,.0f} "
+                   f"across {len(machines)} machine(s)")
     return out
 
 
@@ -310,7 +312,7 @@ def bundle_report(bundle: dict, fmt: str = "text") -> str:
     # history, and a table cell holds one line.
     first, *rest = error["message"].split("\n") if error else [None]
     cycles = bundle["cycles"]
-    stats = bundle["trace_stats"]
+    stats = bundle["hardware"]["trace"]
     events = bundle["events"][-20:]
     tables = [
         Table("error:", ["type", "code", "message"],
@@ -350,7 +352,9 @@ def load_record(path: str | pathlib.Path):
     kind = document.get("kind") if isinstance(document, dict) else None
     if kind == JOURNAL_KIND:
         return Journal.from_document(document)
-    if kind != BUNDLE_KIND:
+    if kind == BUNDLE_KIND:
+        validate_bundle(document)
+    else:
         validate_artifact(document)
     return document
 

@@ -3,8 +3,9 @@
 ``run_one`` executes one registered benchmark with a fresh process-wide
 telemetry sink active, so every machine the experiment creates is
 captured (the :class:`~repro.hw.machine.Machine` constructor registers
-itself); from the captured spans it builds the exact cycle profile, then
-assembles the ``BENCH_<name>.json`` artifact.
+itself); it takes one record per captured machine — the one place a
+span still open at the end of a run is refused — and assembles the
+``BENCH_<name>.json`` artifact from them.
 
 Telemetry and the profiler observe the simulated clock and charge
 nothing, so the artifact's calibrated figure values are identical to a
@@ -75,11 +76,11 @@ def run_one(spec: BenchSpec, *,
             trace_requests: bool = False) -> RunOutput:
     """Run one benchmark under a fresh telemetry sink; build its artifact.
 
-    The artifact's ``profile`` block is the run's exact cycle profile.
-    When ``artifacts_dir`` is given, the side artifacts land there:
-    ``<name>.telemetry.json`` + ``<name>.telemetry.trace.json`` (snapshot
-    and Chrome trace) and ``<name>.collapsed`` (the profile as
-    cycle-weighted flamegraph stacks).
+    The artifact carries one record per machine, frame table included.
+    When ``artifacts_dir`` is given, two views of the run land there:
+    ``<name>.telemetry.trace.json`` (the Chrome trace) and
+    ``<name>.collapsed`` (the frame tables as cycle-weighted flamegraph
+    stacks).
 
     When ``record_dir`` is given, a flight recorder rides on the sink
     and its journal lands at ``<record_dir>/<name>.journal.json`` —
@@ -93,12 +94,13 @@ def run_one(spec: BenchSpec, *,
     informational ``requests`` block.  Tracing charges nothing —
     figures and fingerprints are bit-identical to an untraced run.
 
-    The artifact is the only copy of the profile and requests blocks;
-    ``python -m repro.bench report`` reads them from it.
+    The artifact is the only copy of the records and the requests
+    block; ``python -m repro.bench report`` reads them from it.
     """
     from repro.flightrec.recorder import FlightRecorder
     from repro.flightrec.scenario import observed
-    from repro.profiler import profile_document, write_collapsed
+    from repro.profiler import write_collapsed
+    from repro.telemetry.export import machine_records, write_chrome_trace
     from repro.telemetry.sink import capture
 
     _ensure_benchmarks_importable()
@@ -112,11 +114,10 @@ def run_one(spec: BenchSpec, *,
         journal_path = rec.finish(figures).write(
             pathlib.Path(record_dir) / f"{spec.name}.journal.json")
 
-    telemetry_doc = sink.document() if sink.items else None
-    profile = profile_document(sink.items) if sink.items else None
+    records = machine_records(sink.items)
     requests_doc = sink.requests_document() if trace_requests else None
-    artifact = build_artifact(spec, figures, telemetry_doc, profile,
-                              fingerprints, requests_doc=requests_doc)
+    artifact = build_artifact(spec, figures, records, fingerprints,
+                              requests_doc=requests_doc)
     # The figures as written: a live run and a baseline check alike.
     claim = claim_failure(spec, artifact["figures"])
 
@@ -124,12 +125,12 @@ def run_one(spec: BenchSpec, *,
     if artifacts_dir is not None:
         artifacts_dir = pathlib.Path(artifacts_dir)
         artifacts_dir.mkdir(parents=True, exist_ok=True)
-        if sink.items:
-            written.extend(
-                sink.write(artifacts_dir / f"{spec.name}.telemetry.json"))
-        if profile is not None:
+        if records:
+            written.append(write_chrome_trace(
+                artifacts_dir / f"{spec.name}.telemetry.trace.json",
+                sink.items))
             written.append(write_collapsed(
-                artifacts_dir / f"{spec.name}.collapsed", profile))
+                artifacts_dir / f"{spec.name}.collapsed", records))
     if journal_path is not None:
         written.append(journal_path)
     return RunOutput(spec=spec, artifact=artifact, written=written,

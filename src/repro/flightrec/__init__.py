@@ -10,9 +10,9 @@ Three capabilities over the simulated platform:
   divergent event, checkpoint chain first (binary search), then
   event-by-event inside the narrowed window;
 * **forensics** — on a ``SanitizerViolation`` or unhandled fault, emit a
-  bundle with the machine state hash, CPU snapshot, page-table and TLB
-  dumps, open span stack, the last N journal events, and a metrics
-  snapshot.
+  bundle: the machine's record (cycles, metrics, hardware stats, frame
+  table) plus the machine state hash, CPU, page-table and TLB dumps,
+  open span stack and the last N journal events.
 
 The recorder rides on the telemetry sink, the one process-wide capture
 hook, and ``python -m repro.bench`` is the one CLI: ``run --record DIR``

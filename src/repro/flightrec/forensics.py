@@ -2,12 +2,16 @@
 
 When a :class:`SanitizerViolation` is raised, or a captured run dies on
 an unhandled fault, the platform emits one bundle per machine: the
-machine state hash and per-component fingerprint, a deep state dump
+machine's record, built by the same
+:func:`repro.telemetry.export.machine_record` as a bench artifact's
+(cycles, metrics, hardware collectors with the trace ring's stats,
+span counts, frame table), plus the error, the machine state hash and
+per-component fingerprint, its config, the telemetry span stack that
+was open at the time, the last N journal events and a deep state dump
 (CPU context, TLB entries, full page-table walks via the machine's dump
-providers), the telemetry span stack that was open at the time, the last
-N journal events, and a metrics snapshot.  Bundles are indented JSON, so
-the dump reads in the file itself; ``python -m repro.bench report
-<bundle>`` renders the rest as tables.
+providers).  Bundles are indented JSON, so the dump reads in the file
+itself; ``python -m repro.bench report <bundle>`` renders the rest as
+tables.
 
 Emission is opt-in: it happens only while the active telemetry sink
 carries a flight recorder or ``REPRO_FORENSICS_DIR`` is set (CI sets it
@@ -21,7 +25,11 @@ import json
 import os
 import pathlib
 
-BUNDLE_VERSION = 1
+from repro.telemetry.export import machine_record
+from repro.telemetry.schema import check_record
+
+# The layout version: ``load_bundle`` refuses any other.
+BUNDLE_VERSION = 2
 BUNDLE_KIND = "hyperenclave-forensics"
 DEFAULT_EVENT_TAIL = 64
 
@@ -56,18 +64,13 @@ def build_bundle(machine, error: BaseException | None = None, *,
     return {
         "version": BUNDLE_VERSION,
         "kind": BUNDLE_KIND,
-        "label": label,
+        **machine_record(machine.telemetry, label),
         "error": error_doc,
         "state_hash": machine.state_hash(),
         "state_fingerprint": machine.state_fingerprint(),
         "config": _config_document(machine.config),
-        "cycles": {"total": machine.cycles.total,
-                   "by_category": machine.cycles.breakdown()},
         "open_spans": machine.telemetry.open_span_names(),
-        "trace_stats": machine.trace.stats(),
         "events": events,
-        "metrics": machine.telemetry.registry.snapshot(),
-        "hardware": machine.telemetry.hardware_stats(),
         "dump": machine.state_dump(),
     }
 
@@ -88,11 +91,23 @@ def write_bundle(document: dict,
     return path
 
 
+def validate_bundle(document) -> None:
+    """Raise ``ValueError`` unless ``document`` is a current bundle
+    whose machine record checks."""
+    if not isinstance(document, dict) \
+            or document.get("kind") != BUNDLE_KIND:
+        raise ValueError("not a forensic bundle")
+    if document.get("version") != BUNDLE_VERSION:
+        raise ValueError(
+            f"forensic bundle: unsupported version "
+            f"{document.get('version')!r} (supported: {BUNDLE_VERSION})")
+    check_record(document, "bundle")
+
+
 def load_bundle(path: str | pathlib.Path) -> dict:
-    """Read a forensic bundle from disk, validating its kind."""
+    """Read a forensic bundle from disk and validate it."""
     document = json.loads(pathlib.Path(path).read_text())
-    if document.get("kind") != BUNDLE_KIND:
-        raise ValueError(f"not a forensic bundle: {path}")
+    validate_bundle(document)
     return document
 
 

@@ -97,7 +97,7 @@ _SWITCH = ("enclave", "mode")
 
 #: Every instrumented site, declared once: site -> the span, segment,
 #: ring event and cause it writes.  The names are the ones already in
-#: the snapshot, requests, journal and trace files.
+#: the artifact, requests, journal and trace files.
 SITES: dict[str, Site] = {
     "eenter": Site("world.eenter", _SWITCH, "eenter", "{mode}",
                    event="eenter", on_exit=True, flow=True,

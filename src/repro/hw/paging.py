@@ -143,7 +143,7 @@ class PagingStats:
 
     Like :class:`~repro.hw.tlb.Tlb` hit/miss counts, these are plain int
     increments — cheap enough to leave unconditional — sampled by the
-    telemetry hardware collectors at snapshot time.
+    telemetry hardware collectors when a machine record is taken.
     """
 
     walks: int = 0           # translate() calls

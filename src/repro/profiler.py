@@ -13,10 +13,12 @@ simulated clock, so profiles can be taken on calibrated benchmark runs
 without perturbing Table 1/2 (pinned by
 ``tests/profiler/test_profiler_invariants.py``).
 
-The profile has one home: the ``profile`` block of a ``BENCH_<name>.json``
-artifact, which :func:`repro.bench.artifact.validate_artifact` checks.
+Each machine's frame table lives in its record
+(:func:`repro.telemetry.export.machine_record`); a ``BENCH_<name>.json``
+artifact carries those records and, as its ``profile`` block, the
+combined table built here.
 
-* :func:`profile_document` — per-machine frame tables plus a combined one;
+* :func:`combined_profile` — every record's frames merged by stack;
 * :func:`write_collapsed` — flamegraph-ready collapsed stacks
   (``<name>.collapsed`` under ``python -m repro.bench run --artifacts``);
 * :func:`rank_deltas` / :func:`diff_report` — where the cycles moved
@@ -32,69 +34,33 @@ from __future__ import annotations
 import pathlib
 from dataclasses import dataclass
 
-from repro.telemetry.core import Telemetry, UnclosedSpanError
+from repro.telemetry.export import frame_row
 
 
 # -- building --------------------------------------------------------------
 
-def _frame(stack, calls, cycles, self_cycles) -> dict:
-    """One unique call stack's cycles: ``cycles`` is inclusive (this
-    frame plus its children), ``self_cycles`` exclusive."""
-    return {"stack": list(stack), "calls": calls, "cycles": cycles,
-            "self_cycles": self_cycles}
+def combined_profile(records: list[dict]) -> dict:
+    """The combined frame table: every record's frames merged by stack.
 
-
-def machine_profile(telemetry: Telemetry, label: str = "machine") -> dict:
-    """One machine's exact cycle profile as a JSON-ready dict.
-
-    Raises :class:`~repro.telemetry.UnclosedSpanError` when spans are
-    still open: their cycles are not yet attributed.
+    Its self-cycle sum equals the sum of every machine's root-span
+    cycles, ``total_span_cycles``.
     """
-    open_names = telemetry.open_span_names()
-    if open_names:
-        raise UnclosedSpanError(
-            f"profiling {label!r} with {len(open_names)} span(s) still "
-            f"open: {' > '.join(open_names)}")
-    frames = telemetry.frames
-    return {
-        "label": label,
-        "total_span_cycles": telemetry.root_cycles,
-        "spans_recorded": sum(calls for calls, _, _ in frames.values()),
-        "frames": [_frame(path, *frames[path]) for path in sorted(frames)],
-        "by_enclave": dict(telemetry.self_by_enclave),
-    }
-
-
-def _merge_frames(machines: list[dict]) -> list[dict]:
     merged: dict[tuple[str, ...], list] = {}
-    for snap in machines:
-        for frame in snap["frames"]:
+    for record in records:
+        for frame in record["frames"]:
             totals = merged.setdefault(tuple(frame["stack"]), [0, 0, 0])
             totals[0] += frame["calls"]
             totals[1] += frame["cycles"]
             totals[2] += frame["self_cycles"]
-    return [_frame(stack, *merged[stack]) for stack in sorted(merged)]
-
-
-def profile_document(items: list[tuple[str, Telemetry]]) -> dict:
-    """The profile: per-machine sections plus a combined frame table.
-
-    ``combined`` merges frames by stack across machines; its self-cycle
-    sum equals the sum of every machine's root-span cycles.
-    """
-    machines = [machine_profile(tel, label) for label, tel in items]
     return {
-        "machines": machines,
-        "combined": {
-            "total_span_cycles": sum(m["total_span_cycles"]
-                                     for m in machines),
-            "frames": _merge_frames(machines),
-        },
+        "total_span_cycles": sum(r["total_span_cycles"] for r in records),
+        "frames": [frame_row(stack, *merged[stack])
+                   for stack in sorted(merged)],
     }
 
 
 def self_total(section: dict) -> int:
-    """Sum of self-cycles over one section's frames (== root cycles)."""
+    """Sum of self-cycles over one frame table (== root cycles)."""
     return sum(frame["self_cycles"] for frame in section["frames"])
 
 
@@ -106,16 +72,16 @@ def self_total(section: dict) -> int:
 # d3-flame-graph.  Counts are *self* cycles, so flamegraph widths show
 # inclusive cycles per frame.
 
-def collapsed_lines(profile: dict) -> list[str]:
-    """Render a profile as collapsed-stack lines.
+def collapsed_lines(records: list[dict]) -> list[str]:
+    """Render the records' frame tables as collapsed-stack lines.
 
     Every stack is rooted at its machine label, so a multi-machine run
     shows one tower per machine.
     """
     lines: list[str] = []
-    for snap in profile["machines"]:
-        label = snap["label"].replace(";", "_").replace(" ", "_")
-        for frame in snap["frames"]:
+    for record in records:
+        label = record["label"].replace(";", "_").replace(" ", "_")
+        for frame in record["frames"]:
             if frame["self_cycles"] <= 0:
                 continue
             stack = ";".join([label] + frame["stack"])
@@ -123,11 +89,11 @@ def collapsed_lines(profile: dict) -> list[str]:
     return lines
 
 
-def write_collapsed(path: str | pathlib.Path, profile: dict
+def write_collapsed(path: str | pathlib.Path, records: list[dict]
                     ) -> pathlib.Path:
     """Write the collapsed-stack file; returns the path."""
     path = pathlib.Path(path)
-    lines = collapsed_lines(profile)
+    lines = collapsed_lines(records)
     path.write_text("\n".join(lines) + ("\n" if lines else ""))
     return path
 
@@ -169,14 +135,14 @@ class FrameDelta:
 
 
 def rank_deltas(base: dict, current: dict) -> list[FrameDelta]:
-    """Every combined frame of two profiles, by |self-cycle delta|.
+    """Every frame of two combined profiles, by |self-cycle delta|.
 
     The frame tables are complete, so a stack missing from one side
     spent no cycles there and counts as zero.
     """
     base_frames, cur_frames = ({tuple(f["stack"]): f
-                                for f in doc["combined"]["frames"]}
-                               for doc in (base, current))
+                                for f in profile["frames"]}
+                               for profile in (base, current))
     deltas = []
     for stack in sorted(base_frames.keys() | cur_frames.keys()):
         b = base_frames.get(stack)
@@ -193,8 +159,8 @@ def rank_deltas(base: dict, current: dict) -> list[FrameDelta]:
 
 def diff_report(base: dict, current: dict, n: int = 10) -> str:
     """The total's movement and the ``n`` frames that moved most."""
-    base_total = base["combined"]["total_span_cycles"]
-    cur_total = current["combined"]["total_span_cycles"]
+    base_total = base["total_span_cycles"]
+    cur_total = current["total_span_cycles"]
     out = ["Profile diff: top self-cycle deltas", "=" * 40,
            f"total span cycles: {base_total:,} -> {cur_total:,} "
            f"({cur_total - base_total:+,})", ""]

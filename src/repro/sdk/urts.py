@@ -126,10 +126,13 @@ class EnclaveHandle:
         self.use_marshalling = use_marshalling
         self.ocall_impls: dict[str, callable] = {}
         self.destroyed = False
-        # Switchless-call state (see enable_switchless).
+        # Switchless-call state (see enable_switchless): the worker
+        # cycles of finished switchless periods, and when the open one
+        # began.
         self.switchless_workers = 0
-        self.switchless_worker_cycles = 0.0
         self.switchless_calls = 0
+        self._worker_cycles_banked = 0.0
+        self._switchless_since = 0
 
         mode = image.config.mode
         self.enclave_mem = MemorySubsystem(
@@ -357,10 +360,28 @@ class EnclaveHandle:
         """
         if workers < 1:
             raise SdkError("switchless mode needs at least one worker")
+        self.disable_switchless()
         self.switchless_workers = workers
+        self._switchless_since = self.machine.cycles.total
 
     def disable_switchless(self) -> None:
+        self._worker_cycles_banked = self.switchless_worker_cycles
         self.switchless_workers = 0
+
+    @property
+    def switchless_worker_cycles(self) -> float:
+        """The cycles the worker cores burned, polling and serving.
+
+        A worker spins for as long as switchless mode is on, so this is
+        every machine cycle elapsed while it was on, once per worker.
+        The workers run on their own cores: nothing here is charged to
+        the caller's cycle counter.
+        """
+        cycles = self._worker_cycles_banked
+        if self.switchless_workers:
+            cycles += self.switchless_workers * (
+                self.machine.cycles.total - self._switchless_since)
+        return cycles
 
     def dispatch_ocall(self, ctx: EnclaveContext, name: str, kwargs):
         """Called by the tRTS: leave the enclave, run the untrusted impl,
@@ -417,9 +438,7 @@ class EnclaveHandle:
                 cycles.charge(costs.SWITCHLESS_ENQUEUE_CYCLES, "switchless")
                 cycles.charge(costs.SWITCHLESS_POLL_INTERVAL_CYCLES / 2,
                               "switchless")
-                with cycles.measure() as span:
-                    result = impl(**app_args)
-                self.switchless_worker_cycles += span.elapsed
+                result = impl(**app_args)
                 self.switchless_calls += 1
             else:
                 self.world.eexit(self.enclave, self.AEP)
@@ -461,6 +480,7 @@ class EnclaveHandle:
 
     def destroy(self) -> None:
         if not self.destroyed:
+            self.disable_switchless()     # the workers exit with it
             self.urts.device.ioctl(self.process, Ioctl.EREMOVE,
                                    enclave_id=self.enclave_id)
             self.destroyed = True

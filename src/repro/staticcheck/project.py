@@ -331,7 +331,7 @@ class Project:
         """Project symbol for a canonical dotted path, if any.
 
         Follows re-export chains (``from repro.telemetry.export import
-        snapshot_document`` re-exported by ``repro.telemetry``) up to a
+        machine_record`` re-exported by ``repro.telemetry``) up to a
         small depth.  Returns ``None`` for external or unknown names.
         """
         if _depth > 4:

@@ -1,5 +1,5 @@
 """Platform-wide telemetry: metrics registry, cycle-accurate spans,
-event ring, and exporters (JSON snapshot / Chrome trace).
+event ring, the per-machine record and the Chrome trace exporter.
 
 Runs record through ``python -m repro.bench run ... --artifacts DIR``;
 ``python -m repro.bench report`` prints what they recorded.
@@ -12,12 +12,11 @@ from repro.telemetry.core import (NULL_SPAN, Span, SpanRecord, Telemetry,
                                   subsystem_for_category)
 from repro.telemetry.metrics import (SUMMARY_QUANTILES, Counter, Histogram,
                                      MetricsRegistry, percentile_from_buckets)
-from repro.telemetry.export import (chrome_trace_document,
-                                    latency_summaries, machine_snapshot,
-                                    snapshot_document, trace_path_for,
-                                    write_telemetry)
-from repro.telemetry.schema import (SchemaError, validate_requests,
-                                    validate_snapshot)
+from repro.telemetry.export import (chrome_trace_document, combined_cycles,
+                                    latency_summaries, machine_record,
+                                    machine_records, write_chrome_trace)
+from repro.telemetry.schema import (SchemaError, check_record,
+                                    validate_requests)
 from repro.telemetry.requests import (RequestTracer, request_flow_events,
                                       requests_document)
 
@@ -26,9 +25,8 @@ __all__ = [
     "cycles_by_subsystem", "subsystem_for_category",
     "SUMMARY_QUANTILES", "Counter", "Histogram",
     "MetricsRegistry", "percentile_from_buckets",
-    "chrome_trace_document", "latency_summaries", "machine_snapshot",
-    "snapshot_document", "trace_path_for",
-    "write_telemetry",
-    "SchemaError", "validate_requests", "validate_snapshot",
+    "chrome_trace_document", "combined_cycles", "latency_summaries",
+    "machine_record", "machine_records", "write_chrome_trace",
+    "SchemaError", "check_record", "validate_requests",
     "RequestTracer", "request_flow_events", "requests_document",
 ]

@@ -8,7 +8,7 @@ Machine`.  It owns
 * a :class:`~repro.telemetry.metrics.MetricsRegistry`,
 * the cycle-accurate span API, and
 * pull-based hardware collectors (TLB, LLC, encryption engine, paging)
-  sampled at snapshot time.
+  sampled when a machine record is taken.
 
 Spans *observe* the simulated clock — they never charge cycles — so
 enabling telemetry cannot perturb a calibrated benchmark.  Instrumented
@@ -41,11 +41,11 @@ def cycles_by_subsystem(breakdown: dict[str, int | float]
 
 
 class UnclosedSpanError(RuntimeError):
-    """A snapshot was exported while spans were still open.
+    """A run's machine records were taken while spans were still open.
 
     An open span has not yet folded its cycles into its parent's
-    self-cycle accounting, so any profile or snapshot taken now would
-    silently misattribute cycles.  This is the runtime counterpart of
+    self-cycle accounting, so a record taken now would silently
+    misattribute cycles.  This is the runtime counterpart of
     staticcheck rule SC007 (spans must be context-managed).
     """
 
@@ -292,8 +292,8 @@ class Telemetry:
     def open_span_names(self) -> list[str]:
         """Names of spans currently open, outermost first.
 
-        Exporters call this to refuse snapshotting mid-span (see
-        :class:`UnclosedSpanError`); it is always safe to call.
+        The artifact path calls this to refuse recording mid-span (see
+        :class:`UnclosedSpanError`); a forensic bundle lists them.
         """
         return [span.name for span in self._stack]
 
@@ -310,7 +310,7 @@ class Telemetry:
     # -- hardware collectors -------------------------------------------------
 
     def add_collector(self, name: str, fn: Callable[[], dict]) -> None:
-        """Register a pull-based stats source sampled at snapshot time."""
+        """Register a pull-based stats source sampled per record."""
         self._collectors[name] = fn
 
     def paging_stats(self, domain: str):

@@ -1,12 +1,16 @@
-"""Telemetry exporters: JSON snapshot and Chrome trace_event.
+"""Telemetry exporters: the per-machine record and the Chrome trace.
 
-The JSON snapshot is the machine-readable "where did the cycles go"
-breakdown every benchmark run can emit (``python -m repro.bench run NAME
---artifacts DIR``); its shape is
-validated by :mod:`repro.telemetry.schema`.  The Chrome trace file loads
-directly in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``:
-spans become complete ("X") events on the simulated-cycle timebase, one
-process per machine, with 1 simulated cycle rendered as 1 microsecond.
+:func:`machine_record` is the one description of a simulated machine:
+its cycles by category, the metrics registry, the hardware collectors,
+the span counts and the exact frame table.  A ``BENCH_<name>.json``
+artifact carries one per machine (:func:`machine_records`, which
+refuses open spans) and a forensic bundle is one record plus its
+post-mortem fields; :func:`repro.telemetry.schema.check_record` checks
+a record wherever either is written or loaded.  The Chrome trace file
+loads directly in Perfetto (https://ui.perfetto.dev) or
+``chrome://tracing``: spans become complete ("X") events on the
+simulated-cycle timebase, one process per machine, with 1 simulated
+cycle rendered as 1 microsecond.
 """
 
 from __future__ import annotations
@@ -17,64 +21,74 @@ import pathlib
 from repro.telemetry.core import (Telemetry, UnclosedSpanError,
                                   cycles_by_subsystem)
 
-SNAPSHOT_VERSION = 1
-SNAPSHOT_KIND = "hyperenclave-telemetry"
+
+# -- the machine record ------------------------------------------------------
+
+def frame_row(stack, calls, cycles, self_cycles) -> dict:
+    """One unique call stack's cycles: ``cycles`` is inclusive (this
+    frame plus its children), ``self_cycles`` exclusive."""
+    return {"stack": list(stack), "calls": calls, "cycles": cycles,
+            "self_cycles": self_cycles}
 
 
-# -- JSON snapshot -----------------------------------------------------------
+def machine_record(telemetry: Telemetry, label: str = "machine") -> dict:
+    """One machine's record as a JSON-ready dict.
 
-def machine_snapshot(telemetry: Telemetry, label: str = "machine") -> dict:
-    """One machine's telemetry as a JSON-ready dict.
+    It reads the telemetry as it stands and never raises: a forensic
+    bundle is built mid-span by design.  ``spans.recorded`` counts every
+    span closed (the frame table counts them all) and ``dropped`` the
+    ones that fell out of the bounded span deque the Chrome trace reads.
+    """
+    frames = telemetry.frames
+    closed = sum(frame[0] for frame in frames.values())
+    return {
+        "label": label,
+        "cycles": {"total": telemetry.cycles.total,
+                   "by_category": telemetry.cycles.breakdown()},
+        "metrics": telemetry.registry.snapshot(),
+        "hardware": telemetry.hardware_stats(),
+        "spans": {"recorded": closed,
+                  "dropped": closed - len(telemetry.spans)},
+        "total_span_cycles": telemetry.root_cycles,
+        "frames": [frame_row(path, *frames[path]) for path in sorted(frames)],
+        "by_enclave": dict(telemetry.self_by_enclave),
+    }
+
+
+def machine_records(items: list[tuple[str, Telemetry]]) -> list[dict]:
+    """The records of a finished run, one per ``(label, telemetry)``.
 
     Raises :class:`UnclosedSpanError` if any span is still open: it has
-    not yet attributed its cycles to its parent, so a snapshot taken now
+    not yet attributed its cycles to its parent, so a record taken now
     would carry wrong self-cycle numbers — the runtime counterpart of
     staticcheck rule SC007.
     """
-    open_names = telemetry.open_span_names()
-    if open_names:
-        raise UnclosedSpanError(
-            f"telemetry export for {label!r} with {len(open_names)} "
-            f"span(s) still open: {' > '.join(open_names)}; self-cycle "
-            f"attribution would be wrong (close every span before "
-            f"exporting)")
-    breakdown = telemetry.cycles.breakdown()
-    closed = sum(frame[0] for frame in telemetry.frames.values())
-    return {
-        "label": label,
-        "cycles": {
-            "total": telemetry.cycles.total,
-            "by_category": breakdown,
-            "by_subsystem": cycles_by_subsystem(breakdown),
-        },
-        "metrics": telemetry.registry.snapshot(),
-        "hardware": telemetry.hardware_stats(),
-        # Every span closed (the profile frames count them all), and how
-        # many fell out of the bounded span deque the Chrome trace reads.
-        "spans": {"recorded": closed,
-                  "dropped": closed - len(telemetry.spans)},
-    }
+    for label, telemetry in items:
+        open_names = telemetry.open_span_names()
+        if open_names:
+            raise UnclosedSpanError(
+                f"recording {label!r} with {len(open_names)} span(s) "
+                f"still open: {' > '.join(open_names)}; self-cycle "
+                f"attribution would be wrong (close every span first)")
+    return [machine_record(telemetry, label) for label, telemetry in items]
 
 
-def snapshot_document(items: list[tuple[str, Telemetry]]) -> dict:
-    """The full snapshot: per-machine sections plus combined totals.
+def combined_cycles(records: list[dict]) -> dict:
+    """The run's cycles: ``total`` and ``by_subsystem`` over every record.
 
-    ``combined.by_subsystem`` sums exactly to ``combined.total_cycles``
-    because the category -> subsystem mapping is total.
+    Each machine's categories fold into subsystems first, then the
+    machines add up in order, so a float sum rounds the same way on
+    every run.  ``by_subsystem`` sums to ``total`` because the
+    category -> subsystem mapping is total.
     """
-    machines = [machine_snapshot(tel, label) for label, tel in items]
     total = 0
     by_subsystem: dict[str, int | float] = {}
-    for snap in machines:
-        total += snap["cycles"]["total"]
-        for sub, cycles in snap["cycles"]["by_subsystem"].items():
+    for record in records:
+        total += record["cycles"]["total"]
+        for sub, cycles in cycles_by_subsystem(
+                record["cycles"]["by_category"]).items():
             by_subsystem[sub] = by_subsystem.get(sub, 0) + cycles
-    return {
-        "version": SNAPSHOT_VERSION,
-        "kind": SNAPSHOT_KIND,
-        "machines": machines,
-        "combined": {"total_cycles": total, "by_subsystem": by_subsystem},
-    }
+    return {"total": total, "by_subsystem": by_subsystem}
 
 
 # -- derived summaries (latency percentiles) ---------------------------------
@@ -97,9 +111,7 @@ def _merge_histogram(into: dict, snap_entry: dict) -> None:
                 else pick(into[bound], value)
 
 
-def latency_summaries(document: dict,
-                      subsystems: tuple[str, ...] = LATENCY_SUBSYSTEMS
-                      ) -> dict:
+def latency_summaries(records: list[dict]) -> dict:
     """Per-enclave latency percentiles from the span cycle histograms.
 
     Shape: ``{machine: {enclave: {"sdk.ecall": {count, p50, p95, p99}}}}``.
@@ -112,12 +124,12 @@ def latency_summaries(document: dict,
     from repro.telemetry.metrics import (SUMMARY_QUANTILES,
                                          percentile_from_buckets)
     out: dict[str, dict] = {}
-    for snap in document["machines"]:
+    for record in records:
         merged: dict[tuple[str, str], dict] = {}
-        for entry in snap["metrics"]:
+        for entry in record["metrics"]:
             if entry["type"] != "histogram" \
                     or not entry["name"].endswith(".cycles_hist") \
-                    or entry["subsystem"] not in subsystems \
+                    or entry["subsystem"] not in LATENCY_SUBSYSTEMS \
                     or "enclave" not in entry["labels"]:
                 continue
             enclave = str(entry["labels"]["enclave"])
@@ -137,7 +149,7 @@ def latency_summaries(document: dict,
                     lo_clamp=acc["min"], hi_clamp=acc["max"])
             machine_table.setdefault(enclave, {})[span] = row
         if machine_table:
-            out[snap["label"]] = machine_table
+            out[record["label"]] = machine_table
     return out
 
 
@@ -195,21 +207,9 @@ def chrome_trace_document(items: list[tuple[str, Telemetry]]) -> dict:
 
 # -- file writer -------------------------------------------------------------
 
-def trace_path_for(snapshot_path: str | pathlib.Path) -> pathlib.Path:
-    """The Chrome-trace sibling of a snapshot path (x.json -> x.trace.json)."""
-    path = pathlib.Path(snapshot_path)
-    return path.with_name(path.stem + ".trace.json")
-
-
-def write_telemetry(snapshot_path: str | pathlib.Path,
-                    items: list[tuple[str, Telemetry]]
-                    ) -> tuple[pathlib.Path, pathlib.Path]:
-    """Write the JSON snapshot and its Chrome trace; returns both paths."""
-    snapshot_path = pathlib.Path(snapshot_path)
-    document = snapshot_document(items)
-    from repro.telemetry.schema import validate_snapshot
-    validate_snapshot(document)
-    snapshot_path.write_text(json.dumps(document, indent=2, sort_keys=True))
-    trace_path = trace_path_for(snapshot_path)
-    trace_path.write_text(json.dumps(chrome_trace_document(items)))
-    return snapshot_path, trace_path
+def write_chrome_trace(path: str | pathlib.Path,
+                       items: list[tuple[str, Telemetry]]) -> pathlib.Path:
+    """Write the Chrome trace of ``items``; returns the path."""
+    path = pathlib.Path(path)
+    path.write_text(json.dumps(chrome_trace_document(items)))
+    return path

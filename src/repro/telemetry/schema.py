@@ -1,11 +1,13 @@
-"""Schema validation for the telemetry documents.
+"""Schema validation for the telemetry records.
 
 The container has no ``jsonschema`` package, so this is a small
-hand-rolled structural validator for the snapshot
-(:func:`repro.telemetry.export.snapshot_document`) and requests
-documents.  The writers validate before writing, and a bench artifact's
-``requests`` block is validated again whenever ``repro.bench`` writes or
-loads the artifact (:func:`repro.bench.artifact.validate_artifact`).
+hand-rolled structural validator for the per-machine record
+(:func:`repro.telemetry.export.machine_record`), a frame table and the
+requests document.  A bench artifact's records, combined frame table
+and ``requests`` block are checked whenever ``repro.bench`` writes or
+loads the artifact (:func:`repro.bench.artifact.validate_artifact`),
+and a forensic bundle's record whenever it is loaded
+(:func:`repro.flightrec.forensics.load_bundle`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ _METRIC_TYPES = {"counter", "histogram"}
 
 
 class SchemaError(ValueError):
-    """A snapshot document does not match the expected shape."""
+    """A record or document does not match the expected shape."""
 
 
 def _require(condition: bool, where: str, message: str) -> None:
@@ -57,60 +59,51 @@ def _check_metric(entry, where: str) -> None:
                      f"{where}.buckets[{i}]", "expected [lo, hi, count]")
 
 
-def _check_machine(snap, where: str) -> None:
-    _require(isinstance(snap, dict), where, "expected an object")
-    _require(isinstance(snap.get("label"), str), where, "missing label")
-    cycles = snap.get("cycles")
+def check_frames(frames, where: str) -> None:
+    """Raise :class:`SchemaError` unless ``frames`` is a frame table:
+    every row a non-empty list stack with numeric counts."""
+    _require(isinstance(frames, list), where, "missing frames list")
+    for i, frame in enumerate(frames):
+        fwhere = f"{where}[{i}]"
+        _require(isinstance(frame, dict), fwhere, "expected an object")
+        stack = frame.get("stack")
+        _require(isinstance(stack, list) and bool(stack), fwhere,
+                 f"bad stack {stack!r}")
+        for field in ("calls", "cycles", "self_cycles"):
+            _require(isinstance(frame.get(field), (int, float)), fwhere,
+                     f"stack {stack} missing {field}")
+
+
+def check_record(record, where: str = "record") -> None:
+    """Raise :class:`SchemaError` unless ``record`` is a machine record
+    (extra fields, such as a forensic bundle's, are allowed)."""
+    _require(isinstance(record, dict), where, "expected an object")
+    _require(isinstance(record.get("label"), str), where, "missing label")
+    cycles = record.get("cycles")
     _require(isinstance(cycles, dict), where, "missing cycles object")
     _check_number(cycles.get("total"), f"{where}.cycles.total")
     _check_cycle_map(cycles.get("by_category"), f"{where}.cycles.by_category")
-    _check_cycle_map(cycles.get("by_subsystem"),
-                     f"{where}.cycles.by_subsystem")
     total = cycles["total"]
-    for which in ("by_category", "by_subsystem"):
-        subtotal = sum(cycles[which].values())
-        _require(abs(subtotal - total) <= max(0.01 * total, 1e-6),
-                 f"{where}.cycles.{which}",
-                 f"sums to {subtotal}, more than 1% off total {total}")
-    _require(isinstance(snap.get("metrics"), list), where,
+    subtotal = sum(cycles["by_category"].values())
+    _require(abs(subtotal - total) <= max(0.01 * total, 1e-6),
+             f"{where}.cycles.by_category",
+             f"sums to {subtotal}, more than 1% off total {total}")
+    _require(isinstance(record.get("metrics"), list), where,
              "missing metrics list")
-    for i, entry in enumerate(snap["metrics"]):
+    for i, entry in enumerate(record["metrics"]):
         _check_metric(entry, f"{where}.metrics[{i}]")
-    _require(isinstance(snap.get("hardware"), dict), where,
+    _require(isinstance(record.get("hardware"), dict), where,
              "missing hardware object")
-    spans = snap.get("spans")
+    spans = record.get("spans")
     _require(isinstance(spans, dict), where, "missing spans object")
     for key in ("recorded", "dropped"):
         _check_number(spans.get(key), f"{where}.spans.{key}")
     _require(spans["dropped"] <= spans["recorded"], f"{where}.spans",
              "more spans dropped than recorded")
-
-
-def validate_snapshot(document) -> None:
-    """Raise :class:`SchemaError` unless ``document`` is a valid snapshot."""
-    _require(isinstance(document, dict), "$", "expected an object")
-    _require(document.get("version") == 1, "$.version",
-             f"unsupported version {document.get('version')!r}")
-    _require(document.get("kind") == "hyperenclave-telemetry", "$.kind",
-             f"unexpected kind {document.get('kind')!r}")
-    machines = document.get("machines")
-    _require(isinstance(machines, list) and machines, "$.machines",
-             "expected a non-empty list")
-    for i, snap in enumerate(machines):
-        _check_machine(snap, f"$.machines[{i}]")
-    combined = document.get("combined")
-    _require(isinstance(combined, dict), "$.combined", "expected an object")
-    _check_number(combined.get("total_cycles"), "$.combined.total_cycles")
-    _check_cycle_map(combined.get("by_subsystem"), "$.combined.by_subsystem")
-    total = combined["total_cycles"]
-    machine_total = sum(s["cycles"]["total"] for s in machines)
-    _require(abs(machine_total - total) <= max(0.01 * total, 1e-6),
-             "$.combined.total_cycles",
-             f"machines sum to {machine_total}, not {total}")
-    subtotal = sum(combined["by_subsystem"].values())
-    _require(abs(subtotal - total) <= max(0.01 * total, 1e-6),
-             "$.combined.by_subsystem",
-             f"sums to {subtotal}, more than 1% off total {total}")
+    _check_number(record.get("total_span_cycles"),
+                  f"{where}.total_span_cycles")
+    check_frames(record.get("frames"), f"{where}.frames")
+    _check_cycle_map(record.get("by_enclave"), f"{where}.by_enclave")
 
 
 def _check_segment(segment, where: str) -> None:

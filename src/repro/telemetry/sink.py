@@ -20,7 +20,6 @@ backend behind ``python -m repro.bench run|check``.
 from __future__ import annotations
 
 from repro.telemetry.core import Telemetry
-from repro.telemetry.export import snapshot_document, write_telemetry
 
 _ACTIVE: "TelemetrySink | None" = None
 
@@ -142,14 +141,6 @@ class TelemetrySink:
         from repro.telemetry.requests import requests_document
         return requests_document(self.request_tracers())
 
-    def document(self) -> dict:
-        """The snapshot document for everything registered so far."""
-        return snapshot_document(self._items)
-
-    def write(self, snapshot_path) -> tuple:
-        """Write snapshot + Chrome trace; returns both paths."""
-        return write_telemetry(snapshot_path, self._items)
-
 
 def activate(sink: TelemetrySink | None) -> None:
     """Make ``sink`` the process-wide active sink (None clears it)."""
@@ -167,7 +158,7 @@ class capture:
 
         with sink.capture() as s:
             run_experiment()
-        document = s.document()
+        records = machine_records(s.items)
 
     The sink that was active before is active again afterwards.
     """

@@ -2,6 +2,7 @@
 the registry — everything that runs without executing a benchmark."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -12,9 +13,8 @@ from repro.bench import (ARTIFACT_KIND, ARTIFACT_VERSION, REGISTRY,
                          validate_artifact, write_artifact)
 from repro.bench.compare import FingerprintDelta, MetricDelta
 from repro.hw.cycles import CycleCounter
-from repro.profiler import profile_document
 from repro.telemetry import Telemetry
-from repro.telemetry.export import snapshot_document
+from repro.telemetry.export import latency_summaries, machine_records
 
 FAKE = BenchSpec("fake", "a fake benchmark", "shape", tolerance=0.05)
 
@@ -22,7 +22,7 @@ FAKE = BenchSpec("fake", "a fake benchmark", "shape", tolerance=0.05)
 def fake_artifact(**figure_overrides) -> dict:
     figures = {"latency": {"hu": 100.0, "gu": 200.0}, "ratio": [0.5, 1.0]}
     figures.update(figure_overrides)
-    return build_artifact(FAKE, figures, None, None)
+    return build_artifact(FAKE, figures)
 
 
 class TestFlattenMetrics:
@@ -47,7 +47,7 @@ class TestArtifact:
         assert artifact["kind"] == ARTIFACT_KIND
         assert artifact["name"] == "fake"
         assert artifact["metrics"]["latency.hu"] == 100.0
-        assert artifact["telemetry"] is None and artifact["profile"] is None
+        assert artifact["machines"] == [] and artifact["profile"] is None
         assert artifact["provenance"]["costs_fingerprint"]
 
     def test_write_load_round_trip(self, tmp_path):
@@ -77,7 +77,7 @@ class TestArtifact:
         class Point:
             cycles: int
 
-        artifact = build_artifact(FAKE, {"pts": [Point(3)]}, None, None)
+        artifact = build_artifact(FAKE, {"pts": [Point(3)]})
         assert artifact["figures"]["pts"] == [{"cycles": 3}]
         assert artifact["metrics"]["pts.0.cycles"] == 3.0
 
@@ -89,8 +89,8 @@ class TestArtifact:
         assert costs_fingerprint() != before          # any constant counts
 
 
-def sim_telemetry() -> dict:
-    """A deterministic snapshot: two enclaves, sdk + world spans."""
+def sim_records() -> list[dict]:
+    """Deterministic records: two enclaves, sdk + world spans."""
     tel = Telemetry(CycleCounter())
     tel.enable()
     for enclave, cost in ((1, 8000), (2, 9000)):
@@ -99,7 +99,7 @@ def sim_telemetry() -> dict:
                 tel.cycles.charge(cost, "sdk-ecall")
                 with tel.span("world.eenter", enclave=enclave):
                     tel.cycles.charge(1200, "eenter:hu")
-    return snapshot_document([("m", tel)])
+    return machine_records([("m", tel)])
 
 
 def profiled_artifact() -> dict:
@@ -109,52 +109,54 @@ def profiled_artifact() -> dict:
         tel.cycles.charge(100, "sdk-ecall")
         with tel.span("world.eenter"):
             tel.cycles.charge(500, "eenter:hu")
-    return build_artifact(FAKE, {"score": 1.0}, None,
-                          profile_document([("m", tel)]))
+    return build_artifact(FAKE, {"score": 1.0},
+                          machine_records([("m", tel)]))
 
 
-def _drop_machines(profile):
-    del profile["machines"]
+def _drop_machines(artifact):
+    del artifact["machines"]
 
 
-def _drop_combined_frames(profile):
-    del profile["combined"]["frames"]
+def _drop_combined_frames(artifact):
+    del artifact["profile"]["frames"]
 
 
-def _empty_stack(profile):
-    profile["combined"]["frames"][0]["stack"] = []
+def _empty_stack(artifact):
+    artifact["profile"]["frames"][0]["stack"] = []
 
 
-def _string_stack(profile):
-    profile["machines"][0]["frames"][0]["stack"] = "sdk.ecall"
+def _string_stack(artifact):
+    artifact["machines"][0]["frames"][0]["stack"] = "sdk.ecall"
 
 
 def _dropper(field):
-    def drop(profile):
-        del profile["machines"][0]["frames"][-1][field]
+    def drop(artifact):
+        del artifact["machines"][0]["frames"][-1][field]
     return drop
 
 
 class TestProfileBlock:
-    """The artifact's ``profile`` block is the only copy of the profile,
-    so ``validate_artifact`` holds it to its shape on every write and
-    load."""
+    """The artifact's ``machines`` records and combined ``profile`` are
+    the only copy of the frame tables, so ``validate_artifact`` holds
+    them to their shape on every write and load."""
 
     def test_full_frame_table_is_stored(self):
         artifact = profiled_artifact()
         validate_artifact(artifact)
         profile = artifact["profile"]
-        assert set(profile) == {"machines", "combined"}
-        (machine,) = profile["machines"]
-        assert set(machine) == {"label", "total_span_cycles",
-                                "spans_recorded", "frames", "by_enclave"}
-        assert [f["stack"] for f in profile["combined"]["frames"]] == \
+        assert set(profile) == {"total_span_cycles", "frames"}
+        (machine,) = artifact["machines"]
+        assert set(machine) == {"label", "cycles", "metrics", "hardware",
+                                "spans", "total_span_cycles", "frames",
+                                "by_enclave"}
+        assert [f["stack"] for f in profile["frames"]] == \
             [["sdk.ecall"], ["sdk.ecall", "world.eenter"]]
+        assert machine["frames"] == profile["frames"]
         assert artifact["metrics"]["profile.total_span_cycles"] == 600.0
 
     @pytest.mark.parametrize("breakage, message", [
         (_drop_machines, "missing machines list"),
-        (_drop_combined_frames, "missing combined.frames"),
+        (_drop_combined_frames, "missing frames list"),
         (_empty_stack, "bad stack"),
         (_string_stack, "bad stack"),
         (_dropper("calls"), "missing calls"),
@@ -163,15 +165,32 @@ class TestProfileBlock:
     ])
     def test_validate_rejects_a_bad_profile(self, breakage, message):
         artifact = profiled_artifact()
-        breakage(artifact["profile"])
+        breakage(artifact)
         with pytest.raises(ValueError, match=message):
             validate_artifact(artifact)
+
+    def test_load_refuses_a_corrupted_record(self, tmp_path):
+        path = write_artifact(tmp_path / "BENCH_fake.json",
+                              profiled_artifact())
+        document = load_artifact(path)
+        document["machines"][0]["cycles"]["total"] += 10_000
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="more than 1% off total"):
+            load_artifact(path)
+
+    def test_load_refuses_an_older_version(self, tmp_path):
+        path = tmp_path / "BENCH_fake.json"
+        document = profiled_artifact()
+        document["version"] = ARTIFACT_VERSION - 1
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="unsupported version 4"):
+            load_artifact(path)
 
 
 class TestLatencyBlock:
     def test_per_enclave_percentiles(self):
-        art = build_artifact(FAKE, {"score": 1.0}, sim_telemetry(), None)
-        table = art["latency"]["m"]
+        art = build_artifact(FAKE, {"score": 1.0}, sim_records())
+        table = latency_summaries(art["machines"])["m"]
         assert set(table) == {"1", "2"}
         row = table["1"]["sdk.ecall"]
         assert row["count"] == 20
@@ -184,7 +203,7 @@ class TestLatencyBlock:
         assert art["metrics"]["latency.m.1.sdk.ecall.p99"] == 9200
 
     def test_latency_metrics_are_deterministic(self):
-        a, b = (build_artifact(FAKE, {"score": 1.0}, sim_telemetry(), None)
+        a, b = (build_artifact(FAKE, {"score": 1.0}, sim_records())
                 for _ in range(2))
         lat_a = {k: v for k, v in a["metrics"].items()
                  if k.startswith("latency.")}

@@ -7,6 +7,8 @@ failure mode ``python -m repro.bench check`` exists to catch in CI.
 """
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -18,11 +20,23 @@ from repro.bench.runner import (DEFAULT_BASELINE_DIR, check_benches,
 from repro.hw import costs
 from repro.hw.costs import WorldSwitchCosts
 from repro.profiler import parse_collapsed, self_total
+from repro.telemetry.export import combined_cycles
 
 TABLE1 = REGISTRY["table1_edge_calls"]
 TABLE2 = REGISTRY["table2_exceptions"]
 GATE_SET = ("table1_edge_calls", "table2_exceptions", "fig7_marshalling",
             "fig11_memenc", "ablation_swap")
+OBSERVABILITY_DOC = (pathlib.Path(__file__).resolve().parents[2]
+                     / "docs" / "OBSERVABILITY.md")
+
+
+def documented_artifact_files() -> list[str]:
+    """The ``<name>.*`` files the docs' ``--artifacts`` section lists."""
+    text = OBSERVABILITY_DOC.read_text()
+    marker = "`--artifacts`\nwrites:\n\n"
+    section = text[text.index(marker) + len(marker):]
+    section = section[:section.index("\n\n")]
+    return re.findall(r"^\* `(<name>\.[^`]+)`", section, re.MULTILINE)
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +73,11 @@ class TestRunOne:
         _, _, output = table1_run
         artifact = output.artifact
         validate_artifact(artifact)
-        assert artifact["telemetry"]["machines"] >= 4   # one per mode
-        assert artifact["metrics"]["telemetry.total_cycles"] > 0
+        assert len(artifact["machines"]) >= 4   # one per mode
+        assert artifact["metrics"]["telemetry.total_cycles"] == \
+            combined_cycles(artifact["machines"])["total"] > 0
         assert artifact["metrics"]["profile.total_span_cycles"] > 0
-        assert artifact["profile"]["combined"]["frames"]
+        assert artifact["profile"]["frames"]
 
     def test_profile_accounting_is_exact(self, table1_run):
         # The whole frame table rides in the artifact, so the exact
@@ -70,20 +85,16 @@ class TestRunOne:
         # sum to the root-span cycles, per machine and combined.
         _, _, output = table1_run
         profile = output.artifact["profile"]
+        machines = output.artifact["machines"]
         total = output.artifact["metrics"]["profile.total_span_cycles"]
-        assert len(profile["machines"]) >= 4
-        assert self_total(profile["combined"]) == total == \
-            profile["combined"]["total_span_cycles"]
-        for machine in profile["machines"]:
+        assert len(machines) >= 4
+        assert self_total(profile) == total == profile["total_span_cycles"]
+        for machine in machines:
             assert self_total(machine) == machine["total_span_cycles"] > 0
-        assert sum(m["total_span_cycles"] for m in profile["machines"]) \
-            == total
+        assert sum(m["total_span_cycles"] for m in machines) == total
 
     def test_side_artifacts_are_loadable(self, table1_run):
         _, artifacts_dir, output = table1_run
-        snapshot = json.loads(
-            (artifacts_dir / "table1_edge_calls.telemetry.json").read_text())
-        assert snapshot["machines"]
         trace = json.loads((artifacts_dir /
                             "table1_edge_calls.telemetry.trace.json")
                            .read_text())
@@ -91,11 +102,16 @@ class TestRunOne:
         collapsed = parse_collapsed(
             (artifacts_dir / "table1_edge_calls.collapsed").read_text())
         assert sum(collapsed.values()) == \
-            output.artifact["profile"]["combined"]["total_span_cycles"]
-        # The artifact is the profile's only copy.
-        assert sorted(path.name for path in artifacts_dir.iterdir()) == [
-            "table1_edge_calls.collapsed", "table1_edge_calls.telemetry.json",
+            output.artifact["profile"]["total_span_cycles"]
+        # The artifact is the records' only copy; the two views are
+        # exactly the files the docs list.
+        written = sorted(path.name for path in artifacts_dir.iterdir())
+        assert written == [
+            "table1_edge_calls.collapsed",
             "table1_edge_calls.telemetry.trace.json"]
+        assert written == sorted(
+            name.replace("<name>", "table1_edge_calls")
+            for name in documented_artifact_files())
 
 
 class TestGate:
@@ -242,7 +258,7 @@ class TestCli:
         base_path = DEFAULT_BASELINE_DIR / "BENCH_table1_edge_calls.json"
         base = load_artifact(base_path)
         current = json.loads(json.dumps(base))
-        frames = current["profile"]["combined"]["frames"]
+        frames = current["profile"]["frames"]
         gone = frames.pop()
         frames.append({"stack": ["sdk.ecall", "newcomer"], "calls": 3,
                        "cycles": 1_000_000_000,

@@ -27,7 +27,6 @@ from repro.analysis.critpath import interference_report
 from repro.bench import load_artifact
 from repro.bench.cli import main as bench_main
 from repro.bench.runner import DEFAULT_BASELINE_DIR
-from repro.telemetry.schema import validate_snapshot
 
 GOLDEN = pathlib.Path(__file__).parent / "report_golden"
 FORMATS = [("text", "txt"), ("markdown", "md")]
@@ -243,9 +242,7 @@ def _check_on_disk(artifact_path: pathlib.Path) -> tuple[dict, set[str]]:
     returns the artifact and the trace's event phases."""
     directory, name = artifact_path.parent, \
         artifact_path.stem.removeprefix("BENCH_")
-    validate_snapshot(json.loads(
-        (directory / f"{name}.telemetry.json").read_text()))
-    artifact = load_artifact(artifact_path)   # checks both blocks too
+    artifact = load_artifact(artifact_path)   # checks records and requests
     assert artifact["requests"] is not None
     events = json.loads((directory / f"{name}.telemetry.trace.json")
                         .read_text())["traceEvents"]
@@ -373,7 +370,7 @@ def test_no_names_renders_every_committed_baseline(capsys):
     assert "paper vs measured (Figure 11 normalized latency at 256 MB):" \
         in out
     assert out.count(" frames by self cycles (of ") == \
-        sum(bool(a["profile"] and a["profile"]["combined"]["frames"])
+        sum(bool(a["profile"] and a["profile"]["frames"])
             for a in artifacts)
 
 

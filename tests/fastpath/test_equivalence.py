@@ -94,6 +94,7 @@ class TestBenchmarkEquivalence:
                                                     touches):
         from repro.bench.registry import resolve
         from repro.telemetry import sink as telemetry_sink
+        from repro.telemetry.export import combined_cycles, machine_records
 
         spec = resolve([name])[0]
         spec.load()
@@ -102,12 +103,12 @@ class TestBenchmarkEquivalence:
             with telemetry_sink.capture() as sink:
                 figures = spec.run()
                 fingerprints = sink.state_fingerprints()
-                doc = sink.document()
+                cycles = combined_cycles(machine_records(sink.items))
             return {
                 "figures": figures,
                 "fingerprints": fingerprints,
-                "total_cycles": doc["combined"]["total_cycles"],
-                "by_subsystem": doc["combined"]["by_subsystem"],
+                "total_cycles": cycles["total"],
+                "by_subsystem": cycles["by_subsystem"],
             }
 
         reference, default = ab_run(run, touches=touches)

@@ -2,12 +2,15 @@
 
 Emission is opt-in (a recorder on the active sink, or
 ``REPRO_FORENSICS_DIR``); the
-bundle carries enough to debug post-mortem without re-running — state
+bundle carries enough to debug post-mortem without re-running — the
+machine's record (cycles, metrics, hardware stats, frame table), state
 hash + per-component fingerprints, CPU/TLB/page-table dump, the open
-span stack, the last journal events, and a metrics snapshot.
+span stack and the last journal events.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.flightrec.scenario import run_recorded
 from repro.hw.machine import Machine, MachineConfig
 from repro.monitor.boot import measured_late_launch
 from repro.sanitizer import SAN_MEASURE, SanitizerViolation
+from repro.telemetry.export import machine_record
 from tests.monitor.conftest import build_minimal_enclave
 
 SANITIZED_CONFIG = MachineConfig(
@@ -85,9 +89,31 @@ class TestBundleContents:
     def test_bundle_carries_trace_tail_and_metrics(self, bundle):
         _, document = bundle
         assert document["events"], "trace tail must not be empty"
-        assert document["trace_stats"]["recorded"] > 0
+        assert document["hardware"]["trace"]["recorded"] > 0
         names = {(m["subsystem"], m["name"]) for m in document["metrics"]}
         assert ("sanitizer", "violations") in names
+
+    def test_bundle_is_the_machine_record_plus_its_own_fields(self, bundle):
+        # The same builder as the artifact path: no second one.
+        machine, document = bundle
+        record = json.loads(json.dumps(machine_record(machine.telemetry,
+                                                      document["label"])))
+        assert {key: document[key] for key in record} == record
+        assert set(document) - set(record) == {
+            "version", "kind", "error", "state_hash", "state_fingerprint",
+            "config", "open_spans", "events", "dump"}
+
+    def test_load_refuses_a_corrupted_record(self, bundle, tmp_path):
+        _, document = bundle
+        path = tmp_path / "corrupted.json"
+        for field, value, message in (
+                ("metrics", None, "missing metrics list"),
+                ("spans", {"recorded": 1, "dropped": 2},
+                 "more spans dropped than recorded"),
+                ("version", 1, "unsupported version 1")):
+            path.write_text(json.dumps({**document, field: value}))
+            with pytest.raises(ValueError, match=message):
+                forensics.load_bundle(path)
 
     def test_render_is_human_readable(self, bundle):
         _, document = bundle

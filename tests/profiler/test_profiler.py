@@ -14,17 +14,22 @@ from repro.bench.cli import main as bench_main
 from repro.bench.registry import REGISTRY
 from repro.bench.report import profile_section
 from repro.hw.cycles import CycleCounter
-from repro.profiler import (FrameDelta, collapsed_lines, diff_report,
-                            machine_profile, parse_collapsed,
-                            profile_document, rank_deltas, self_total,
-                            write_collapsed)
+from repro.profiler import (FrameDelta, collapsed_lines, combined_profile,
+                            diff_report, parse_collapsed, rank_deltas,
+                            self_total, write_collapsed)
 from repro.telemetry import Telemetry, UnclosedSpanError
+from repro.telemetry.export import machine_record, machine_records
 
 
 def make_tel(**kwargs) -> Telemetry:
     tel = Telemetry(CycleCounter(), **kwargs)
     tel.enable()
     return tel
+
+
+def records(*items) -> list[dict]:
+    """The records of ``(label, telemetry)`` pairs, as a run takes them."""
+    return machine_records(list(items))
 
 
 def run_workload(tel: Telemetry, scale: int = 1) -> None:
@@ -44,7 +49,7 @@ class TestFrameAggregation:
     def test_frames_keyed_by_exact_stack(self):
         tel = make_tel()
         run_workload(tel)
-        profile = machine_profile(tel, "m")
+        profile = machine_record(tel, "m")
         frames = {tuple(f["stack"]): f for f in profile["frames"]}
         assert set(frames) == {("ecall",), ("ecall", "eenter"),
                                ("ecall", "eexit"), ("attest",)}
@@ -58,7 +63,7 @@ class TestFrameAggregation:
         tel = make_tel()
         run_workload(tel)
         run_workload(tel)
-        profile = machine_profile(tel, "m")
+        profile = machine_record(tel, "m")
         frames = {tuple(f["stack"]): f for f in profile["frames"]}
         assert frames[("ecall",)]["calls"] == 2
         assert frames[("ecall", "eenter")]["calls"] == 2
@@ -67,14 +72,14 @@ class TestFrameAggregation:
     def test_self_cycles_sum_to_root_span_cycles(self):
         tel = make_tel()
         run_workload(tel)
-        profile = machine_profile(tel, "m")
+        profile = machine_record(tel, "m")
         assert profile["total_span_cycles"] == 1050
         assert self_total(profile) == profile["total_span_cycles"]
 
     def test_breakdowns_split_self_cycles_by_label(self):
         tel = make_tel()
         run_workload(tel)
-        profile = machine_profile(tel, "m")
+        profile = machine_record(tel, "m")
         # Child spans carry no enclave label -> bucket "-".
         assert profile["by_enclave"] == {"1": 140, "-": 880, "2": 30}
         assert sum(profile["by_enclave"].values()) == 1050
@@ -83,12 +88,12 @@ class TestFrameAggregation:
         tel_a, tel_b = make_tel(), make_tel()
         run_workload(tel_a)
         run_workload(tel_b, scale=2)
-        doc = profile_document([("a", tel_a), ("b", tel_b)])
-        assert doc["combined"]["total_span_cycles"] == 1050 * 3
-        combined = {tuple(f["stack"]): f for f in doc["combined"]["frames"]}
+        profile = combined_profile(records(("a", tel_a), ("b", tel_b)))
+        assert profile["total_span_cycles"] == 1050 * 3
+        combined = {tuple(f["stack"]): f for f in profile["frames"]}
         assert combined[("ecall", "eenter")]["self_cycles"] == 1500
         assert combined[("ecall", "eenter")]["calls"] == 2
-        assert self_total(doc["combined"]) == 1050 * 3
+        assert self_total(profile) == 1050 * 3
 
     def test_summary_ranks_by_self_cycles(self):
         # The report's top-frames table is the one summary of a profile:
@@ -97,7 +102,9 @@ class TestFrameAggregation:
         run_workload(tel)
         with tel.span("tie"):
             tel.cycles.charge(30, "crypto")
-        (table,) = profile_section({"profile": profile_document([("m", tel)])})
+        (table,) = profile_section(
+            {"profile": combined_profile(records(("m", tel))),
+             "machines": records(("m", tel))})
         assert [row[1] for row in table.rows] == [
             "ecall;eenter", "ecall;eexit", "ecall", "attest", "tie"]
 
@@ -109,24 +116,25 @@ class TestFrameAggregation:
             run_workload(capped)
             run_workload(uncapped)
         assert len(capped.spans) == 8
-        profile = profile_document([("m", capped)])
-        assert profile == profile_document([("m", uncapped)])
-        assert profile["machines"][0]["spans_recorded"] == 20
-        assert profile["combined"]["total_span_cycles"] == 5 * 1050
+        (capped_record,) = records(("m", capped))
+        (uncapped_record,) = records(("m", uncapped))
+        for field in ("frames", "total_span_cycles", "by_enclave"):
+            assert capped_record[field] == uncapped_record[field]
+        assert capped_record["spans"] == {"recorded": 20, "dropped": 12}
+        assert capped_record["total_span_cycles"] == 5 * 1050
 
     def test_reset_drops_the_frame_table(self):
         tel = make_tel()
         run_workload(tel)
         tel.reset()
         run_workload(tel, scale=2)
-        assert machine_profile(tel, "m")["total_span_cycles"] == 2100
+        assert machine_record(tel, "m")["total_span_cycles"] == 2100
 
     def test_profiling_reads_without_charging(self):
         tel = make_tel()
         run_workload(tel)
         before = tel.cycles.total
-        machine_profile(tel, "m")
-        profile_document([("m", tel)])
+        combined_profile(records(("m", tel)))
         assert tel.cycles.total == before
 
 
@@ -136,17 +144,17 @@ class TestUnclosedSpans:
         outer = tel.span("outer")
         outer.__enter__()
         with pytest.raises(UnclosedSpanError, match="outer"):
-            machine_profile(tel, "m")
+            records(("m", tel))
         outer.__exit__(None, None, None)
-        machine_profile(tel, "m")   # closed: no longer raises
+        records(("m", tel))   # closed: no longer raises
 
 
 class TestCollapsed:
     def test_round_trip_preserves_self_cycles(self):
         tel = make_tel()
         run_workload(tel)
-        doc = profile_document([("m", tel)])
-        parsed = parse_collapsed("\n".join(collapsed_lines(doc)))
+        parsed = parse_collapsed("\n".join(
+            collapsed_lines(records(("m", tel)))))
         assert parsed[("m", "ecall", "eenter")] == 500
         assert sum(parsed.values()) == 1050
 
@@ -155,10 +163,10 @@ class TestCollapsed:
         # frame table merges machines, so its stacks carry no label.
         tel = make_tel()
         run_workload(tel)
-        doc = profile_document([("m", tel)])
-        parsed = parse_collapsed("\n".join(collapsed_lines(doc)))
+        machines = records(("m", tel))
+        parsed = parse_collapsed("\n".join(collapsed_lines(machines)))
         combined = {tuple(f["stack"]): f["self_cycles"]
-                    for f in doc["combined"]["frames"]}
+                    for f in combined_profile(machines)["frames"]}
         assert parsed[("m", "ecall", "eexit")] == 380
         assert combined[("ecall", "eexit")] == 380
 
@@ -168,7 +176,7 @@ class TestCollapsed:
         tel = make_tel()
         run_workload(tel)
         path = write_collapsed(tmp_path / "out.collapsed",
-                               profile_document([("m", tel)]))
+                               records(("m", tel)))
         for line in path.read_text().splitlines():
             stack, _, count = line.rpartition(" ")
             assert stack and count.isdigit() and int(count) > 0
@@ -179,7 +187,7 @@ class TestCollapsed:
         with tel.span("wrapper"):          # all cycles go to the child
             with tel.span("inner"):
                 tel.cycles.charge(10, "sdk-ecall")
-        lines = collapsed_lines(profile_document([("m", tel)]))
+        lines = collapsed_lines(records(("m", tel)))
         assert lines == ["m;wrapper;inner 10"]
 
     def test_parse_rejects_malformed_lines(self):
@@ -194,8 +202,8 @@ class TestDiff:
         run_workload(cur_tel, scale=2)
         with cur_tel.span("new_phase"):
             cur_tel.cycles.charge(7, "other")
-        return (profile_document([("m", base_tel)]),
-                profile_document([("m", cur_tel)]))
+        return (combined_profile(records(("m", base_tel))),
+                combined_profile(records(("m", cur_tel))))
 
     def test_largest_delta_first(self):
         base, cur = self._docs()
@@ -236,8 +244,7 @@ class TestProfilerCli:
         tel = make_tel()
         run_workload(tel, scale=scale)
         artifact = build_artifact(
-            REGISTRY["table1_edge_calls"], {"x": 1.0}, None,
-            profile_document([("m", tel)]))
+            REGISTRY["table1_edge_calls"], {"x": 1.0}, records(("m", tel)))
         return write_artifact(tmp_path / name, artifact)
 
     def test_report_prints_top_frames(self, tmp_path):
@@ -253,14 +260,16 @@ class TestProfilerCli:
         for i in range(12):
             with tel.span(f"f{i:02}"):
                 tel.cycles.charge(100 + i, "other")
-        (table,) = profile_section({"profile": profile_document([("m", tel)])})
+        machines = records(("m", tel))
+        (table,) = profile_section({"profile": combined_profile(machines),
+                                    "machines": machines})
         assert table.title.startswith("top 10 frames by self cycles (of ")
         assert [row[1] for row in table.rows] == \
             [f"f{i:02}" for i in range(11, 1, -1)]
 
     def test_collapse_writes_parseable_file(self, tmp_path):
         doc = json.loads(self._write_artifact(tmp_path, "a.json").read_text())
-        path = write_collapsed(tmp_path / "p.collapsed", doc["profile"])
+        path = write_collapsed(tmp_path / "p.collapsed", doc["machines"])
         assert sum(parse_collapsed(path.read_text()).values()) == 1050
 
     def test_diff_exit_codes_track_total_movement(self, tmp_path, capsys):
@@ -277,7 +286,7 @@ class TestProfilerCli:
     def test_invalid_profile_is_a_usage_error(self, tmp_path, capsys):
         path = self._write_artifact(tmp_path, "bogus.json")
         bogus = json.loads(path.read_text())
-        bogus["profile"]["combined"]["frames"][0].pop("self_cycles")
+        bogus["profile"]["frames"][0].pop("self_cycles")
         path.write_text(json.dumps(bogus))
         assert bench_main(["diff", str(path), str(path)]) == 2
         assert "missing self_cycles" in capsys.readouterr().err

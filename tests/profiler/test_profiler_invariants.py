@@ -10,9 +10,10 @@
 """
 
 from repro.platform import TeePlatform
-from repro.profiler import (parse_collapsed, profile_document, self_total,
+from repro.profiler import (combined_profile, parse_collapsed, self_total,
                             write_collapsed)
 from repro.telemetry import sink as telemetry_sink
+from repro.telemetry.export import machine_records
 
 from tests.sdk.conftest import SMALL, demo_image
 
@@ -38,24 +39,24 @@ class TestProfilerInvariants:
         _lifecycle(totals)                        # bare: no sink, no spans
         with telemetry_sink.capture() as sink:    # profiled
             _lifecycle(totals)
-        doc = profile_document(sink.items)
-        assert doc["combined"]["total_span_cycles"] > 0
+        profile = combined_profile(machine_records(sink.items))
+        assert profile["total_span_cycles"] > 0
         assert totals[0] == totals[1]
 
     def test_accounting_is_total_on_a_real_run(self):
         with telemetry_sink.capture() as sink:
             _lifecycle([])
-        doc = profile_document(sink.items)
-        for machine in doc["machines"]:
-            assert self_total(machine) == machine["total_span_cycles"]
-        assert self_total(doc["combined"]) == \
-            doc["combined"]["total_span_cycles"]
+        records = machine_records(sink.items)
+        for record in records:
+            assert self_total(record) == record["total_span_cycles"]
+        profile = combined_profile(records)
+        assert self_total(profile) == profile["total_span_cycles"]
 
     def test_real_run_covers_the_edge_call_stacks(self):
         with telemetry_sink.capture() as sink:
             _lifecycle([])
-        doc = profile_document(sink.items)
-        stacks = {tuple(f["stack"]) for f in doc["combined"]["frames"]}
+        profile = combined_profile(machine_records(sink.items))
+        stacks = {tuple(f["stack"]) for f in profile["frames"]}
         assert ("sdk.ecall",) in stacks
         assert ("sdk.ecall", "world.eenter") in stacks
         assert ("sdk.ecall", "world.eexit") in stacks
@@ -64,8 +65,9 @@ class TestProfilerInvariants:
     def test_collapsed_file_conserves_total(self, tmp_path):
         with telemetry_sink.capture() as sink:
             _lifecycle([])
-        doc = profile_document(sink.items)
-        path = write_collapsed(tmp_path / "run.collapsed", doc)
+        records = machine_records(sink.items)
+        path = write_collapsed(tmp_path / "run.collapsed", records)
         parsed = parse_collapsed(path.read_text())
-        assert sum(parsed.values()) == doc["combined"]["total_span_cycles"]
+        assert sum(parsed.values()) == \
+            combined_profile(records)["total_span_cycles"]
         assert all(count > 0 for count in parsed.values())

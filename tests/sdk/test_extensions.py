@@ -74,6 +74,31 @@ class TestSwitchlessOcalls:
         assert handle.switchless_calls == 1
         assert handle.switchless_worker_cycles >= 5000
 
+    def test_worker_cycles_grow_with_switchless_ocalls(self, platform,
+                                                       handle):
+        # The worker spins for as long as switchless mode is on: every
+        # machine cycle since enable_switchless, once per worker.
+        handle.enable_switchless(workers=2)
+        start = platform.cycles.total
+        seen = [handle.switchless_worker_cycles]
+        for _ in range(3):
+            handle.proxies.echo_through_ocall(data=b"\x01", n=1)
+            assert handle.switchless_worker_cycles == \
+                2 * (platform.cycles.total - start)
+            seen.append(handle.switchless_worker_cycles)
+        assert handle.switchless_calls == 3
+        assert seen[0] == 0 and seen == sorted(set(seen))
+        # Off, the worker stops: the figure keeps what it burned.
+        handle.disable_switchless()
+        handle.proxies.echo_through_ocall(data=b"\x01", n=1)
+        assert handle.switchless_worker_cycles == seen[-1]
+        # So it does when the enclave goes away with switchless on.
+        handle.enable_switchless()
+        handle.destroy()
+        burned = handle.switchless_worker_cycles
+        platform.cycles.charge(1000, "syscall")
+        assert handle.switchless_worker_cycles == burned
+
     def test_disable_restores_world_switches(self, handle):
         handle.enable_switchless()
         handle.disable_switchless()

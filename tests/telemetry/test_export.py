@@ -1,14 +1,13 @@
-"""Tests for the telemetry exporters and the snapshot schema."""
+"""Tests for the machine record, its check and the Chrome trace."""
 
 import json
 
 import pytest
 
 from repro.hw.cycles import CycleCounter
-from repro.telemetry import (SchemaError, Telemetry, validate_snapshot)
-from repro.telemetry.export import (chrome_trace_document,
-                                    snapshot_document, trace_path_for,
-                                    write_telemetry)
+from repro.telemetry import SchemaError, Telemetry, check_record
+from repro.telemetry.export import (chrome_trace_document, combined_cycles,
+                                    machine_record, write_chrome_trace)
 
 
 def _busy_telemetry() -> Telemetry:
@@ -22,32 +21,60 @@ def _busy_telemetry() -> Telemetry:
     return tel
 
 
+def _corrupt_metric(record):
+    record["metrics"][0]["type"] = "gauge"
+
+
+def _metric_without_labels(record):
+    del record["metrics"][0]["labels"]
+
+
+def _histogram_bucket(record):
+    hist = next(m for m in record["metrics"] if m["type"] == "histogram")
+    hist["buckets"][0] = [1, 2]
+
+
+def _sum_off(record):
+    record["cycles"]["total"] += 10_000
+
+
+def _more_dropped(record):
+    record["spans"]["dropped"] = record["spans"]["recorded"] + 1
+
+
 class TestSnapshotDocument:
+    """The per-machine record every artifact and bundle carries."""
+
     def test_subsystems_sum_to_total(self):
-        doc = snapshot_document([("m1", _busy_telemetry()),
-                                 ("m2", _busy_telemetry())])
-        combined = doc["combined"]
-        assert combined["total_cycles"] == 2 * (100 + 1163 + 40)
-        assert sum(combined["by_subsystem"].values()) == \
-            combined["total_cycles"]
-        for snap in doc["machines"]:
-            assert sum(snap["cycles"]["by_subsystem"].values()) == \
-                pytest.approx(snap["cycles"]["total"])
+        records = [machine_record(_busy_telemetry(), "m1"),
+                   machine_record(_busy_telemetry(), "m2")]
+        combined = combined_cycles(records)
+        assert combined["total"] == 2 * (100 + 1163 + 40)
+        assert sum(combined["by_subsystem"].values()) == combined["total"]
+        for record in records:
+            assert sum(record["cycles"]["by_category"].values()) == \
+                pytest.approx(record["cycles"]["total"])
 
     def test_validates(self):
-        validate_snapshot(snapshot_document([("m", _busy_telemetry())]))
+        check_record(machine_record(_busy_telemetry(), "m"))
 
     def test_schema_rejects_bad_documents(self):
         with pytest.raises(SchemaError):
-            validate_snapshot({"version": 1})
-        doc = snapshot_document([("m", _busy_telemetry())])
-        doc["combined"]["total_cycles"] += 10_000
-        with pytest.raises(SchemaError):
-            validate_snapshot(doc)
+            check_record({"label": "m"})
+        for breakage, message in [
+                (_corrupt_metric, "unknown metric type"),
+                (_metric_without_labels, "missing labels"),
+                (_histogram_bucket, r"expected \[lo, hi, count\]"),
+                (_sum_off, "more than 1% off total"),
+                (_more_dropped, "more spans dropped than recorded")]:
+            record = machine_record(_busy_telemetry(), "m")
+            breakage(record)
+            with pytest.raises(SchemaError, match=message):
+                check_record(record)
 
     def test_json_serializable(self):
-        doc = snapshot_document([("m", _busy_telemetry())])
-        json.loads(json.dumps(doc))
+        record = machine_record(_busy_telemetry(), "m")
+        check_record(json.loads(json.dumps(record)))
 
 
 class TestChromeTrace:
@@ -78,13 +105,8 @@ class TestChromeTrace:
 
 
 class TestWriter:
-    def test_writes_snapshot_and_trace(self, tmp_path):
-        target = tmp_path / "tel.json"
-        snap, trace = write_telemetry(target, [("m", _busy_telemetry())])
-        assert snap == target
-        assert trace == tmp_path / "tel.trace.json"
-        validate_snapshot(json.loads(snap.read_text()))
-        assert json.loads(trace.read_text())["traceEvents"]
-
-    def test_trace_path_for(self):
-        assert trace_path_for("out/x.json").name == "x.trace.json"
+    def test_writes_the_chrome_trace(self, tmp_path):
+        target = tmp_path / "tel.trace.json"
+        items = [("m", _busy_telemetry())]
+        assert write_chrome_trace(target, items) == target
+        assert json.loads(target.read_text()) == chrome_trace_document(items)

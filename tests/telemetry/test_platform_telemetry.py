@@ -9,7 +9,8 @@ The two invariants that make telemetry safe to ship:
 """
 
 from repro.platform import TeePlatform
-from repro.telemetry.export import machine_snapshot, snapshot_document
+from repro.telemetry import cycles_by_subsystem
+from repro.telemetry.export import machine_record, machine_records
 
 from tests.sdk.conftest import SMALL, demo_image
 
@@ -50,9 +51,9 @@ class TestPlatformTelemetry:
         platform.machine.telemetry.enable()
         handle = platform.load_enclave(demo_image())
         _run_workload(platform, handle)
-        snap = machine_snapshot(platform.machine.telemetry)
-        assert sum(snap["cycles"]["by_subsystem"].values()) == \
-            snap["cycles"]["total"]
+        record = machine_record(platform.machine.telemetry)
+        by_subsystem = cycles_by_subsystem(record["cycles"]["by_category"])
+        assert sum(by_subsystem.values()) == record["cycles"]["total"]
         handle.destroy()
 
     def test_hypercall_counters_labeled_by_op(self):
@@ -72,12 +73,13 @@ class TestPlatformTelemetry:
         platform.machine.telemetry.enable()
         handle = platform.load_enclave(demo_image())
         _run_workload(platform, handle)
-        doc = snapshot_document([("m", platform.machine.telemetry)])
-        hw = doc["machines"][0]["hardware"]
+        (record,) = machine_records([("m", platform.machine.telemetry)])
+        hw = record["hardware"]
         assert "tlb" in hw and "llc" in hw and "encryption" in hw
         assert hw["encryption"]["engine"] == "amd-sme"
         assert "os" in hw["paging"] and "enclave" in hw["paging"]
         assert hw["paging"]["enclave"]["walks"] > 0
+        assert hw["trace"] == platform.machine.trace.stats()
         handle.destroy()
 
     def test_trace_events_are_int_stamped(self):

@@ -1,16 +1,18 @@
-"""Runtime detection of unclosed spans at export time.
+"""Runtime detection of unclosed spans when a run's records are taken.
 
 The static side of this contract is staticcheck rule SC007 (spans must
-be context-managed); this is the runtime counterpart: a span left open when
-a snapshot/profile is taken means unattributed cycles, so exports raise
-:class:`~repro.telemetry.UnclosedSpanError` naming the open spans.
+be context-managed); this is the runtime counterpart: a span left open
+when the artifact path takes the machine records means unattributed
+cycles, so :func:`~repro.telemetry.export.machine_records` raises
+:class:`~repro.telemetry.UnclosedSpanError` naming the open spans.  The
+record builder itself never raises: a forensic bundle is taken mid-span.
 """
 
 import pytest
 
 from repro.hw.cycles import CycleCounter
-from repro.telemetry import Telemetry, UnclosedSpanError, validate_snapshot
-from repro.telemetry.export import machine_snapshot, snapshot_document
+from repro.telemetry import (Telemetry, UnclosedSpanError, check_record,
+                             machine_record, machine_records)
 
 
 @pytest.fixture
@@ -40,17 +42,19 @@ class TestUnclosedSpanDetection:
         outer = _open(tel, "outer")
         inner = _open(tel, "inner")
         with pytest.raises(UnclosedSpanError, match="outer > inner"):
-            machine_snapshot(tel, "m")
+            machine_records([("m", tel)])
         with pytest.raises(UnclosedSpanError, match=r"2 span\(s\)"):
-            snapshot_document([("m", tel)])
+            machine_records([("ok", Telemetry(CycleCounter())), ("m", tel)])
+        # The record builder reads mid-span state without raising.
+        assert machine_record(tel, "m")["spans"]["recorded"] == 0
         inner.__exit__(None, None, None)
         outer.__exit__(None, None, None)
 
     def test_closed_spans_export_cleanly(self, tel):
         with tel.span("done"):
             tel.cycles.charge(10, "sdk-ecall")
-        snap = machine_snapshot(tel, "m")
-        assert snap["spans"] == {"recorded": 1, "dropped": 0}
+        (record,) = machine_records([("m", tel)])
+        assert record["spans"] == {"recorded": 1, "dropped": 0}
 
     def test_spans_beyond_the_deque_count_as_dropped(self):
         # The snapshot counts every closed span, not the bounded deque
@@ -61,10 +65,10 @@ class TestUnclosedSpanDetection:
             with tel.span("outer"):
                 with tel.span("inner"):
                     tel.cycles.charge(10, "sdk-ecall")
-        snap = machine_snapshot(tel, "m")
+        (record,) = machine_records([("m", tel)])
         assert len(tel.spans) == 8
-        assert snap["spans"] == {"recorded": 20, "dropped": 12}
-        validate_snapshot(snapshot_document([("m", tel)]))
+        assert record["spans"] == {"recorded": 20, "dropped": 12}
+        check_record(record)
 
     def test_error_is_a_runtime_error(self):
         # Callers that guard exports broadly must still catch this.

@@ -4,7 +4,7 @@ Telemetry, the monitor-invariant sanitizer, and the exact profiler are
 all pure observers of the simulated machine; this test turns on all
 three together — load, edge calls, ocall round-trip, heap traffic,
 destroy — and checks that (a) the sanitizer saw no violations, (b) the
-telemetry snapshot validates against the schema, (c) the profile is a
+machine record validates against the schema, (c) the profile is a
 complete accounting of the span tree, and (d) the cycle counts are
 bit-identical to the same workload with everything off.
 """
@@ -14,9 +14,11 @@ import dataclasses
 import pytest
 
 from repro.platform import TeePlatform
-from repro.profiler import profile_document, self_total
+from repro.profiler import combined_profile, self_total
+from repro.telemetry import cycles_by_subsystem
 from repro.telemetry import sink as telemetry_sink
-from repro.telemetry.schema import validate_snapshot
+from repro.telemetry.export import machine_records
+from repro.telemetry.schema import check_record
 
 from tests.sdk.conftest import SMALL, demo_image
 
@@ -51,22 +53,21 @@ class TestObservabilityStack:
 
     def test_snapshot_validates_against_the_schema(self):
         _, sink = self._instrumented_run()
-        document = sink.document()          # raises on an open span
-        validate_snapshot(document)
-        (machine,) = document["machines"]
+        (record,) = machine_records(sink.items)  # raises on an open span
+        check_record(record)
         # Regrouping float cycle charges by subsystem changes the
         # summation order, so exactness here is up to float rounding.
-        assert sum(machine["cycles"]["by_subsystem"].values()) == \
-            pytest.approx(machine["cycles"]["total"], abs=1e-6)
+        by_subsystem = cycles_by_subsystem(record["cycles"]["by_category"])
+        assert sum(by_subsystem.values()) == \
+            pytest.approx(record["cycles"]["total"], abs=1e-6)
 
     def test_profile_totals_equal_span_totals(self):
         platform, sink = self._instrumented_run()
-        doc = profile_document(sink.items)
-        (machine,) = doc["machines"]
+        (machine,) = records = machine_records(sink.items)
         assert machine["total_span_cycles"] > 0
         assert self_total(machine) == machine["total_span_cycles"]
-        assert self_total(doc["combined"]) == \
-            doc["combined"]["total_span_cycles"]
+        profile = combined_profile(records)
+        assert self_total(profile) == profile["total_span_cycles"]
         # Spans cover real work but never more than the machine ran.
         assert machine["total_span_cycles"] <= platform.machine.cycles.total
 

@@ -10,14 +10,15 @@ staticcheck rule SC006 enforces.
 
 A page costs one ``translate`` call and one frame copy: a multi-page
 read is :meth:`PhysicalMemory.read_pages`, which runs the page loop
-beside the frames, and every page of a write is a single-frame
-:meth:`PhysicalMemory.write`.
+beside the frames and joins the pages once, and every page of a write
+is a single-frame :meth:`PhysicalMemory.write`.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from repro.errors import PhysicalMemoryError
 from repro.hw.phys import PAGE_SIZE, PhysicalMemory
 
 
@@ -31,7 +32,11 @@ def copy_in(phys: PhysicalMemory, translate: Callable[[int], int],
     """
     if va % PAGE_SIZE + size <= PAGE_SIZE:
         # One page (or nothing): a single read is the one copy.
-        return phys.read(translate(va), size) if size > 0 else b""
+        if size > 0:
+            return phys.read(translate(va), size)
+        if size < 0:
+            raise PhysicalMemoryError("negative length")
+        return b""
     return phys.read_pages(translate, va, size)
 
 
@@ -40,16 +45,14 @@ def copy_out(phys: PhysicalMemory, translate: Callable[[int], int],
     """Write ``data`` starting at virtual address ``va`` (same contract
     as :func:`copy_in`; ``translate`` should perform write checks)."""
     # Each page is one sub-view of ``data`` handed to phys.write's
-    # single-frame path, right after its own translate.
+    # single-frame path, right after its own translate: the head runs
+    # to its page's end, then every later page starts on a page base
+    # (the last sub-view is clamped to the data's end).
     view = memoryview(data)
     write = phys.write
     size = len(view)
-    chunk = PAGE_SIZE - va % PAGE_SIZE     # the first page runs to its end
-    done = 0
-    while done < size:
-        if chunk > size - done:
-            chunk = size - done
-        write(translate(va), view[done:done + chunk])
-        va += chunk
-        done += chunk
-        chunk = PAGE_SIZE
+    head = min(PAGE_SIZE - va % PAGE_SIZE, size)
+    if head:
+        write(translate(va), view[:head])
+    for done in range(head, size, PAGE_SIZE):
+        write(translate(va + done), view[done:done + PAGE_SIZE])

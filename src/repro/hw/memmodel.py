@@ -233,38 +233,30 @@ class MemorySubsystem:
                     streaming: bool, kind: int) -> float:
         """The layered fast path; charges identically to :meth:`_touch_lines`.
 
-        Page stage: the TLB's resident-key memo confirms hot hits without
-        LRU bookkeeping; misses fall into the reference lookup/walk/insert
-        sequence, so counters and eviction order are untouched.  Line
-        stage: one bulk :meth:`~repro.hw.cache.Llc.access_range` call,
-        then closed-form cost arithmetic over the aggregate hit/miss/
-        eviction counts — exact because every constant involved is
-        integral (see ``_INTEGRAL_COSTS``).
+        Page stage: one :meth:`~repro.hw.tlb.Tlb.touch_pages` call runs
+        the pages through the TLB (the resident-key memo confirms hot
+        hits without LRU bookkeeping, misses take the reference
+        lookup/insert sequence, and a flushed TLB takes the whole run in
+        one step), so counters and eviction order are untouched; its
+        miss count is charged as walks, then the EPC model sees each
+        page in order.  Line stage: one bulk
+        :meth:`~repro.hw.cache.Llc.access_range` call, then closed-form
+        cost arithmetic over the aggregate hit/miss/eviction counts —
+        exact because every constant involved is integral (see
+        ``_INTEGRAL_COSTS``).
         """
-        charged = 0.0
-        tlb = self.tlb
-        asid = self.asid
-        fast_hit = tlb.fast_hit
-        epc = self.epc
-        walk = (costs.PAGE_WALK_NESTED_CYCLES if self.nested_paging
-                else costs.PAGE_WALK_GUEST_CYCLES)
         first_page = addr // PAGE_SIZE
-        last_page = (addr + size - 1) // PAGE_SIZE
-        if epc is None:
-            for page in range(first_page, last_page + 1):
-                if not fast_hit(asid, page) \
-                        and tlb.lookup(asid, page * PAGE_SIZE) is None:
-                    charged += walk
-                    tlb.insert(asid, page * PAGE_SIZE, page * PAGE_SIZE,
-                               flags=0)
-        else:
+        stop_page = (addr + size - 1) // PAGE_SIZE + 1
+        walks = self.tlb.touch_pages(self.asid, first_page, stop_page)
+        charged = 0.0
+        if walks:
+            charged += walks * (costs.PAGE_WALK_NESTED_CYCLES
+                                 if self.nested_paging
+                                 else costs.PAGE_WALK_GUEST_CYCLES)
+        epc = self.epc
+        if epc is not None:
             epc_access = epc.access
-            for page in range(first_page, last_page + 1):
-                if not fast_hit(asid, page) \
-                        and tlb.lookup(asid, page * PAGE_SIZE) is None:
-                    charged += walk
-                    tlb.insert(asid, page * PAGE_SIZE, page * PAGE_SIZE,
-                               flags=0)
+            for page in range(first_page, stop_page):
                 charged += epc_access(page)
 
         first_line = addr // costs.CACHE_LINE

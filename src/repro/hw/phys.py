@@ -9,8 +9,8 @@ R-1..R-3 are about; the MMU, the monitor, and the IOMMU consult it.
 The frame store is private to this module.  ``read`` and ``write`` take
 one slice of one frame when the range fits in it, and ``read_pages``
 runs :func:`repro.hw.memaccess.copy_in`'s page loop here, beside the
-frames, so a copied page costs the caller's ``translate`` and one slice
-copy.
+frames, so a copied page costs the caller's ``translate``, one frame
+lookup and one snapshot of the page.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ PAGE_SHIFT = 12
 # a (start, end, owner) region instead of one dict entry per frame; the
 # monitor's multi-GB reserved-memory tag at boot is the case that counts.
 _REGION_MIN_PAGES = 4096
+
+# What a never-written frame reads as; shared by every copy that needs
+# a whole zero page (bytes are immutable, so sharing is safe).
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class OwnerKind(enum.Enum):
@@ -95,6 +99,10 @@ class PhysicalMemory:
         # Set by repro.sanitizer when REPRO_SANITIZE=1; every ownership
         # transition is mirrored into its shadow model.
         self.sanitizer = None
+        # Bumped by every set_owner: anything that caches an owner_of
+        # answer (the monitor's normal-frame memo) drops it when this
+        # moves.
+        self.owner_epoch = 0
         # Frame number -> the caches (anything with ``clear()``) of the
         # page table whose entries live in that frame (see
         # repro.hw.paging.PageTable).  write, write_u64 and zero_frame
@@ -134,6 +142,7 @@ class PhysicalMemory:
             raise PhysicalMemoryError(f"unaligned frame base {pa:#x}")
         if frame + npages > self.num_frames:
             raise PhysicalMemoryError("frame range beyond physical memory")
+        self.owner_epoch += 1
         if owner.kind is OwnerKind.FREE:
             if npages >= _REGION_MIN_PAGES and self._regions:
                 self._clear_range(frame, frame + npages)
@@ -226,44 +235,57 @@ class PhysicalMemory:
         """Read ``size`` bytes at virtual address ``va``, page by page.
 
         ``translate`` maps a VA to the PA of the same byte and is called
-        once per page, in ascending order; each page's bytes are copied
+        once per page, in ascending order; each page's bytes are taken
         right after its own translate and before the next, so a callback
         that writes memory (an A/D-bit update, a fault handler fixing up
         a page) is seen exactly where it lands.  A translated range that
         crosses a frame or leaves physical memory raises
         :class:`PhysicalMemoryError`.  This is the one page loop
-        :func:`repro.hw.memaccess.copy_in` runs: a whole page costs the
-        callback and one slice copy, no other call.
+        :func:`repro.hw.memaccess.copy_in` runs, and it builds the result
+        in one pass: a whole page costs the callback, one frame lookup
+        and either the shared zero page or one snapshot of the frame;
+        one ``b"".join`` ends it.
         """
         if size < 0:
             raise PhysicalMemoryError("negative length")
-        out = bytearray(size)           # never-written frames stay zero
+        parts: list[bytes | bytearray] = []
+        end = va + size
+        head = min(PAGE_SIZE - (va & (PAGE_SIZE - 1)), size)
+        if head < PAGE_SIZE:
+            # A partial first page, from va to its page's end or to end.
+            if head:
+                parts.append(self._read_part(translate(va), head))
+            va += head
         frames = self._frames
-        limit = self.size
-        chunk = PAGE_SIZE - (va & (PAGE_SIZE - 1))   # first page to its end
-        done = 0
-        while done < size:
-            if chunk > size - done:
-                chunk = size - done
-            pa = translate(va)
-            offset = pa & (PAGE_SIZE - 1)
-            if offset + chunk > PAGE_SIZE:
-                raise PhysicalMemoryError(
-                    f"copy of {chunk} bytes at {pa:#x} crosses a frame")
-            if not 0 <= pa <= limit - chunk:
-                raise PhysicalMemoryError(
-                    f"physical range [{pa:#x}, {pa + chunk:#x}) "
-                    f"out of bounds")
+        last = self.size - PAGE_SIZE     # the highest whole-frame base
+        zero = _ZERO_PAGE
+        append = parts.append
+        whole_end = end - (end & (PAGE_SIZE - 1))
+        for page_va in range(va, whole_end, PAGE_SIZE):
+            pa = translate(page_va)
+            if pa & (PAGE_SIZE - 1) or not 0 <= pa <= last:
+                self._read_part(pa, PAGE_SIZE)      # raises the error
             page = frames.get(pa >> PAGE_SHIFT)
-            if page is not None:
-                if chunk == PAGE_SIZE:
-                    out[done:done + PAGE_SIZE] = page
-                else:
-                    out[done:done + chunk] = page[offset:offset + chunk]
-            va += chunk
-            done += chunk
-            chunk = PAGE_SIZE
-        return bytes(out)
+            append(zero if page is None else bytes(page))
+        if va <= whole_end < end:
+            # A partial last page, from its base to end.
+            append(self._read_part(translate(whole_end), end - whole_end))
+        return b"".join(parts)
+
+    def _read_part(self, pa: int, chunk: int) -> bytes | bytearray:
+        """``chunk`` bytes of one page of :meth:`read_pages` at ``pa``,
+        which must lie inside one frame of memory."""
+        offset = pa & (PAGE_SIZE - 1)
+        if offset + chunk > PAGE_SIZE:
+            raise PhysicalMemoryError(
+                f"copy of {chunk} bytes at {pa:#x} crosses a frame")
+        if not 0 <= pa <= self.size - chunk:
+            raise PhysicalMemoryError(
+                f"physical range [{pa:#x}, {pa + chunk:#x}) out of bounds")
+        page = self._frames.get(pa >> PAGE_SHIFT)
+        if page is None:
+            return _ZERO_PAGE[:chunk]
+        return page[offset:offset + chunk]
 
     def write(self, pa: int, data: bytes) -> None:
         """Write ``data`` at physical address ``pa``."""

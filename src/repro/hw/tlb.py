@@ -17,7 +17,8 @@ the events the sanitizer already hooks: ``invlpg``, ``flush``,
 ``flush_asid``, plus capacity evictions; ASID switches need nothing
 because keys carry the ASID.  Counters are maintained eagerly, so
 ``stats()`` and ``state_digest()`` are bit-identical to the reference
-per-line loop.
+per-line loop.  :meth:`Tlb.touch_pages` runs that per-page step over a
+page range, and fills an empty TLB in one pass.
 """
 
 from __future__ import annotations
@@ -92,6 +93,50 @@ class Tlb:
                 mte(key)
         pending.clear()
 
+    def touch_pages(self, asid: int, first: int, stop: int) -> int:
+        """Touch virtual pages ``first`` .. ``stop - 1`` of ``asid`` in order.
+
+        Per page this is :meth:`fast_hit`, else :meth:`lookup`, and on a
+        miss an identity :meth:`insert` (``pa_page`` is the page's own
+        address, flags 0): the memory model's page stage.  Returns the
+        number of misses, each of which the caller charges as a walk.
+        On an empty TLB (every touch after a full flush) every page
+        misses, so the run is inserted in one pass with no lookup or
+        eviction: only the last ``capacity`` pages are inserted, oldest
+        first, which is what page-by-page inserts and LRU evictions
+        would leave.
+        """
+        entries = self._entries
+        resident = self._resident
+        if not entries:
+            if stop <= first:
+                return 0
+            self.misses += stop - first
+            start = stop - self.capacity
+            for vpn in range(first if first > start else start, stop):
+                key = (asid, vpn)
+                entries[key] = (vpn * PAGE_SIZE, 0)
+                resident.add(key)
+            # resident was empty with the entries: it now holds the run.
+            asid_keys = self._asid_keys.get(asid)
+            if asid_keys is None:
+                self._asid_keys[asid] = set(resident)
+            else:
+                asid_keys.update(resident)
+            return stop - first
+        pending = self._pending
+        hits = misses = 0
+        for vpn in range(first, stop):
+            key = (asid, vpn)
+            if key in resident:
+                hits += 1
+                pending.append(key)
+            elif self.lookup(asid, vpn * PAGE_SIZE) is None:
+                misses += 1
+                self.insert(asid, vpn * PAGE_SIZE, vpn * PAGE_SIZE, flags=0)
+        self.hits += hits
+        return misses
+
     # -- the architectural operations ----------------------------------------
 
     def lookup(self, asid: int, va: int) -> tuple[int, PageTableFlags] | None:
@@ -142,11 +187,17 @@ class Tlb:
             self.sanitizer.on_tlb_invlpg(asid, key[1])
 
     def flush(self) -> None:
-        """Drop every entry (full flush, e.g. MOV CR3 without PCID)."""
-        self._entries.clear()
-        self._resident.clear()
-        self._pending.clear()
-        self._asid_keys.clear()
+        """Drop every entry (full flush, e.g. MOV CR3 without PCID).
+
+        An empty TLB has nothing to clear (no entry means no resident
+        key and no pending hit), but the flush still counts and still
+        reaches the sanitizer.
+        """
+        if self._entries:
+            self._entries.clear()
+            self._resident.clear()
+            self._pending.clear()
+            self._asid_keys.clear()
         self.flushes += 1
         if self.sanitizer is not None:
             self.sanitizer.on_tlb_flush()

@@ -19,11 +19,15 @@ class RangeSet:
     def __init__(self) -> None:
         self._starts: list[int] = []
         self._ends: list[int] = []
+        # Bumped by every add and remove, so a cached answer about the
+        # set (the monitor's normal-frame memo) can tell it is stale.
+        self.version = 0
 
     def add(self, start: int, end: int) -> None:
         """Insert [start, end), merging with neighbours."""
         if start >= end:
             raise ValueError("empty range")
+        self.version += 1
         i = bisect.bisect_left(self._ends, start)
         j = bisect.bisect_right(self._starts, end)
         if i < j:
@@ -36,6 +40,7 @@ class RangeSet:
         """Delete [start, end), splitting ranges as needed."""
         if start >= end:
             raise ValueError("empty range")
+        self.version += 1
         i = bisect.bisect_right(self._ends, start)
         new_starts: list[int] = []
         new_ends: list[int] = []

@@ -18,8 +18,8 @@ from repro.errors import (EnclaveError, MonitorError, PageFault,
 from repro.hw import costs
 from repro.hw.machine import Machine
 from repro.hw.paging import PageTable
-from repro.hw.phys import (MONITOR, PAGE_SIZE, FramePool, OwnerKind,
-                           enclave_owner)
+from repro.hw.phys import (MONITOR, PAGE_SHIFT, PAGE_SIZE, FramePool,
+                           OwnerKind, enclave_owner)
 from repro.monitor import attestation as att
 from repro.monitor.enclave import ENCLAVE_BASE_VA, Enclave, EnclaveState
 from repro.monitor.ranges import RangeSet
@@ -89,6 +89,12 @@ class RustMonitor:
         self.normal_npt.add(0, cfg.phys_size)
         self.normal_npt.remove(cfg.reserved_base,
                                cfg.reserved_base + cfg.reserved_size)
+        # Frames that passed check_normal_access whole: inside one NPT
+        # range, owner neither MONITOR nor ENCLAVE.  Valid while the
+        # owner epoch and the NPT version it was filled under hold.
+        self._normal_frames: set[int] = set()
+        self._normal_frames_epoch = -1
+        self._normal_frames_npt = -1
 
         self.world = WorldSwitchEngine(machine.cpu, machine.tlb,
                                        machine.telemetry)
@@ -276,16 +282,33 @@ class RustMonitor:
         """R-1: normal-mode software may not touch reserved/enclave frames.
 
         The hardware analogue is an NPT violation; the OS simulation calls
-        this on every physical access it performs for itself or apps.
+        this on every physical access it performs for itself or apps.  A
+        frame that passes whole is remembered until any ``set_owner`` or
+        any change to ``normal_npt``, so the next access inside it costs
+        one set lookup; every other access takes the full check.
         """
-        if not self.normal_npt.contains_range(pa, pa + length):
+        phys = self.machine.phys
+        npt = self.normal_npt
+        frames = self._normal_frames
+        if phys.owner_epoch != self._normal_frames_epoch \
+                or npt.version != self._normal_frames_npt:
+            frames.clear()
+            self._normal_frames_epoch = phys.owner_epoch
+            self._normal_frames_npt = npt.version
+        elif pa >> PAGE_SHIFT in frames \
+                and 0 < length <= PAGE_SIZE - (pa & (PAGE_SIZE - 1)):
+            return
+        if not npt.contains_range(pa, pa + length):
             raise SecurityViolation(
                 f"NPT violation: normal-mode access to protected physical "
                 f"memory at {pa:#x}")
-        owner = self.machine.phys.owner_of(pa)
+        owner = phys.owner_of(pa)
         if owner.kind in (OwnerKind.MONITOR, OwnerKind.ENCLAVE):
             raise SecurityViolation(
                 f"normal-mode access to {owner.kind.value} frame at {pa:#x}")
+        base = pa & ~(PAGE_SIZE - 1)
+        if npt.contains_range(base, base + PAGE_SIZE):
+            frames.add(pa >> PAGE_SHIFT)
 
     # -------------------------------------------------- enclave lifecycle ------
 

@@ -89,11 +89,18 @@ class ParamPlan(NamedTuple):
     size_param: str | None
 
     def size_of(self, func: str, kwargs) -> int:
-        """The byte size of this buffer in a call with ``kwargs``."""
+        """The byte size of this buffer in a call with ``kwargs``.
+
+        A negative size argument is refused here, before the caller
+        stages anything or enters the enclave.
+        """
         if self.size is not None:
             return self.size
         if self.size_param is not None:
-            return int(kwargs[self.size_param])
+            size = int(kwargs[self.size_param])
+            if size < 0:
+                raise SdkError(f"{func}.{self.name}: negative size {size}")
+            return size
         value = kwargs.get(self.name)
         if value is not None:
             return len(value)

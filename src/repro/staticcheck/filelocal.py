@@ -38,8 +38,8 @@ from repro.staticcheck.project import (ModuleInfo, Project, dotted_of,
 from repro.staticcheck.taint import TRUSTED_FRAGMENTS
 
 #: The raw primitives untrusted files must never call directly.
-_PHYS_PRIMITIVES = frozenset({"read", "read_pages", "write", "read_u64",
-                              "write_u64", "zero_frame"})
+_PHYS_PRIMITIVES = frozenset({"read", "read_pages", "_read_part", "write",
+                              "read_u64", "write_u64", "zero_frame"})
 
 
 def run(project: Project,

@@ -55,8 +55,9 @@ class SinkSpec:
 
 _SINK_SPECS = (
     SinkSpec("PhysicalMemory",
-             frozenset({"read", "read_pages", "write", "read_u64",
-                        "write_u64", "zero_frame", "set_owner"}),
+             frozenset({"read", "read_pages", "_read_part", "write",
+                        "read_u64", "write_u64", "zero_frame",
+                        "set_owner"}),
              ("phys",), "raw physical memory"),
     SinkSpec("FramePool", frozenset({"alloc", "free"}),
              ("pool", "frame"), "frame pool"),

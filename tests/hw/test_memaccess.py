@@ -127,6 +127,46 @@ def test_a_page_written_by_an_earlier_translate_is_read_as_written():
                                                       - 2 * PAGE_SIZE))
 
 
+def test_whole_pages_rewritten_by_a_later_translate_keep_their_read_bytes():
+    # Each whole page is a snapshot taken right after its own translate,
+    # not a reference to a frame that a later callback may rewrite.
+    space = Space(10)
+    size = 4 * PAGE_SIZE
+    expected = bytes(space.flat[:size])
+
+    def rewriting_translate(page_va: int) -> int:
+        pa = space.translate(page_va)
+        for earlier in range(page_va // PAGE_SIZE):
+            space.phys.write(space.frames[earlier] * PAGE_SIZE,
+                             b"\xEE" * PAGE_SIZE)
+        return pa
+
+    assert memaccess.copy_in(space.phys, rewriting_translate, 0, size) \
+        == expected
+
+
+def test_a_negative_copy_in_raises_before_any_translate():
+    space = Space(11)
+    for va in (0, PAGE_SIZE - 1, 3 * PAGE_SIZE + 17):
+        with pytest.raises(PhysicalMemoryError, match="negative length"):
+            memaccess.copy_in(space.phys, space.translate, va, -1)
+        with pytest.raises(PhysicalMemoryError, match="negative length"):
+            memaccess.copy_in(space.phys, space.translate, va, -PAGE_SIZE)
+    assert space.calls == []
+
+
+def test_a_whole_page_translated_off_its_frame_base_raises():
+    space = Space(12)
+
+    def translate(page_va: int) -> int:
+        pa = space.translate(page_va)
+        return pa + 1 if page_va // PAGE_SIZE == 1 else pa
+
+    with pytest.raises(PhysicalMemoryError, match="crosses a frame"):
+        memaccess.copy_in(space.phys, translate, 0, 3 * PAGE_SIZE)
+    assert [v // PAGE_SIZE for v in space.calls] == [0, 1]
+
+
 # (va, size) with a multi-page copy whose pages are partial, full,
 # partial; ``bad`` is the index of the page whose translate leaves memory.
 _OUT_OF_RANGE = [(PAGE_SIZE - 100, PAGE_SIZE + 200, 0),     # partial first

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import OsError, PageFault, SecurityViolation
-from repro.hw.phys import PAGE_SIZE
+from repro.hw.phys import MONITOR, NORMAL, PAGE_SIZE, enclave_owner
 
 
 class TestProcesses:
@@ -145,6 +145,110 @@ class TestUserMemory:
         with pytest.raises(SecurityViolation):
             p.pt.map(vma.start, enclave.pages[0].pa, PageTableFlags.URW)
             kernel.user_read(p, vma.start, 8)
+
+
+class TestPoliceMemo:
+    """The monitor remembers normal frames that passed its check; a
+    frame whose owner or NPT mapping changed must be refused anyway."""
+
+    PAGES = 4
+
+    @pytest.fixture
+    def warm(self, system):
+        """A process with four written pages, each frame already passed
+        (and remembered) by a read and a write."""
+        machine, boot, kernel, _ = system
+        assert boot.monitor.os_demoted
+        p = kernel.spawn()
+        vma = kernel.mmap(p, self.PAGES * PAGE_SIZE, populate=True)
+        data = bytes(range(256)) * (self.PAGES * PAGE_SIZE // 256)
+        kernel.user_write(p, vma.start, data)
+        assert kernel.user_read(p, vma.start, len(data)) == data
+        frames = [p.translate(vma.start + i * PAGE_SIZE)
+                  for i in range(self.PAGES)]
+        remembered = boot.monitor._normal_frames
+        assert {pa // PAGE_SIZE for pa in frames} <= remembered
+        return machine, boot, kernel, p, vma, frames
+
+    @staticmethod
+    def _retag_on_translate(machine, p, vma, monkeypatch, at_page, frame_pa,
+                            owner):
+        """Make ``p``'s translate of page ``at_page`` retag ``frame_pa``;
+        returns the list of pages translated."""
+        translate = p.translate
+        seen = []
+
+        def retagging(va, *, write=False):
+            page = (va - vma.start) // PAGE_SIZE
+            seen.append(page)
+            if page == at_page:
+                machine.phys.set_owner(frame_pa, owner)
+            return translate(va, write=write)
+
+        monkeypatch.setattr(p, "translate", retagging)
+        return seen
+
+    @pytest.mark.parametrize("owner", [enclave_owner(77), MONITOR],
+                             ids=["enclave", "monitor"])
+    @pytest.mark.parametrize("op", ["read", "write"])
+    def test_a_frame_retagged_mid_copy_is_refused(self, warm, monkeypatch,
+                                                  owner, op):
+        machine, boot, kernel, p, vma, frames = warm
+        seen = self._retag_on_translate(machine, p, vma, monkeypatch, 1,
+                                        frames[2], owner)
+        with pytest.raises(SecurityViolation, match=owner.kind.value):
+            if op == "read":
+                kernel.user_read(p, vma.start + 8, 3 * PAGE_SIZE)
+            else:
+                kernel.user_write(p, vma.start + 8, b"\x55" * 3 * PAGE_SIZE)
+        assert seen == [0, 1, 2]            # refused at the retagged page
+        machine.phys.set_owner(frames[2], NORMAL)
+
+    @pytest.mark.parametrize("owner", [enclave_owner(77), MONITOR],
+                             ids=["enclave", "monitor"])
+    def test_a_frame_retagged_between_copies_is_refused(self, warm, owner):
+        machine, boot, kernel, p, vma, frames = warm
+        machine.phys.set_owner(frames[3], owner)
+        with pytest.raises(SecurityViolation, match=owner.kind.value):
+            kernel.user_read(p, vma.start, self.PAGES * PAGE_SIZE)
+        with pytest.raises(SecurityViolation, match=owner.kind.value):
+            kernel.user_write(p, vma.start + 3 * PAGE_SIZE, b"\x01")
+        # The untouched frames still pass.
+        kernel.user_read(p, vma.start, 3 * PAGE_SIZE)
+        machine.phys.set_owner(frames[3], NORMAL)
+        kernel.user_read(p, vma.start, self.PAGES * PAGE_SIZE)
+
+    def test_an_npt_remove_after_a_frame_passed_refuses_it(self, warm):
+        machine, boot, kernel, p, vma, frames = warm
+        npt = boot.monitor.normal_npt
+        npt.remove(frames[1], frames[1] + PAGE_SIZE)
+        with pytest.raises(SecurityViolation, match="NPT violation"):
+            boot.monitor.check_normal_access(frames[1] + 16, 8)
+        with pytest.raises(SecurityViolation, match="NPT violation"):
+            kernel.user_read(p, vma.start, 2 * PAGE_SIZE)
+        with pytest.raises(SecurityViolation, match="NPT violation"):
+            kernel.user_write(p, vma.start + PAGE_SIZE, b"\x01")
+        boot.monitor.check_normal_access(frames[0], PAGE_SIZE)
+        npt.add(frames[1], frames[1] + PAGE_SIZE)
+        kernel.user_read(p, vma.start, 2 * PAGE_SIZE)
+
+    def test_a_remembered_frame_still_refuses_an_access_past_its_end(
+            self, warm):
+        machine, boot, kernel, p, vma, frames = warm
+        edge = machine.config.reserved_base - PAGE_SIZE
+        boot.monitor.check_normal_access(edge, PAGE_SIZE)
+        assert edge // PAGE_SIZE in boot.monitor._normal_frames
+        with pytest.raises(SecurityViolation, match="NPT violation"):
+            boot.monitor.check_normal_access(edge + PAGE_SIZE - 4, 8)
+
+    def test_a_frame_only_partly_in_the_npt_is_not_remembered(self, warm):
+        machine, boot, kernel, p, vma, frames = warm
+        hole = frames[0] + PAGE_SIZE // 2
+        boot.monitor.normal_npt.remove(hole, hole + 1)
+        boot.monitor.check_normal_access(frames[0], 8)      # below the hole
+        assert frames[0] // PAGE_SIZE not in boot.monitor._normal_frames
+        with pytest.raises(SecurityViolation, match="NPT violation"):
+            boot.monitor.check_normal_access(hole, 1)
 
 
 class TestSignals:

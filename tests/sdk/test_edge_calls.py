@@ -47,6 +47,15 @@ class TestEcallSemantics:
         with pytest.raises(SdkError):
             he_handle.proxies.add_numbers(a=1, b=2, c=3)
 
+    def test_negative_out_size_is_refused_before_eenter(self, he_handle):
+        cursor = he_handle._ecall_cursor
+        enters = he_handle.world.enters
+        with pytest.raises(SdkError, match=r"fill_pattern\.buf: negative"):
+            he_handle.proxies.fill_pattern(n=-4096)
+        assert he_handle._ecall_cursor == cursor
+        assert he_handle.world.enters == enters
+        assert he_handle.proxies.fill_pattern(n=4)[0] == 4
+
     def test_oversized_payload_overflows_msbuf(self, he_handle):
         big = he_handle.msbuf_vma.size   # larger than the ECALL region
         with pytest.raises(SdkError, match="overflow"):
@@ -98,6 +107,22 @@ class TestOcallSemantics:
         assert handle.ecall("flip", n=4) == (0xFF - 1) * 4 + (0 + 1 + 2 + 3)
         handle.destroy()
 
+    def test_negative_out_size_is_refused_before_the_ocall(self,
+                                                          he_platform):
+        handle = he_platform.load_enclave(_ocall_out_image())
+        called = []
+        handle.register_ocall("ocall_source",
+                              lambda data, n: called.append(n) or 0)
+        handle.ctx.globals["probe"] = lambda: (handle._ocall_cursor,
+                                               handle.world.enters,
+                                               handle.world.exits)
+        assert handle.ecall("pull_checked", n=-4096) == 0
+        found = handle.ctx.globals
+        assert "ocall_source.data: negative size -4096" in found["error"]
+        assert found["after"] == found["before"]
+        assert called == []
+        handle.destroy()
+
     def test_unregistered_ocall_fails(self, he_platform):
         handle = he_platform.load_enclave(_ocall_out_image())
         with pytest.raises(SdkError, match="no OCALL implementation"):
@@ -126,6 +151,7 @@ enclave {
     trusted {
         public uint64 pull(uint64 n);
         public uint64 flip(uint64 n);
+        public uint64 pull_checked(uint64 n);
     };
     untrusted {
         uint64 ocall_source([out, size=n] bytes data, uint64 n);
@@ -140,6 +166,19 @@ def _pull(ctx, n):
     return sum(outs["data"])
 
 
+def _pull_checked(ctx, n):
+    # Records the OCALL's refusal with the cursor and world counters
+    # (from the test's probe) on both sides of it.
+    probe = ctx.globals["probe"]
+    ctx.globals["before"] = probe()
+    try:
+        ctx.ocall("ocall_source", n=n)
+    except SdkError as exc:
+        ctx.globals["error"] = str(exc)
+    ctx.globals["after"] = probe()
+    return 0
+
+
 def _flip(ctx, n):
     payload = bytes([1] * n)
     _, outs = ctx.ocall("ocall_transform", data=payload, n=n)
@@ -149,7 +188,8 @@ def _flip(ctx, n):
 def _ocall_out_image():
     from repro.sdk.image import EnclaveImage
     return EnclaveImage.build("ocaller", _OCALL_EDL,
-                              {"pull": _pull, "flip": _flip})
+                              {"pull": _pull, "flip": _flip,
+                               "pull_checked": _pull_checked})
 
 
 _BRANCH_EDL = """
